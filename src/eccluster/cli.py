@@ -1,7 +1,7 @@
 """Command line front end: ``ecc solve``, ``ecc estimate``, ``ecc bench``.
 
-Exit codes: 0 success, 1 usage or input errors, 2 for a "no" answer from a
-feasibility search.  ``estimate`` output is a pure function of its arguments
+Exit codes: 0 success, 1 usage, parse or solver errors, 2 for a "no" answer
+from a feasibility search.  ``estimate`` output is a pure function of its arguments
 (no timing fields), so identical invocations produce identical bytes.  Floats
 are rendered with 17 significant digits so reported numbers round-trip
 exactly.
@@ -17,49 +17,24 @@ import time
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
-from .combinatorial import brute_force, fpt_colorfair, fpt_protected, matching_approximation
 from .hypergraph import (
-    MAX,
-    MIN,
-    COLORFAIR,
     EdgeColoredHypergraph,
     ParseError,
+    Problem,
     color_error_vector,
+    evaluate_errors,
     parse_instance,
     pmean,
     protected,
 )
-from .relaxations import (
-    lovasz_extension,
-    minimize_lovasz,
-    solve_max_relaxation,
-    solve_pmean_relaxation,
-    solve_protected_relaxation,
-)
-from .rounding import (
-    GRAPH_GUARANTEE,
-    RandomSource,
-    estimate_satisfaction,
-    graph_max_round,
-    half_threshold_round,
-    hyper_max_round,
-    lovasz_round,
-    protected_round,
-    rank_guarantee,
-)
+from .relaxations import solve_max_relaxation
+from .rounding import GRAPH_GUARANTEE, estimate_satisfaction, rank_guarantee
+from .solver import SOLVERS, solve
 
-_PROBLEM_ALGS = {
-    "max": ("hyper-max", "graph-max", "brute"),
-    "min": ("lp-round", "matching", "brute"),
-    "pmean": ("lp-round", "lovasz", "brute"),
-    "colorfair": ("lp-round", "matching", "fpt", "brute"),
-    "protected": ("lp-round", "fpt", "brute"),
-}
+_PROBLEM_ALGS = {kind: tuple(a for k, a in SOLVERS if k == kind) for kind, _ in SOLVERS}
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     """Bad flag combination or bad input; maps to exit code 1."""
 
 
@@ -75,11 +50,7 @@ def _build_parser() -> _Parser:
 
     solve = sub.add_parser("solve", help="solve one instance with one algorithm")
     solve.add_argument("--problem", required=True, choices=sorted(_PROBLEM_ALGS))
-    solve.add_argument(
-        "--alg",
-        required=True,
-        choices=["hyper-max", "graph-max", "lp-round", "matching", "lovasz", "fpt", "brute"],
-    )
+    solve.add_argument("--alg", required=True, choices=list(dict.fromkeys(a for _, a in SOLVERS)))
     solve.add_argument("--p", type=float, default=None, help="exponent for --problem pmean")
     solve.add_argument("--rho", type=float, default=None, help="threshold split in (0, 1/2]")
     solve.add_argument("--budget", type=float, default=None, help="protected-color budget")
@@ -250,176 +221,76 @@ def _check_solve_flags(args, h: EdgeColoredHypergraph) -> None:
     _reject(args.t is not None and not uses_t, "--t only applies to protected fpt")
     _reject(uses_t and (args.t is None or args.t < 0), "protected fpt requires --t >= 0")
     _reject(not 0 <= args.seed < 1 << 64, "--seed must fit in 64 bits")
-    if args.alg == "graph-max":
-        _reject(
-            any(len(e.nodes) != 2 for e in h.edges),
-            "--alg graph-max needs every edge to have exactly 2 nodes",
-        )
 
 
-def _ratio(numerator: float, denominator: float) -> Optional[float]:
-    if denominator <= 0:
-        return None
-    return numerator / denominator
+def _problem(args) -> Problem:
+    if args.problem == "pmean":
+        return pmean(args.p)
+    if args.problem == "protected":
+        return protected(args.protected_color, args.budget)
+    return Problem(args.problem)
+
+
+def _params(args) -> dict:
+    """The ``parameters`` object: the flags that shaped this solve."""
+    params: dict = {}
+    if args.problem == "pmean":
+        params["p"] = args.p
+    elif args.problem == "colorfair" and args.alg == "fpt":
+        params["tau"] = args.tau
+    elif args.problem == "protected":
+        params["protected_color"] = args.protected_color
+        params["budget"] = args.budget
+        if args.alg == "lp-round":
+            params["rho"] = 0.5 if args.rho is None else args.rho
+        elif args.alg == "fpt":
+            params["t"] = args.t
+    return {key: "inf" if isinstance(v, float) and math.isinf(v) else v for key, v in params.items()}
 
 
 def _run_solve(args) -> tuple[str, int]:
     h = _load_instance(args.input)
     _check_solve_flags(args, h)
     started = time.perf_counter()
-
-    feasible = True
-    lam = None
-    bound: Optional[float] = None
-    ratio: Optional[float] = None
-    fallback_rule: Optional[str] = None
-    seed_used: Optional[int] = None
-    params: dict = {}
-
-    if args.problem == "max":
-        if args.alg == "brute":
-            _, lam = brute_force(h, MAX)
-        else:
-            frac = solve_max_relaxation(h)
-            stream = RandomSource(args.seed).stream(0)
-            rounder = hyper_max_round if args.alg == "hyper-max" else graph_max_round
-            lam = rounder(h, frac, stream)
-            bound = frac.bound
-            fallback_rule = "lp-informed"
-            seed_used = args.seed
-    elif args.problem == "min":
-        if args.alg == "lp-round":
-            frac = solve_pmean_relaxation(h, 1.0)
-            lam = half_threshold_round(h, frac)
-            bound = frac.bound
-            fallback_rule = "lp-informed"
-        elif args.alg == "matching":
-            lam, _ = matching_approximation(h)
-            fallback_rule = "constant-1"
-        else:
-            _, lam = brute_force(h, MIN)
-    elif args.problem == "pmean":
-        params["p"] = args.p
-        if args.alg == "lp-round":
-            frac = solve_pmean_relaxation(h, args.p)
-            lam = half_threshold_round(h, frac)
-            bound = frac.bound
-            fallback_rule = "lp-informed"
-        elif args.alg == "lovasz":
-            gamma = minimize_lovasz(h, args.p)
-            lam = lovasz_round(h, gamma)
-            bound = lovasz_extension(h, args.p, gamma)[0] ** (1.0 / args.p)
-            fallback_rule = "constant-1"
-        else:
-            _, lam = brute_force(h, pmean(args.p))
-    elif args.problem == "colorfair":
-        if args.alg == "lp-round":
-            frac = solve_pmean_relaxation(h, math.inf)
-            lam = half_threshold_round(h, frac)
-            bound = frac.bound
-            fallback_rule = "lp-informed"
-        elif args.alg == "matching":
-            lam, _ = matching_approximation(h)
-            fallback_rule = "constant-1"
-        elif args.alg == "fpt":
-            params["tau"] = args.tau
-            lam = fpt_colorfair(h, args.tau)
-            feasible = lam is not None
-        else:
-            _, lam = brute_force(h, COLORFAIR)
-    else:
-        params["protected_color"] = args.protected_color
-        params["budget"] = args.budget
-        if args.alg == "lp-round":
-            rho = 0.5 if args.rho is None else args.rho
-            params["rho"] = rho
-            frac = solve_protected_relaxation(h, args.protected_color, args.budget)
-            lam = protected_round(h, frac, args.protected_color, rho)
-            bound = frac.bound
-            fallback_rule = "lp-informed"
-        elif args.alg == "fpt":
-            params["t"] = args.t
-            lam = fpt_protected(h, args.t, args.budget, args.protected_color)
-            feasible = lam is not None
-        else:
-            _, lam = brute_force(h, protected(args.protected_color, args.budget))
-
+    problem = _problem(args)
+    result = solve(h, problem, args.alg, seed=args.seed, rho=args.rho, tau=args.tau, t=args.t)
+    feasible = result.coloring is not None
     doc: dict = {
         "problem": args.problem,
         "algorithm": args.alg,
-        "parameters": _encode_params(params),
+        "parameters": _params(args),
         "feasible": feasible,
     }
+    ratio = None
     if feasible:
-        assert lam is not None
-        errors = color_error_vector(h, lam)
-        total_unsat = float(errors.sum())
-        if args.problem == "max":
-            objective = h.total_weight - total_unsat
-            doc["objective"] = objective
-            if bound is not None:
-                ratio = _ratio(bound, objective)
-        elif args.problem == "min":
-            doc["objective"] = total_unsat
-            if bound is not None:
-                ratio = _ratio(total_unsat, bound)
-        elif args.problem == "pmean":
-            if math.isinf(args.p):
-                objective = float(errors.max())
-            else:
-                objective = float(np.sum(errors**args.p) ** (1.0 / args.p))
-            doc["objective"] = objective
-            # the descent bound is not a certified lower bound, so no ratio there
-            if bound is not None and args.alg == "lp-round":
-                ratio = _ratio(objective, bound)
-        elif args.problem == "colorfair":
-            objective = float(errors.max())
-            doc["objective"] = objective
-            if bound is not None:
-                ratio = _ratio(objective, bound)
+        errors = color_error_vector(h, result.coloring).tolist()
+        value = evaluate_errors(errors, problem, h.total_weight)
+        if args.problem == "protected":
+            doc["objective"] = {"total": value, "protected": errors[args.protected_color - 1]}
         else:
-            protected_unsat = float(errors[args.protected_color - 1])
-            doc["objective"] = {"total": total_unsat, "protected": protected_unsat}
-            if bound is not None:
-                ratio = _ratio(total_unsat, bound)
-        doc["color_error_vector"] = [float(x) for x in errors]
-        doc["coloring"] = list(lam)
-    if bound is not None:
-        doc["relaxation_bound"] = float(bound)
+            doc["objective"] = value
+        ratio = result.approx_ratio(value)
+        doc["color_error_vector"] = errors
+        doc["coloring"] = list(result.coloring)
+    if result.bound is not None:
+        doc["relaxation_bound"] = float(result.bound)
     if ratio is not None:
         doc["approx_ratio_upper_bound"] = float(ratio)
-    if fallback_rule is not None:
-        doc["fallback"] = fallback_rule
-    if seed_used is not None:
-        doc["master_seed"] = seed_used
+    if result.fallback is not None:
+        doc["fallback"] = result.fallback
+    if result.master_seed is not None:
+        doc["master_seed"] = result.master_seed
     doc["wall_time_sec"] = time.perf_counter() - started
 
     text = _render_solve_csv(doc) if args.format == "csv" else _render_json(doc)
     return text, 0 if feasible else 2
 
 
-def _encode_params(params: dict) -> dict:
-    out = {}
-    for key, value in params.items():
-        if isinstance(value, float) and math.isinf(value):
-            out[key] = "inf"
-        else:
-            out[key] = value
-    return out
-
-
 def _run_estimate(args) -> tuple[str, int]:
     h = _load_instance(args.input)
     _reject(args.trials < 1, "--trials must be >= 1")
     _reject(not 0 <= args.seed < 1 << 64, "--seed must fit in 64 bits")
-    if args.scheme == "graph":
-        _reject(
-            any(len(e.nodes) != 2 for e in h.edges),
-            "--scheme graph needs every edge to have exactly 2 nodes",
-        )
-        guarantee = GRAPH_GUARANTEE
-    else:
-        guarantee = rank_guarantee(h.rank)
+    guarantee = GRAPH_GUARANTEE if args.scheme == "graph" else rank_guarantee(h.rank)
     frac = solve_max_relaxation(h)
     est = estimate_satisfaction(h, frac, args.scheme, args.trials, args.seed)
     passes = est.floor_check(frac.edge_value, guarantee)
@@ -470,18 +341,17 @@ def _run_bench(args) -> tuple[str, int]:
     lines = ["fraction,budget,total_unsatisfied,protected_unsatisfied,relaxation_bound,violation_factor"]
     for phi in fractions:
         budget = math.ceil(phi * class_size)
-        frac = solve_protected_relaxation(h, args.protected_color, float(budget))
-        lam = protected_round(h, frac, args.protected_color, args.rho)
-        errors = color_error_vector(h, lam)
-        total = float(errors.sum())
-        prot = float(errors[args.protected_color - 1])
+        result = solve(h, protected(args.protected_color, float(budget)), "lp-round", rho=args.rho)
+        errors = color_error_vector(h, result.coloring).tolist()
+        total = sum(errors)
+        prot = errors[args.protected_color - 1]
         violation = prot / budget if budget > 0 else None
         cells = [
             _fmt_float(phi),
             str(budget),
             _fmt_float(total),
             _fmt_float(prot),
-            _fmt_float(frac.bound),
+            _fmt_float(result.bound),
             "" if violation is None else _fmt_float(violation),
         ]
         lines.append(",".join(cells))
@@ -506,7 +376,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         else:
             text, code = _run_bench(args)
         _emit(text, args.output)
-    except UsageError as exc:
+    except (ValueError, RuntimeError) as exc:
+        # usage, parse and solver errors alike: one line, no traceback
         print(f"ecc: error: {exc}", file=sys.stderr)
         return 1
     return code

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Optional
+from typing import Callable, Optional
 
 from .hypergraph import (
     Coloring,
+    Edge,
     EdgeColoredHypergraph,
     Problem,
+    evaluate_errors,
     extend_coloring,
     find_conflict,
 )
@@ -28,54 +30,60 @@ _BRUTE_CAP = 1 << 24
 def matching_approximation(
     h: EdgeColoredHypergraph,
 ) -> tuple[Coloring, frozenset[int]]:
-    """Greedy conflict matching; the deleted set is a maximal conflict matching.
+    """Greedy local-ratio pass over conflicts; returns (coloring, deleted set).
 
     Scans nodes in ascending id and, at each node, its live incident edges in
-    ascending id.  A registry holds the live edges already seen at the current
-    node; since an edge is registered only when nothing differently colored is
-    waiting, the registry stays monochromatic, so each lookup touches one
-    entry and the whole pass is linear in total edge size.
+    ascending id, against a registry of the live edges already seen there.  An
+    edge meeting a differently colored entry pays the smaller residual weight
+    from both; an edge whose residual reaches 0 (a zero-weight edge at once)
+    is deleted.  The registry stays monochromatic, so the pass is linear in
+    total edge size.  With unit weights the deleted set is a maximal conflict
+    matching.
 
-    Deleting both sides of a maximal conflict matching removes every conflict,
-    and any coloring must leave at least one edge of each matched pair
-    unsatisfied, so the max per-color deleted weight is at most k times the
-    optimum of the min-max color objective.
+    Every coloring leaves one edge of each conflicting pair unsatisfied, so
+    the payments sum to at most the min optimum.  Deleted weight is at most
+    twice that sum in total and at most the sum per color, hence factor 2 for
+    the min objective and factor k for the min-max color objective.
     """
-    dead = [False] * h.edge_count
-    matched: list[int] = []
+    residual = [e.weight for e in h.edges]
+    dead = [w <= 0.0 for w in residual]
     for v in range(1, h.node_count + 1):
         registry: list[int] = []
         for e in h.incidence[v - 1]:
             if dead[e]:
                 continue
             color = h.edges[e].color
-            partner = -1
-            for pos, f in enumerate(registry):
-                if h.edges[f].color != color:
-                    partner = pos
+            while registry and h.edges[registry[0]].color != color:
+                f = registry[0]
+                paid = min(residual[e], residual[f])
+                residual[e] -= paid
+                residual[f] -= paid
+                if residual[f] <= 0.0:
+                    dead[f] = True
+                    registry.pop(0)
+                if residual[e] <= 0.0:
+                    dead[e] = True
                     break
-            if partner >= 0:
-                f = registry.pop(partner)
-                dead[e] = True
-                dead[f] = True
-                matched.extend((f, e))
             else:
                 registry.append(e)
-    deleted = frozenset(matched)
+    deleted = frozenset(e for e in range(h.edge_count) if dead[e])
     return extend_coloring(h, deleted), deleted
 
 
-def fpt_colorfair(h: EdgeColoredHypergraph, tau: float) -> Optional[Coloring]:
-    """Coloring with per-color unsatisfied weight <= tau, or None.
+def _branch_search(
+    h: EdgeColoredHypergraph,
+    limits: list[float],
+    accounts: Callable[[Edge], tuple[int, ...]],
+) -> Optional[Coloring]:
+    """Coloring whose deleted weight keeps every account within its limit, or None.
 
     Branches on the first conflict: one of its two edges must be deleted in
-    any feasible solution, and a deletion adds the edge's weight to its
-    color's tally, so every root-leaf path keeps each tally within tau.
+    any feasible solution, and a deletion adds the edge's weight to each
+    account ``accounts(edge)`` names, so every root-leaf path keeps each
+    tally within its limit.
     """
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
     alive = set(range(h.edge_count))
-    tallies = [0.0] * h.color_count
+    tallies = [0.0] * len(limits)
 
     def search() -> Optional[Coloring]:
         conflict = find_conflict(h, alive)
@@ -83,19 +91,29 @@ def fpt_colorfair(h: EdgeColoredHypergraph, tau: float) -> Optional[Coloring]:
             return extend_coloring(h, set(range(h.edge_count)) - alive)
         _, e1, e2 = conflict
         for e in (e1, e2):
-            c = h.edges[e].color
             w = h.edges[e].weight
-            if tallies[c - 1] + w <= tau + _BRANCH_TOL:
-                tallies[c - 1] += w
-                alive.discard(e)
-                found = search()
-                alive.add(e)
-                tallies[c - 1] -= w
-                if found is not None:
-                    return found
+            charged = accounts(h.edges[e])
+            if any(tallies[a] + w > limits[a] + _BRANCH_TOL for a in charged):
+                continue
+            for a in charged:
+                tallies[a] += w
+            alive.discard(e)
+            found = search()
+            alive.add(e)
+            for a in charged:
+                tallies[a] -= w
+            if found is not None:
+                return found
         return None
 
     return search()
+
+
+def fpt_colorfair(h: EdgeColoredHypergraph, tau: float) -> Optional[Coloring]:
+    """Coloring with per-color unsatisfied weight <= tau, or None."""
+    if tau < 0:
+        raise ValueError("tau must be >= 0")
+    return _branch_search(h, [tau] * h.color_count, lambda edge: (edge.color - 1,))
 
 
 def fpt_protected(
@@ -106,7 +124,7 @@ def fpt_protected(
 ) -> Optional[Coloring]:
     """Coloring with total unsatisfied weight <= t and protected share <= b.
 
-    Same branching as the color-budget search with two tallies.  Since the
+    Two accounts: the total, and the protected color's share.  Since the
     protected share can never exceed the total, the protected budget is
     clamped to min(b, t) up front.
     """
@@ -114,54 +132,9 @@ def fpt_protected(
         raise ValueError("budgets must be >= 0")
     if not 1 <= protected_color <= h.color_count:
         raise ValueError("protected color out of range")
-    b_eff = min(b, t)
-    alive = set(range(h.edge_count))
-    totals = [0.0, 0.0]  # (all colors, protected color)
-
-    def search() -> Optional[Coloring]:
-        conflict = find_conflict(h, alive)
-        if conflict is None:
-            return extend_coloring(h, set(range(h.edge_count)) - alive)
-        _, e1, e2 = conflict
-        for e in (e1, e2):
-            w = h.edges[e].weight
-            is_protected = h.edges[e].color == protected_color
-            if totals[0] + w > t + _BRANCH_TOL:
-                continue
-            if is_protected and totals[1] + w > b_eff + _BRANCH_TOL:
-                continue
-            totals[0] += w
-            if is_protected:
-                totals[1] += w
-            alive.discard(e)
-            found = search()
-            alive.add(e)
-            totals[0] -= w
-            if is_protected:
-                totals[1] -= w
-            if found is not None:
-                return found
-        return None
-
-    return search()
-
-
-def _evaluate_errors(errors: list[float], problem: Problem, total_weight: float) -> float:
-    if problem.kind == "max":
-        return total_weight - sum(errors)
-    if problem.kind == "min":
-        return sum(errors)
-    if problem.kind == "colorfair":
-        return max(errors)
-    if problem.kind == "pmean":
-        p = problem.p
-        assert p is not None
-        if math.isinf(p):
-            return max(errors)
-        return sum(err**p for err in errors) ** (1.0 / p)
-    if problem.kind == "protected":
-        return sum(errors)
-    raise ValueError(f"unknown problem kind {problem.kind!r}")
+    return _branch_search(
+        h, [t, min(b, t)], lambda edge: (0, 1) if edge.color == protected_color else (0,)
+    )
 
 
 def brute_force(
@@ -206,7 +179,7 @@ def brute_force(
                     break
         if budget is not None and errors[protected_idx] > budget + _BRANCH_TOL:
             continue
-        value = _evaluate_errors(errors, problem, total_weight)
+        value = evaluate_errors(errors, problem, total_weight)
         if (
             best_value is None
             or (maximize and value > best_value)

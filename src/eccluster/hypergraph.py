@@ -32,6 +32,7 @@ __all__ = [
     "is_satisfied",
     "color_error_vector",
     "objective",
+    "evaluate_errors",
     "build_conflict_graph",
     "find_conflict",
     "extend_coloring",
@@ -238,14 +239,14 @@ def parse_instance(text: str) -> EdgeColoredHypergraph:
             fail(lineno, "non-numeric node id")
         if not 1 <= color <= k:
             fail(lineno, f"color {color} out of range [1, {k}]")
-        if not (math.isfinite(weight) and weight >= 0):
-            fail(lineno, f"weight must be finite and >= 0, got {tokens[1]}")
-        if len(set(nodes)) != len(nodes):
-            fail(lineno, "duplicate node within one edge")
+        try:
+            edge = Edge(color=color, weight=weight, nodes=nodes)
+        except ValueError as exc:
+            fail(lineno, str(exc))
         for v in nodes:
             if not 1 <= v <= n:
                 fail(lineno, f"node {v} out of range [1, {n}]")
-        edges.append(Edge(color=color, weight=weight, nodes=nodes))
+        edges.append(edge)
 
     if header is None:
         raise ParseError("line 1: empty document, missing 'n m k' header")
@@ -283,29 +284,34 @@ def color_error_vector(h: EdgeColoredHypergraph, lam: Sequence[int]) -> np.ndarr
     return out
 
 
+def evaluate_errors(errors: Sequence[float], problem: Problem, total_weight: float) -> float:
+    """Objective value from per-color unsatisfied weights (entry c-1 for color c).
+
+    Protected yields its total; ``objective`` pairs it with the protected
+    share.  Plain Python over a sequence, since brute force calls it once per
+    enumerated coloring.
+    """
+    kind = problem.kind
+    if kind == "max":
+        return total_weight - sum(errors)
+    if kind in ("min", "protected"):
+        return sum(errors)
+    p = math.inf if kind == "colorfair" else problem.p
+    if math.isinf(p):
+        return max(errors)
+    return sum(err**p for err in errors) ** (1.0 / p)
+
+
 def objective(h: EdgeColoredHypergraph, lam: Sequence[int], problem: Problem):
     """Evaluate a coloring under a problem; protected returns (total, protected) pair."""
-    errors = color_error_vector(h, lam)
-    unsat = float(errors.sum())
-    if problem.kind == "max":
-        return h.total_weight - unsat
-    if problem.kind == "min":
-        return unsat
-    if problem.kind == "colorfair":
-        return float(errors.max()) if h.color_count else 0.0
-    if problem.kind == "pmean":
-        p = problem.p
-        assert p is not None
-        if math.isinf(p):
-            return float(errors.max())
-        return float(np.sum(errors**p) ** (1.0 / p))
+    errors = color_error_vector(h, lam).tolist()
+    value = evaluate_errors(errors, problem, h.total_weight)
     if problem.kind == "protected":
         c1 = problem.protected_color
-        assert c1 is not None
         if not 1 <= c1 <= h.color_count:
             raise ValueError(f"protected color {c1} out of range [1, {h.color_count}]")
-        return unsat, float(errors[c1 - 1])
-    raise ValueError(f"unknown problem kind {problem.kind!r}")
+        return value, errors[c1 - 1]
+    return value
 
 
 def build_conflict_graph(h: EdgeColoredHypergraph) -> ConflictGraph:

@@ -19,6 +19,7 @@ import numpy as np
 from .hypergraph import EdgeColoredHypergraph, build_conflict_graph
 from .lp import (
     EPS_FEAS,
+    EQ,
     GE,
     LE,
     FrankWolfeResult,
@@ -110,24 +111,8 @@ def color_mass(h: EdgeColoredHypergraph, gamma: np.ndarray) -> np.ndarray:
 
 def build_max_lp(h: EdgeColoredHypergraph) -> tuple[LinearProgram, VariableLayout]:
     """maximize sum_e w_e z_e with sum_c x_v^c = 1 and x_v^c >= z_e for v in e."""
-    lay = VariableLayout(h.node_count, h.color_count, h.edge_count)
-    n_vars = lay.total
-    obj = np.zeros(n_vars)
-    for e, edge in enumerate(h.edges):
-        obj[lay.edge_col(e)] = edge.weight
-    rows = []
-    for v in range(1, h.node_count + 1):
-        vec = np.zeros(n_vars)
-        for c in range(1, h.color_count + 1):
-            vec[lay.node_color_col(v, c)] = 1.0
-        rows.append((vec, "=", 1.0))
-    for e, edge in enumerate(h.edges):
-        for v in edge.nodes:
-            vec = np.zeros(n_vars)
-            vec[lay.node_color_col(v, edge.color)] = 1.0
-            vec[lay.edge_col(e)] = -1.0
-            rows.append((vec, GE, 0.0))
-    lp = LinearProgram(n_vars, obj, maximize=True, rows=tuple(rows))
+    rows, lay, n_vars = _region(h, EQ, 1.0, GE)
+    lp = LinearProgram(n_vars, _weight_objective(h, n_vars, lay), maximize=True, rows=tuple(rows))
     return lp, lay
 
 
@@ -147,10 +132,11 @@ def solve_max_relaxation(h: EdgeColoredHypergraph) -> FractionalSolution:
     return FractionalSolution(x, z, ASSIGNMENT, sol.objective_value)
 
 
-def _distance_region(
-    h: EdgeColoredHypergraph, extra: int = 0
+def _region(
+    h: EdgeColoredHypergraph, node_sense: str, node_rhs: float, edge_sense: str, extra: int = 0
 ) -> tuple[list, VariableLayout, int]:
-    """Shared rows: sum_c d_v^c >= k-1 per node; d_v^c <= gamma_e per incidence."""
+    """One mass row per node over its colors, then one row per incidence
+    comparing node v's entry for the edge's color with the edge's value."""
     lay = VariableLayout(h.node_count, h.color_count, h.edge_count, extra=extra)
     n_vars = lay.total
     rows = []
@@ -158,17 +144,24 @@ def _distance_region(
         vec = np.zeros(n_vars)
         for c in range(1, h.color_count + 1):
             vec[lay.node_color_col(v, c)] = 1.0
-        rows.append((vec, GE, float(h.color_count - 1)))
+        rows.append((vec, node_sense, node_rhs))
     for e, edge in enumerate(h.edges):
         for v in edge.nodes:
             vec = np.zeros(n_vars)
             vec[lay.node_color_col(v, edge.color)] = 1.0
             vec[lay.edge_col(e)] = -1.0
-            rows.append((vec, LE, 0.0))
+            rows.append((vec, edge_sense, 0.0))
     return rows, lay, n_vars
 
 
-def _gamma_objective(h: EdgeColoredHypergraph, n_vars: int, lay: VariableLayout) -> np.ndarray:
+def _distance_region(
+    h: EdgeColoredHypergraph, extra: int = 0
+) -> tuple[list, VariableLayout, int]:
+    """Shared rows: sum_c d_v^c >= k-1 per node; d_v^c <= gamma_e per incidence."""
+    return _region(h, GE, float(h.color_count - 1), LE, extra)
+
+
+def _weight_objective(h: EdgeColoredHypergraph, n_vars: int, lay: VariableLayout) -> np.ndarray:
     obj = np.zeros(n_vars)
     for e, edge in enumerate(h.edges):
         obj[lay.edge_col(e)] = edge.weight
@@ -188,7 +181,7 @@ def build_pmean_program(h: EdgeColoredHypergraph, p: float):
         raise ValueError("p < 1 is handled by the Lovász path, not this builder")
     if p == 1:
         rows, lay, n_vars = _distance_region(h)
-        lp = LinearProgram(n_vars, _gamma_objective(h, n_vars, lay), rows=tuple(rows))
+        lp = LinearProgram(n_vars, _weight_objective(h, n_vars, lay), rows=tuple(rows))
         return lp, lay
     if math.isinf(p):
         rows, lay, n_vars = _distance_region(h, extra=1)
@@ -212,7 +205,7 @@ def build_pmean_program(h: EdgeColoredHypergraph, p: float):
     rows, lay, n_vars = _distance_region(h)
     region = LinearProgram(n_vars, np.zeros(n_vars), rows=tuple(rows))
     weights = np.array([edge.weight for edge in h.edges])
-    colors = np.array([edge.color - 1 for edge in h.edges])
+    colors = np.array([edge.color - 1 for edge in h.edges], dtype=np.intp)
     k = h.color_count
     gamma_lo = lay.edge_col(0) if h.edge_count else n_vars
 
@@ -295,7 +288,7 @@ def build_protected_lp(
     for e in h.color_classes[protected_color - 1]:
         vec[lay.edge_col(e)] = h.edges[e].weight
     rows.append((vec, LE, float(budget)))
-    lp = LinearProgram(n_vars, _gamma_objective(h, n_vars, lay), rows=tuple(rows))
+    lp = LinearProgram(n_vars, _weight_objective(h, n_vars, lay), rows=tuple(rows))
     return lp, lay
 
 

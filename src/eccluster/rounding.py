@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -111,37 +112,19 @@ def _draw_priorities(stream: RandomStream, k: int) -> tuple[list[int], list[floa
     return priority, alphas
 
 
-def _want_best(row: list[float], k: int, priority: list[int], alphas: list[float]) -> int:
-    """Index (0-based) of the highest-priority wanted color, or -1."""
-    best = -1
-    best_pri = -1
-    for ci in range(k):
-        if alphas[ci] < row[ci] and priority[ci] > best_pri:
-            best_pri = priority[ci]
-            best = ci
-    return best
-
-
 def _priority_core(
     rows: list[list[float]],
     k: int,
-    fallback: list[int],
+    fallback: Sequence[int],
     stream: RandomStream,
+    strong_cut: float,
 ) -> list[int]:
-    priority, alphas = _draw_priorities(stream, k)
-    lam = []
-    for row, fb in zip(rows, fallback):
-        best = _want_best(row, k, priority, alphas)
-        lam.append(best + 1 if best >= 0 else fb)
-    return lam
+    """One trial: each node takes its highest-priority wanted color.
 
-
-def _strong_weak_core(
-    rows: list[list[float]],
-    k: int,
-    fallback: list[int],
-    stream: RandomStream,
-) -> list[int]:
+    A color with mass at least ``strong_cut`` is "strong" (at most one can
+    exist when the cut exceeds 1/2) and is taken only when no weak color is
+    wanted; ``math.inf`` makes every color weak.
+    """
     priority, alphas = _draw_priorities(stream, k)
     lam = []
     for row, fb in zip(rows, fallback):
@@ -150,7 +133,7 @@ def _strong_weak_core(
         best_pri = -1
         for ci in range(k):
             xv = row[ci]
-            if xv >= TWO_THIRDS:
+            if xv >= strong_cut:
                 if strong >= 0:
                     raise RuntimeError(
                         "two colors with mass >= 2/3 at one node; "
@@ -170,14 +153,25 @@ def _strong_weak_core(
     return lam
 
 
-def _check_assignment(h: EdgeColoredHypergraph, frac: FractionalSolution) -> None:
+#: Strong-mass cut per scheme: the graph scheme is the strong/weak variant.
+_SCHEMES = {"hyper": math.inf, "graph": TWO_THIRDS}
+
+
+def _scheme_inputs(
+    h: EdgeColoredHypergraph, frac: FractionalSolution, scheme: str
+) -> tuple[list[list[float]], tuple[int, ...], float]:
+    """(rows, fallback, strong cut) for one scheme, after checking its input."""
+    if scheme not in _SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    if scheme == "graph" and any(len(e.nodes) != 2 for e in h.edges):
+        raise ValueError("the graph scheme needs every edge to have exactly 2 nodes")
     if frac.orientation != "assignment":
         raise ValueError("this rounding scheme needs assignment-oriented input")
     if frac.node_color.shape != (h.node_count, h.color_count):
         raise ValueError("fractional solution does not match the instance shape")
-    sums = frac.node_color.sum(axis=1)
-    if np.any(sums > 1.0 + 1e-6):
+    if np.any(frac.node_color.sum(axis=1) > 1.0 + 1e-6):
         raise ValueError("node color masses exceed the unit simplex")
+    return frac.node_color.tolist(), fallback_colors(frac), _SCHEMES[scheme]
 
 
 def hyper_max_round(
@@ -190,10 +184,8 @@ def hyper_max_round(
     Each satisfied LP unit survives with probability at least
     (2/e)^r / (r+1) where r is the instance rank.
     """
-    _check_assignment(h, frac)
-    rows = frac.node_color.tolist()
-    fallback = fallback_colors(frac)
-    return tuple(_priority_core(rows, h.color_count, fallback, stream))
+    rows, fallback, cut = _scheme_inputs(h, frac, "hyper")
+    return tuple(_priority_core(rows, h.color_count, fallback, stream, cut))
 
 
 def graph_max_round(
@@ -207,12 +199,8 @@ def graph_max_round(
     and is taken only when no weak color is wanted; this lifts the guarantee
     above the generic rank-2 floor.
     """
-    if any(len(e.nodes) != 2 for e in h.edges):
-        raise ValueError("strong/weak rounding needs every edge to have exactly 2 nodes")
-    _check_assignment(h, frac)
-    rows = frac.node_color.tolist()
-    fallback = fallback_colors(frac)
-    return tuple(_strong_weak_core(rows, h.color_count, fallback, stream))
+    rows, fallback, cut = _scheme_inputs(h, frac, "graph")
+    return tuple(_priority_core(rows, h.color_count, fallback, stream, cut))
 
 
 def half_threshold_round(
@@ -315,9 +303,13 @@ class EstimateResult:
     mean_objective: float
 
     def floor_check(self, edge_values: np.ndarray, guarantee: float) -> np.ndarray:
-        """Boolean per edge: frequency >= guarantee * z_e - 3 standard errors."""
+        """Boolean per edge: frequency >= guarantee * z_e - 3 standard errors.
+
+        ``EPS_FEAS`` of slack keeps an LP value that is float noise above 0
+        from failing an edge that no trial satisfied.
+        """
         floors = guarantee * np.asarray(edge_values, dtype=float)
-        return self.frequencies >= floors - 3.0 * self.std_errors
+        return self.frequencies >= floors - 3.0 * self.std_errors - EPS_FEAS
 
 
 def estimate_satisfaction(
@@ -335,19 +327,7 @@ def estimate_satisfaction(
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    if scheme == "hyper":
-        core = _priority_core
-        _check_assignment(h, frac)
-    elif scheme == "graph":
-        core = _strong_weak_core
-        if any(len(e.nodes) != 2 for e in h.edges):
-            raise ValueError("graph scheme needs every edge to have exactly 2 nodes")
-        _check_assignment(h, frac)
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
-
-    rows = frac.node_color.tolist()
-    fallback = fallback_colors(frac)
+    rows, fallback, cut = _scheme_inputs(h, frac, scheme)
     k = h.color_count
     edges = [(e.color, tuple(v - 1 for v in e.nodes), e.weight) for e in h.edges]
     source = RandomSource(master_seed)
@@ -355,7 +335,7 @@ def estimate_satisfaction(
     counts = [0] * h.edge_count
     weight_total = 0.0
     for t in range(trials):
-        lam = core(rows, k, fallback, source.stream(t))
+        lam = _priority_core(rows, k, fallback, source.stream(t), cut)
         for ei, (color, nodes, w) in enumerate(edges):
             for v in nodes:
                 if lam[v] != color:

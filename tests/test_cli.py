@@ -107,6 +107,37 @@ def test_solve_graph_alg_rejects_hyperedges(tmp_path):
     assert "exactly 2 nodes" in proc.stderr
 
 
+def test_estimate_graph_scheme_rejects_hyperedges(tmp_path):
+    path = tmp_path / "h3.ecc"
+    path.write_text("3 1 2\n1 1 3 1 2 3\n", encoding="utf-8")
+    proc = run_cli("estimate", "--scheme", "graph", "--input", str(path))
+    assert proc.returncode == 1
+    assert "exactly 2 nodes" in proc.stderr
+
+
+def test_solver_errors_exit_one_without_traceback(tmp_path):
+    # a 17-node path, k = 3: 3^17 colorings exceed the brute-force cap
+    path = tmp_path / "path17.ecc"
+    lines = ["17 16 3"] + [f"{v % 3 + 1} 1 2 {v} {v + 1}" for v in range(1, 17)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    proc = run_cli("solve", "--problem", "min", "--alg", "brute", "--input", str(path))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "ecc: error: 129140163 colorings exceed the enumeration cap of 16777216\n"
+
+
+def test_solve_pmean_lp_round_on_edgeless_instance(tmp_path):
+    path = tmp_path / "empty.ecc"
+    path.write_text("4 0 3\n", encoding="utf-8")
+    proc = run_cli(
+        "solve", "--problem", "pmean", "--p", "2", "--alg", "lp-round",
+        "--input", str(path), check=True,
+    )
+    doc = json.loads(proc.stdout)
+    assert doc["objective"] == 0.0
+    assert doc["color_error_vector"] == [0.0, 0.0, 0.0]
+
+
 def test_solve_pmean_inf_flag(triangle_path):
     proc = run_cli(
         "solve", "--problem", "pmean", "--alg", "lp-round", "--p", "inf",

@@ -244,6 +244,19 @@ def test_estimate_floor_check_shape():
     assert ok.dtype == bool
 
 
+def test_floor_check_tolerates_lp_float_noise():
+    est = ec.EstimateResult(
+        scheme="hyper",
+        trials=100,
+        master_seed=0,
+        frequencies=np.zeros(2),
+        std_errors=np.zeros(2),
+        mean_objective=0.0,
+    )
+    ok = est.floor_check(np.array([5.6e-17, 0.5]), ec.rank_guarantee(2))
+    assert ok.tolist() == [True, False]
+
+
 def test_rank_guarantee_values():
     assert ec.rank_guarantee(2) == pytest.approx((2 / math.e) ** 2 / 3)
     assert ec.rank_guarantee(3) == pytest.approx((2 / math.e) ** 3 / 4)
