@@ -28,7 +28,7 @@ from .hypergraph import (
     protected,
 )
 from .relaxations import solve_max_relaxation
-from .rounding import GRAPH_GUARANTEE, estimate_satisfaction, rank_guarantee
+from .rounding import DEFAULT_RHO, GRAPH_GUARANTEE, estimate_satisfaction, rank_guarantee
 from .solver import SOLVERS, solve
 
 _PROBLEM_ALGS = {kind: tuple(a for k, a in SOLVERS if k == kind) for kind, _ in SOLVERS}
@@ -73,7 +73,7 @@ def _build_parser() -> _Parser:
     bench.add_argument("--problem", required=True, choices=["protected"])
     bench.add_argument("--protected-color", type=int, required=True)
     bench.add_argument("--fractions", required=True, help="comma-separated list in [0, 1]")
-    bench.add_argument("--rho", type=float, default=0.5)
+    bench.add_argument("--rho", type=float, default=DEFAULT_RHO)
     bench.add_argument("--input", required=True)
     bench.add_argument("--output", default=None)
     return parser
@@ -242,7 +242,7 @@ def _params(args) -> dict:
         params["protected_color"] = args.protected_color
         params["budget"] = args.budget
         if args.alg == "lp-round":
-            params["rho"] = 0.5 if args.rho is None else args.rho
+            params["rho"] = DEFAULT_RHO if args.rho is None else args.rho
         elif args.alg == "fpt":
             params["t"] = args.t
     return {key: "inf" if isinstance(v, float) and math.isinf(v) else v for key, v in params.items()}

@@ -30,43 +30,40 @@ _BRUTE_CAP = 1 << 24
 def matching_approximation(
     h: EdgeColoredHypergraph,
 ) -> tuple[Coloring, frozenset[int]]:
-    """Greedy local-ratio pass over conflicts; returns (coloring, deleted set).
+    """Greedy conflict matching; the deleted set is a maximal conflict matching.
 
     Scans nodes in ascending id and, at each node, its live incident edges in
-    ascending id, against a registry of the live edges already seen there.  An
-    edge meeting a differently colored entry pays the smaller residual weight
-    from both; an edge whose residual reaches 0 (a zero-weight edge at once)
-    is deleted.  The registry stays monochromatic, so the pass is linear in
-    total edge size.  With unit weights the deleted set is a maximal conflict
-    matching.
+    ascending id.  A registry holds the live edges already seen at the current
+    node; since an edge is registered only when nothing differently colored is
+    waiting, the registry stays monochromatic, so each lookup touches one
+    entry and the whole pass is linear in total edge size.
 
-    Every coloring leaves one edge of each conflicting pair unsatisfied, so
-    the payments sum to at most the min optimum.  Deleted weight is at most
-    twice that sum in total and at most the sum per color, hence factor 2 for
-    the min objective and factor k for the min-max color objective.
+    Deleting both sides of a maximal conflict matching removes every conflict,
+    and any coloring must leave at least one edge of each matched pair
+    unsatisfied, so the max per-color deleted weight is at most k times the
+    optimum of the min-max color objective.
     """
-    residual = [e.weight for e in h.edges]
-    dead = [w <= 0.0 for w in residual]
+    dead = [False] * h.edge_count
+    matched: list[int] = []
     for v in range(1, h.node_count + 1):
         registry: list[int] = []
         for e in h.incidence[v - 1]:
             if dead[e]:
                 continue
             color = h.edges[e].color
-            while registry and h.edges[registry[0]].color != color:
-                f = registry[0]
-                paid = min(residual[e], residual[f])
-                residual[e] -= paid
-                residual[f] -= paid
-                if residual[f] <= 0.0:
-                    dead[f] = True
-                    registry.pop(0)
-                if residual[e] <= 0.0:
-                    dead[e] = True
+            partner = -1
+            for pos, f in enumerate(registry):
+                if h.edges[f].color != color:
+                    partner = pos
                     break
+            if partner >= 0:
+                f = registry.pop(partner)
+                dead[e] = True
+                dead[f] = True
+                matched.extend((f, e))
             else:
                 registry.append(e)
-    deleted = frozenset(e for e in range(h.edge_count) if dead[e])
+    deleted = frozenset(matched)
     return extend_coloring(h, deleted), deleted
 
 

@@ -30,6 +30,9 @@ _STREAM_SALT = 0x1D8E4E27C47D124F
 
 TWO_THIRDS = 2.0 / 3.0
 
+#: Threshold split of the protected rounding when the caller names none.
+DEFAULT_RHO = 0.5
+
 #: Guarantee floor per satisfied LP unit for the strong/weak rank-2 scheme.
 GRAPH_GUARANTEE = 154.0 / 405.0
 

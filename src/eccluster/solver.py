@@ -20,6 +20,7 @@ from .relaxations import (
     solve_protected_relaxation,
 )
 from .rounding import (
+    DEFAULT_RHO,
     RandomSource,
     graph_max_round,
     half_threshold_round,
@@ -58,11 +59,10 @@ class SolveResult:
         return numerator / denominator if denominator > 0 else None
 
 
-def _budget(h: EdgeColoredHypergraph, problem: Problem) -> float:
-    """The protected budget; without one, the class weight (never binding)."""
-    if problem.budget is not None:
-        return problem.budget
-    return float(sum(h.edges[e].weight for e in h.color_classes[problem.protected_color - 1]))
+def _budget(problem: Problem) -> float:
+    if problem.budget is None:
+        raise ValueError("protected lp-round/fpt needs a budget")
+    return problem.budget
 
 
 def _round_max(h: EdgeColoredHypergraph, seed: int, rounder: Callable) -> SolveResult:
@@ -85,8 +85,8 @@ def _lovasz(h: EdgeColoredHypergraph, problem: Problem, **_) -> SolveResult:
 
 def _protected_lp(h: EdgeColoredHypergraph, problem: Problem, rho=None, **_) -> SolveResult:
     color = problem.protected_color
-    frac = solve_protected_relaxation(h, color, _budget(h, problem))
-    lam = protected_round(h, frac, color, 0.5 if rho is None else rho)
+    frac = solve_protected_relaxation(h, color, _budget(problem))
+    lam = protected_round(h, frac, color, DEFAULT_RHO if rho is None else rho)
     return SolveResult(lam, frac.bound, fallback="lp-informed")
 
 
@@ -97,7 +97,7 @@ def _fpt(h: EdgeColoredHypergraph, problem: Problem, tau=None, t=None, **_) -> S
         return SolveResult(fpt_colorfair(h, tau))
     if t is None:
         raise ValueError("protected fpt needs t")
-    return SolveResult(fpt_protected(h, t, _budget(h, problem), problem.protected_color))
+    return SolveResult(fpt_protected(h, t, _budget(problem), problem.protected_color))
 
 
 def _matching(h: EdgeColoredHypergraph, problem: Problem, **_) -> SolveResult:
@@ -142,10 +142,9 @@ def solve(
 ) -> SolveResult:
     """Run algorithm ``alg`` on ``problem``.
 
-    ``seed`` drives the randomized max roundings, ``rho`` (default 1/2) the
-    protected rounding, ``tau`` the per-color budget of colorfair fpt and
-    ``t`` the total budget of protected fpt.  A protected problem without a
-    budget leaves the protected share unconstrained.
+    ``seed`` drives the randomized max roundings, ``rho`` (default
+    ``DEFAULT_RHO``) the protected rounding, ``tau`` the per-color budget of
+    colorfair fpt and ``t`` the total budget of protected fpt.
     """
     solver = SOLVERS.get((problem.kind, alg))
     if solver is None:

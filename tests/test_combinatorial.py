@@ -211,24 +211,8 @@ def test_fpt_agrees_with_enumeration_on_random_instances():
 
 
 def test_matching_weighted_instances_still_maximal():
-    # with weights the deleted set is a local-ratio cover rather than a
-    # matching: survivors stay conflict-free and the factors still hold
     for h in instance_batch(74, 15, unit_weights=False):
         lam, matched = ec.matching_approximation(h)
         alive = set(range(h.edge_count)) - matched
         assert ec.find_conflict(h, alive) is None
-        assert ec.objective(h, lam, ec.MIN) <= 2 * ec.brute_force(h, ec.MIN)[0] + 1e-9
-        cf_opt = ec.brute_force(h, ec.COLORFAIR)[0]
-        assert ec.objective(h, lam, ec.COLORFAIR) <= h.color_count * cf_opt + 1e-9
-
-
-def test_matching_pays_zero_weight_edges_first():
-    # deleting the free edge resolves the conflict; a matching would delete both
-    h = ec.EdgeColoredHypergraph(
-        2,
-        2,
-        (ec.Edge(color=1, weight=0.0, nodes=(1,)), ec.Edge(color=2, weight=0.5, nodes=(1,))),
-    )
-    lam, deleted = ec.matching_approximation(h)
-    assert deleted == frozenset({0})
-    assert ec.objective(h, lam, ec.MIN) == 0.0
+        assert _is_conflict_matching(h, matched)
