@@ -274,6 +274,8 @@ def _run_solve(args) -> tuple[str, int]:
         doc["coloring"] = list(result.coloring)
     if result.bound is not None:
         doc["relaxation_bound"] = float(result.bound)
+        if not result.certified:
+            doc["bound_certified"] = False
     if ratio is not None:
         doc["approx_ratio_upper_bound"] = float(ratio)
     if result.fallback is not None:
@@ -362,7 +364,10 @@ def _emit(text: str, output: Optional[str]) -> None:
     if output is None:
         sys.stdout.write(text)
     else:
-        Path(output).write_text(text, encoding="utf-8", newline="")
+        try:
+            Path(output).write_text(text, encoding="utf-8", newline="")
+        except OSError as exc:
+            raise UsageError(f"cannot write {output}: {exc}") from exc
 
 
 def main(argv: Optional[list[str]] = None) -> int:

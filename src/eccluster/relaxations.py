@@ -54,13 +54,16 @@ class FractionalSolution:
     ``node_color`` is n x k: x_v^c under the assignment orientation, d_v^c
     under the distance orientation.  ``edge_value`` is z_e respectively
     gamma_e.  ``bound`` is the relaxation's objective value, a valid bound on
-    the integral optimum from the relaxation's side.
+    the integral optimum from the relaxation's side when ``certified``; it is
+    False for a conditional-gradient value, which lies above the relaxation
+    optimum rather than below it.
     """
 
     node_color: np.ndarray
     edge_value: np.ndarray
     orientation: str
     bound: float
+    certified: bool = True
 
     def __post_init__(self) -> None:
         if self.orientation not in (ASSIGNMENT, DISTANCE):
@@ -266,13 +269,15 @@ def solve_pmean_relaxation(
             raise RuntimeError(f"relaxation came back {sol.status}")
         d, gamma = lay.split(sol.values)
         bound = sol.objective_value
+        certified = True
     else:
         region, lay, oracle = build_pmean_program(h, p)
         result: FrankWolfeResult = frank_wolfe_minimize(region, oracle, max_iters, tol)
         d, gamma = lay.split(result.point)
         bound = result.value
+        certified = False
     _check_distance_solution(h, d, gamma)
-    return FractionalSolution(d, gamma, DISTANCE, float(bound))
+    return FractionalSolution(d, gamma, DISTANCE, float(bound), certified)
 
 
 def build_protected_lp(

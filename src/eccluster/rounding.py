@@ -10,6 +10,14 @@ Randomness comes from a small counter-based generator rather than the stdlib
 Mersenne twister so that trial t of a run is reproducible in isolation: every
 trial derives its own stream from (master_seed, trial_index) and never touches
 shared state.
+
+``estimate_satisfaction`` runs its trials in fixed blocks of numpy arrays
+rather than one at a time.  Each trial's stream is derived exactly as
+``RandomSource.stream`` derives it, and its draws are consumed in the same
+order, so every count is the one the one-trial-at-a-time path
+(``_priority_core``) gives.  A trial whose permutation draw the scalar
+``randrange`` would reject and redraw (probability below k/2**64) is re-run
+whole on that scalar path.
 """
 
 from __future__ import annotations
@@ -44,11 +52,22 @@ def rank_guarantee(rank: int) -> float:
     return (2.0 / math.e) ** rank / (rank + 1)
 
 
+_MIX_A = 0xBF58476D1CE4E5B9
+_MIX_B = 0x94D049BB133111EB
+
+
 def _mix64(z: int) -> int:
     # splitmix64 finalizer
     z &= _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    z = ((z ^ (z >> 30)) * _MIX_A) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX_B) & _MASK64
+    return z ^ (z >> 31)
+
+
+def _mix64_array(z: np.ndarray) -> np.ndarray:
+    """``_mix64`` elementwise on uint64; array products wrap mod 2**64."""
+    z = (z ^ (z >> 30)) * np.uint64(_MIX_A)
+    z = (z ^ (z >> 27)) * np.uint64(_MIX_B)
     return z ^ (z >> 31)
 
 
@@ -315,6 +334,69 @@ class EstimateResult:
         return self.frequencies >= floors - 3.0 * self.std_errors - EPS_FEAS
 
 
+#: Trials rounded together by ``estimate_satisfaction``.  Small blocks keep
+#: the working arrays to a few (block x nodes) arrays whatever the trial count.
+_BLOCK = 1024
+
+
+def _rejected(u: np.ndarray, n: int) -> np.ndarray:
+    """Draws that ``RandomStream.randrange(n)`` would reject and redraw."""
+    limit = (1 << 64) - ((1 << 64) % n)
+    if limit == 1 << 64:
+        return np.zeros(u.shape, dtype=bool)
+    return u >= np.uint64(limit)
+
+
+def _stream_draws(master_seed: int, start: int, count: int, draws: int) -> np.ndarray:
+    """(count, draws) uint64: the first ``draws`` outputs of the streams of
+    trials start .. start+count-1, as ``RandomSource.stream`` derives them."""
+    t = np.arange(start, start + count, dtype=np.uint64)
+    salt = _mix64_array(t * np.uint64(_GOLDEN) + np.uint64(_STREAM_SALT))
+    state = salt ^ np.uint64(_mix64(master_seed))
+    # draw d reads the state advanced d+1 times; masked here in Python ints
+    steps = np.array([((d + 1) * _GOLDEN) & _MASK64 for d in range(draws)], dtype=np.uint64)
+    return _mix64_array(state[:, None] + steps)
+
+
+def _priority_block(
+    draws: np.ndarray, x_weak: np.ndarray, rest: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_priority_core`` for a block of trials at once.
+
+    Returns the (nodes, trials) colorings and a mask of the trials whose
+    permutation draws ``randrange`` would have rejected; those columns are
+    not what the scalar path gives and must be re-run on it.  ``x_weak`` is
+    the node color mass with strong colors set to -inf, so no threshold
+    falls below them, and ``rest`` is each node's color when no weak color
+    is wanted (its strong color, else its fallback); its dtype, the
+    smallest that holds the color count, is the dtype of the colorings.
+    """
+    count = draws.shape[0]
+    k = x_weak.shape[1]
+    trial = np.arange(count)
+    # Fisher-Yates on 0-based colors, one swap column per draw
+    order = np.tile(np.arange(k, dtype=rest.dtype), (count, 1))
+    rejected = np.zeros(count, dtype=bool)
+    for d, i in enumerate(range(k - 1, 0, -1)):
+        u = draws[:, d]
+        rejected |= _rejected(u, i + 1)
+        j = (u % np.uint64(i + 1)).astype(np.intp)
+        held = order[:, i].copy()
+        order[:, i] = order[trial, j]
+        order[trial, j] = held
+    alphas = (draws[:, k - 1 :] >> 11) * 2.0**-53
+
+    lam = np.tile(rest, (count, 1))
+    mass = np.ascontiguousarray(x_weak.T)
+    # the color at position pos of the order has priority pos: going up from
+    # the lowest, each wanted color overwrites every one below it
+    for pos in range(k):
+        color = order[:, pos]
+        wanted = alphas[trial, color][:, None] < mass[color]
+        np.copyto(lam, (color + 1)[:, None], where=wanted)
+    return np.ascontiguousarray(lam.T), rejected
+
+
 def estimate_satisfaction(
     h: EdgeColoredHypergraph,
     frac: FractionalSolution,
@@ -332,22 +414,51 @@ def estimate_satisfaction(
         raise ValueError("trials must be at least 1")
     rows, fallback, cut = _scheme_inputs(h, frac, scheme)
     k = h.color_count
-    edges = [(e.color, tuple(v - 1 for v in e.nodes), e.weight) for e in h.edges]
     source = RandomSource(master_seed)
+    x = np.asarray(frac.node_color, dtype=float)
+    strong = x >= cut
+    if np.any(strong.sum(axis=1) > 1):
+        raise RuntimeError(
+            "two colors with mass >= 2/3 at one node; "
+            "fractional input violates the unit simplex"
+        )
+    x_weak = np.where(strong, -np.inf, x)
+    # colorings in the smallest dtype that holds color k (uint8 below 256
+    # colors) keep the per-edge gathers and compares small
+    ctype = np.min_scalar_type(k)
+    rest = np.where(strong.any(axis=1), strong.argmax(axis=1) + 1, fallback).astype(ctype)
 
-    counts = [0] * h.edge_count
+    by_size: dict[int, list[int]] = {}
+    for ei, e in enumerate(h.edges):
+        by_size.setdefault(len(e.nodes), []).append(ei)
+    groups = [
+        (
+            np.array(idx),
+            np.array([h.edges[ei].nodes for ei in idx]) - 1,
+            np.array([h.edges[ei].color for ei in idx], dtype=ctype)[:, None, None],
+        )
+        for idx in by_size.values()
+    ]
+    weights = np.array([e.weight for e in h.edges], dtype=float)
+
+    counts = np.zeros(h.edge_count, dtype=np.int64)
     weight_total = 0.0
-    for t in range(trials):
-        lam = _priority_core(rows, k, fallback, source.stream(t), cut)
-        for ei, (color, nodes, w) in enumerate(edges):
-            for v in nodes:
-                if lam[v] != color:
-                    break
-            else:
-                counts[ei] += 1
-                weight_total += w
+    for start in range(0, trials, _BLOCK):
+        count = min(_BLOCK, trials - start)
+        draws = _stream_draws(master_seed, start, count, 2 * k - 1)
+        lam, rejected = _priority_block(draws, x_weak, rest)
+        for t in np.flatnonzero(rejected):
+            lam[:, t] = _priority_core(rows, k, fallback, source.stream(start + int(t)), cut)
+        satisfied = np.empty((h.edge_count, count), dtype=bool)
+        for idx, nodes, colors in groups:
+            satisfied[idx] = (lam[nodes] == colors).all(axis=1)
+        counts += np.count_nonzero(satisfied, axis=1)
+        # one satisfied (trial, edge) at a time, trial-major, as the scalar
+        # loop adds them, so the float total is the same
+        hits = np.broadcast_to(weights, (count, h.edge_count))[satisfied.T]
+        weight_total = float(np.add.accumulate(np.concatenate(([weight_total], hits)))[-1])
 
-    freq = np.array(counts, dtype=float) / trials
+    freq = counts.astype(float) / trials
     se = np.sqrt(freq * (1.0 - freq) / trials)
     return EstimateResult(
         scheme=scheme,

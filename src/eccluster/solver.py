@@ -39,7 +39,8 @@ class SolveResult:
     ``coloring`` is None only for a "no" answer from a feasibility search.
     ``bound`` is the relaxation value where the algorithm has one;
     ``certified`` is False when that value is a descent value rather than a
-    proven bound, and then no approximation ratio is derived from it.
+    proven bound (``lovasz``, and ``lp-round`` for 1 < p < inf), and then no
+    approximation ratio is derived from it.
     ``fallback`` names the rule uncommitted nodes follow and ``master_seed``
     is the seed a randomized rounding drew from.
     """
@@ -73,7 +74,9 @@ def _round_max(h: EdgeColoredHypergraph, seed: int, rounder: Callable) -> SolveR
 
 def _half_threshold(h: EdgeColoredHypergraph, p: float) -> SolveResult:
     frac = solve_pmean_relaxation(h, p)
-    return SolveResult(half_threshold_round(h, frac), frac.bound, fallback="lp-informed")
+    return SolveResult(
+        half_threshold_round(h, frac), frac.bound, certified=frac.certified, fallback="lp-informed"
+    )
 
 
 def _lovasz(h: EdgeColoredHypergraph, problem: Problem, **_) -> SolveResult:

@@ -158,6 +158,32 @@ def test_solve_pmean_lovasz(triangle_path):
     assert "approx_ratio_upper_bound" not in doc
 
 
+@pytest.mark.parametrize(
+    ("flags", "certified"),
+    [
+        (["--problem", "pmean", "--p", "2", "--alg", "lp-round"], False),
+        (["--problem", "pmean", "--p", "0.5", "--alg", "lovasz"], False),
+        (["--problem", "pmean", "--p", "1", "--alg", "lp-round"], True),
+        (["--problem", "pmean", "--p", "inf", "--alg", "lp-round"], True),
+        (["--problem", "max", "--alg", "hyper-max"], True),
+    ],
+)
+def test_solve_labels_uncertified_bounds(triangle_path, flags, certified):
+    proc = run_cli("solve", *flags, "--input", triangle_path, check=True)
+    doc = json.loads(proc.stdout)
+    assert "relaxation_bound" in doc
+    if certified:
+        assert "bound_certified" not in doc
+        assert "approx_ratio_upper_bound" in doc
+    else:
+        keys = list(doc)
+        assert keys[keys.index("relaxation_bound") + 1] == "bound_certified"
+        assert doc["bound_certified"] is False
+        assert "approx_ratio_upper_bound" not in doc
+    csv = run_cli("solve", *flags, "--format", "csv", "--input", triangle_path, check=True)
+    assert "bound_certified" not in csv.stdout
+
+
 def test_solve_protected_lp_round(triangle_path):
     proc = run_cli(
         "solve", "--problem", "protected", "--alg", "lp-round",
@@ -289,6 +315,24 @@ def test_estimate_output_file_matches_stdout(triangle_path, tmp_path):
         "--input", triangle_path, check=True,
     )
     assert out.read_text(encoding="utf-8") == direct.stdout
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["solve", "--problem", "min", "--alg", "matching"],
+        ["estimate", "--scheme", "hyper", "--trials", "10"],
+    ],
+    ids=["solve", "estimate"],
+)
+def test_output_into_missing_directory_exits_one(triangle_path, tmp_path, args):
+    out = tmp_path / "missing" / "out.json"
+    proc = run_cli(*args, "--input", triangle_path, "--output", str(out))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"ecc: error: cannot write {out}: ")
+    assert proc.stderr.count("\n") == 1
+    assert not out.exists()
 
 
 def test_bench_budget_sweep(triangle_path):

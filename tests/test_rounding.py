@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import eccluster as ec
-from eccluster.rounding import TWO_THIRDS
+from eccluster import rounding
+from eccluster.rounding import TWO_THIRDS, _priority_core, _scheme_inputs
 from conftest import instance_batch, random_instance
 
 
@@ -274,3 +275,157 @@ def test_rounded_colorings_are_always_valid():
         dist = ec.solve_pmean_relaxation(h, 1.0)
         lam2 = ec.half_threshold_round(h, dist)
         assert all(1 <= c <= h.color_count for c in lam2)
+
+
+def _scalar_estimate(h, frac, scheme, trials, master_seed):
+    """Frozen copy of the trial-at-a-time loop that ``estimate_satisfaction``
+    ran before it rounded blocks of trials: the reference it must equal."""
+    rows, fallback, cut = _scheme_inputs(h, frac, scheme)
+    k = h.color_count
+    edges = [(e.color, tuple(v - 1 for v in e.nodes), e.weight) for e in h.edges]
+    source = ec.RandomSource(master_seed)
+    counts = [0] * h.edge_count
+    weight_total = 0.0
+    for t in range(trials):
+        lam = _priority_core(rows, k, fallback, source.stream(t), cut)
+        for ei, (color, nodes, w) in enumerate(edges):
+            for v in nodes:
+                if lam[v] != color:
+                    break
+            else:
+                counts[ei] += 1
+                weight_total += w
+    freq = np.array(counts, dtype=float) / trials
+    se = np.sqrt(freq * (1.0 - freq) / trials)
+    return freq, se, weight_total / trials
+
+
+def _assert_matches_scalar(h, frac, scheme, trials, seed):
+    est = ec.estimate_satisfaction(h, frac, scheme, trials, master_seed=seed)
+    freq, se, mean = _scalar_estimate(h, frac, scheme, trials, seed)
+    assert est.frequencies.tobytes() == freq.tobytes()
+    assert est.std_errors.tobytes() == se.tobytes()
+    assert est.mean_objective == mean
+
+
+def _decimal_instance(rng, k, sizes, m_lo=1, m_hi=9, weights=(0.1, 0.3, 0.7)):
+    """Weights drawn from ``weights``; the default 0.1/0.3/0.7 sum to
+    different floats in different orders."""
+    n = rng.randint(max(sizes), 8)
+    edges = tuple(
+        ec.Edge(
+            color=rng.randint(1, k),
+            weight=rng.choice(weights),
+            nodes=tuple(rng.sample(range(1, n + 1), rng.choice(sizes))),
+        )
+        for _ in range(rng.randint(m_lo, m_hi))
+    )
+    return ec.EdgeColoredHypergraph(n, k, edges)
+
+
+def _simplex_rows(rng, n, k):
+    """Random node rows summing to at most 1; some carry one strong color."""
+    rows = []
+    for _ in range(n):
+        cuts = sorted(rng.random() for _ in range(k))
+        row = [b - a for a, b in zip([0.0] + cuts, cuts)]
+        rng.shuffle(row)
+        rows.append(row)
+    return rows
+
+
+BLOCK = rounding._BLOCK
+TRIAL_COUNTS = (1, BLOCK - 1, BLOCK + 1, 5000)
+SEEDS = (0, (1 << 64) - 1)
+
+
+# whole weights are what unit-weight inputs, the benchmark's included, give
+@pytest.mark.parametrize("weights", [(0.1, 0.3, 0.7), (1.0, 2.0, 3.0)], ids=["decimal", "whole"])
+@pytest.mark.parametrize("scheme", ["hyper", "graph"])
+@pytest.mark.parametrize("k", range(1, 8))
+def test_blocked_estimate_equals_scalar_loop_on_lp_input(k, scheme, weights):
+    rng = random.Random(100 * k + len(scheme))
+    h = _decimal_instance(rng, k, (1, 2, 3) if scheme == "hyper" else (2,), weights=weights)
+    frac = ec.solve_max_relaxation(h)
+    trials = TRIAL_COUNTS[(k + len(scheme)) % 4]
+    _assert_matches_scalar(h, frac, scheme, trials, SEEDS[k % 2])
+
+
+@pytest.mark.parametrize("scheme", ["hyper", "graph"])
+@pytest.mark.parametrize("k", range(1, 8))
+def test_blocked_estimate_equals_scalar_loop_on_random_masses(k, scheme):
+    # fractional rows off the LP's vertices, so weak and strong colors mix
+    rng = random.Random(200 * k + len(scheme))
+    h = _decimal_instance(rng, k, (1, 2, 3) if scheme == "hyper" else (2,))
+    frac = _assignment(_simplex_rows(rng, h.node_count, k))
+    for trials, seed in zip(TRIAL_COUNTS[:3], (SEEDS[1], SEEDS[0], rng.randrange(1 << 64))):
+        _assert_matches_scalar(h, frac, scheme, trials, seed)
+
+
+def test_blocked_estimate_edge_cases_match_scalar_loop():
+    empty = ec.EdgeColoredHypergraph(4, 3, ())
+    singletons = ec.EdgeColoredHypergraph(
+        3, 4, tuple(ec.Edge(color=c, weight=0.1 * c, nodes=(c % 3 + 1,)) for c in (1, 2, 3, 4))
+    )
+    rng = random.Random(7)
+    for h in (empty, singletons):
+        for frac in (ec.solve_max_relaxation(h), _assignment(_simplex_rows(rng, h.node_count, h.color_count))):
+            for trials in (1, BLOCK + 1):
+                for seed in SEEDS:
+                    _assert_matches_scalar(h, frac, "hyper", trials, seed)
+    est = ec.estimate_satisfaction(empty, ec.solve_max_relaxation(empty), "graph", 3)
+    assert est.frequencies.shape == (0,)
+    assert est.mean_objective == 0.0
+
+
+def test_rejected_mask_matches_randrange_limit():
+    top = np.array([0, (1 << 64) - 2, (1 << 64) - 1], dtype=np.uint64)
+    # 2**64 = 1 mod 3: only the largest draw lies at or above the limit
+    assert rounding._rejected(top, 3).tolist() == [False, False, True]
+    assert not rounding._rejected(top, 4).any()  # 4 divides 2**64
+    limit7 = (1 << 64) - ((1 << 64) % 7)
+    edge = np.array([limit7 - 1, limit7], dtype=np.uint64)
+    assert rounding._rejected(edge, 7).tolist() == [False, True]
+
+
+@pytest.mark.parametrize("scheme", ["hyper", "graph"])
+def test_rejected_trials_rerun_on_scalar_path(monkeypatch, scheme):
+    # real rejections have probability below k / 2**64; force one trial in
+    # several onto the scalar path and check the counts do not move
+    rng = random.Random(31)
+    cases = []
+    for k in (2, 3, 5, 7):
+        h = _decimal_instance(rng, k, (1, 2, 3) if scheme == "hyper" else (2,))
+        cases.append((h, _assignment(_simplex_rows(rng, h.node_count, k))))
+    expected = [_scalar_estimate(h, frac, scheme, BLOCK + 1, 5) for h, frac in cases]
+
+    rerun = []
+
+    def spy(rows, k, fallback, stream, cut):
+        rerun.append(k)
+        return _priority_core(rows, k, fallback, stream, cut)
+
+    monkeypatch.setattr(rounding, "_rejected", lambda u, n: u % np.uint64(5) == 0)
+    monkeypatch.setattr(rounding, "_priority_core", spy)
+    for (h, frac), (freq, se, mean) in zip(cases, expected):
+        est = ec.estimate_satisfaction(h, frac, scheme, BLOCK + 1, master_seed=5)
+        assert est.frequencies.tobytes() == freq.tobytes()
+        assert est.std_errors.tobytes() == se.tobytes()
+        assert est.mean_objective == mean
+    # about (k - 1) / 5 of the trials of each instance took the scalar path
+    for k in (2, 3, 5, 7):
+        assert 0.1 * (k - 1) * BLOCK < rerun.count(k) < 0.3 * (k - 1) * BLOCK
+
+
+def test_two_strong_colors_error_is_unchanged():
+    h = ec.EdgeColoredHypergraph(2, 3, (ec.Edge(color=1, weight=1.0, nodes=(1, 2)),))
+    # negative mass lets two colors reach 2/3 inside the unit simplex check
+    frac = _assignment([[0.2, 0.3, 0.1], [0.7, 0.7, -0.4]])
+    with pytest.raises(RuntimeError) as scalar:
+        ec.graph_max_round(h, frac, ec.RandomSource(0).stream(0))
+    with pytest.raises(RuntimeError) as blocked:
+        ec.estimate_satisfaction(h, frac, "graph", 10)
+    assert str(blocked.value) == str(scalar.value)
+    assert str(scalar.value).startswith("two colors with mass >= 2/3 at one node")
+    # the hyper scheme has no strong colors, so the same rows round fine
+    _assert_matches_scalar(h, frac, "hyper", 50, 0)

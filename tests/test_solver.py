@@ -113,3 +113,15 @@ def test_solve_result_ratio_orientation():
     assert ec.SolveResult((1,), bound=2.0).approx_ratio(3.0) == 1.5
     assert ec.SolveResult((1,), bound=2.0, certified=False).approx_ratio(3.0) is None
     assert ec.SolveResult((1,), bound=0.0).approx_ratio(3.0) is None
+
+
+@pytest.mark.parametrize(("p", "certified"), [(1.0, True), (2.0, False), (3.0, False), (math.inf, True)])
+def test_half_threshold_ratio_only_from_certified_bounds(p, certified):
+    # for 1 < p < inf the bound is a conditional-gradient value, an upper
+    # bound on the relaxation optimum, so no ratio may be derived from it
+    h = ec.triangle_gadget()
+    result = ec.solve(h, ec.pmean(p), "lp-round")
+    value = ec.objective(h, result.coloring, ec.pmean(p))
+    assert result.bound is not None
+    assert result.certified is certified
+    assert (result.approx_ratio(value) is not None) is certified
