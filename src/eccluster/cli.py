@@ -276,6 +276,8 @@ def _run_solve(args) -> tuple[str, int]:
         doc["relaxation_bound"] = float(result.bound)
         if not result.certified:
             doc["bound_certified"] = False
+        if not result.converged:
+            doc["converged"] = False
     if ratio is not None:
         doc["approx_ratio_upper_bound"] = float(ratio)
     if result.fallback is not None:

@@ -4,14 +4,18 @@ These need no linear algebra.  The matching pass gives a linear-time factor-k
 approximation for the min-max color objective; the branching searches decide
 budgeted feasibility questions exactly in time exponential only in the
 budget; brute force enumerates all colorings and is the ground truth at desk
-scale.
+scale.  It walks the colorings in ``itertools.product`` order in numpy blocks
+of ``_BLOCK`` states and scores each distinct per-color error vector of a
+block once with ``evaluate_errors``, so its values and tie-break are those of
+a one-coloring-at-a-time loop.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Callable, Optional
+
+import numpy as np
 
 from .hypergraph import (
     Coloring,
@@ -25,6 +29,7 @@ from .hypergraph import (
 
 _BRANCH_TOL = 1e-9
 _BRUTE_CAP = 1 << 24
+_BLOCK = 1 << 12
 
 
 def matching_approximation(
@@ -140,7 +145,12 @@ def brute_force(
     """Exact optimum by enumerating colorings of the non-isolated nodes.
 
     Isolated nodes are pinned to color 1, so the search space is
-    k^(non-isolated nodes) and is capped at 2^24 states.  Ties keep the
+    k^(non-isolated nodes) and is capped at 2^24 states.  States are visited
+    in ``itertools.product`` order (last populated node fastest), ``_BLOCK``
+    at a time: each block decodes its colorings from the state index, sums
+    the per-color errors edge by edge in file order (so every state gets the
+    float additions of a one-coloring-at-a-time loop), and calls
+    ``evaluate_errors`` once per distinct error vector.  Ties keep the
     lexicographically smallest coloring.  For the protected problem the value
     is the least total unsatisfied weight among colorings whose protected
     share stays within the budget (no budget means unconstrained).
@@ -151,7 +161,6 @@ def brute_force(
         raise ValueError(
             f"{states} colorings exceed the enumeration cap of {_BRUTE_CAP}"
         )
-    edges = [(e.color, e.nodes, e.weight) for e in h.edges]
     k = h.color_count
     total_weight = h.total_weight
     maximize = problem.kind == "max"
@@ -162,29 +171,68 @@ def brute_force(
         if not 0 <= protected_idx < k:
             raise ValueError("protected color out of range")
 
-    lam = [1] * h.node_count
+    # One error row per color that carries an edge or is protected (at least
+    # one row, for lexsort).  Every other color's error is 0.0 in every state,
+    # so arrays stay small when k is large, and ``spread`` rebuilds the full
+    # length-k vector that ``evaluate_errors`` is given.
+    used = {e.color - 1 for e in h.edges}
+    if budget is not None:
+        used.add(protected_idx)
+    rows = sorted(used) or [0]
+    row_of = {c: r for r, c in enumerate(rows)}
+    slot = {v: i for i, v in enumerate(populated)}
+    edges = [
+        (row_of[e.color - 1], e.color, [slot[v] for v in e.nodes], e.weight) for e in h.edges
+    ]
+    # States fit in uint32 under the cap, and uint32 division is several times
+    # faster than int64.
+    radix = k ** np.arange(len(populated) - 1, -1, -1, dtype=np.uint32)
+    color_dtype = np.min_scalar_type(k)
+
+    spread = [0.0] * k
     best_value: Optional[float] = None
-    best_lam: Optional[tuple[int, ...]] = None
-    for combo in itertools.product(range(1, k + 1), repeat=len(populated)):
-        for idx, v in enumerate(populated):
-            lam[v - 1] = combo[idx]
-        errors = [0.0] * k
-        for color, nodes, w in edges:
-            for v in nodes:
-                if lam[v - 1] != color:
-                    errors[color - 1] += w
-                    break
-        if budget is not None and errors[protected_idx] > budget + _BRANCH_TOL:
-            continue
-        value = evaluate_errors(errors, problem, total_weight)
+    best_colors: Optional[np.ndarray] = None
+    for first in range(0, states, _BLOCK):
+        index = np.arange(first, min(first + _BLOCK, states), dtype=np.uint32)
+        colors = (index // radix[:, None] % k + 1).astype(color_dtype)
+        errors = np.zeros((len(rows), len(index)))
+        for r, color, members, w in edges:
+            unsat = colors[members[0]] != color
+            for i in members[1:]:
+                unsat |= colors[i] != color
+            errors[r] += np.where(unsat, w, 0.0)
+        if budget is not None:
+            over = errors[row_of[protected_idx]] > budget + _BRANCH_TOL
+            feasible = np.flatnonzero(~over)
+            if feasible.size == 0:
+                continue
+            errors, colors = errors[:, feasible], colors[:, feasible]
+
+        order = np.lexsort(errors)
+        ordered = errors[:, order]
+        starts = np.ones(len(order), dtype=bool)
+        starts[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
+        scores = []
+        for vector in ordered[:, starts].T.tolist():
+            for c, err in zip(rows, vector):
+                spread[c] = err
+            scores.append(evaluate_errors(spread, problem, total_weight))
+        values = np.empty(len(order))
+        values[order] = np.asarray(scores)[np.cumsum(starts) - 1]
+
+        j = int(values.argmax() if maximize else values.argmin())
+        value = float(values[j])
         if (
             best_value is None
             or (maximize and value > best_value)
             or (not maximize and value < best_value)
         ):
             best_value = value
-            best_lam = tuple(lam)
+            best_colors = colors[:, j]
     if best_value is None:
         raise ValueError("no coloring satisfies the protected budget")
-    assert best_lam is not None
-    return best_value, best_lam
+    assert best_colors is not None
+    lam = [1] * h.node_count
+    for v, c in zip(populated, best_colors.tolist()):
+        lam[v - 1] = c
+    return best_value, tuple(lam)

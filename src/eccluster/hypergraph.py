@@ -288,8 +288,9 @@ def evaluate_errors(errors: Sequence[float], problem: Problem, total_weight: flo
     """Objective value from per-color unsatisfied weights (entry c-1 for color c).
 
     Protected yields its total; ``objective`` pairs it with the protected
-    share.  Plain Python over a sequence, since brute force calls it once per
-    enumerated coloring.
+    share.  Plain Python floats over a sequence: the one evaluator every
+    objective value comes from, brute force included (it calls this once per
+    distinct error vector of each block it enumerates).
     """
     kind = problem.kind
     if kind == "max":

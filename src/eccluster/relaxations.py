@@ -56,7 +56,8 @@ class FractionalSolution:
     gamma_e.  ``bound`` is the relaxation's objective value, a valid bound on
     the integral optimum from the relaxation's side when ``certified``; it is
     False for a conditional-gradient value, which lies above the relaxation
-    optimum rather than below it.
+    optimum rather than below it.  ``converged`` is False when that minimizer
+    stopped at its iteration cap before reaching its gap tolerance.
     """
 
     node_color: np.ndarray
@@ -64,6 +65,7 @@ class FractionalSolution:
     orientation: str
     bound: float
     certified: bool = True
+    converged: bool = True
 
     def __post_init__(self) -> None:
         if self.orientation not in (ASSIGNMENT, DISTANCE):
@@ -260,7 +262,8 @@ def solve_pmean_relaxation(
 
     Linear cases solve exactly; 1 < p < inf runs the conditional-gradient
     minimizer (bound then sits within its achieved duality gap of the true
-    relaxation optimum, on the high side).
+    relaxation optimum, on the high side; ``converged`` reports whether that
+    gap reached ``tol`` within ``max_iters``).
     """
     if p == 1 or math.isinf(p):
         lp, lay = build_pmean_program(h, p)
@@ -269,15 +272,15 @@ def solve_pmean_relaxation(
             raise RuntimeError(f"relaxation came back {sol.status}")
         d, gamma = lay.split(sol.values)
         bound = sol.objective_value
-        certified = True
+        certified = converged = True
     else:
         region, lay, oracle = build_pmean_program(h, p)
         result: FrankWolfeResult = frank_wolfe_minimize(region, oracle, max_iters, tol)
         d, gamma = lay.split(result.point)
         bound = result.value
-        certified = False
+        certified, converged = False, result.converged
     _check_distance_solution(h, d, gamma)
-    return FractionalSolution(d, gamma, DISTANCE, float(bound), certified)
+    return FractionalSolution(d, gamma, DISTANCE, float(bound), certified, converged)
 
 
 def build_protected_lp(

@@ -40,7 +40,8 @@ class SolveResult:
     ``bound`` is the relaxation value where the algorithm has one;
     ``certified`` is False when that value is a descent value rather than a
     proven bound (``lovasz``, and ``lp-round`` for 1 < p < inf), and then no
-    approximation ratio is derived from it.
+    approximation ratio is derived from it.  ``converged`` is False when the
+    conditional-gradient minimizer behind that value hit its iteration cap.
     ``fallback`` names the rule uncommitted nodes follow and ``master_seed``
     is the seed a randomized rounding drew from.
     """
@@ -48,6 +49,7 @@ class SolveResult:
     coloring: Optional[Coloring]
     bound: Optional[float] = None
     certified: bool = True
+    converged: bool = True
     fallback: Optional[str] = None
     master_seed: Optional[int] = None
     maximize: bool = False
@@ -75,7 +77,11 @@ def _round_max(h: EdgeColoredHypergraph, seed: int, rounder: Callable) -> SolveR
 def _half_threshold(h: EdgeColoredHypergraph, p: float) -> SolveResult:
     frac = solve_pmean_relaxation(h, p)
     return SolveResult(
-        half_threshold_round(h, frac), frac.bound, certified=frac.certified, fallback="lp-informed"
+        half_threshold_round(h, frac),
+        frac.bound,
+        certified=frac.certified,
+        converged=frac.converged,
+        fallback="lp-informed",
     )
 
 

@@ -184,6 +184,40 @@ def test_solve_labels_uncertified_bounds(triangle_path, flags, certified):
     assert "bound_certified" not in csv.stdout
 
 
+def test_solve_reports_unconverged_relaxation(triangle_path, monkeypatch, capsys):
+    from eccluster import cli, solver
+
+    def solve_json(*flags):
+        assert cli.main(["solve", *flags, "--input", triangle_path]) == 0
+        return capsys.readouterr().out
+
+    p2 = ["--problem", "pmean", "--p", "2", "--alg", "lp-round"]
+    linear = [["--problem", "pmean", "--p", p, "--alg", "lp-round"] for p in ("1", "inf")]
+    for flags in [p2, *linear]:
+        assert "converged" not in json.loads(solve_json(*flags))
+    # the triangle needs five conditional-gradient iterations at p = 2
+    real = solver.solve_pmean_relaxation
+    monkeypatch.setattr(solver, "solve_pmean_relaxation", lambda h, p: real(h, p, max_iters=1))
+    doc = json.loads(solve_json(*p2))
+    keys = list(doc)
+    assert keys[keys.index("bound_certified") + 1] == "converged"
+    assert doc["converged"] is False
+    for flags in linear:
+        assert "converged" not in json.loads(solve_json(*flags))
+    assert "converged" not in solve_json(*p2, "--format", "csv")
+
+
+def test_solve_brute_with_many_colors(tmp_path):
+    # 300 colors on two nodes: 90,000 states, colors past 255, and the only
+    # satisfying coloring is the last state enumerated
+    path = tmp_path / "wide.ecc"
+    path.write_text("2 1 300\n300 1 2 1 2\n", encoding="utf-8")
+    proc = run_cli("solve", "--problem", "min", "--alg", "brute", "--input", str(path), check=True)
+    doc = json.loads(proc.stdout)
+    assert doc["objective"] == 0.0
+    assert doc["coloring"] == [300, 300]
+
+
 def test_solve_protected_lp_round(triangle_path):
     proc = run_cli(
         "solve", "--problem", "protected", "--alg", "lp-round",

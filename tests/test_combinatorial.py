@@ -5,11 +5,13 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import eccluster as ec
+from eccluster import combinatorial
 from conftest import instance_batch, random_instance
 
 
@@ -216,3 +218,113 @@ def test_matching_weighted_instances_still_maximal():
         alive = set(range(h.edge_count)) - matched
         assert ec.find_conflict(h, alive) is None
         assert _is_conflict_matching(h, matched)
+
+
+def _scalar_brute_force(h, problem):
+    """The one-coloring-at-a-time enumeration ``brute_force`` replaced, frozen as its reference."""
+    populated = [v for v in range(1, h.node_count + 1) if h.incidence[v - 1]]
+    states = h.color_count ** len(populated)
+    if states > 1 << 24:
+        raise ValueError(f"{states} colorings exceed the enumeration cap of {1 << 24}")
+    edges = [(e.color, e.nodes, e.weight) for e in h.edges]
+    k = h.color_count
+    maximize = problem.kind == "max"
+    budget = None
+    if problem.kind == "protected":
+        budget = math.inf if problem.budget is None else problem.budget
+        protected_idx = problem.protected_color - 1
+        if not 0 <= protected_idx < k:
+            raise ValueError("protected color out of range")
+    lam = [1] * h.node_count
+    best_value = best_lam = None
+    for combo in itertools.product(range(1, k + 1), repeat=len(populated)):
+        for idx, v in enumerate(populated):
+            lam[v - 1] = combo[idx]
+        errors = [0.0] * k
+        for color, nodes, w in edges:
+            for v in nodes:
+                if lam[v - 1] != color:
+                    errors[color - 1] += w
+                    break
+        if budget is not None and errors[protected_idx] > budget + 1e-9:
+            continue
+        value = ec.evaluate_errors(errors, problem, h.total_weight)
+        if (
+            best_value is None
+            or (maximize and value > best_value)
+            or (not maximize and value < best_value)
+        ):
+            best_value, best_lam = value, tuple(lam)
+    if best_value is None:
+        raise ValueError("no coloring satisfies the protected budget")
+    return best_value, best_lam
+
+
+def _outcome(solver, h, problem):
+    try:
+        return solver(h, problem)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _forced_budget(color, budget):
+    # Problem rejects a negative budget, and every budget >= 0 is met by giving
+    # each node the protected color, so only a forced field is infeasible.
+    problem = ec.protected(color, 0.0)
+    object.__setattr__(problem, "budget", budget)
+    return problem
+
+
+def _reweighted(h, rng):
+    edges = tuple(replace(e, weight=rng.choice([0.1, 0.3, 0.7])) for e in h.edges)
+    return ec.EdgeColoredHypergraph(h.node_count, h.color_count, edges)
+
+
+def _equivalence_cases():
+    rng = random.Random(75)
+    instances = [ec.triangle_gadget(), ec.EdgeColoredHypergraph(4, 1, ())]
+    for i in range(40):
+        h = random_instance(
+            rng, n_lo=1, n_hi=6, k_lo=1, k_hi=4, m_lo=0, m_hi=9, sizes=(1, 2, 3)
+        )
+        instances.append(_reweighted(h, rng) if i % 2 else h)
+    problems = [ec.MAX, ec.MIN, ec.COLORFAIR] + [ec.pmean(p) for p in (0.5, 2, 3, math.inf)]
+    for h in instances:
+        color = h.color_count
+        budgets = [ec.protected(color), ec.protected(color, 0.0), ec.protected(1, 0.3)]
+        budgets += [ec.protected(color, float("nan")), _forced_budget(color, -1.0)]
+        for problem in problems + budgets:
+            yield h, problem
+
+
+def _assert_same_as_scalar(cases):
+    """Equal outcomes, error messages included; returns how many cases raised."""
+    raised = 0
+    for h, problem in cases:
+        got = _outcome(ec.brute_force, h, problem)
+        assert got == _outcome(_scalar_brute_force, h, problem), (h, problem)
+        if isinstance(got, str):
+            raised += 1
+        else:
+            assert type(got[0]) is float
+            assert all(type(c) is int for c in got[1])
+    return raised
+
+
+def test_brute_force_matches_scalar_enumeration():
+    edges = tuple(ec.Edge(color=1, weight=1.0, nodes=(2 * i + 1, 2 * i + 2)) for i in range(13))
+    cap = ec.EdgeColoredHypergraph(26, 2, edges)
+    cases = list(_equivalence_cases()) + [(cap, ec.MIN)]
+    # the capped instance and each of the 42 instances' forced negative budget
+    assert _assert_same_as_scalar(cases) == 43
+
+
+def test_brute_force_block_boundaries(monkeypatch):
+    monkeypatch.setattr(combinatorial, "_BLOCK", 5)
+    # a 1-2-3 path of color-2 edges: with color 2 protected at budget 0 only
+    # the last of the 8 states is feasible, so the first block holds none
+    edges = (ec.Edge(color=2, weight=1.0, nodes=(1, 2)), ec.Edge(color=2, weight=1.0, nodes=(2, 3)))
+    path = ec.EdgeColoredHypergraph(3, 2, edges)
+    assert ec.brute_force(path, ec.protected(2, 0.0)) == (0.0, (2, 2, 2))
+    cases = list(itertools.islice(_equivalence_cases(), 0, None, 3))
+    _assert_same_as_scalar(cases + [(path, ec.protected(2, 0.0)), (path, ec.MAX)])

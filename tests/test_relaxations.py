@@ -114,6 +114,15 @@ def test_frank_wolfe_pmean_two_on_triangle():
     assert np.allclose(frac.edge_value, 0.5, atol=1e-3)
 
 
+def test_pmean_relaxation_reports_convergence():
+    h = ec.triangle_gadget()
+    # the triangle needs five conditional-gradient iterations at p = 2
+    assert ec.solve_pmean_relaxation(h, 2, max_iters=1).converged is False
+    assert ec.solve_pmean_relaxation(h, 2).converged is True
+    for p in (1.0, math.inf):
+        assert ec.solve_pmean_relaxation(h, p, max_iters=1).converged is True
+
+
 def test_structural_invariants_on_random_solves():
     kinds = 0
     for i, h in enumerate(instance_batch(54, 12)):
