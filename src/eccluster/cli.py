@@ -207,7 +207,10 @@ def _check_solve_flags(args, h: EdgeColoredHypergraph) -> None:
             not 1 <= args.protected_color <= h.color_count,
             f"--protected-color out of range [1, {h.color_count}]",
         )
-        _reject(args.budget is None or args.budget < 0, "--problem protected requires --budget >= 0")
+        _reject(
+            args.budget is None or not 0 <= args.budget < math.inf,
+            "--problem protected requires a finite --budget >= 0",
+        )
     uses_rho = is_protected and args.alg == "lp-round"
     _reject(args.rho is not None and not uses_rho, "--rho only applies to protected lp-round")
     _reject(
@@ -216,10 +219,10 @@ def _check_solve_flags(args, h: EdgeColoredHypergraph) -> None:
     )
     uses_tau = args.problem == "colorfair" and args.alg == "fpt"
     _reject(args.tau is not None and not uses_tau, "--tau only applies to colorfair fpt")
-    _reject(uses_tau and (args.tau is None or args.tau < 0), "colorfair fpt requires --tau >= 0")
+    _reject(uses_tau and (args.tau is None or not args.tau >= 0), "colorfair fpt requires --tau >= 0")
     uses_t = is_protected and args.alg == "fpt"
     _reject(args.t is not None and not uses_t, "--t only applies to protected fpt")
-    _reject(uses_t and (args.t is None or args.t < 0), "protected fpt requires --t >= 0")
+    _reject(uses_t and (args.t is None or not args.t >= 0), "protected fpt requires --t >= 0")
     _reject(not 0 <= args.seed < 1 << 64, "--seed must fit in 64 bits")
 
 
@@ -274,8 +277,6 @@ def _run_solve(args) -> tuple[str, int]:
         doc["coloring"] = list(result.coloring)
     if result.bound is not None:
         doc["relaxation_bound"] = float(result.bound)
-        if not result.certified:
-            doc["bound_certified"] = False
         if not result.converged:
             doc["converged"] = False
     if ratio is not None:

@@ -158,7 +158,7 @@ class Problem:
         if self.kind == "protected":
             if self.protected_color is None or self.protected_color < 1:
                 raise ValueError("protected requires a protected color >= 1")
-            if self.budget is not None and self.budget < 0:
+            if self.budget is not None and not self.budget >= 0:
                 raise ValueError("budget must be >= 0")
         elif self.protected_color is not None or self.budget is not None:
             raise ValueError("protected_color/budget only apply to the protected problem")

@@ -1,21 +1,16 @@
-"""Dense linear programming and conditional-gradient convex minimization.
+"""Dense linear programming.
 
 The solver is a deliberately small two-phase primal simplex on a dense
 tableau with Bland's anti-cycling rule.  Instances here are tiny (tens of
 variables), so transparency and exact determinism win over speed: bounds
 become explicit rows, the final basis is re-solved against the clean input
 data, and identical inputs always produce identical outputs.
-
-`frank_wolfe_minimize` minimizes a convex function over the feasible region
-of a LinearProgram, calling `solve_lp` once per iteration as its linear
-minimization oracle and using the duality gap <grad, x - s> as the stopping
-certificate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -30,8 +25,6 @@ __all__ = [
     "SimplexError",
     "solve_lp",
     "max_violation",
-    "FrankWolfeResult",
-    "frank_wolfe_minimize",
 ]
 
 LE = "<="
@@ -316,76 +309,3 @@ def solve_lp(lp: LinearProgram, start_basis: Optional[Sequence[int]] = None) -> 
     return LpSolution(
         "optimal", x, float(lp.objective @ x), basis=tuple(basis), pivots=total_pivots
     )
-
-
-@dataclass(frozen=True)
-class FrankWolfeResult:
-    point: np.ndarray
-    value: float
-    gap: float
-    iterations: int
-    converged: bool
-
-
-def _line_search(
-    f: Callable[[np.ndarray], float], x: np.ndarray, d: np.ndarray, iters: int = 48
-) -> float:
-    """Ternary search for the minimizing step of the convex slice t -> f(x + t d)."""
-    left, right = 0.0, 1.0
-    for _ in range(iters):
-        m1 = left + (right - left) / 3.0
-        m2 = right - (right - left) / 3.0
-        if f(x + m1 * d) <= f(x + m2 * d):
-            right = m2
-        else:
-            left = m1
-    return 0.5 * (left + right)
-
-
-def frank_wolfe_minimize(
-    region: LinearProgram,
-    oracle: Callable[[np.ndarray], tuple[float, np.ndarray]],
-    max_iters: int = 5000,
-    tol: float = 1e-6,
-) -> FrankWolfeResult:
-    """Minimize a convex objective over an LP feasible region.
-
-    ``oracle`` maps a point to (value, gradient-or-subgradient).  Each
-    iteration solves one LP as the linear minimization oracle (warm-started:
-    the region never changes, only the linearized objective does) and moves by
-    exact line search toward the vertex it returns.  Stops once the duality
-    gap <grad, x - s> reaches ``tol``; if the iteration budget runs out first,
-    the best feasible point seen is returned with ``converged`` False and the
-    smallest certified gap.  Every iterate is a convex combination of feasible
-    vertices, hence feasible.
-    """
-    n = region.variable_count
-    start = solve_lp(region.with_objective(np.zeros(n)))
-    if start.status != "optimal":
-        raise ValueError(f"feasible region is {start.status}")
-    x = start.values.copy()
-    basis = start.basis
-    best_value, best_point = oracle(x)[0], x.copy()
-    best_gap = float("inf")
-    iterations = 0
-    for iterations in range(1, max_iters + 1):
-        value, grad = oracle(x)
-        if value < best_value:
-            best_value, best_point = value, x.copy()
-        lmo = solve_lp(region.with_objective(grad), start_basis=basis)
-        if lmo.status != "optimal":
-            raise SimplexError(f"linear subproblem came back {lmo.status}")
-        basis = lmo.basis
-        s = lmo.values
-        gap = float(grad @ (x - s))
-        best_gap = min(best_gap, gap)
-        if gap <= tol:
-            return FrankWolfeResult(best_point, best_value, best_gap, iterations, True)
-        step = _line_search(lambda p: oracle(p)[0], x, s - x)
-        if step <= 0.0:
-            step = 2.0 / (iterations + 2.0)
-        x = x + step * (s - x)
-    value = oracle(x)[0]
-    if value < best_value:
-        best_value, best_point = value, x.copy()
-    return FrankWolfeResult(best_point, best_value, best_gap, iterations, False)

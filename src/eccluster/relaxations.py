@@ -4,29 +4,28 @@ Two variable orientations appear throughout.  The assignment orientation
 carries x_v^c (how much node v leans toward color c, summing to 1 per node)
 and per-edge satisfaction caps z_e.  The distance orientation carries the
 complementary d_v^c = 1 - x_v^c and per-edge violation levels gamma_e = 1 -
-z_e.  Builders translate an instance into a LinearProgram (or a convex
-program over one) and solvers map the optimum back onto the hypergraph.
+z_e.  Builders translate an instance into a LinearProgram and solvers map
+the optimum back onto the hypergraph.
+
+The convex objectives (the p-norm for 1 < p < inf, the Lovász extension for
+0 < p < 1) go through one cutting-plane loop (Kelley, J. SIAM 8(4), 1960).
+Its master LP minimizes t over the feasible region plus one row
+<a_i, x> - t <= 0 per cut; each cut is a supporting hyperplane of the convex,
+positively homogeneous objective, so the master value is a certified lower
+bound and the objective at the master point an upper bound.  The p = inf LP
+is this master with one cut per color.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from .hypergraph import EdgeColoredHypergraph, build_conflict_graph
-from .lp import (
-    EPS_FEAS,
-    EQ,
-    GE,
-    LE,
-    FrankWolfeResult,
-    LinearProgram,
-    frank_wolfe_minimize,
-    solve_lp,
-)
+from .lp import EPS_FEAS, EQ, GE, LE, LinearProgram, solve_lp
 
 __all__ = [
     "FractionalSolution",
@@ -46,6 +45,9 @@ __all__ = [
 ASSIGNMENT = "assignment"
 DISTANCE = "distance"
 
+# relative gap U - L <= tol * max(U, 1) at which the cutting-plane loop stops
+_GAP_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class FractionalSolution:
@@ -53,18 +55,16 @@ class FractionalSolution:
 
     ``node_color`` is n x k: x_v^c under the assignment orientation, d_v^c
     under the distance orientation.  ``edge_value`` is z_e respectively
-    gamma_e.  ``bound`` is the relaxation's objective value, a valid bound on
-    the integral optimum from the relaxation's side when ``certified``; it is
-    False for a conditional-gradient value, which lies above the relaxation
-    optimum rather than below it.  ``converged`` is False when that minimizer
-    stopped at its iteration cap before reaching its gap tolerance.
+    gamma_e.  ``bound`` is a certified bound on the relaxation optimum, and so
+    on the integral optimum, from the relaxation's side: the LP optimum, or
+    the cutting-plane loop's lower bound.  ``converged`` is False when that
+    loop stopped at its cut cap before closing its gap to the tolerance.
     """
 
     node_color: np.ndarray
     edge_value: np.ndarray
     orientation: str
     bound: float
-    certified: bool = True
     converged: bool = True
 
     def __post_init__(self) -> None:
@@ -176,11 +176,13 @@ def _weight_objective(h: EdgeColoredHypergraph, n_vars: int, lay: VariableLayout
 def build_pmean_program(h: EdgeColoredHypergraph, p: float):
     """Relaxation of the p-mean objective over the distance region.
 
-    p = 1 and p = inf return a plain LinearProgram (total mass, respectively
-    an auxiliary bound t >= every per-color mass).  1 < p < inf returns
-    (region, oracle) for the conditional-gradient path, where the oracle
-    evaluates (sum_c m_c^p)^(1/p) and its gradient.  p < 1 is rejected here;
-    that case goes through the Lovász machinery instead.
+    p = 1 returns a plain LinearProgram (total mass).  p = inf returns the
+    cutting-plane master with one cut per color, t >= that color's mass, so
+    its optimum is the relaxation optimum.  1 < p < inf returns (master, layout,
+    cut): the master carries one cut, at gamma = 1, and ``cut`` maps a point
+    to (sum_c m_c^p)^(1/p) and that norm's gradient, which is the next cut.
+    p < 1 is rejected here; that case goes through the Lovász machinery
+    instead.
     """
     if p < 1:
         raise ValueError("p < 1 is handled by the Lovász path, not this builder")
@@ -188,47 +190,104 @@ def build_pmean_program(h: EdgeColoredHypergraph, p: float):
         rows, lay, n_vars = _distance_region(h)
         lp = LinearProgram(n_vars, _weight_objective(h, n_vars, lay), rows=tuple(rows))
         return lp, lay
+    rows, lay, n_vars = _distance_region(h, extra=1)
+    masses = _class_masses(h)
     if math.isinf(p):
-        rows, lay, n_vars = _distance_region(h, extra=1)
-        t_col = n_vars - 1
-        for c in range(1, h.color_count + 1):
+        cuts = []
+        for cls in h.color_classes:
             vec = np.zeros(n_vars)
-            for e in h.color_classes[c - 1]:
+            for e in cls:
                 vec[lay.edge_col(e)] = h.edges[e].weight
-            vec[t_col] = -1.0
-            rows.append((vec, LE, 0.0))
-        obj = np.zeros(n_vars)
-        obj[t_col] = 1.0
-        t_cap = max(
-            (sum(h.edges[e].weight for e in cls) for cls in h.color_classes),
-            default=0.0,
-        )
-        bounds = tuple([(0.0, 1.0)] * (n_vars - 1) + [(0.0, max(t_cap, 1.0))])
-        lp = LinearProgram(n_vars, obj, rows=tuple(rows), bounds=bounds)
-        return lp, lay
+            cuts.append(vec)
+        return _master(rows, n_vars, cuts, max(masses, default=0.0)), lay
 
-    rows, lay, n_vars = _distance_region(h)
-    region = LinearProgram(n_vars, np.zeros(n_vars), rows=tuple(rows))
     weights = np.array([edge.weight for edge in h.edges])
     colors = np.array([edge.color - 1 for edge in h.edges], dtype=np.intp)
-    k = h.color_count
-    gamma_lo = lay.edge_col(0) if h.edge_count else n_vars
+    gamma_lo = lay.edge_col(0)
+    gammas = slice(gamma_lo, gamma_lo + h.edge_count)
 
-    def oracle(point: np.ndarray) -> tuple[float, np.ndarray]:
-        gamma = point[gamma_lo : gamma_lo + h.edge_count]
-        m = np.zeros(k)
-        np.add.at(m, colors, weights * gamma)
+    def cut(point: np.ndarray) -> tuple[float, np.ndarray]:
+        m = np.zeros(h.color_count)
+        np.add.at(m, colors, weights * point[gammas])
         np.clip(m, 0.0, None, out=m)
-        total = float(np.sum(m**p))
+        norm = float(np.sum(m**p)) ** (1.0 / p)
         grad = np.zeros(n_vars)
-        if total <= 0.0:
-            return 0.0, grad
-        value = total ** (1.0 / p)
-        scale = total ** (1.0 / p - 1.0)
-        grad[gamma_lo : gamma_lo + h.edge_count] = weights * (m[colors] ** (p - 1.0)) * scale
-        return value, grad
+        if norm > 0.0:
+            grad[gammas] = weights * (m[colors] / norm) ** (p - 1.0)
+        return norm, grad
 
-    return region, lay, oracle
+    ones = np.zeros(n_vars)
+    ones[gammas] = 1.0
+    t_cap = sum(mass**p for mass in masses) ** (1.0 / p)
+    return _master(rows, n_vars, [cut(ones)[1]], t_cap), lay, cut
+
+
+def _class_masses(h: EdgeColoredHypergraph) -> list[float]:
+    """Total weight of each color class, the per-color masses at gamma = 1."""
+    return [sum(h.edges[e].weight for e in cls) for cls in h.color_classes]
+
+
+def _cut_row(grad: np.ndarray) -> tuple[np.ndarray, str, float]:
+    """The row <grad, x> - t <= 0, with t in the last column."""
+    vec = np.array(grad, dtype=float)
+    vec[-1] = -1.0
+    return vec, LE, 0.0
+
+
+def _master(rows: list, n_vars: int, cuts: list[np.ndarray], t_cap: float) -> LinearProgram:
+    """min t over ``rows`` plus one row <a, x> - t <= 0 per cut a.
+
+    t is the last column, boxed in [0, max(t_cap, 1)]; every other column
+    in [0, 1].  ``t_cap`` must be at least the minimum of the function the
+    cuts support, its value at gamma = 1 for the monotone functions here.
+    """
+    obj = np.zeros(n_vars)
+    obj[-1] = 1.0
+    bounds = tuple([(0.0, 1.0)] * (n_vars - 1) + [(0.0, max(t_cap, 1.0))])
+    rows = tuple(rows) + tuple(_cut_row(a) for a in cuts)
+    return LinearProgram(n_vars, obj, rows=rows, bounds=bounds)
+
+
+@dataclass(frozen=True)
+class _Cuts:
+    """Outcome of the cutting-plane loop: best point, certified lower bound."""
+
+    point: np.ndarray
+    lower: float
+    converged: bool
+
+
+def _kelley(
+    master: LinearProgram,
+    cut: Callable[[np.ndarray], tuple[float, np.ndarray]],
+    max_cuts: int,
+    tol: float,
+) -> _Cuts:
+    """Kelley's cutting-plane method for a convex, positively homogeneous f >= 0.
+
+    ``master`` comes from ``_master``; ``cut`` maps a point to f there and a
+    subgradient a with <a, point> = f(point), so t >= <a, x> supports f.
+    Each round solves the master LP, whose value L is a certified lower bound
+    on min f over the region, evaluates f at the master point (an upper bound
+    U, attained by that feasible point) and adds the cut there.  Stops once
+    the smallest U seen is within tol * max(U, 1) of L, or after
+    ``max_cuts`` master solves with ``converged`` False.  Returns the point
+    of the smallest U with the last L.
+    """
+    best_value, best_point = math.inf, None
+    for _ in range(max(max_cuts, 1)):
+        sol = solve_lp(master)
+        if sol.status != "optimal":
+            raise RuntimeError(f"cutting-plane master came back {sol.status}")
+        # f >= 0, and the master's t can come back an ulp below its 0 bound
+        lower = max(sol.objective_value, 0.0)
+        value, grad = cut(sol.values)
+        if value < best_value:
+            best_value, best_point = value, sol.values
+        if best_value - lower <= tol * max(best_value, 1.0):
+            return _Cuts(best_point, lower, True)
+        master = replace(master, rows=master.rows + (_cut_row(grad),))
+    return _Cuts(best_point, lower, False)
 
 
 def _check_distance_solution(
@@ -256,31 +315,29 @@ def solve_pmean_relaxation(
     h: EdgeColoredHypergraph,
     p: float,
     max_iters: int = 5000,
-    tol: float = 1e-6,
+    tol: float = _GAP_TOL,
 ) -> FractionalSolution:
     """Distance-orientation relaxation optimum for p >= 1 (inf allowed).
 
-    Linear cases solve exactly; 1 < p < inf runs the conditional-gradient
-    minimizer (bound then sits within its achieved duality gap of the true
-    relaxation optimum, on the high side; ``converged`` reports whether that
-    gap reached ``tol`` within ``max_iters``).
+    p = 1 and p = inf solve one LP exactly.  1 < p < inf runs Kelley's
+    cutting-plane loop with at most ``max_iters`` master LPs: ``bound`` is
+    the last master value, a certified lower bound on the relaxation
+    optimum, and the returned point's p-norm lies within ``tol`` * max(norm,
+    1) above it when ``converged``.
     """
     if p == 1 or math.isinf(p):
         lp, lay = build_pmean_program(h, p)
         sol = solve_lp(lp)
         if sol.status != "optimal":
             raise RuntimeError(f"relaxation came back {sol.status}")
-        d, gamma = lay.split(sol.values)
-        bound = sol.objective_value
-        certified = converged = True
+        point, bound, converged = sol.values, sol.objective_value, True
     else:
-        region, lay, oracle = build_pmean_program(h, p)
-        result: FrankWolfeResult = frank_wolfe_minimize(region, oracle, max_iters, tol)
-        d, gamma = lay.split(result.point)
-        bound = result.value
-        certified, converged = False, result.converged
+        master, lay, cut = build_pmean_program(h, p)
+        result = _kelley(master, cut, max_iters, tol)
+        point, bound, converged = result.point, result.lower, result.converged
+    d, gamma = lay.split(point)
     _check_distance_solution(h, d, gamma)
-    return FractionalSolution(d, gamma, DISTANCE, float(bound), certified, converged)
+    return FractionalSolution(d, gamma, DISTANCE, float(bound), converged)
 
 
 def build_protected_lp(
@@ -289,7 +346,7 @@ def build_protected_lp(
     """min sum w_e gamma_e over the distance region, protected mass capped at b."""
     if not 1 <= protected_color <= h.color_count:
         raise ValueError(f"protected color {protected_color} out of range")
-    if budget < 0:
+    if not budget >= 0:
         raise ValueError("budget must be >= 0")
     rows, lay, n_vars = _distance_region(h)
     vec = np.zeros(n_vars)
@@ -351,55 +408,46 @@ def lovasz_extension(
 
 @dataclass(frozen=True)
 class LovaszParams:
+    """``iterations`` caps the master LPs of the cutting-plane loop."""
+
     iterations: int = 10_000
-    step_scale: float = 1.0
-    pair_tol: float = 1e-9
 
 
 def minimize_lovasz(
     h: EdgeColoredHypergraph, p: float, params: Optional[LovaszParams] = None
 ) -> np.ndarray:
-    """Projected subgradient descent on the extension over the pair-cover polytope.
+    """Minimizer of the extension over the pair-cover polytope.
 
     Feasible set: gamma in [0, 1]^m with gamma_e + gamma_f >= 1 on every
-    conflicting pair.  Steps shrink as 1/sqrt(t); after each step the point is
-    clipped to the box and violated pairs are lifted symmetrically onto
-    gamma_e + gamma_f = 1 (lifting only raises entries, so one ordered pass
-    restores every pair).  Returns the best feasible point seen.
+    conflicting pair.  Kelley's cutting-plane loop, whose cuts are the greedy
+    base-polytope vertices ``lovasz_extension`` returns as subgradients; the
+    extension is piecewise linear, so the loop closes its gap after finitely
+    many cuts.  Returns the best feasible point seen.
+    """
+    return _lovasz_cuts(h, p, params).point
+
+
+def _lovasz_cuts(
+    h: EdgeColoredHypergraph, p: float, params: Optional[LovaszParams] = None
+) -> _Cuts:
+    """The cutting-plane loop behind ``minimize_lovasz``, with its lower bound.
+
+    The first cut is taken at gamma = 1/2 and t is capped at f(E).
     """
     if not 0.0 < p < 1.0:
         raise ValueError("the extension path requires 0 < p < 1")
-    params = params or LovaszParams()
     m = h.edge_count
-    if m == 0:
-        return np.zeros(0)
-    pairs = sorted(build_conflict_graph(h).adjacency)
-    gamma = np.full(m, 0.5)
-    _restore_pairs(gamma, pairs, params.pair_tol)
-    best_value, best_gamma = lovasz_extension(h, p, gamma)[0], gamma.copy()
-    for t in range(1, params.iterations + 1):
-        value, grad = lovasz_extension(h, p, gamma)
-        if value < best_value:
-            best_value, best_gamma = value, gamma.copy()
-        gamma = gamma - (params.step_scale / math.sqrt(t)) * grad
-        np.clip(gamma, 0.0, 1.0, out=gamma)
-        _restore_pairs(gamma, pairs, params.pair_tol)
-    value = lovasz_extension(h, p, gamma)[0]
-    if value < best_value:
-        best_value, best_gamma = value, gamma.copy()
-    return best_gamma
+    rows = []
+    for a, b in sorted(build_conflict_graph(h).adjacency):
+        vec = np.zeros(m + 1)
+        vec[a] = vec[b] = 1.0
+        rows.append((vec, GE, 1.0))
 
+    def cut(point: np.ndarray) -> tuple[float, np.ndarray]:
+        value, subgrad = lovasz_extension(h, p, point[:m])
+        return value, np.append(subgrad, 0.0)
 
-def _restore_pairs(gamma: np.ndarray, pairs: list[tuple[int, int]], tol: float) -> None:
-    for _ in range(64):
-        worst = 0.0
-        for a, b in pairs:
-            gap = 1.0 - gamma[a] - gamma[b]
-            if gap > 0.0:
-                lift = 0.5 * gap
-                gamma[a] += lift
-                gamma[b] += lift
-                worst = max(worst, gap)
-        if worst <= tol:
-            return
-    raise RuntimeError("pair-cover restoration did not settle")
+    t_cap = sum(mass**p for mass in _class_masses(h))
+    master = _master(rows, m + 1, [cut(np.full(m + 1, 0.5))[1]], t_cap)
+    result = _kelley(master, cut, (params or LovaszParams()).iterations, _GAP_TOL)
+    return replace(result, point=result.point[:m])

@@ -13,8 +13,7 @@ from typing import Callable, Optional
 from .combinatorial import brute_force, fpt_colorfair, fpt_protected, matching_approximation
 from .hypergraph import Coloring, EdgeColoredHypergraph, Problem
 from .relaxations import (
-    lovasz_extension,
-    minimize_lovasz,
+    _lovasz_cuts,
     solve_max_relaxation,
     solve_pmean_relaxation,
     solve_protected_relaxation,
@@ -37,18 +36,15 @@ class SolveResult:
     """What one algorithm produced for one instance.
 
     ``coloring`` is None only for a "no" answer from a feasibility search.
-    ``bound`` is the relaxation value where the algorithm has one;
-    ``certified`` is False when that value is a descent value rather than a
-    proven bound (``lovasz``, and ``lp-round`` for 1 < p < inf), and then no
-    approximation ratio is derived from it.  ``converged`` is False when the
-    conditional-gradient minimizer behind that value hit its iteration cap.
+    ``bound`` is the certified relaxation bound where the algorithm has one;
+    ``converged`` is False when the cutting-plane loop behind that bound hit
+    its cut cap (the bound is still certified, only looser).
     ``fallback`` names the rule uncommitted nodes follow and ``master_seed``
     is the seed a randomized rounding drew from.
     """
 
     coloring: Optional[Coloring]
     bound: Optional[float] = None
-    certified: bool = True
     converged: bool = True
     fallback: Optional[str] = None
     master_seed: Optional[int] = None
@@ -56,7 +52,7 @@ class SolveResult:
 
     def approx_ratio(self, value: float) -> Optional[float]:
         """Upper bound on value/optimum (optimum/value for max), or None."""
-        if self.bound is None or not self.certified:
+        if self.bound is None:
             return None
         numerator, denominator = (self.bound, value) if self.maximize else (value, self.bound)
         return numerator / denominator if denominator > 0 else None
@@ -79,7 +75,6 @@ def _half_threshold(h: EdgeColoredHypergraph, p: float) -> SolveResult:
     return SolveResult(
         half_threshold_round(h, frac),
         frac.bound,
-        certified=frac.certified,
         converged=frac.converged,
         fallback="lp-informed",
     )
@@ -87,9 +82,12 @@ def _half_threshold(h: EdgeColoredHypergraph, p: float) -> SolveResult:
 
 def _lovasz(h: EdgeColoredHypergraph, problem: Problem, **_) -> SolveResult:
     p = problem.p
-    gamma = minimize_lovasz(h, p)
-    bound = lovasz_extension(h, p, gamma)[0] ** (1.0 / p)
-    return SolveResult(lovasz_round(h, gamma), bound, certified=False, fallback="constant-1")
+    cuts = _lovasz_cuts(h, p)
+    # the loop's lower bound is on min f(S), which is OPT^p
+    bound = cuts.lower ** (1.0 / p)
+    return SolveResult(
+        lovasz_round(h, cuts.point), bound, converged=cuts.converged, fallback="constant-1"
+    )
 
 
 def _protected_lp(h: EdgeColoredHypergraph, problem: Problem, rho=None, **_) -> SolveResult:

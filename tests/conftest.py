@@ -6,6 +6,23 @@ import random
 
 from eccluster import Edge, EdgeColoredHypergraph
 
+# The convex benchmark workload's capped p = 2 instance: six nodes, three
+# colors, twelve unit edges.  The cutting-plane loop needs eleven master LPs.
+SLOW_P2 = """6 12 3
+1 1.0 3 1 4 6
+2 1.0 3 2 3 6
+1 1.0 3 3 4 6
+2 1.0 2 1 5
+1 1.0 2 1 4
+3 1.0 2 5 6
+1 1.0 3 1 3 5
+3 1.0 2 2 6
+1 1.0 3 1 5 6
+3 1.0 3 4 5 6
+1 1.0 3 3 5 6
+2 1.0 2 1 2
+"""
+
 
 def random_instance(
     rng: random.Random,

@@ -9,6 +9,8 @@ import sys
 
 import pytest
 
+from conftest import SLOW_P2
+
 TRIANGLE = """\
 3 3 3
 1 1 2 1 2
@@ -155,11 +157,17 @@ def test_solve_pmean_lovasz(triangle_path):
     )
     doc = json.loads(proc.stdout)
     assert doc["objective"] == 4.0
-    assert "approx_ratio_upper_bound" not in doc
+    # min over the pair cover of gamma_1 + gamma_2 + gamma_3 is 3/2, squared at p = 1/2
+    assert doc["relaxation_bound"] == pytest.approx(2.25, abs=1e-9)
+    assert doc["approx_ratio_upper_bound"] == pytest.approx(4.0 / 2.25, abs=1e-9)
+
+
+#: relaxation optimum of each flag set on the triangle
+TRIANGLE_RELAXATION = {"2": math.sqrt(3) / 2, "0.5": 1.5**2, "1": 1.5, "inf": 0.5, "max": 1.5}
 
 
 @pytest.mark.parametrize(
-    ("flags", "certified"),
+    ("flags", "single_lp"),
     [
         (["--problem", "pmean", "--p", "2", "--alg", "lp-round"], False),
         (["--problem", "pmean", "--p", "0.5", "--alg", "lovasz"], False),
@@ -168,43 +176,66 @@ def test_solve_pmean_lovasz(triangle_path):
         (["--problem", "max", "--alg", "hyper-max"], True),
     ],
 )
-def test_solve_labels_uncertified_bounds(triangle_path, flags, certified):
+def test_solve_labels_uncertified_bounds(triangle_path, flags, single_lp):
+    # every bound is certified: one LP's optimum, or the cutting-plane loop's
+    # lower bound, so none is labelled and every one yields a ratio
     proc = run_cli("solve", *flags, "--input", triangle_path, check=True)
     doc = json.loads(proc.stdout)
-    assert "relaxation_bound" in doc
-    if certified:
-        assert "bound_certified" not in doc
-        assert "approx_ratio_upper_bound" in doc
+    bound, value = doc["relaxation_bound"], doc["objective"]
+    optimum = TRIANGLE_RELAXATION[flags[3] if flags[1] == "pmean" else "max"]
+    if single_lp:
+        assert bound == pytest.approx(optimum, abs=1e-9)
     else:
-        keys = list(doc)
-        assert keys[keys.index("relaxation_bound") + 1] == "bound_certified"
-        assert doc["bound_certified"] is False
-        assert "approx_ratio_upper_bound" not in doc
+        assert optimum - 1e-6 * max(optimum, 1.0) <= bound <= optimum + 1e-12
+    assert "bound_certified" not in doc
+    assert "converged" not in doc
+    ratio = bound / value if flags[1] == "max" else value / bound
+    assert doc["approx_ratio_upper_bound"] == pytest.approx(ratio, rel=1e-15)
     csv = run_cli("solve", *flags, "--format", "csv", "--input", triangle_path, check=True)
     assert "bound_certified" not in csv.stdout
 
 
-def test_solve_reports_unconverged_relaxation(triangle_path, monkeypatch, capsys):
+def test_solve_reports_unconverged_relaxation(tmp_path, monkeypatch, capsys):
     from eccluster import cli, solver
 
+    path = tmp_path / "slow.ecc"
+    path.write_text(SLOW_P2, encoding="utf-8")
+
     def solve_json(*flags):
-        assert cli.main(["solve", *flags, "--input", triangle_path]) == 0
+        assert cli.main(["solve", *flags, "--input", str(path)]) == 0
         return capsys.readouterr().out
 
     p2 = ["--problem", "pmean", "--p", "2", "--alg", "lp-round"]
     linear = [["--problem", "pmean", "--p", p, "--alg", "lp-round"] for p in ("1", "inf")]
     for flags in [p2, *linear]:
         assert "converged" not in json.loads(solve_json(*flags))
-    # the triangle needs five conditional-gradient iterations at p = 2
     real = solver.solve_pmean_relaxation
     monkeypatch.setattr(solver, "solve_pmean_relaxation", lambda h, p: real(h, p, max_iters=1))
     doc = json.loads(solve_json(*p2))
     keys = list(doc)
-    assert keys[keys.index("bound_certified") + 1] == "converged"
+    assert keys[keys.index("relaxation_bound") + 1] == "converged"
     assert doc["converged"] is False
     for flags in linear:
         assert "converged" not in json.loads(solve_json(*flags))
     assert "converged" not in solve_json(*p2, "--format", "csv")
+
+
+@pytest.mark.parametrize(
+    ("flags", "flag"),
+    [
+        (["--problem", "protected", "--alg", "brute", "--protected-color", "1", "--budget", "nan"], "--budget"),
+        (["--problem", "protected", "--alg", "lp-round", "--protected-color", "1", "--budget", "inf"], "--budget"),
+        (["--problem", "colorfair", "--alg", "fpt", "--tau", "nan"], "--tau"),
+        (["--problem", "protected", "--alg", "fpt", "--protected-color", "1", "--budget", "0", "--t", "nan"], "--t"),
+    ],
+)
+def test_solve_rejects_non_finite_flags(triangle_path, flags, flag):
+    proc = run_cli("solve", *flags, "--input", triangle_path)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("ecc: error: ")
+    assert proc.stderr.count("\n") == 1
+    assert f"{flag} " in proc.stderr
 
 
 def test_solve_brute_with_many_colors(tmp_path):

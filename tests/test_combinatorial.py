@@ -268,8 +268,9 @@ def _outcome(solver, h, problem):
 
 
 def _forced_budget(color, budget):
-    # Problem rejects a negative budget, and every budget >= 0 is met by giving
-    # each node the protected color, so only a forced field is infeasible.
+    # Problem rejects a negative or NaN budget, and every budget >= 0 is met by
+    # giving each node the protected color, so only a forced field is
+    # infeasible; a forced NaN budget means no limit to the search.
     problem = ec.protected(color, 0.0)
     object.__setattr__(problem, "budget", budget)
     return problem
@@ -292,7 +293,7 @@ def _equivalence_cases():
     for h in instances:
         color = h.color_count
         budgets = [ec.protected(color), ec.protected(color, 0.0), ec.protected(1, 0.3)]
-        budgets += [ec.protected(color, float("nan")), _forced_budget(color, -1.0)]
+        budgets += [_forced_budget(color, float("nan")), _forced_budget(color, -1.0)]
         for problem in problems + budgets:
             yield h, problem
 

@@ -1,4 +1,4 @@
-"""Simplex solver and conditional-gradient minimizer."""
+"""Dense simplex solver."""
 
 from __future__ import annotations
 
@@ -196,50 +196,5 @@ def test_objective_swap_keeps_region():
     assert len(swapped.rows) == len(lp.rows)
     assert np.array_equal(swapped.rows[0][0], lp.rows[0][0])
     assert ec.solve_lp(swapped).objective_value == pytest.approx(1.0)
-    # default orientation is minimize, the conditional-gradient convention
+    # default orientation is minimize
     assert not lp.with_objective(np.array([0.0, 1.0])).maximize
-
-
-def _quadratic_region():
-    rows = [([1.0, 1.0], ec.LE, 2.0)]
-    return _lp([0.0, 0.0], rows)
-
-
-def test_frank_wolfe_reaches_interior_minimum():
-    region = _quadratic_region()
-    center = np.array([0.3, 0.6])
-
-    def oracle(x):
-        diff = x - center
-        return float(diff @ diff), 2.0 * diff
-
-    result = ec.frank_wolfe_minimize(region, oracle, max_iters=4000, tol=1e-8)
-    assert result.value <= 1e-6
-    assert np.allclose(result.point, center, atol=1e-3)
-    assert result.gap <= 1e-5
-
-
-def test_frank_wolfe_nonconvergence_returns_result():
-    region = _quadratic_region()
-    center = np.array([0.5, 0.5])
-
-    def oracle(x):
-        diff = x - center
-        return float(diff @ diff), 2.0 * diff
-
-    result = ec.frank_wolfe_minimize(region, oracle, max_iters=3, tol=1e-12)
-    assert result.converged is False
-    assert result.iterations == 3
-    assert max_violation(region, result.point) <= 1e-9
-
-
-def test_frank_wolfe_linear_objective_hits_vertex():
-    region = _quadratic_region()
-
-    def oracle(x):
-        grad = np.array([1.0, 2.0])
-        return float(grad @ x), grad
-
-    result = ec.frank_wolfe_minimize(region, oracle, max_iters=500, tol=1e-9)
-    assert result.converged
-    assert result.value == pytest.approx(0.0, abs=1e-7)

@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 
 import eccluster as ec
-from eccluster.relaxations import build_pmean_program
-from eccluster.lp import frank_wolfe_minimize
-from conftest import instance_batch, random_instance
+from eccluster.relaxations import _lovasz_cuts, build_pmean_program
+from conftest import SLOW_P2, instance_batch, random_instance
 
 
 def test_triangle_max_relaxation_half_integral():
@@ -42,6 +41,15 @@ def test_triangle_protected_relaxation_budgets():
     assert tight.edge_value[0] == pytest.approx(0.0, abs=1e-9)
     loose = ec.solve_protected_relaxation(h, 1, 3.0)
     assert loose.bound == pytest.approx(1.5, abs=1e-9)
+
+
+def test_protected_budget_rejects_negative_and_nan():
+    h = ec.triangle_gadget()
+    for budget in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="budget"):
+            ec.protected(1, budget)
+        with pytest.raises(ValueError, match="budget"):
+            ec.build_protected_lp(h, 1, budget)
 
 
 def test_protected_budget_row_is_honored():
@@ -115,8 +123,8 @@ def test_frank_wolfe_pmean_two_on_triangle():
 
 
 def test_pmean_relaxation_reports_convergence():
-    h = ec.triangle_gadget()
-    # the triangle needs five conditional-gradient iterations at p = 2
+    h = ec.parse_instance(SLOW_P2)
+    # this instance needs eleven cutting-plane master LPs at p = 2
     assert ec.solve_pmean_relaxation(h, 2, max_iters=1).converged is False
     assert ec.solve_pmean_relaxation(h, 2).converged is True
     for p in (1.0, math.inf):
@@ -239,15 +247,110 @@ def test_minimize_lovasz_stays_feasible_on_random_instances():
             assert gamma[a] + gamma[b] >= 1.0 - 1e-6
 
 
-def test_frank_wolfe_oracle_gradient_matches_finite_differences():
-    h = ec.triangle_gadget()
-    region, lay, oracle = build_pmean_program(h, 2.0)
+def _random_distance_point(h, lay, n_vars, rng):
+    """A random point of the distance region: one free color per node, gamma at or above its caps."""
+    x = np.ones(n_vars)
+    d = np.ones((h.node_count, h.color_count))
+    for v in range(h.node_count):
+        d[v, rng.randrange(h.color_count)] = rng.random()
+    for v in range(h.node_count):
+        for c in range(h.color_count):
+            x[lay.node_color_col(v + 1, c + 1)] = d[v, c]
+    for e, edge in enumerate(h.edges):
+        cap = max(d[v - 1, edge.color - 1] for v in edge.nodes)
+        x[lay.edge_col(e)] = cap + (1.0 - cap) * rng.random() ** 4
+    return x
+
+
+def _random_pair_cover(h, rng):
+    gamma = np.array([rng.random() for _ in range(h.edge_count)])
+    for a, b in sorted(ec.build_conflict_graph(h).adjacency):
+        gamma[b] = max(gamma[b], 1.0 - gamma[a])
+    return gamma
+
+
+def test_cutting_plane_cuts_are_tight_and_support_the_function():
     rng = random.Random(60)
-    base = np.array([rng.uniform(0.2, 0.9) for _ in range(region.variable_count)])
-    value, grad = oracle(base)
-    for idx in range(lay.edge_col(0), lay.edge_col(0) + h.edge_count):
-        eps = 1e-6
-        bumped = base.copy()
-        bumped[idx] += eps
-        approx = (oracle(bumped)[0] - value) / eps
-        assert grad[idx] == pytest.approx(approx, abs=1e-4)
+    for h in instance_batch(61, 12, unit_weights=False):
+        for p in (1.5, 2.0, 3.0):
+            master, lay, cut = build_pmean_program(h, p)
+            points = [_random_distance_point(h, lay, master.variable_count, rng) for _ in range(6)]
+            for x in points:
+                value, grad = cut(x)
+                assert grad[-1] == 0.0
+                assert float(grad @ x) == pytest.approx(value, rel=1e-12, abs=1e-12)
+                for y in points:
+                    assert float(grad @ y) <= cut(y)[0] + 1e-12
+        for p in (0.25, 0.5, 0.75):
+            points = [_random_pair_cover(h, rng) for _ in range(6)]
+            for x in points:
+                value, subgrad = ec.lovasz_extension(h, p, x)
+                assert float(subgrad @ x) == pytest.approx(value, rel=1e-12, abs=1e-12)
+                for y in points:
+                    assert float(subgrad @ y) <= ec.lovasz_extension(h, p, y)[0] + 1e-12
+
+
+def _p_norm(h, gamma, p):
+    # LP values can sit a few ulps below their 0 bound
+    mass = np.clip(ec.color_mass(h, gamma), 0.0, None)
+    return float(np.sum(mass**p)) ** (1.0 / p)
+
+
+def _slsqp_p2(h):
+    """min ||m(gamma)||_2 over the distance region, solved by scipy's SLSQP."""
+    from scipy.optimize import LinearConstraint, minimize
+
+    n, k, m = h.node_count, h.color_count, h.edge_count
+    size = n * k + m
+    rows, lo = [], []
+    for v in range(n):
+        row = np.zeros(size)
+        row[v * k : (v + 1) * k] = 1.0
+        rows.append(row)
+        lo.append(k - 1.0)
+    for e, edge in enumerate(h.edges):
+        for v in edge.nodes:
+            row = np.zeros(size)
+            row[n * k + e] = 1.0
+            row[(v - 1) * k + edge.color - 1] = -1.0
+            rows.append(row)
+            lo.append(0.0)
+    weights = np.array([edge.weight for edge in h.edges])
+    onehot = np.zeros((k, m))
+    for e, edge in enumerate(h.edges):
+        onehot[edge.color - 1, e] = weights[e]
+
+    def squared(x):
+        mass = onehot @ x[n * k :]
+        return float(mass @ mass), np.concatenate([np.zeros(n * k), 2.0 * onehot.T @ mass])
+
+    res = minimize(
+        squared, np.ones(size), jac=True, method="SLSQP", bounds=[(0.0, 1.0)] * size,
+        constraints=[LinearConstraint(np.array(rows), np.array(lo), np.inf)],
+        options={"ftol": 1e-12, "maxiter": 500},
+    )
+    assert res.success, res.message
+    return math.sqrt(max(res.fun, 0.0))
+
+
+def test_cutting_plane_brackets_independent_optima():
+    tol = 1e-6
+    for i, h in enumerate(instance_batch(62, 18, n_hi=6, k_hi=3, m_hi=8, unit_weights=False)):
+        for p in (1.5, 2.0, 3.0):
+            frac = ec.solve_pmean_relaxation(h, p, tol=tol)
+            assert frac.converged
+            value = _p_norm(h, frac.edge_value, p)
+            assert frac.bound <= value + 1e-9
+            assert value <= frac.bound + tol * max(value, 1.0)
+            assert frac.bound <= ec.brute_force(h, ec.pmean(p))[0] + 1e-9
+            if p == 2.0:
+                reference = _slsqp_p2(h)
+                assert frac.bound <= reference + 1e-9
+                assert reference <= value + 1e-9
+        for p in (0.25, 0.5, 0.75):
+            cuts = _lovasz_cuts(h, p)
+            assert cuts.converged
+            value = ec.lovasz_extension(h, p, cuts.point)[0]
+            assert cuts.lower <= value + 1e-9
+            assert value <= cuts.lower + tol * max(value, 1.0)
+            assert cuts.lower <= ec.brute_force(h, ec.pmean(p))[0] ** p + 1e-9

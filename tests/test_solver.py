@@ -39,7 +39,7 @@ def instances(draw, sizes=(1, 2, 3)):
 
 def _problem(draw, kind, alg, h):
     if kind == "pmean":
-        # p = 2 first, so the simplest example runs the conditional-gradient path
+        # p = 2 first, so the simplest example runs the cutting-plane path
         ps = (0.5, 0.25, 0.75) if alg == "lovasz" else (2.0, 1.0, math.inf)
         if alg == "brute":
             ps = (2.0, 1.0, math.inf, 0.5)
@@ -86,7 +86,7 @@ def test_solve_against_brute_force(key, data):
     elif alg == "lovasz":
         assert value <= 2.0 ** (1.0 / problem.p) * opt + TOL
     elif kind == "pmean":
-        # any feasible distance point bounds its own rounding, converged or not
+        # the rounded point's p-norm lies within the loop's tolerance of its bound
         reference = opt if problem.p in (1.0, math.inf) else result.bound
         assert value <= 2.0 * reference + TOL
     elif alg == "matching" and len({e.weight for e in h.edges}) > 1:
@@ -111,17 +111,22 @@ def test_solve_rejects_unsupported_pairs():
 def test_solve_result_ratio_orientation():
     assert ec.SolveResult((1,), bound=3.0, maximize=True).approx_ratio(2.0) == 1.5
     assert ec.SolveResult((1,), bound=2.0).approx_ratio(3.0) == 1.5
-    assert ec.SolveResult((1,), bound=2.0, certified=False).approx_ratio(3.0) is None
     assert ec.SolveResult((1,), bound=0.0).approx_ratio(3.0) is None
 
 
-@pytest.mark.parametrize(("p", "certified"), [(1.0, True), (2.0, False), (3.0, False), (math.inf, True)])
-def test_half_threshold_ratio_only_from_certified_bounds(p, certified):
-    # for 1 < p < inf the bound is a conditional-gradient value, an upper
-    # bound on the relaxation optimum, so no ratio may be derived from it
+@pytest.mark.parametrize(("p", "single_lp"), [(1.0, True), (2.0, False), (3.0, False), (math.inf, True)])
+def test_half_threshold_ratio_only_from_certified_bounds(p, single_lp):
+    # p = 1 and p = inf solve one LP; for 1 < p < inf the bound is the
+    # cutting-plane loop's lower bound, within its tolerance of the
+    # relaxation optimum, and every one of them yields a ratio
     h = ec.triangle_gadget()
     result = ec.solve(h, ec.pmean(p), "lp-round")
     value = ec.objective(h, result.coloring, ec.pmean(p))
-    assert result.bound is not None
-    assert result.certified is certified
-    assert (result.approx_ratio(value) is not None) is certified
+    # every gamma_e is 1/2 at the optimum, one edge per color
+    optimum = 0.5 if math.isinf(p) else 0.5 * 3.0 ** (1.0 / p)
+    if single_lp:
+        assert result.bound == pytest.approx(optimum, abs=1e-9)
+    else:
+        assert optimum - 1e-6 * max(optimum, 1.0) <= result.bound <= optimum + 1e-12
+    assert result.bound <= ec.brute_force(h, ec.pmean(p))[0]
+    assert result.approx_ratio(value) == value / result.bound
