@@ -113,7 +113,7 @@ def _branch_search(
 
 def fpt_colorfair(h: EdgeColoredHypergraph, tau: float) -> Optional[Coloring]:
     """Coloring with per-color unsatisfied weight <= tau, or None."""
-    if tau < 0:
+    if not tau >= 0:
         raise ValueError("tau must be >= 0")
     return _branch_search(h, [tau] * h.color_count, lambda edge: (edge.color - 1,))
 
@@ -130,7 +130,7 @@ def fpt_protected(
     protected share can never exceed the total, the protected budget is
     clamped to min(b, t) up front.
     """
-    if t < 0 or b < 0:
+    if not (t >= 0 and b >= 0):
         raise ValueError("budgets must be >= 0")
     if not 1 <= protected_color <= h.color_count:
         raise ValueError("protected color out of range")

@@ -1,16 +1,20 @@
-"""Dense linear programming.
+"""Linear programming on a column-sparse simplex tableau.
 
-The solver is a deliberately small two-phase primal simplex on a dense
-tableau with Bland's anti-cycling rule.  Instances here are tiny (tens of
-variables), so transparency and exact determinism win over speed: bounds
-become explicit rows, the final basis is re-solved against the clean input
-data, and identical inputs always produce identical outputs.
+The solver is a small two-phase primal simplex with Bland's anti-cycling
+rule (lowest entering column, lowest-index leaving variable on ratio ties).
+Bounds become explicit rows, and the final basis is re-solved against the
+clean input data.  The tableau is stored densely in column-major order, but
+a pivot touches only the columns where the normalised pivot row is nonzero:
+every skipped entry would only have had an exact zero subtracted, and every
+updated entry gets the same float operation as a full rank-1 update.  So
+pivots, bases and solutions are bit for bit those of the plain dense
+tableau, and identical inputs always produce identical outputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -104,7 +108,7 @@ class LpSolution:
     status: str  # "optimal" | "infeasible" | "unbounded"
     values: np.ndarray
     objective_value: float
-    basis: tuple[int, ...] = ()  # standard-form basis, reusable as a warm start
+    basis: tuple[int, ...] = ()  # final standard-form basis, one column per kept row
     pivots: int = 0
 
 
@@ -124,16 +128,23 @@ def max_violation(lp: LinearProgram, x: np.ndarray) -> float:
     return worst
 
 
-def _pivot(T: np.ndarray, obj: np.ndarray, basis: list[int], pr: int, pc: int) -> None:
+def _pivot(T: np.ndarray, obj: np.ndarray, basis: np.ndarray, pr: int, pc: int) -> None:
+    """Pivot on (pr, pc), updating only the columns where the pivot row is nonzero.
+
+    Against a full rank-1 update, at most the sign of a zero entry differs.
+    """
     T[pr] /= T[pr, pc]
+    cols = T[pr].nonzero()[0]
+    row = T[pr, cols]
     col = T[:, pc].copy()
     col[pr] = 0.0
-    T -= np.outer(col, T[pr])
-    obj -= obj[pc] * T[pr]
+    # T is column-major, so T.T[cols] gathers each updated column contiguously.
+    T.T[cols] -= np.multiply.outer(row, col)
+    obj[cols] -= obj[pc] * row
     basis[pr] = pc
 
 
-def _reduced_costs(c_ext: np.ndarray, T: np.ndarray, basis: list[int]) -> np.ndarray:
+def _reduced_costs(c_ext: np.ndarray, T: np.ndarray, basis: np.ndarray) -> np.ndarray:
     obj = c_ext.copy()
     for i, j in enumerate(basis):
         if c_ext[j] != 0.0:
@@ -141,42 +152,35 @@ def _reduced_costs(c_ext: np.ndarray, T: np.ndarray, basis: list[int]) -> np.nda
     return obj
 
 
-def _run_simplex(T: np.ndarray, obj: np.ndarray, basis: list[int], cap: int) -> tuple[str, int]:
-    """Minimize over the tableau in place; returns (status, pivot count)."""
+def _run_simplex(T: np.ndarray, obj: np.ndarray, basis: np.ndarray, cap: int) -> tuple[str, int]:
+    """Minimize over the tableau in place with Bland's rule; returns (status, pivot count).
+
+    Entering: the lowest column with a negative reduced cost.  Leaving: among
+    the rows within ``_RATIO_TIE`` of the minimum ratio, the one whose basic
+    variable has the lowest index.
+    """
     pivots = 0
     ncols = T.shape[1] - 1
     while True:
-        entering = -1
-        for j in range(ncols):
-            if obj[j] < -_PIVOT_TOL:
-                entering = j
-                break
-        if entering < 0:
+        candidates = (obj[:ncols] < -_PIVOT_TOL).nonzero()[0]
+        if not candidates.size:
             return "optimal", pivots
+        entering = candidates[0]
         column = T[:, entering]
-        ratios = np.full(T.shape[0], np.inf)
-        positive = column > _PIVOT_TOL
-        ratios[positive] = T[positive, -1] / column[positive]
-        best = ratios.min()
+        rows = (column > _PIVOT_TOL).nonzero()[0]
+        ratios = T[rows, -1] / column[rows]
+        best = ratios.min(initial=np.inf)
         if not np.isfinite(best):
             return "unbounded", pivots
-        leaving = -1
-        for i in range(T.shape[0]):
-            if ratios[i] <= best + _RATIO_TIE and (leaving < 0 or basis[i] < basis[leaving]):
-                leaving = i
-        _pivot(T, obj, basis, leaving, entering)
+        tied = rows[ratios <= best + _RATIO_TIE]
+        _pivot(T, obj, basis, tied[basis[tied].argmin()], entering)
         pivots += 1
         if pivots > cap:
             raise SimplexError(f"pivot cap {cap} exceeded")
 
 
-def solve_lp(lp: LinearProgram, start_basis: Optional[Sequence[int]] = None) -> LpSolution:
-    """Two-phase dense primal simplex with Bland's rule.
-
-    Deterministic for fixed input.  ``start_basis`` (the ``basis`` of a prior
-    solution over the same rows and bounds) skips phase 1 when it still
-    describes a feasible basic point; otherwise it is silently ignored.
-    """
+def solve_lp(lp: LinearProgram) -> LpSolution:
+    """Two-phase primal simplex with Bland's rule; deterministic for fixed input."""
     n = lp.variable_count
     lo = np.array([bd[0] for bd in lp.bounds])
     hi = np.array([bd[1] for bd in lp.bounds])
@@ -229,59 +233,33 @@ def solve_lp(lp: LinearProgram, start_basis: Optional[Sequence[int]] = None) -> 
         full[i, col] = 1.0
 
     cap = 10_000 + 50 * (R + ncols)
-    basis: Optional[list[int]] = None
-    T: Optional[np.ndarray] = None
-    row_idx = list(range(R))
     total_pivots = 0
 
-    if (
-        start_basis is not None
-        and len(start_basis) == R
-        and all(0 <= j < n_real for j in start_basis)
-    ):
-        Bmat = full[:, list(start_basis)]
-        try:
-            inv = np.linalg.inv(Bmat)
-            cand = np.hstack([inv @ full[:, :n_real], (inv @ b).reshape(-1, 1)])
-            if cand[:, -1].min() >= -1e-7:
-                np.clip(cand[:, -1], 0.0, None, out=cand[:, -1])
-                T = cand
-                basis = list(start_basis)
-        except np.linalg.LinAlgError:
-            T = None
-
-    if T is None:
-        # Phase 1: basis of slacks and artificials, minimize the artificial mass.
-        basis = [art_col_of_row[i] if i in art_col_of_row else slack_col_of_row[i] for i in range(R)]
-        T = np.hstack([full[:, :ncols], b.reshape(-1, 1)])
-        c1 = np.zeros(ncols + 1)
-        c1[n_real:ncols] = 1.0
-        obj1 = _reduced_costs(c1, T, basis)
-        status, p = _run_simplex(T, obj1, basis, cap)
-        total_pivots += p
-        if status != "optimal":
-            raise SimplexError("phase 1 terminated abnormally")
-        art_mass = sum(T[i, -1] for i in range(len(basis)) if basis[i] >= n_real)
-        if art_mass > _PHASE1_TOL:
-            return LpSolution("infeasible", np.zeros(n), float("nan"))
-        # Pivot leftover artificials out; a row that cannot release one is redundant.
-        keep = [True] * len(basis)
-        dummy = np.zeros(T.shape[1])
-        for i in range(len(basis)):
-            if basis[i] >= n_real:
-                pivot_col = -1
-                for j in range(n_real):
-                    if abs(T[i, j]) > _PIVOT_TOL:
-                        pivot_col = j
-                        break
-                if pivot_col >= 0:
-                    _pivot(T, dummy, basis, i, pivot_col)
-                else:
-                    keep[i] = False
-        T = T[keep]
-        basis = [bj for bj, k in zip(basis, keep) if k]
-        row_idx = [i for i, k in zip(row_idx, keep) if k]
-        T = np.hstack([T[:, :n_real], T[:, -1].reshape(-1, 1)])
+    # Phase 1: basis of slacks and artificials, minimize the artificial mass.
+    basis = np.array([art_col_of_row.get(i, slack_col_of_row.get(i)) for i in range(R)])
+    T = full.copy(order="F")
+    c1 = np.zeros(ncols + 1)
+    c1[n_real:ncols] = 1.0
+    obj1 = _reduced_costs(c1, T, basis)
+    status, p = _run_simplex(T, obj1, basis, cap)
+    total_pivots += p
+    if status != "optimal":
+        raise SimplexError("phase 1 terminated abnormally")
+    if sum(T[basis >= n_real, -1].tolist()) > _PHASE1_TOL:
+        return LpSolution("infeasible", np.zeros(n), float("nan"))
+    # Pivot leftover artificials out; a row that cannot release one is redundant.
+    keep = np.ones(R, dtype=bool)
+    dummy = np.zeros(T.shape[1])
+    for i in (basis >= n_real).nonzero()[0]:
+        nonzero = (np.abs(T[i, :n_real]) > _PIVOT_TOL).nonzero()[0]
+        if nonzero.size:
+            _pivot(T, dummy, basis, i, nonzero[0])
+        else:
+            keep[i] = False
+    row_idx = keep.nonzero()[0]
+    # Indexing the row-major view makes the one copy come out column-major.
+    T = T.T[np.ix_(np.r_[:n_real, ncols], row_idx)].T
+    basis = basis[row_idx]
 
     # Phase 2 over the artificial-free tableau.
     c2 = np.zeros(n_real + 1)
@@ -294,18 +272,14 @@ def solve_lp(lp: LinearProgram, start_basis: Optional[Sequence[int]] = None) -> 
 
     # Re-solve the final basis against the clean input data for sharp numerics.
     y = np.zeros(n_real)
-    Bmat = full[np.ix_(row_idx, basis)]
     try:
-        xb = np.linalg.solve(Bmat, b[row_idx])
-        for i, j in enumerate(basis):
-            y[j] = xb[i]
+        y[basis] = np.linalg.solve(full[np.ix_(row_idx, basis)], b[row_idx])
     except np.linalg.LinAlgError:
-        for i, j in enumerate(basis):
-            y[j] = T[i, -1]
+        y[basis] = T[:, -1]
     x = y[:n] + lo
     viol = max_violation(lp, x)
     if viol > 1e-6:
         raise SimplexError(f"recovered solution violates constraints by {viol:.3e}")
     return LpSolution(
-        "optimal", x, float(lp.objective @ x), basis=tuple(basis), pivots=total_pivots
+        "optimal", x, float(lp.objective @ x), basis=tuple(basis.tolist()), pivots=total_pivots
     )

@@ -290,10 +290,14 @@ def _kelley(
     return _Cuts(best_point, lower, False)
 
 
-def _check_distance_solution(
-    h: EdgeColoredHypergraph, d: np.ndarray, gamma: np.ndarray, tol: float = EPS_FEAS
-) -> None:
-    """Structural facts every feasible distance point must exhibit."""
+def _distance_point(
+    h: EdgeColoredHypergraph, lay: VariableLayout, values: np.ndarray, tol: float = EPS_FEAS
+) -> tuple[np.ndarray, np.ndarray]:
+    """(d, gamma) of an LP point, after checking the structural facts every
+    feasible distance point must exhibit.  Both come back clipped into [0, 1]:
+    the simplex can return entries a few ulps outside their bounds, and a
+    negative gamma makes ``color_mass(h, gamma) ** p`` NaN."""
+    d, gamma = lay.split(values)
     k = h.color_count
     sums = d.sum(axis=1)
     if np.any(sums < k - 1 - tol):
@@ -309,6 +313,7 @@ def _check_distance_solution(
     for a, b in cg.adjacency:
         if gamma[a] + gamma[b] < 1.0 - tol:
             raise RuntimeError(f"conflicting edges {a}, {b} violate the pair cover")
+    return np.clip(d, 0.0, 1.0), np.clip(gamma, 0.0, 1.0)
 
 
 def solve_pmean_relaxation(
@@ -335,8 +340,7 @@ def solve_pmean_relaxation(
         master, lay, cut = build_pmean_program(h, p)
         result = _kelley(master, cut, max_iters, tol)
         point, bound, converged = result.point, result.lower, result.converged
-    d, gamma = lay.split(point)
-    _check_distance_solution(h, d, gamma)
+    d, gamma = _distance_point(h, lay, point)
     return FractionalSolution(d, gamma, DISTANCE, float(bound), converged)
 
 
@@ -364,8 +368,7 @@ def solve_protected_relaxation(
     sol = solve_lp(lp)
     if sol.status != "optimal":
         raise RuntimeError(f"protected relaxation came back {sol.status}")
-    d, gamma = lay.split(sol.values)
-    _check_distance_solution(h, d, gamma)
+    d, gamma = _distance_point(h, lay, sol.values)
     return FractionalSolution(d, gamma, DISTANCE, sol.objective_value)
 
 

@@ -108,6 +108,22 @@ def test_fpt_protected_on_triangle():
         ec.fpt_protected(h, 1.0, 1.0, 9)
 
 
+def test_fpt_rejects_nan_budgets():
+    h = ec.triangle_gadget()
+    with pytest.raises(ValueError, match="tau must be >= 0"):
+        ec.fpt_colorfair(h, math.nan)
+    with pytest.raises(ValueError, match="tau must be >= 0"):
+        ec.solve(h, ec.COLORFAIR, "fpt", tau=math.nan)
+    for t, b in ((math.nan, 0.0), (1.0, math.nan)):
+        with pytest.raises(ValueError, match="budgets must be >= 0"):
+            ec.fpt_protected(h, t, b, 1)
+    with pytest.raises(ValueError, match="budgets must be >= 0"):
+        ec.solve(h, ec.protected(1, 0.0), "fpt", t=math.nan)
+    # Problem rejects a NaN budget itself, so force one to reach the search
+    with pytest.raises(ValueError, match="budgets must be >= 0"):
+        ec.solve(h, _forced_budget(1, math.nan), "fpt", t=1.0)
+
+
 def test_fpt_protected_budget_clamp():
     h = ec.triangle_gadget()
     # a protected budget beyond t cannot help: same feasibility either way

@@ -1,15 +1,19 @@
-"""Dense simplex solver."""
+"""Simplex solver: optima, statuses, and bit-identity with the dense tableau."""
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import numpy as np
 import pytest
 
 import eccluster as ec
-from eccluster.lp import EPS_FEAS, max_violation
+import eccluster.relaxations as relaxations
+from eccluster.lp import EPS_FEAS, EQ, GE, LE, LpSolution, SimplexError, max_violation
+from eccluster.relaxations import build_max_lp, build_pmean_program, build_protected_lp
+from conftest import SLOW_P2, instance_batch, random_instance
 
 
 def _lp(objective, rows, maximize=False, bounds=None, n=None):
@@ -24,20 +28,40 @@ def _lp(objective, rows, maximize=False, bounds=None, n=None):
     )
 
 
+BOX = _lp([1.0, 2.0], [([1.0, 1.0], ec.LE, 1.5)], maximize=True)
+EQUALITY_AND_GE = _lp(
+    [1.0, 1.0, 0.0],
+    [([1.0, 1.0, 1.0], ec.EQ, 2.0), ([1.0, 0.0, 0.0], ec.GE, 0.25)],
+)
+INFEASIBLE = _lp([1.0], [([1.0], ec.GE, 2.0)])
+REDUNDANT = _lp(
+    [1.0, 1.0],
+    [
+        ([1.0, 1.0], ec.EQ, 1.0),
+        ([1.0, 1.0], ec.EQ, 1.0),
+        ([2.0, 2.0], ec.EQ, 2.0),
+    ],
+    maximize=True,
+)
+LOWER_BOUNDS = _lp(
+    [1.0, 1.0],
+    [([1.0, 1.0], ec.LE, 1.2)],
+    maximize=True,
+    bounds=[(0.25, 1.0), (0.5, 1.0)],
+)
+ONE_ROW = _lp([3.0, -1.0, 2.0], [([1.0, 2.0, 1.0], ec.LE, 2.0)], maximize=True)
+HAND_WRITTEN = (BOX, EQUALITY_AND_GE, INFEASIBLE, REDUNDANT, LOWER_BOUNDS, ONE_ROW)
+
+
 def test_box_maximum():
-    lp = _lp([1.0, 2.0], [([1.0, 1.0], ec.LE, 1.5)], maximize=True)
-    sol = ec.solve_lp(lp)
+    sol = ec.solve_lp(BOX)
     assert sol.status == "optimal"
     assert sol.objective_value == pytest.approx(2.5)
     assert np.allclose(sol.values, [0.5, 1.0])
 
 
 def test_equality_and_ge_rows():
-    lp = _lp(
-        [1.0, 1.0, 0.0],
-        [([1.0, 1.0, 1.0], ec.EQ, 2.0), ([1.0, 0.0, 0.0], ec.GE, 0.25)],
-    )
-    sol = ec.solve_lp(lp)
+    sol = ec.solve_lp(EQUALITY_AND_GE)
     assert sol.status == "optimal"
     assert sol.objective_value == pytest.approx(1.0)
     assert sol.values[0] >= 0.25 - EPS_FEAS
@@ -45,34 +69,18 @@ def test_equality_and_ge_rows():
 
 
 def test_infeasible_detected():
-    lp = _lp([1.0], [([1.0], ec.GE, 2.0)])
-    sol = ec.solve_lp(lp)
+    sol = ec.solve_lp(INFEASIBLE)
     assert sol.status == "infeasible"
 
 
 def test_redundant_equalities_are_dropped():
-    lp = _lp(
-        [1.0, 1.0],
-        [
-            ([1.0, 1.0], ec.EQ, 1.0),
-            ([1.0, 1.0], ec.EQ, 1.0),
-            ([2.0, 2.0], ec.EQ, 2.0),
-        ],
-        maximize=True,
-    )
-    sol = ec.solve_lp(lp)
+    sol = ec.solve_lp(REDUNDANT)
     assert sol.status == "optimal"
     assert sol.objective_value == pytest.approx(1.0)
 
 
 def test_nonzero_lower_bounds():
-    lp = _lp(
-        [1.0, 1.0],
-        [([1.0, 1.0], ec.LE, 1.2)],
-        maximize=True,
-        bounds=[(0.25, 1.0), (0.5, 1.0)],
-    )
-    sol = ec.solve_lp(lp)
+    sol = ec.solve_lp(LOWER_BOUNDS)
     assert sol.status == "optimal"
     assert sol.objective_value == pytest.approx(1.2)
     assert sol.values[0] >= 0.25 - EPS_FEAS
@@ -80,26 +88,10 @@ def test_nonzero_lower_bounds():
 
 
 def test_solution_is_feasible_and_reports_basis():
-    lp = _lp([3.0, -1.0, 2.0], [([1.0, 2.0, 1.0], ec.LE, 2.0)], maximize=True)
-    sol = ec.solve_lp(lp)
+    sol = ec.solve_lp(ONE_ROW)
     assert sol.status == "optimal"
-    assert max_violation(lp, sol.values) <= 1e-9
+    assert max_violation(ONE_ROW, sol.values) <= 1e-9
     assert sol.basis is not None
-    resumed = ec.solve_lp(lp, start_basis=sol.basis)
-    assert resumed.status == "optimal"
-    assert resumed.objective_value == pytest.approx(sol.objective_value)
-    assert resumed.pivots == 0
-
-
-def test_warm_start_with_changed_objective():
-    rows = [([1.0, 1.0, 1.0], ec.LE, 2.0), ([1.0, -1.0, 0.0], ec.GE, -0.5)]
-    first = ec.solve_lp(_lp([1.0, 2.0, 0.5], rows, maximize=True))
-    warm = ec.solve_lp(
-        _lp([-1.0, 0.5, 2.0], rows, maximize=True), start_basis=first.basis
-    )
-    cold = ec.solve_lp(_lp([-1.0, 0.5, 2.0], rows, maximize=True))
-    assert warm.status == cold.status == "optimal"
-    assert warm.objective_value == pytest.approx(cold.objective_value)
 
 
 def test_program_validation():
@@ -198,3 +190,232 @@ def test_objective_swap_keeps_region():
     assert ec.solve_lp(swapped).objective_value == pytest.approx(1.0)
     # default orientation is minimize
     assert not lp.with_objective(np.array([0.0, 1.0])).maximize
+
+
+# The solver before its pivots were restricted to the nonzero columns of the
+# pivot row: a full rank-1 update per pivot and Python loops for Bland's rule,
+# constants and all.  Frozen here as the reference ``solve_lp`` must match bit
+# for bit.
+_REF_PIVOT_TOL = 1e-10
+_REF_RATIO_TIE = 1e-12
+_REF_PHASE1_TOL = 1e-8
+
+
+def _ref_pivot(T, obj, basis, pr, pc):
+    T[pr] /= T[pr, pc]
+    col = T[:, pc].copy()
+    col[pr] = 0.0
+    T -= np.outer(col, T[pr])
+    obj -= obj[pc] * T[pr]
+    basis[pr] = pc
+
+
+def _ref_reduced_costs(c_ext, T, basis):
+    obj = c_ext.copy()
+    for i, j in enumerate(basis):
+        if c_ext[j] != 0.0:
+            obj -= c_ext[j] * T[i]
+    return obj
+
+
+def _ref_run_simplex(T, obj, basis, cap):
+    pivots = 0
+    ncols = T.shape[1] - 1
+    while True:
+        entering = -1
+        for j in range(ncols):
+            if obj[j] < -_REF_PIVOT_TOL:
+                entering = j
+                break
+        if entering < 0:
+            return "optimal", pivots
+        column = T[:, entering]
+        ratios = np.full(T.shape[0], np.inf)
+        positive = column > _REF_PIVOT_TOL
+        ratios[positive] = T[positive, -1] / column[positive]
+        best = ratios.min()
+        if not np.isfinite(best):
+            return "unbounded", pivots
+        leaving = -1
+        for i in range(T.shape[0]):
+            if ratios[i] <= best + _REF_RATIO_TIE and (leaving < 0 or basis[i] < basis[leaving]):
+                leaving = i
+        _ref_pivot(T, obj, basis, leaving, entering)
+        pivots += 1
+        if pivots > cap:
+            raise SimplexError(f"pivot cap {cap} exceeded")
+
+
+def _reference_solve_lp(lp):
+    n = lp.variable_count
+    lo = np.array([bd[0] for bd in lp.bounds])
+    hi = np.array([bd[1] for bd in lp.bounds])
+    sign = -1.0 if lp.maximize else 1.0
+    c_min = sign * lp.objective
+
+    A_rows, b_vals, rels = [], [], []
+    for coeffs, rel, rhs in lp.rows:
+        A_rows.append(np.asarray(coeffs, dtype=float))
+        b_vals.append(rhs - float(coeffs @ lo))
+        rels.append(rel)
+    eye = np.eye(n)
+    for j in range(n):
+        A_rows.append(eye[j])
+        b_vals.append(hi[j] - lo[j])
+        rels.append(LE)
+
+    R = len(A_rows)
+    A = np.array(A_rows)
+    b = np.array(b_vals)
+    for i in range(R):
+        if b[i] < 0:
+            A[i] *= -1.0
+            b[i] *= -1.0
+            rels[i] = {LE: GE, GE: LE, EQ: EQ}[rels[i]]
+
+    slack_col_of_row, art_col_of_row = {}, {}
+    next_col = n
+    for i in range(R):
+        if rels[i] != EQ:
+            slack_col_of_row[i] = next_col
+            next_col += 1
+    n_real = next_col
+    for i in range(R):
+        if rels[i] != LE:
+            art_col_of_row[i] = next_col
+            next_col += 1
+    ncols = next_col
+
+    full = np.zeros((R, ncols + 1))
+    full[:, :n] = A
+    full[:, -1] = b
+    for i, col in slack_col_of_row.items():
+        full[i, col] = 1.0 if rels[i] == LE else -1.0
+    for i, col in art_col_of_row.items():
+        full[i, col] = 1.0
+
+    cap = 10_000 + 50 * (R + ncols)
+    row_idx = list(range(R))
+    total_pivots = 0
+
+    basis = [art_col_of_row[i] if i in art_col_of_row else slack_col_of_row[i] for i in range(R)]
+    T = np.hstack([full[:, :ncols], b.reshape(-1, 1)])
+    c1 = np.zeros(ncols + 1)
+    c1[n_real:ncols] = 1.0
+    obj1 = _ref_reduced_costs(c1, T, basis)
+    status, p = _ref_run_simplex(T, obj1, basis, cap)
+    total_pivots += p
+    if status != "optimal":
+        raise SimplexError("phase 1 terminated abnormally")
+    art_mass = sum(T[i, -1] for i in range(len(basis)) if basis[i] >= n_real)
+    if art_mass > _REF_PHASE1_TOL:
+        return LpSolution("infeasible", np.zeros(n), float("nan"))
+    keep = [True] * len(basis)
+    dummy = np.zeros(T.shape[1])
+    for i in range(len(basis)):
+        if basis[i] >= n_real:
+            pivot_col = -1
+            for j in range(n_real):
+                if abs(T[i, j]) > _REF_PIVOT_TOL:
+                    pivot_col = j
+                    break
+            if pivot_col >= 0:
+                _ref_pivot(T, dummy, basis, i, pivot_col)
+            else:
+                keep[i] = False
+    T = T[keep]
+    basis = [bj for bj, k in zip(basis, keep) if k]
+    row_idx = [i for i, k in zip(row_idx, keep) if k]
+    T = np.hstack([T[:, :n_real], T[:, -1].reshape(-1, 1)])
+
+    c2 = np.zeros(n_real + 1)
+    c2[:n] = c_min
+    obj2 = _ref_reduced_costs(c2, T, basis)
+    status, p = _ref_run_simplex(T, obj2, basis, cap)
+    total_pivots += p
+    if status == "unbounded":
+        return LpSolution("unbounded", np.zeros(n), float("nan"))
+
+    y = np.zeros(n_real)
+    Bmat = full[np.ix_(row_idx, basis)]
+    try:
+        xb = np.linalg.solve(Bmat, b[row_idx])
+        for i, j in enumerate(basis):
+            y[j] = xb[i]
+    except np.linalg.LinAlgError:
+        for i, j in enumerate(basis):
+            y[j] = T[i, -1]
+    x = y[:n] + lo
+    viol = max_violation(lp, x)
+    if viol > 1e-6:
+        raise SimplexError(f"recovered solution violates constraints by {viol:.3e}")
+    return LpSolution(
+        "optimal", x, float(lp.objective @ x), basis=tuple(basis), pivots=total_pivots
+    )
+
+
+def _relaxation_lps():
+    """Max, min (p=1), colorfair (p=inf) and protected LPs of mixed batches."""
+    batch = instance_batch(81, 8, k_hi=5) + instance_batch(82, 8, k_hi=5, unit_weights=False)
+    assert any(h.color_count >= 4 for h in batch)
+    lps = []
+    for h in batch:
+        lps += [build_max_lp(h)[0], build_pmean_program(h, 1)[0], build_pmean_program(h, math.inf)[0]]
+        mass = sum(h.edges[e].weight for e in h.color_classes[-1])
+        lps += [build_protected_lp(h, 1, 0.0)[0], build_protected_lp(h, h.color_count, mass / 2)[0]]
+    return lps
+
+
+def _cutting_plane_masters():
+    """Every master LP of p=2 and Lovász (p=1/2) cutting-plane solves."""
+    masters = []
+
+    def record(lp):
+        masters.append(lp)
+        return ec.solve_lp(lp)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(relaxations, "solve_lp", record)
+        for h in (ec.parse_instance(SLOW_P2), ec.triangle_gadget(), *instance_batch(83, 3, unit_weights=False)):
+            ec.solve_pmean_relaxation(h, 2.0)
+        ec.minimize_lovasz(ec.parse_instance(SLOW_P2), 0.5)
+    return masters
+
+
+def _n50_max_lp():
+    rng = random.Random(50)
+    h = random_instance(rng, n_lo=50, n_hi=50, k_lo=3, k_hi=3, m_lo=100, m_hi=100)
+    return [build_max_lp(h)[0]]
+
+
+def _random_programs():
+    rng = random.Random(20240229)
+    return [_random_program(rng) for _ in range(40)]
+
+
+EQUIVALENCE_CORPUS = {
+    "hand-written": lambda: list(HAND_WRITTEN),
+    "random-programs": _random_programs,
+    "relaxations": _relaxation_lps,
+    "cutting-plane-masters": _cutting_plane_masters,
+    "max-lp-n50": _n50_max_lp,
+}
+
+
+@pytest.mark.parametrize("corpus", sorted(EQUIVALENCE_CORPUS))
+def test_solve_lp_matches_dense_reference_bit_for_bit(corpus):
+    lps = EQUIVALENCE_CORPUS[corpus]()
+    assert lps
+    statuses = set()
+    for lp in lps:
+        got, want = ec.solve_lp(lp), _reference_solve_lp(lp)
+        statuses.add(want.status)
+        assert got.status == want.status
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.objective_value == want.objective_value or (
+            math.isnan(got.objective_value) and math.isnan(want.objective_value)
+        )
+        assert got.basis == want.basis
+        assert type(got.pivots) is int and got.pivots == want.pivots
+    if corpus in ("hand-written", "random-programs"):
+        assert statuses == {"optimal", "infeasible"}

@@ -131,6 +131,17 @@ def test_pmean_relaxation_reports_convergence():
         assert ec.solve_pmean_relaxation(h, p, max_iters=1).converged is True
 
 
+def test_distance_solutions_are_clipped_into_the_unit_box():
+    # the p = 1.5 master LP returns d and gamma entries of -3.5e-16 here
+    h = instance_batch(62, 18, n_hi=6, k_hi=3, m_hi=8, unit_weights=False)[8]
+    frac = ec.solve_pmean_relaxation(h, 1.5)
+    assert frac.node_color.min() >= 0.0 and frac.edge_value.min() >= 0.0
+    assert np.all(np.isfinite(ec.color_mass(h, frac.edge_value) ** 1.5))
+    for frac in (ec.solve_pmean_relaxation(h, 1.0), ec.solve_protected_relaxation(h, 1, 1.0)):
+        for values in (frac.node_color, frac.edge_value):
+            assert values.min() >= 0.0 and values.max() <= 1.0
+
+
 def test_structural_invariants_on_random_solves():
     kinds = 0
     for i, h in enumerate(instance_batch(54, 12)):
