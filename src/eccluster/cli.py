@@ -384,8 +384,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         else:
             text, code = _run_bench(args)
         _emit(text, args.output)
-    except (ValueError, RuntimeError) as exc:
-        # usage, parse and solver errors alike: one line, no traceback
+    except (ValueError, RuntimeError, OverflowError) as exc:
+        # usage, parse and solver errors alike, and float powers that
+        # overflow (a p-mean objective at an extreme p): one line, no traceback
         print(f"ecc: error: {exc}", file=sys.stderr)
         return 1
     return code

@@ -1,5 +1,7 @@
 """Linear programming on a column-sparse simplex tableau.
 
+An LP is one constraint matrix: ``A`` (rows x variables), a sense per row
+(LE, GE or EQ) and a right-hand side vector, plus box bounds per variable.
 The solver is a small two-phase primal simplex with Bland's anti-cycling
 rule (lowest entering column, lowest-index leaving variable on ratio ties).
 Bounds become explicit rows, and the final basis is re-solved against the
@@ -14,7 +16,7 @@ tableau, and identical inputs always produce identical outputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -48,59 +50,53 @@ class SimplexError(RuntimeError):
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """min or max of c.x subject to rows A_i.x {<=,>=,=} b_i and box bounds.
+    """min or max of c.x subject to A x {<=,>=,=} rhs, row by row, and box bounds.
 
-    ``rows`` is a tuple of (coefficient vector, relation, rhs).  Bounds default
-    to [0, 1] per variable and must be finite with lo <= hi.
+    ``A`` is rows x variables, ``senses`` holds LE, GE or EQ per row and
+    ``rhs`` one right-hand side per row.  ``bounds`` is an (n, 2) array of
+    (lo, hi) pairs, [0, 1] per variable by default.  Every number must be
+    finite, with lo <= hi, and every array is stored as a read-only copy.
     """
 
-    variable_count: int
     objective: np.ndarray
+    A: np.ndarray
+    senses: np.ndarray
+    rhs: np.ndarray
+    bounds: Optional[np.ndarray] = None
     maximize: bool = False
-    rows: tuple[tuple[np.ndarray, str, float], ...] = ()
-    bounds: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self) -> None:
-        n = self.variable_count
+        n = np.size(self.objective)
         if n < 1:
             raise ValueError("need at least one variable")
-        obj = np.array(self.objective, dtype=float)
-        if obj.shape != (n,) or not np.all(np.isfinite(obj)):
-            raise ValueError("objective must be a finite length-n vector")
-        obj.flags.writeable = False
-        object.__setattr__(self, "objective", obj)
-        rows = []
-        for coeffs, rel, rhs in self.rows:
-            vec = np.asarray(coeffs, dtype=float)
-            if vec.shape != (n,) or not np.all(np.isfinite(vec)):
-                raise ValueError("row coefficients must be finite length-n vectors")
-            if rel not in (LE, GE, EQ):
-                raise ValueError(f"unknown relation {rel!r}")
-            if not np.isfinite(rhs):
-                raise ValueError("row rhs must be finite")
-            if vec.flags.writeable:
-                vec = vec.copy()
-                vec.flags.writeable = False
-            rows.append((vec, rel, float(rhs)))
-        object.__setattr__(self, "rows", tuple(rows))
-        bounds = self.bounds if self.bounds else tuple((0.0, 1.0) for _ in range(n))
-        bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
-        if len(bounds) != n:
-            raise ValueError("need one (lo, hi) pair per variable")
-        for lo, hi in bounds:
-            if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
-                raise ValueError(f"bounds must be finite with lo <= hi, got ({lo}, {hi})")
-        object.__setattr__(self, "bounds", bounds)
+        A = np.asarray(self.A, dtype=float)  # copied below
+        rows = A.shape[0] if A.ndim == 2 else -1
+        bounds = np.tile([0.0, 1.0], (n, 1)) if self.bounds is None else self.bounds
+        for name, values, shape in (
+            ("objective", self.objective, (n,)),
+            ("A", A, (rows, n)),
+            ("rhs", self.rhs, (rows,)),
+            ("bounds", bounds, (n, 2)),
+        ):
+            arr = np.array(values, dtype=float)
+            if arr.shape != shape or not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must be finite with shape {shape}, got shape {arr.shape}")
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        if np.any(self.bounds[:, 0] > self.bounds[:, 1]):
+            raise ValueError("bounds must have lo <= hi")
+        senses = np.array(self.senses, dtype=str)
+        if senses.shape != (rows,):
+            raise ValueError(f"need one sense per row of A, got shape {senses.shape}")
+        unknown = set(senses.tolist()) - {LE, GE, EQ}
+        if unknown:
+            raise ValueError(f"unknown relation {min(unknown)!r}")
+        senses.flags.writeable = False
+        object.__setattr__(self, "senses", senses)
 
-    def with_objective(self, objective: Sequence[float], maximize: bool = False) -> "LinearProgram":
-        """Same feasible region under a different objective (rows are shared)."""
-        return LinearProgram(
-            variable_count=self.variable_count,
-            objective=np.asarray(objective, dtype=float),
-            maximize=maximize,
-            rows=self.rows,
-            bounds=self.bounds,
-        )
+    @property
+    def variable_count(self) -> int:
+        return self.objective.size
 
 
 @dataclass(frozen=True)
@@ -114,18 +110,10 @@ class LpSolution:
 
 def max_violation(lp: LinearProgram, x: np.ndarray) -> float:
     """Largest constraint or bound violation of ``x`` (0 means feasible)."""
-    worst = 0.0
-    for (lo, hi), xi in zip(lp.bounds, x):
-        worst = max(worst, lo - xi, xi - hi)
-    for coeffs, rel, rhs in lp.rows:
-        lhs = float(coeffs @ x)
-        if rel == LE:
-            worst = max(worst, lhs - rhs)
-        elif rel == GE:
-            worst = max(worst, rhs - lhs)
-        else:
-            worst = max(worst, abs(lhs - rhs))
-    return worst
+    lo, hi = lp.bounds.T
+    gap = lp.A @ x - lp.rhs
+    row = np.where(lp.senses == LE, gap, np.where(lp.senses == GE, -gap, np.abs(gap)))
+    return float(max(0.0, np.max(lo - x), np.max(x - hi), row.max(initial=0.0)))
 
 
 def _pivot(T: np.ndarray, obj: np.ndarray, basis: np.ndarray, pr: int, pc: int) -> None:
@@ -182,61 +170,42 @@ def _run_simplex(T: np.ndarray, obj: np.ndarray, basis: np.ndarray, cap: int) ->
 def solve_lp(lp: LinearProgram) -> LpSolution:
     """Two-phase primal simplex with Bland's rule; deterministic for fixed input."""
     n = lp.variable_count
-    lo = np.array([bd[0] for bd in lp.bounds])
-    hi = np.array([bd[1] for bd in lp.bounds])
+    lo, hi = lp.bounds.T
     sign = -1.0 if lp.maximize else 1.0
     c_min = sign * lp.objective
 
-    # Standard form over y = x - lo >= 0; upper bounds become explicit rows.
-    A_rows: list[np.ndarray] = []
-    b_vals: list[float] = []
-    rels: list[str] = []
-    for coeffs, rel, rhs in lp.rows:
-        A_rows.append(np.asarray(coeffs, dtype=float))
-        b_vals.append(rhs - float(coeffs @ lo))
-        rels.append(rel)
-    eye = np.eye(n)
-    for j in range(n):
-        A_rows.append(eye[j])
-        b_vals.append(hi[j] - lo[j])
-        rels.append(LE)
+    # Standard form over y = x - lo >= 0; upper bounds become explicit rows,
+    # and rows with a negative rhs are negated, which swaps LE and GE.
+    b = np.concatenate([lp.rhs - lp.A @ lo, hi - lo])
+    flip = b < 0
+    b[flip] *= -1.0
+    le = np.concatenate([lp.senses == LE, np.ones(n, dtype=bool)])
+    ge = np.concatenate([lp.senses == GE, np.zeros(n, dtype=bool)])
+    le, ge = np.where(flip, ge, le), np.where(flip, le, ge)
 
-    R = len(A_rows)
-    A = np.array(A_rows)
-    b = np.array(b_vals)
-    for i in range(R):
-        if b[i] < 0:
-            A[i] *= -1.0
-            b[i] *= -1.0
-            rels[i] = {LE: GE, GE: LE, EQ: EQ}[rels[i]]
-
-    slack_col_of_row: dict[int, int] = {}
-    art_col_of_row: dict[int, int] = {}
-    next_col = n
-    for i in range(R):
-        if rels[i] != EQ:
-            slack_col_of_row[i] = next_col
-            next_col += 1
-    n_real = next_col  # structural + slack columns, the phase-2 world
-    for i in range(R):
-        if rels[i] != LE:
-            art_col_of_row[i] = next_col
-            next_col += 1
-    ncols = next_col
+    # Slack columns follow the structural ones in row order, then artificials.
+    R = b.size
+    slack_rows = (le | ge).nonzero()[0]
+    art_rows = (~le).nonzero()[0]
+    n_real = n + slack_rows.size  # structural + slack columns, the phase-2 world
+    ncols = n_real + art_rows.size
+    slack_cols = n + np.arange(slack_rows.size)
+    art_cols = n_real + np.arange(art_rows.size)
 
     full = np.zeros((R, ncols + 1))
-    full[:, :n] = A
+    full[:, :n] = np.vstack([lp.A, np.eye(n)])
+    full[flip, :n] *= -1.0
     full[:, -1] = b
-    for i, col in slack_col_of_row.items():
-        full[i, col] = 1.0 if rels[i] == LE else -1.0
-    for i, col in art_col_of_row.items():
-        full[i, col] = 1.0
+    full[slack_rows, slack_cols] = np.where(le[slack_rows], 1.0, -1.0)
+    full[art_rows, art_cols] = 1.0
 
     cap = 10_000 + 50 * (R + ncols)
     total_pivots = 0
 
     # Phase 1: basis of slacks and artificials, minimize the artificial mass.
-    basis = np.array([art_col_of_row.get(i, slack_col_of_row.get(i)) for i in range(R)])
+    basis = np.empty(R, dtype=int)
+    basis[slack_rows] = slack_cols
+    basis[art_rows] = art_cols
     T = full.copy(order="F")
     c1 = np.zeros(ncols + 1)
     c1[n_real:ncols] = 1.0

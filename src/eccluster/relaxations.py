@@ -4,8 +4,9 @@ Two variable orientations appear throughout.  The assignment orientation
 carries x_v^c (how much node v leans toward color c, summing to 1 per node)
 and per-edge satisfaction caps z_e.  The distance orientation carries the
 complementary d_v^c = 1 - x_v^c and per-edge violation levels gamma_e = 1 -
-z_e.  Builders translate an instance into a LinearProgram and solvers map
-the optimum back onto the hypergraph.
+z_e.  Builders translate an instance into a LinearProgram, one constraint
+matrix filled by index arrays with a sense and a rhs per row, and solvers
+map the optimum back onto the hypergraph.
 
 The convex objectives (the p-norm for 1 < p < inf, the Lovász extension for
 0 < p < 1) go through one cutting-plane loop (Kelley, J. SIAM 8(4), 1960).
@@ -108,17 +109,17 @@ def fallback_colors(frac: FractionalSolution) -> tuple[int, ...]:
 
 def color_mass(h: EdgeColoredHypergraph, gamma: np.ndarray) -> np.ndarray:
     """Per-color weighted violation mass, entry c-1 = sum of w_e*gamma_e over E_c."""
-    out = np.zeros(h.color_count)
-    for e, edge in enumerate(h.edges):
-        out[edge.color - 1] += edge.weight * float(gamma[e])
-    return out
+    colors, weights = _edge_arrays(h)
+    return np.bincount(colors, weights * np.asarray(gamma, dtype=float), minlength=h.color_count)
 
 
 def build_max_lp(h: EdgeColoredHypergraph) -> tuple[LinearProgram, VariableLayout]:
-    """maximize sum_e w_e z_e with sum_c x_v^c = 1 and x_v^c >= z_e for v in e."""
-    rows, lay, n_vars = _region(h, EQ, 1.0, GE)
-    lp = LinearProgram(n_vars, _weight_objective(h, n_vars, lay), maximize=True, rows=tuple(rows))
-    return lp, lay
+    """maximize sum_e w_e z_e with sum_c x_v^c = 1 and x_v^c >= z_e for v in e.
+
+    ``A`` holds one row per node, then one per incidence in edge order.
+    """
+    region, lay = _region(h, EQ, 1.0, GE)
+    return LinearProgram(_weight_objective(h, lay), *region, maximize=True), lay
 
 
 def solve_max_relaxation(h: EdgeColoredHypergraph) -> FractionalSolution:
@@ -139,113 +140,106 @@ def solve_max_relaxation(h: EdgeColoredHypergraph) -> FractionalSolution:
 
 def _region(
     h: EdgeColoredHypergraph, node_sense: str, node_rhs: float, edge_sense: str, extra: int = 0
-) -> tuple[list, VariableLayout, int]:
-    """One mass row per node over its colors, then one row per incidence
-    comparing node v's entry for the edge's color with the edge's value."""
+) -> tuple[tuple, VariableLayout]:
+    """(A, senses, rhs) of one mass row per node over its colors, then one row
+    per incidence, in edge order, comparing node v's entry for the edge's
+    color with the edge's value."""
     lay = VariableLayout(h.node_count, h.color_count, h.edge_count, extra=extra)
-    n_vars = lay.total
-    rows = []
-    for v in range(1, h.node_count + 1):
-        vec = np.zeros(n_vars)
-        for c in range(1, h.color_count + 1):
-            vec[lay.node_color_col(v, c)] = 1.0
-        rows.append((vec, node_sense, node_rhs))
-    for e, edge in enumerate(h.edges):
-        for v in edge.nodes:
-            vec = np.zeros(n_vars)
-            vec[lay.node_color_col(v, edge.color)] = 1.0
-            vec[lay.edge_col(e)] = -1.0
-            rows.append((vec, edge_sense, 0.0))
-    return rows, lay, n_vars
+    n, k = h.node_count, h.color_count
+    inc_node = np.array([v for edge in h.edges for v in edge.nodes], dtype=np.intp)
+    inc_edge = np.repeat(np.arange(h.edge_count), [len(edge.nodes) for edge in h.edges])
+    A = np.zeros((n + inc_node.size, lay.total))
+    A[np.arange(n).repeat(k), np.arange(n * k)] = 1.0
+    inc_rows = n + np.arange(inc_node.size)
+    A[inc_rows, lay.node_color_col(inc_node, _edge_arrays(h)[0][inc_edge] + 1)] = 1.0
+    A[inc_rows, lay.edge_col(inc_edge)] = -1.0
+    senses = np.repeat([node_sense, edge_sense], [n, inc_node.size])
+    rhs = np.repeat([node_rhs, 0.0], [n, inc_node.size])
+    return (A, senses, rhs), lay
 
 
-def _distance_region(
-    h: EdgeColoredHypergraph, extra: int = 0
-) -> tuple[list, VariableLayout, int]:
+def _distance_region(h: EdgeColoredHypergraph, extra: int = 0) -> tuple[tuple, VariableLayout]:
     """Shared rows: sum_c d_v^c >= k-1 per node; d_v^c <= gamma_e per incidence."""
     return _region(h, GE, float(h.color_count - 1), LE, extra)
 
 
-def _weight_objective(h: EdgeColoredHypergraph, n_vars: int, lay: VariableLayout) -> np.ndarray:
-    obj = np.zeros(n_vars)
-    for e, edge in enumerate(h.edges):
-        obj[lay.edge_col(e)] = edge.weight
+def _edge_arrays(h: EdgeColoredHypergraph) -> tuple[np.ndarray, np.ndarray]:
+    """0-based color and weight of every edge, in edge order."""
+    colors = np.array([edge.color - 1 for edge in h.edges], dtype=np.intp)
+    return colors, np.array([edge.weight for edge in h.edges], dtype=float)
+
+
+def _weight_objective(h: EdgeColoredHypergraph, lay: VariableLayout) -> np.ndarray:
+    obj = np.zeros(lay.total)
+    obj[lay.edge_col(np.arange(h.edge_count))] = _edge_arrays(h)[1]
     return obj
 
 
 def build_pmean_program(h: EdgeColoredHypergraph, p: float):
     """Relaxation of the p-mean objective over the distance region.
 
-    p = 1 returns a plain LinearProgram (total mass).  p = inf returns the
-    cutting-plane master with one cut per color, t >= that color's mass, so
-    its optimum is the relaxation optimum.  1 < p < inf returns (master, layout,
-    cut): the master carries one cut, at gamma = 1, and ``cut`` maps a point
-    to (sum_c m_c^p)^(1/p) and that norm's gradient, which is the next cut.
-    p < 1 is rejected here; that case goes through the Lovász machinery
-    instead.
+    ``A`` holds one row per node, then one per incidence in edge order, then
+    a master's cut rows.  p = 1 returns a plain LinearProgram (total mass).
+    p = inf returns the cutting-plane master with one cut per color, t >=
+    that color's mass, so its optimum is the relaxation optimum.  1 < p < inf
+    returns (master, layout, cut): the master carries one cut, at gamma = 1,
+    and ``cut`` maps a point to (sum_c m_c^p)^(1/p) and that norm's
+    gradient, which is the next cut.  p < 1 is rejected here; that case goes
+    through the Lovász machinery instead.
     """
     if p < 1:
         raise ValueError("p < 1 is handled by the Lovász path, not this builder")
     if p == 1:
-        rows, lay, n_vars = _distance_region(h)
-        lp = LinearProgram(n_vars, _weight_objective(h, n_vars, lay), rows=tuple(rows))
-        return lp, lay
-    rows, lay, n_vars = _distance_region(h, extra=1)
-    masses = _class_masses(h)
+        region, lay = _distance_region(h)
+        return LinearProgram(_weight_objective(h, lay), *region), lay
+    region, lay = _distance_region(h, extra=1)
+    colors, weights = _edge_arrays(h)
+    masses = color_mass(h, np.ones(h.edge_count)).tolist()  # at gamma = 1
     if math.isinf(p):
-        cuts = []
-        for cls in h.color_classes:
-            vec = np.zeros(n_vars)
-            for e in cls:
-                vec[lay.edge_col(e)] = h.edges[e].weight
-            cuts.append(vec)
-        return _master(rows, n_vars, cuts, max(masses, default=0.0)), lay
+        cuts = np.zeros((h.color_count, lay.total))
+        cuts[colors, lay.edge_col(np.arange(h.edge_count))] = weights
+        return _master(region, cuts, max(masses, default=0.0)), lay
 
-    weights = np.array([edge.weight for edge in h.edges])
-    colors = np.array([edge.color - 1 for edge in h.edges], dtype=np.intp)
-    gamma_lo = lay.edge_col(0)
-    gammas = slice(gamma_lo, gamma_lo + h.edge_count)
+    gammas = lay.edge_col(np.arange(h.edge_count))
 
     def cut(point: np.ndarray) -> tuple[float, np.ndarray]:
         m = np.zeros(h.color_count)
         np.add.at(m, colors, weights * point[gammas])
         np.clip(m, 0.0, None, out=m)
         norm = float(np.sum(m**p)) ** (1.0 / p)
-        grad = np.zeros(n_vars)
+        grad = np.zeros(lay.total)
         if norm > 0.0:
             grad[gammas] = weights * (m[colors] / norm) ** (p - 1.0)
         return norm, grad
 
-    ones = np.zeros(n_vars)
+    ones = np.zeros(lay.total)
     ones[gammas] = 1.0
     t_cap = sum(mass**p for mass in masses) ** (1.0 / p)
-    return _master(rows, n_vars, [cut(ones)[1]], t_cap), lay, cut
+    return _master(region, cut(ones)[1], t_cap), lay, cut
 
 
-def _class_masses(h: EdgeColoredHypergraph) -> list[float]:
-    """Total weight of each color class, the per-color masses at gamma = 1."""
-    return [sum(h.edges[e].weight for e in cls) for cls in h.color_classes]
+def _add_cuts(master: LinearProgram, cuts: np.ndarray) -> LinearProgram:
+    """``master`` plus one row <a, x> - t <= 0 per row a of ``cuts``, t in the last column."""
+    cuts = np.array(cuts, dtype=float, ndmin=2)
+    cuts[:, -1] = -1.0
+    senses = np.append(master.senses, [LE] * len(cuts))
+    rhs = np.append(master.rhs, np.zeros(len(cuts)))
+    return LinearProgram(master.objective, np.vstack([master.A, cuts]), senses, rhs, master.bounds)
 
 
-def _cut_row(grad: np.ndarray) -> tuple[np.ndarray, str, float]:
-    """The row <grad, x> - t <= 0, with t in the last column."""
-    vec = np.array(grad, dtype=float)
-    vec[-1] = -1.0
-    return vec, LE, 0.0
-
-
-def _master(rows: list, n_vars: int, cuts: list[np.ndarray], t_cap: float) -> LinearProgram:
-    """min t over ``rows`` plus one row <a, x> - t <= 0 per cut a.
+def _master(region: tuple, cuts: np.ndarray, t_cap: float) -> LinearProgram:
+    """min t over ``region`` plus one row <a, x> - t <= 0 per cut a.
 
     t is the last column, boxed in [0, max(t_cap, 1)]; every other column
     in [0, 1].  ``t_cap`` must be at least the minimum of the function the
     cuts support, its value at gamma = 1 for the monotone functions here.
     """
+    n_vars = region[0].shape[1]
     obj = np.zeros(n_vars)
     obj[-1] = 1.0
-    bounds = tuple([(0.0, 1.0)] * (n_vars - 1) + [(0.0, max(t_cap, 1.0))])
-    rows = tuple(rows) + tuple(_cut_row(a) for a in cuts)
-    return LinearProgram(n_vars, obj, rows=rows, bounds=bounds)
+    bounds = np.tile([0.0, 1.0], (n_vars, 1))
+    bounds[-1, 1] = max(t_cap, 1.0)
+    return _add_cuts(LinearProgram(obj, *region, bounds=bounds), cuts)
 
 
 @dataclass(frozen=True)
@@ -286,7 +280,7 @@ def _kelley(
             best_value, best_point = value, sol.values
         if best_value - lower <= tol * max(best_value, 1.0):
             return _Cuts(best_point, lower, True)
-        master = replace(master, rows=master.rows + (_cut_row(grad),))
+        master = _add_cuts(master, grad)
     return _Cuts(best_point, lower, False)
 
 
@@ -298,9 +292,7 @@ def _distance_point(
     the simplex can return entries a few ulps outside their bounds, and a
     negative gamma makes ``color_mass(h, gamma) ** p`` NaN."""
     d, gamma = lay.split(values)
-    k = h.color_count
-    sums = d.sum(axis=1)
-    if np.any(sums < k - 1 - tol):
+    if np.any(d.sum(axis=1) < h.color_count - 1 - tol):
         raise RuntimeError("distance mass per node fell below k - 1")
     for e, edge in enumerate(h.edges):
         for v in edge.nodes:
@@ -309,8 +301,7 @@ def _distance_point(
     below_half = (d < 0.5 - tol).sum(axis=1)
     if np.any(below_half > 1):
         raise RuntimeError("two colors closer than 1/2 at one node")
-    cg = build_conflict_graph(h)
-    for a, b in cg.adjacency:
+    for a, b in build_conflict_graph(h).adjacency:
         if gamma[a] + gamma[b] < 1.0 - tol:
             raise RuntimeError(f"conflicting edges {a}, {b} violate the pair cover")
     return np.clip(d, 0.0, 1.0), np.clip(gamma, 0.0, 1.0)
@@ -347,18 +338,19 @@ def solve_pmean_relaxation(
 def build_protected_lp(
     h: EdgeColoredHypergraph, protected_color: int, budget: float
 ) -> tuple[LinearProgram, VariableLayout]:
-    """min sum w_e gamma_e over the distance region, protected mass capped at b."""
+    """min sum w_e gamma_e over the distance region, protected mass capped at b.
+
+    ``A`` holds the distance region's rows, then the budget row.
+    """
     if not 1 <= protected_color <= h.color_count:
         raise ValueError(f"protected color {protected_color} out of range")
     if not budget >= 0:
         raise ValueError("budget must be >= 0")
-    rows, lay, n_vars = _distance_region(h)
-    vec = np.zeros(n_vars)
-    for e in h.color_classes[protected_color - 1]:
-        vec[lay.edge_col(e)] = h.edges[e].weight
-    rows.append((vec, LE, float(budget)))
-    lp = LinearProgram(n_vars, _weight_objective(h, n_vars, lay), rows=tuple(rows))
-    return lp, lay
+    (A, senses, rhs), lay = _distance_region(h)
+    budget_row = _weight_objective(h, lay)
+    budget_row[lay.edge_col(np.flatnonzero(_edge_arrays(h)[0] != protected_color - 1))] = 0.0
+    region = (np.vstack([A, budget_row]), np.append(senses, LE), np.append(rhs, float(budget)))
+    return LinearProgram(_weight_objective(h, lay), *region), lay
 
 
 def solve_protected_relaxation(
@@ -440,17 +432,16 @@ def _lovasz_cuts(
     if not 0.0 < p < 1.0:
         raise ValueError("the extension path requires 0 < p < 1")
     m = h.edge_count
-    rows = []
-    for a, b in sorted(build_conflict_graph(h).adjacency):
-        vec = np.zeros(m + 1)
-        vec[a] = vec[b] = 1.0
-        rows.append((vec, GE, 1.0))
+    pairs = np.array(sorted(build_conflict_graph(h).adjacency), dtype=np.intp).reshape(-1, 2)
+    A = np.zeros((len(pairs), m + 1))
+    A[np.arange(len(pairs))[:, None], pairs] = 1.0
+    region = (A, np.full(len(pairs), GE), np.ones(len(pairs)))
 
     def cut(point: np.ndarray) -> tuple[float, np.ndarray]:
         value, subgrad = lovasz_extension(h, p, point[:m])
         return value, np.append(subgrad, 0.0)
 
-    t_cap = sum(mass**p for mass in _class_masses(h))
-    master = _master(rows, m + 1, [cut(np.full(m + 1, 0.5))[1]], t_cap)
+    t_cap = sum(mass**p for mass in color_mass(h, np.ones(m)).tolist())
+    master = _master(region, cut(np.full(m + 1, 0.5))[1], t_cap)
     result = _kelley(master, cut, (params or LovaszParams()).iterations, _GAP_TOL)
     return replace(result, point=result.point[:m])

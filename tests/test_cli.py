@@ -128,6 +128,18 @@ def test_solver_errors_exit_one_without_traceback(tmp_path):
     assert proc.stderr == "ecc: error: 129140163 colorings exceed the enumeration cap of 16777216\n"
 
 
+@pytest.mark.parametrize("alg", ["brute", "lp-round"])
+def test_pmean_overflow_exits_one_without_traceback(tmp_path, alg):
+    # at p = 2000 any color error or class mass of 2 or more overflows a float power
+    path = tmp_path / "heavy.ecc"
+    path.write_text("3 3 2\n1 2 2 1 2\n2 2 2 2 3\n1 2 2 1 3\n", encoding="utf-8")
+    proc = run_cli("solve", "--problem", "pmean", "--p", "2000", "--alg", alg, "--input", str(path))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("ecc: error: ")
+    assert proc.stderr.count("\n") == 1
+
+
 def test_solve_pmean_lp_round_on_edgeless_instance(tmp_path):
     path = tmp_path / "empty.ecc"
     path.write_text("4 0 3\n", encoding="utf-8")

@@ -16,16 +16,12 @@ from eccluster.relaxations import build_max_lp, build_pmean_program, build_prote
 from conftest import SLOW_P2, instance_batch, random_instance
 
 
-def _lp(objective, rows, maximize=False, bounds=None, n=None):
-    objective = np.asarray(objective, dtype=float)
-    n = len(objective) if n is None else n
-    return ec.LinearProgram(
-        n,
-        objective,
-        maximize=maximize,
-        rows=tuple((np.asarray(vec, dtype=float), rel, float(rhs)) for vec, rel, rhs in rows),
-        bounds=tuple(bounds) if bounds is not None else tuple([(0.0, 1.0)] * n),
-    )
+def _lp(objective, rows, maximize=False, bounds=None):
+    """LinearProgram from (coefficients, relation, rhs) rows."""
+    A = [vec for vec, _, _ in rows] if rows else np.zeros((0, len(objective)))
+    senses = [rel for _, rel, _ in rows]
+    rhs = [rhs for _, _, rhs in rows]
+    return ec.LinearProgram(objective, A, senses, rhs, bounds=bounds, maximize=maximize)
 
 
 BOX = _lp([1.0, 2.0], [([1.0, 1.0], ec.LE, 1.5)], maximize=True)
@@ -100,16 +96,47 @@ def test_program_validation():
     with pytest.raises(ValueError):
         _lp([1.0], [([1.0], "??", 1.0)])
     with pytest.raises(ValueError):
-        ec.LinearProgram(1, np.array([1.0]), rows=(), bounds=((1.0, 0.0),))
+        _lp([1.0], [], bounds=[(1.0, 0.0)])
+    A = np.array([[1.0, 2.0], [0.0, 1.0]])
+    good = dict(objective=[1.0, 1.0], A=A, senses=[ec.LE, ec.GE], rhs=[1.0, 0.0])
+    lp = ec.LinearProgram(**good)
+    assert lp.variable_count == 2
+    assert lp.bounds.tolist() == [[0.0, 1.0], [0.0, 1.0]]
+    for bad in (
+        dict(senses=[ec.LE]),
+        dict(senses=[ec.LE, ec.GE, ec.EQ]),
+        dict(senses=[ec.LE, "<"]),
+        dict(rhs=[1.0]),
+        dict(rhs=[1.0, 0.0, 2.0]),
+        dict(rhs=[1.0, math.nan]),
+        dict(A=np.array([[1.0, math.nan], [0.0, 1.0]])),
+        dict(A=np.ones(2)),
+        dict(objective=[1.0, math.inf]),
+        dict(objective=[]),
+        dict(bounds=[(0.0, 1.0)]),
+        dict(bounds=[0.0, 1.0]),
+        dict(bounds=[(0.0, 1.0, 2.0), (0.0, 1.0, 2.0)]),
+        dict(bounds=[(0.0, math.inf), (0.0, 1.0)]),
+    ):
+        with pytest.raises(ValueError):
+            ec.LinearProgram(**(good | bad))
+    # Stored arrays are read-only copies: neither the caller's arrays nor
+    # writes through the program can change it.
+    A[0, 0] = 5.0
+    assert lp.A[0, 0] == 1.0
+    for arr in (lp.objective, lp.A, lp.senses, lp.rhs, lp.bounds):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = arr[0]
 
 
 def _enumerate_vertices(lp):
     """All basic feasible points of {rows, box}: an independent optimum oracle."""
     n = lp.variable_count
-    eq_rows = [(np.asarray(vec), rhs) for vec, rel, rhs in lp.rows if rel == ec.EQ]
+    rows = list(zip(lp.A, lp.senses, lp.rhs))
+    eq_rows = [(vec, rhs) for vec, rel, rhs in rows if rel == ec.EQ]
     ineq_rows = []
-    for vec, rel, rhs in lp.rows:
-        vec = np.asarray(vec, dtype=float)
+    for vec, rel, rhs in rows:
         if rel == ec.LE:
             ineq_rows.append((vec, rhs))
         elif rel == ec.GE:
@@ -181,17 +208,6 @@ def test_random_programs_match_vertex_enumeration():
     assert infeasible >= 2
 
 
-def test_objective_swap_keeps_region():
-    lp = _lp([1.0, 0.0], [([1.0, 1.0], ec.LE, 1.0)], maximize=True)
-    swapped = lp.with_objective(np.array([0.0, 1.0]), maximize=True)
-    assert swapped.maximize
-    assert len(swapped.rows) == len(lp.rows)
-    assert np.array_equal(swapped.rows[0][0], lp.rows[0][0])
-    assert ec.solve_lp(swapped).objective_value == pytest.approx(1.0)
-    # default orientation is minimize
-    assert not lp.with_objective(np.array([0.0, 1.0])).maximize
-
-
 # The solver before its pivots were restricted to the nonzero columns of the
 # pivot row: a full rank-1 update per pivot and Python loops for Bland's rule,
 # constants and all.  Frozen here as the reference ``solve_lp`` must match bit
@@ -254,7 +270,7 @@ def _reference_solve_lp(lp):
     c_min = sign * lp.objective
 
     A_rows, b_vals, rels = [], [], []
-    for coeffs, rel, rhs in lp.rows:
+    for coeffs, rel, rhs in zip(lp.A, lp.senses, lp.rhs):
         A_rows.append(np.asarray(coeffs, dtype=float))
         b_vals.append(rhs - float(coeffs @ lo))
         rels.append(rel)
