@@ -3,15 +3,18 @@
 These need no linear algebra.  The matching pass gives a linear-time factor-k
 approximation for the min-max color objective; the branching searches decide
 budgeted feasibility questions exactly in time exponential only in the
-budget; brute force enumerates all colorings and is the ground truth at desk
-scale.  It walks the colorings in ``itertools.product`` order in numpy blocks
-of ``_BLOCK`` states and scores each distinct per-color error vector of a
-block once with ``evaluate_errors``, so its values and tie-break are those of
-a one-coloring-at-a-time loop.
+budget, on bitmasks of the alive edges with an explicit stack and a memo of
+exhausted states; brute force enumerates all colorings and is the ground
+truth at desk scale.  It walks the colorings in ``itertools.product`` order
+in numpy blocks of k^L states that share all but the last L node colors, and
+scores each distinct per-color error vector of a block once with
+``evaluate_errors``, so its values and tie-break are those of a
+one-coloring-at-a-time loop.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Callable, Optional
 
@@ -24,12 +27,15 @@ from .hypergraph import (
     Problem,
     evaluate_errors,
     extend_coloring,
-    find_conflict,
 )
 
 _BRANCH_TOL = 1e-9
 _BRUTE_CAP = 1 << 24
 _BLOCK = 1 << 12
+#: The fpt memo stops growing at this many exhausted states, so its memory
+#: stays bounded (about 100 MB at a few hundred bytes per state) however long
+#: a search runs.
+_MEMO_CAP = 1 << 18
 
 
 def matching_approximation(
@@ -79,36 +85,69 @@ def _branch_search(
 ) -> Optional[Coloring]:
     """Coloring whose deleted weight keeps every account within its limit, or None.
 
-    Branches on the first conflict: one of its two edges must be deleted in
-    any feasible solution, and a deletion adds the edge's weight to each
-    account ``accounts(edge)`` names, so every root-leaf path keeps each
-    tally within its limit.
+    Branches on the first conflict, found by ``h.conflict_scan`` on per-node
+    bitmasks of the alive edges: one of its two edges must be deleted in any
+    feasible solution, and a deletion adds the edge's weight to each account
+    ``accounts(edge)`` names, so every root-leaf path keeps each tally within
+    its limit.  The depth-first search runs on an explicit stack, so the
+    interpreter's recursion limit does not bound its depth.  Every exhausted
+    child's deleted set (its sorted edge ids, the complement of its alive
+    set) is remembered, up to ``_MEMO_CAP`` of them, with the tallies it was
+    entered with; a later child with the same set and tallies no smaller in
+    every account is skipped.  The limit checks are monotone in the
+    tallies, so a skipped subtree holds no solution and the first feasible
+    leaf, hence the coloring, is the one a plain depth-first search finds.
     """
-    alive = set(range(h.edge_count))
+    weights = [e.weight for e in h.edges]
+    charged = [accounts(e) for e in h.edges]
+    bounds = [limit + _BRANCH_TOL for limit in limits]
     tallies = [0.0] * len(limits)
-
-    def search() -> Optional[Coloring]:
-        conflict = find_conflict(h, alive)
-        if conflict is None:
-            return extend_coloring(h, set(range(h.edge_count)) - alive)
-        _, e1, e2 = conflict
-        for e in (e1, e2):
-            w = h.edges[e].weight
-            charged = accounts(h.edges[e])
-            if any(tallies[a] + w > limits[a] + _BRANCH_TOL for a in charged):
-                continue
-            for a in charged:
-                tallies[a] += w
-            alive.discard(e)
-            found = search()
-            alive.add(e)
-            for a in charged:
+    scan = h.conflict_scan
+    masks = scan.masks(range(h.edge_count))
+    conflict = scan.first(masks)
+    if conflict is None:
+        return extend_coloring(h, ())
+    # The deleted edges of the current path, and per frame the conflict's two
+    # edges, the branches tried and the tallies the frame was entered with.
+    path: list[int] = []
+    stack = [[conflict[1:], 0, ()]]
+    exhausted: dict[tuple[int, ...], tuple[float, ...]] = {}
+    while stack:
+        frame = stack[-1]
+        pair, tried, entered = frame
+        if tried == 2:
+            stack.pop()
+            if stack:
+                if len(exhausted) < _MEMO_CAP:
+                    exhausted[tuple(sorted(path))] = entered
+                e = path.pop()
+                for a in charged[e]:
+                    tallies[a] -= weights[e]
+                for i, bit in scan.bits[e]:
+                    masks[i] ^= bit
+            continue
+        frame[1] = tried + 1
+        e = pair[tried]
+        w = weights[e]
+        if any(tallies[a] + w > bounds[a] for a in charged[e]):
+            continue
+        for a in charged[e]:
+            tallies[a] += w
+        path.append(e)
+        key = tuple(tallies)
+        seen = exhausted.get(tuple(sorted(path)))
+        if seen is not None and all(s <= t for s, t in zip(seen, key)):
+            path.pop()
+            for a in charged[e]:
                 tallies[a] -= w
-            if found is not None:
-                return found
-        return None
-
-    return search()
+            continue
+        for i, bit in scan.bits[e]:
+            masks[i] ^= bit
+        conflict = scan.first(masks)
+        if conflict is None:
+            return extend_coloring(h, path)
+        stack.append([conflict[1:], 0, key])
+    return None
 
 
 def fpt_colorfair(h: EdgeColoredHypergraph, tau: float) -> Optional[Coloring]:
@@ -146,10 +185,14 @@ def brute_force(
 
     Isolated nodes are pinned to color 1, so the search space is
     k^(non-isolated nodes) and is capped at 2^24 states.  States are visited
-    in ``itertools.product`` order (last populated node fastest), ``_BLOCK``
-    at a time: each block decodes its colorings from the state index, sums
-    the per-color errors edge by edge in file order (so every state gets the
-    float additions of a one-coloring-at-a-time loop), and calls
+    in ``itertools.product`` order (last populated node fastest) in aligned
+    blocks of k^L states, L the largest with k^L <= ``_BLOCK``: a block fixes
+    the colors of all but the last L populated nodes.  The colorings of those
+    L nodes, and each edge's weight where they leave it unsatisfied, are
+    computed once.  A block then sums the per-color errors edge by edge in
+    file order, adding the edge's weight when the block's fixed nodes already
+    leave it unsatisfied and its stored vector otherwise, so every state gets
+    the float additions of a one-coloring-at-a-time loop.  It calls
     ``evaluate_errors`` once per distinct error vector.  Ties keep the
     lexicographically smallest coloring.  For the protected problem the value
     is the least total unsatisfied weight among colorings whose protected
@@ -180,33 +223,44 @@ def brute_force(
         used.add(protected_idx)
     rows = sorted(used) or [0]
     row_of = {c: r for r, c in enumerate(rows)}
+
+    low = 0
+    while low < len(populated) and k ** (low + 1) <= _BLOCK:
+        low += 1
+    high = len(populated) - low
+    size = k**low
+    radix = k ** np.arange(low - 1, -1, -1)
+    low_colors = (np.arange(size) // radix[:, None] % k + 1).astype(np.min_scalar_type(k))
     slot = {v: i for i, v in enumerate(populated)}
-    edges = [
-        (row_of[e.color - 1], e.color, [slot[v] for v in e.nodes], e.weight) for e in h.edges
-    ]
-    # States fit in uint32 under the cap, and uint32 division is several times
-    # faster than int64.
-    radix = k ** np.arange(len(populated) - 1, -1, -1, dtype=np.uint32)
-    color_dtype = np.min_scalar_type(k)
+    # (row, color, slots among the high nodes, weight where the low nodes
+    # leave the edge unsatisfied or None when it has no low node, weight)
+    edges = []
+    for e in h.edges:
+        slots = [slot[v] for v in e.nodes]
+        low_slots = [i - high for i in slots if i >= high]
+        low_part = None
+        if low_slots:
+            low_part = np.where((low_colors[low_slots] != e.color).any(axis=0), e.weight, 0.0)
+        high_slots = [i for i in slots if i < high]
+        edges.append((row_of[e.color - 1], e.color, high_slots, low_part, e.weight))
 
     spread = [0.0] * k
     best_value: Optional[float] = None
-    best_colors: Optional[np.ndarray] = None
-    for first in range(0, states, _BLOCK):
-        index = np.arange(first, min(first + _BLOCK, states), dtype=np.uint32)
-        colors = (index // radix[:, None] % k + 1).astype(color_dtype)
-        errors = np.zeros((len(rows), len(index)))
-        for r, color, members, w in edges:
-            unsat = colors[members[0]] != color
-            for i in members[1:]:
-                unsat |= colors[i] != color
-            errors[r] += np.where(unsat, w, 0.0)
+    best_colors: list[int] = []
+    for digits in itertools.product(range(1, k + 1), repeat=high):
+        errors = np.zeros((len(rows), size))
+        for r, color, high_slots, low_part, w in edges:
+            if any(digits[i] != color for i in high_slots):
+                errors[r] += w
+            elif low_part is not None:  # else the edge is satisfied: adding 0.0 changes nothing
+                errors[r] += low_part
+        candidates = None
         if budget is not None:
             over = errors[row_of[protected_idx]] > budget + _BRANCH_TOL
-            feasible = np.flatnonzero(~over)
-            if feasible.size == 0:
+            candidates = np.flatnonzero(~over)
+            if candidates.size == 0:
                 continue
-            errors, colors = errors[:, feasible], colors[:, feasible]
+            errors = errors[:, candidates]
 
         order = np.lexsort(errors)
         ordered = errors[:, order]
@@ -228,11 +282,12 @@ def brute_force(
             or (not maximize and value < best_value)
         ):
             best_value = value
-            best_colors = colors[:, j]
+            if candidates is not None:
+                j = int(candidates[j])
+            best_colors = list(digits) + low_colors[:, j].tolist()
     if best_value is None:
         raise ValueError("no coloring satisfies the protected budget")
-    assert best_colors is not None
     lam = [1] * h.node_count
-    for v, c in zip(populated, best_colors.tolist()):
+    for v, c in zip(populated, best_colors):
         lam[v - 1] = c
     return best_value, tuple(lam)

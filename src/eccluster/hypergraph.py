@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Container, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -98,6 +98,28 @@ class EdgeColoredHypergraph:
     def rank(self) -> int:
         """Largest edge size (2 for ordinary graphs); 1 if there are no edges."""
         return max((len(e.nodes) for e in self.edges), default=1)
+
+    @cached_property
+    def conflict_scan(self) -> ConflictScan:
+        """Bitmask tables of the conflict scan; see ``ConflictScan``."""
+        nodes: list[int] = []
+        incident: list[tuple[int, ...]] = []
+        differ: list[tuple[int, ...]] = []
+        bits: list[list[tuple[int, int]]] = [[] for _ in self.edges]
+        color = [e.color for e in self.edges]
+        for v, ids in enumerate(self.incidence, start=1):
+            like: dict[int, int] = {}
+            for j, e in enumerate(ids):
+                like[color[e]] = like.get(color[e], 0) | 1 << j
+            if len(like) < 2:
+                continue
+            everything = (1 << len(ids)) - 1
+            for j, e in enumerate(ids):
+                bits[e].append((len(nodes), 1 << j))
+            nodes.append(v)
+            incident.append(ids)
+            differ.append(tuple(everything ^ like[color[e]] for e in ids))
+        return ConflictScan(tuple(nodes), tuple(incident), tuple(differ), tuple(map(tuple, bits)))
 
     @cached_property
     def total_weight(self) -> float:
@@ -315,6 +337,43 @@ def objective(h: EdgeColoredHypergraph, lam: Sequence[int], problem: Problem):
     return value
 
 
+@dataclass(frozen=True)
+class ConflictScan:
+    """Bitmask tables of the conflict scan that ``find_conflict`` and the fpt search share.
+
+    Only a node whose incident edges carry two colors can hold a conflict;
+    ``nodes`` lists those ascending.  Each keeps its own mask of alive
+    incident edges, bit j for ``incident[i][j]`` (ids ascending), so a mask
+    is as long as the node's degree, not the edge count, and deleting edge e
+    flips the (node index, bit) pairs ``bits[e]`` lists.  ``differ[i][j]``
+    masks node i's incident edges colored unlike its j-th.
+    """
+
+    nodes: tuple[int, ...]
+    incident: tuple[tuple[int, ...], ...]
+    differ: tuple[tuple[int, ...], ...]
+    bits: tuple[tuple[tuple[int, int], ...], ...]
+
+    def masks(self, alive: Container[int]) -> list[int]:
+        """Per-node masks of the edges in ``alive``."""
+        return [sum(1 << j for j, e in enumerate(ids) if e in alive) for ids in self.incident]
+
+    def first(self, masks: Sequence[int]) -> Optional[tuple[int, int, int]]:
+        """First (node, edge, edge) conflict under ``masks``.
+
+        At the lowest node whose alive edges carry two colors, the pair is
+        its lowest alive edge and its lowest alive edge of another color.
+        """
+        for i, here in enumerate(masks):
+            if here:
+                j = (here & -here).bit_length() - 1
+                other = here & self.differ[i][j]
+                if other:
+                    ids = self.incident[i]
+                    return self.nodes[i], ids[j], ids[(other & -other).bit_length() - 1]
+        return None
+
+
 def build_conflict_graph(h: EdgeColoredHypergraph) -> ConflictGraph:
     """Adjacency between every pair of overlapping, distinctly colored edges."""
     pairs: set[tuple[int, int]] = set()
@@ -340,17 +399,8 @@ def find_conflict(
     smallest conflicting edge-id pair at that node.  Returns None when the
     alive set is conflict-free.
     """
-    alive_set = set(alive)
-    for v in range(1, h.node_count + 1):
-        ids = [e for e in h.incidence[v - 1] if e in alive_set]
-        if len(ids) < 2:
-            continue
-        first = ids[0]
-        first_color = h.edges[first].color
-        for e in ids[1:]:
-            if h.edges[e].color != first_color:
-                return (v, first, e)
-    return None
+    scan = h.conflict_scan
+    return scan.first(scan.masks(set(alive)))
 
 
 def extend_coloring(

@@ -286,6 +286,21 @@ def test_solve_protected_fpt(triangle_path):
     assert no.returncode == 2
 
 
+@pytest.mark.parametrize("edges, tau, code", [(2400, "2000", 0), (20, "5", 2)])
+def test_solve_fpt_on_alternating_star(tmp_path, edges, tau, code):
+    # one node, edges colored 1, 2, 1, 2, ...: a yes needs a branch per edge,
+    # 2400 deep, past the interpreter's recursion limit
+    path = tmp_path / "star.ecc"
+    lines = [f"1 {edges} 2"] + [f"{1 + i % 2} 1 1 1" for i in range(edges)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    proc = run_cli("solve", "--problem", "colorfair", "--alg", "fpt", "--tau", tau, "--input", str(path))
+    assert proc.returncode == code, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["feasible"] is (code == 0)
+    if code == 0:
+        assert max(doc["color_error_vector"]) <= float(tau)
+
+
 def test_solve_csv_format(triangle_path):
     proc = run_cli(
         "solve", "--problem", "min", "--alg", "lp-round", "--input", triangle_path,

@@ -345,3 +345,166 @@ def test_brute_force_block_boundaries(monkeypatch):
     assert ec.brute_force(path, ec.protected(2, 0.0)) == (0.0, (2, 2, 2))
     cases = list(itertools.islice(_equivalence_cases(), 0, None, 3))
     _assert_same_as_scalar(cases + [(path, ec.protected(2, 0.0)), (path, ec.MAX)])
+
+
+def _reference_find_conflict(h, alive):
+    """The set-based scan ``find_conflict`` replaced, frozen as its reference."""
+    alive_set = set(alive)
+    for v in range(1, h.node_count + 1):
+        ids = [e for e in h.incidence[v - 1] if e in alive_set]
+        if len(ids) < 2:
+            continue
+        first = ids[0]
+        first_color = h.edges[first].color
+        for e in ids[1:]:
+            if h.edges[e].color != first_color:
+                return (v, first, e)
+    return None
+
+
+def _reference_branch_search(h, limits, accounts):
+    """The recursive search without a memo that ``_branch_search`` replaced, frozen."""
+    alive = set(range(h.edge_count))
+    tallies = [0.0] * len(limits)
+
+    def search():
+        conflict = _reference_find_conflict(h, alive)
+        if conflict is None:
+            return ec.extend_coloring(h, set(range(h.edge_count)) - alive)
+        _, e1, e2 = conflict
+        for e in (e1, e2):
+            w = h.edges[e].weight
+            charged = accounts(h.edges[e])
+            if any(tallies[a] + w > limits[a] + 1e-9 for a in charged):
+                continue
+            for a in charged:
+                tallies[a] += w
+            alive.discard(e)
+            found = search()
+            alive.add(e)
+            for a in charged:
+                tallies[a] -= w
+            if found is not None:
+                return found
+        return None
+
+    return search()
+
+
+def _reference_brute_force(h, problem):
+    """The blocked enumeration that decoded every state from its index, frozen."""
+    populated = [v for v in range(1, h.node_count + 1) if h.incidence[v - 1]]
+    states = h.color_count ** len(populated)
+    if states > 1 << 24:
+        raise ValueError(f"{states} colorings exceed the enumeration cap of {1 << 24}")
+    k = h.color_count
+    maximize = problem.kind == "max"
+    budget = None
+    if problem.kind == "protected":
+        budget = math.inf if problem.budget is None else problem.budget
+        protected_idx = problem.protected_color - 1
+        if not 0 <= protected_idx < k:
+            raise ValueError("protected color out of range")
+    used = {e.color - 1 for e in h.edges}
+    if budget is not None:
+        used.add(protected_idx)
+    rows = sorted(used) or [0]
+    row_of = {c: r for r, c in enumerate(rows)}
+    slot = {v: i for i, v in enumerate(populated)}
+    edges = [(row_of[e.color - 1], e.color, [slot[v] for v in e.nodes], e.weight) for e in h.edges]
+    radix = k ** np.arange(len(populated) - 1, -1, -1, dtype=np.uint32)
+    spread = [0.0] * k
+    best_value = best_colors = None
+    for first in range(0, states, 1 << 12):
+        index = np.arange(first, min(first + (1 << 12), states), dtype=np.uint32)
+        colors = (index // radix[:, None] % k + 1).astype(np.min_scalar_type(k))
+        errors = np.zeros((len(rows), len(index)))
+        for r, color, members, w in edges:
+            unsat = colors[members[0]] != color
+            for i in members[1:]:
+                unsat |= colors[i] != color
+            errors[r] += np.where(unsat, w, 0.0)
+        if budget is not None:
+            feasible = np.flatnonzero(~(errors[row_of[protected_idx]] > budget + 1e-9))
+            if feasible.size == 0:
+                continue
+            errors, colors = errors[:, feasible], colors[:, feasible]
+        order = np.lexsort(errors)
+        ordered = errors[:, order]
+        starts = np.ones(len(order), dtype=bool)
+        starts[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
+        scores = []
+        for vector in ordered[:, starts].T.tolist():
+            for c, err in zip(rows, vector):
+                spread[c] = err
+            scores.append(ec.evaluate_errors(spread, problem, h.total_weight))
+        values = np.empty(len(order))
+        values[order] = np.asarray(scores)[np.cumsum(starts) - 1]
+        j = int(values.argmax() if maximize else values.argmin())
+        value = float(values[j])
+        if best_value is None or (maximize and value > best_value) or (not maximize and value < best_value):
+            best_value, best_colors = value, colors[:, j]
+    if best_value is None:
+        raise ValueError("no coloring satisfies the protected budget")
+    lam = [1] * h.node_count
+    for v, c in zip(populated, best_colors.tolist()):
+        lam[v - 1] = c
+    return best_value, tuple(lam)
+
+
+def _reference_cases():
+    """Random instances with k 2-4, unit weights and not, from 8 to 3^9 states."""
+    rng = random.Random(76)
+    for i in range(30):
+        h = random_instance(rng, n_lo=3, n_hi=10, k_lo=2, k_hi=4, m_lo=2, m_hi=16, sizes=(1, 2, 3))
+        while h.color_count**h.node_count > 3**9:
+            h = random_instance(rng, n_lo=3, n_hi=10, k_lo=2, k_hi=4, m_lo=2, m_hi=16, sizes=(1, 2, 3))
+        yield _reweighted(h, rng) if i % 2 else h
+
+
+@pytest.mark.parametrize("block, memo_cap", [(1 << 12, 1 << 18), (81, 8)])
+def test_exact_solvers_match_frozen_reference(monkeypatch, block, memo_cap):
+    # the reference always runs 4096-state blocks; at 81 the search runs
+    # blocks of 2^6, 3^4 or 4^3 states and must still break ties the same
+    # way, and an fpt memo full after 8 states must not change an answer
+    monkeypatch.setattr(combinatorial, "_BLOCK", block)
+    monkeypatch.setattr(combinatorial, "_MEMO_CAP", memo_cap)
+    problems = [ec.MAX, ec.MIN, ec.COLORFAIR] + [ec.pmean(p) for p in (0.5, 2, math.inf)]
+    for h in _reference_cases():
+        k = h.color_count
+        for problem in problems + [ec.protected(k), ec.protected(k, 0.0), ec.protected(1, 1.0)]:
+            assert ec.brute_force(h, problem) == _reference_brute_force(h, problem), (h, problem)
+
+        # fpt at, above and just below each optimum: equal colorings, None for every no
+        opt_cf = ec.brute_force(h, ec.COLORFAIR)[0]
+        for tau in (opt_cf, opt_cf + 0.5, opt_cf - 1e-6):
+            if tau < 0:
+                continue
+            got = ec.fpt_colorfair(h, tau)
+            assert got == _reference_branch_search(h, [tau] * k, lambda e: (e.color - 1,))
+            assert (got is None) == (tau < opt_cf)
+        for color, b in ((1, 0.0), (k, 1.0), (k, math.inf)):
+            opt = ec.brute_force(h, ec.protected(color, None if math.isinf(b) else b))[0]
+            for t in (opt, opt + 0.5, opt - 1e-6):
+                if t < 0:
+                    continue
+                got = ec.fpt_protected(h, t, b, color)
+                charged = lambda e: (0, 1) if e.color == color else (0,)  # noqa: E731
+                assert got == _reference_branch_search(h, [t, min(b, t)], charged)
+                assert (got is None) == (t < opt)
+
+
+def _alternating_star(edges):
+    """One node, unit edges colored 1, 2, 1, 2, ...: the fpt search branches once per edge."""
+    lines = [f"1 {edges} 2"] + [f"{1 + i % 2} 1 1 1" for i in range(edges)]
+    return "\n".join(lines) + "\n"
+
+
+def test_fpt_answers_deep_yes_instance():
+    h = ec.parse_instance(_alternating_star(2400))
+    result = ec.solve(h, ec.COLORFAIR, "fpt", tau=2000.0)
+    assert result.coloring is not None
+    assert float(ec.color_error_vector(h, result.coloring).max()) <= 2000.0
+    small = ec.parse_instance(_alternating_star(20))
+    assert ec.solve(small, ec.COLORFAIR, "fpt", tau=5.0).coloring is None
+    assert ec.solve(small, ec.COLORFAIR, "fpt", tau=10.0).coloring is not None
