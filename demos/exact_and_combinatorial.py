@@ -1,6 +1,6 @@
 """Exact and combinatorial solvers side by side.
 
-The greedy conflict matching gives instant k- and 2-approximations, the
+The local-ratio conflict matching gives instant k- and 2-approximations, the
 bounded-deletion search answers feasibility questions exactly, and brute
 force anchors everything on instances small enough to enumerate.
 """

@@ -385,8 +385,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             text, code = _run_bench(args)
         _emit(text, args.output)
     except (ValueError, RuntimeError, OverflowError) as exc:
-        # usage, parse and solver errors alike, and float powers that
-        # overflow (a p-mean objective at an extreme p): one line, no traceback
+        # usage, parse and solver errors alike, and any float power that
+        # overflows: one line, no traceback
         print(f"ecc: error: {exc}", file=sys.stderr)
         return 1
     return code

@@ -1,7 +1,8 @@
-"""Combinatorial solvers: greedy matching, bounded-depth branching, brute force.
+"""Combinatorial solvers: local-ratio matching, bounded-depth branching, brute force.
 
 These need no linear algebra.  The matching pass gives a linear-time factor-k
-approximation for the min-max color objective; the branching searches decide
+approximation for the min-max color objective and factor 2 for the min
+objective, whatever the weights; the branching searches decide
 budgeted feasibility questions exactly in time exponential only in the
 budget, on bitmasks of the alive edges with an explicit stack and a memo of
 exhausted states; brute force enumerates all colorings and is the ground
@@ -41,40 +42,44 @@ _MEMO_CAP = 1 << 18
 def matching_approximation(
     h: EdgeColoredHypergraph,
 ) -> tuple[Coloring, frozenset[int]]:
-    """Greedy conflict matching; the deleted set is a maximal conflict matching.
+    """Local-ratio conflict deletion (Bar-Yehuda & Even 1985).
 
     Scans nodes in ascending id and, at each node, its live incident edges in
     ascending id.  A registry holds the live edges already seen at the current
-    node; since an edge is registered only when nothing differently colored is
-    waiting, the registry stays monochromatic, so each lookup touches one
-    entry and the whole pass is linear in total edge size.
+    node.  An edge meeting registered edges of another color pays against
+    them, earliest first: each pair pays delta, the smaller residual weight
+    of the two, and an edge whose residual reaches 0 is deleted.  An edge
+    still live afterwards is registered, so the registry stays monochromatic,
+    each payment deletes an edge, and the whole pass is linear in total edge
+    size.  With equal weights each pair deletes both edges, so the deleted
+    set is a maximal conflict matching.
 
-    Deleting both sides of a maximal conflict matching removes every conflict,
-    and any coloring must leave at least one edge of each matched pair
-    unsatisfied, so the max per-color deleted weight is at most k times the
-    optimum of the min-max color objective.
+    The survivors hold no conflict.  Every coloring leaves an edge of each
+    paying pair unsatisfied, so with Delta the sum of the payments the
+    optimum of the min objective is at least Delta, while the deleted weight
+    is at most 2 Delta.  Each payment charges two edges of different colors,
+    so each color's deleted weight is at most Delta, within k times the
+    min-max color optimum.
     """
+    residual = [edge.weight for edge in h.edges]
     dead = [False] * h.edge_count
-    matched: list[int] = []
     for v in range(1, h.node_count + 1):
         registry: list[int] = []
         for e in h.incidence[v - 1]:
             if dead[e]:
                 continue
-            color = h.edges[e].color
-            partner = -1
-            for pos, f in enumerate(registry):
-                if h.edges[f].color != color:
-                    partner = pos
-                    break
-            if partner >= 0:
-                f = registry.pop(partner)
-                dead[e] = True
-                dead[f] = True
-                matched.extend((f, e))
-            else:
+            if registry and h.edges[registry[0]].color != h.edges[e].color:
+                while registry and not dead[e]:
+                    f = registry[0]
+                    delta = min(residual[e], residual[f])
+                    for g in (e, f):
+                        residual[g] -= delta
+                        dead[g] = residual[g] == 0.0
+                    if dead[f]:
+                        registry.pop(0)
+            if not dead[e]:
                 registry.append(e)
-    deleted = frozenset(matched)
+    deleted = frozenset(e for e in range(h.edge_count) if dead[e])
     return extend_coloring(h, deleted), deleted
 
 

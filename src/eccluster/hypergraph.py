@@ -9,6 +9,7 @@ rounding, branching) works over the types in this module.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Container, Iterable, Optional, Sequence
@@ -322,7 +323,30 @@ def evaluate_errors(errors: Sequence[float], problem: Problem, total_weight: flo
     p = math.inf if kind == "colorfair" else problem.p
     if math.isinf(p):
         return max(errors)
-    return sum(err**p for err in errors) ** (1.0 / p)
+    return pmean_norm(errors, p)
+
+
+def pmean_norm(values: Sequence[float], p: float) -> float:
+    """(sum of v**p) ** (1/p) over nonnegative floats, 0 < p < inf.
+
+    Computed in that plain form, whose bytes every ordinary p keeps.  Only
+    when it overflows, or its sum falls below the smallest normal float, the
+    value comes from the scaled form max * (sum of (v/max)**p) ** (1/p); that
+    is inf only when the value itself lies beyond the float range.
+    """
+    try:
+        total = sum(v**p for v in values)
+        if sys.float_info.min <= total < math.inf:
+            return total ** (1.0 / p)
+    except OverflowError:
+        pass
+    top = max(values, default=0.0)
+    if top == 0.0:
+        return 0.0
+    try:
+        return top * sum((v / top) ** p for v in values) ** (1.0 / p)
+    except OverflowError:
+        return math.inf
 
 
 def objective(h: EdgeColoredHypergraph, lam: Sequence[int], problem: Problem):

@@ -1,16 +1,18 @@
-"""Linear programming on a column-sparse simplex tableau.
+"""Linear programming on a column-sparse, bounded-variable simplex tableau.
 
 An LP is one constraint matrix: ``A`` (rows x variables), a sense per row
 (LE, GE or EQ) and a right-hand side vector, plus box bounds per variable.
 The solver is a small two-phase primal simplex with Bland's anti-cycling
 rule (lowest entering column, lowest-index leaving variable on ratio ties).
-Bounds become explicit rows, and the final basis is re-solved against the
-clean input data.  The tableau is stored densely in column-major order, but
-a pivot touches only the columns where the normalised pivot row is nonzero:
-every skipped entry would only have had an exact zero subtracted, and every
-updated entry gets the same float operation as a full rank-1 update.  So
-pivots, bases and solutions are bit for bit those of the plain dense
-tableau, and identical inputs always produce identical outputs.
+Bounds are implicit (Dantzig's upper-bounding technique): the tableau holds
+only the rows of ``A``, and a nonbasic variable at its upper bound is stored
+complemented, so a step can end in a bound flip instead of a pivot.  Rows
+that start feasible on their slack, zero-rhs GE rows among them, need no
+artificial.  The final basis is re-solved against the clean input data.
+The tableau is stored densely in column-major order, and a pivot touches
+only the columns where the normalised pivot row is nonzero.  Identical
+inputs always produce identical outputs; the optimal vertex may differ from
+the one a dense tableau with explicit bound rows would return.
 """
 
 from __future__ import annotations
@@ -39,7 +41,10 @@ EQ = "="
 
 EPS_FEAS = 1e-9
 EPS_OBJ = 1e-7
-_PIVOT_TOL = 1e-10
+#: Smallest entry pivoted on, and the reduced-cost tolerance.  At 1e-10 a
+#: p = 2 cutting-plane master pivoted on a 1.2e-10 entry and its recovered
+#: point broke a row by 0.115 (``test_pinned_p2_master_solves``).
+_PIVOT_TOL = 1e-9
 _RATIO_TIE = 1e-12
 _PHASE1_TOL = 1e-8
 
@@ -105,7 +110,7 @@ class LpSolution:
     values: np.ndarray
     objective_value: float
     basis: tuple[int, ...] = ()  # final standard-form basis, one column per kept row
-    pivots: int = 0
+    pivots: int = 0  # simplex pivots of both phases; bound flips are not counted
 
 
 def max_violation(lp: LinearProgram, x: np.ndarray) -> float:
@@ -140,47 +145,84 @@ def _reduced_costs(c_ext: np.ndarray, T: np.ndarray, basis: np.ndarray) -> np.nd
     return obj
 
 
-def _run_simplex(T: np.ndarray, obj: np.ndarray, basis: np.ndarray, cap: int) -> tuple[str, int]:
-    """Minimize over the tableau in place with Bland's rule; returns (status, pivot count).
+def _run_simplex(
+    T: np.ndarray,
+    obj: np.ndarray,
+    basis: np.ndarray,
+    u: np.ndarray,
+    complemented: np.ndarray,
+    cap: int,
+) -> tuple[str, int]:
+    """Minimize over the tableau in place with Bland's rule; returns (status, pivots).
 
-    Entering: the lowest column with a negative reduced cost.  Leaving: among
-    the rows within ``_RATIO_TIE`` of the minimum ratio, the one whose basic
-    variable has the lowest index.
+    Tableau variable j lies in [0, u[j]], and every nonbasic one reads 0: one
+    at its upper bound is stored complemented (u - y, its column and reduced
+    cost negated), as ``complemented`` records.  Entering: the lowest column
+    with a reduced cost below -``_PIVOT_TOL``.  The step stops at the first
+    of three limits: a basic value falling to 0, a basic value rising to its
+    own u, or the entering value reaching its own u.  The last is a bound
+    flip, which complements the entering column without a pivot.  Otherwise
+    the leaving row is, among the rows within ``_RATIO_TIE`` of the smallest
+    limit, the one whose basic variable has the lowest index; a variable that
+    leaves at its u has its row complemented first.  Ratios are clamped at 0,
+    so a basic value an ulp outside its box counts as on its bound.  Bound
+    flips count towards ``cap`` but not towards the pivots returned.
     """
-    pivots = 0
+    pivots = steps = 0
     ncols = T.shape[1] - 1
+    beta = T[:, -1]
+    ub = u[basis]
     while True:
         candidates = (obj[:ncols] < -_PIVOT_TOL).nonzero()[0]
         if not candidates.size:
             return "optimal", pivots
         entering = candidates[0]
         column = T[:, entering]
-        rows = (column > _PIVOT_TOL).nonzero()[0]
-        ratios = T[rows, -1] / column[rows]
+        rows = (np.abs(column) > _PIVOT_TOL).nonzero()[0]
+        alpha, value = column[rows], beta[rows]
+        room = np.where(alpha > 0.0, value, ub[rows] - value)
+        ratios = np.maximum(room, 0.0) / np.abs(alpha)
         best = ratios.min(initial=np.inf)
-        if not np.isfinite(best):
-            return "unbounded", pivots
-        tied = rows[ratios <= best + _RATIO_TIE]
-        _pivot(T, obj, basis, tied[basis[tied].argmin()], entering)
-        pivots += 1
-        if pivots > cap:
+        own = u[entering]
+        if own <= best:
+            if own == np.inf:
+                return "unbounded", pivots
+            T[:, -1] -= own * column
+            column *= -1.0
+            obj[entering] *= -1.0
+            complemented[entering] = not complemented[entering]
+        else:
+            tied = rows[ratios <= best + _RATIO_TIE]
+            pr = tied[basis[tied].argmin()]
+            if column[pr] < 0.0:
+                leaving = basis[pr]
+                T[pr] *= -1.0
+                T[pr, leaving] = 1.0
+                T[pr, -1] += ub[pr]
+                complemented[leaving] = not complemented[leaving]
+            _pivot(T, obj, basis, pr, entering)
+            ub[pr] = own
+            pivots += 1
+        steps += 1
+        if steps > cap:
             raise SimplexError(f"pivot cap {cap} exceeded")
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
-    """Two-phase primal simplex with Bland's rule; deterministic for fixed input."""
+    """Two-phase bounded-variable primal simplex with Bland's rule; deterministic for fixed input."""
     n = lp.variable_count
     lo, hi = lp.bounds.T
     sign = -1.0 if lp.maximize else 1.0
     c_min = sign * lp.objective
 
-    # Standard form over y = x - lo >= 0; upper bounds become explicit rows,
-    # and rows with a negative rhs are negated, which swaps LE and GE.
-    b = np.concatenate([lp.rhs - lp.A @ lo, hi - lo])
-    flip = b < 0
-    b[flip] *= -1.0
-    le = np.concatenate([lp.senses == LE, np.ones(n, dtype=bool)])
-    ge = np.concatenate([lp.senses == GE, np.zeros(n, dtype=bool)])
+    # Standard form over y = x - lo in [0, hi - lo]; the bounds stay out of
+    # the rows.  Rows with a negative rhs, and GE rows with a zero rhs, are
+    # negated, which swaps LE and GE: every LE row then starts on its slack,
+    # and only GE rows with a positive rhs and EQ rows need an artificial.
+    b = lp.rhs - lp.A @ lo
+    flip = (b < 0) | ((b == 0) & (lp.senses == GE))
+    b = np.abs(b)
+    le, ge = lp.senses == LE, lp.senses == GE
     le, ge = np.where(flip, ge, le), np.where(flip, le, ge)
 
     # Slack columns follow the structural ones in row order, then artificials.
@@ -193,11 +235,14 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     art_cols = n_real + np.arange(art_rows.size)
 
     full = np.zeros((R, ncols + 1))
-    full[:, :n] = np.vstack([lp.A, np.eye(n)])
+    full[:, :n] = lp.A
     full[flip, :n] *= -1.0
     full[:, -1] = b
     full[slack_rows, slack_cols] = np.where(le[slack_rows], 1.0, -1.0)
     full[art_rows, art_cols] = 1.0
+    u = np.full(ncols, np.inf)  # slacks and artificials have no upper bound
+    u[:n] = hi - lo
+    complemented = np.zeros(ncols, dtype=bool)
 
     cap = 10_000 + 50 * (R + ncols)
     total_pivots = 0
@@ -210,41 +255,48 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     c1 = np.zeros(ncols + 1)
     c1[n_real:ncols] = 1.0
     obj1 = _reduced_costs(c1, T, basis)
-    status, p = _run_simplex(T, obj1, basis, cap)
+    status, p = _run_simplex(T, obj1, basis, u, complemented, cap)
     total_pivots += p
     if status != "optimal":
         raise SimplexError("phase 1 terminated abnormally")
     if sum(T[basis >= n_real, -1].tolist()) > _PHASE1_TOL:
         return LpSolution("infeasible", np.zeros(n), float("nan"))
-    # Pivot leftover artificials out; a row that cannot release one is redundant.
+    # Pivot leftover artificials out on the row's largest entry; a row that
+    # cannot release one is redundant.
     keep = np.ones(R, dtype=bool)
     dummy = np.zeros(T.shape[1])
     for i in (basis >= n_real).nonzero()[0]:
-        nonzero = (np.abs(T[i, :n_real]) > _PIVOT_TOL).nonzero()[0]
-        if nonzero.size:
-            _pivot(T, dummy, basis, i, nonzero[0])
+        size = np.abs(T[i, :n_real])
+        j = size.argmax()
+        if size[j] > _PIVOT_TOL:
+            _pivot(T, dummy, basis, i, j)
         else:
             keep[i] = False
     row_idx = keep.nonzero()[0]
     # Indexing the row-major view makes the one copy come out column-major.
     T = T.T[np.ix_(np.r_[:n_real, ncols], row_idx)].T
     basis = basis[row_idx]
+    u, complemented = u[:n_real], complemented[:n_real]
 
-    # Phase 2 over the artificial-free tableau.
+    # Phase 2 over the artificial-free tableau; a complemented column costs -c.
     c2 = np.zeros(n_real + 1)
-    c2[:n] = c_min
+    c2[:n] = np.where(complemented[:n], -c_min, c_min)
     obj2 = _reduced_costs(c2, T, basis)
-    status, p = _run_simplex(T, obj2, basis, cap)
+    status, p = _run_simplex(T, obj2, basis, u, complemented, cap)
     total_pivots += p
     if status == "unbounded":
         return LpSolution("unbounded", np.zeros(n), float("nan"))
 
-    # Re-solve the final basis against the clean input data for sharp numerics.
-    y = np.zeros(n_real)
+    # Re-solve the final basis against the clean input data for sharp
+    # numerics, with every complemented nonbasic variable at its upper bound.
+    y = np.where(complemented, u, 0.0)
+    y[basis] = 0.0
+    kept = full[row_idx]
     try:
-        y[basis] = np.linalg.solve(full[np.ix_(row_idx, basis)], b[row_idx])
+        y[basis] = np.linalg.solve(kept[:, basis], kept[:, -1] - kept[:, :n_real] @ y)
     except np.linalg.LinAlgError:
-        y[basis] = T[:, -1]
+        beta = T[:, -1]
+        y[basis] = np.where(complemented[basis], u[basis] - beta, beta)
     x = y[:n] + lo
     viol = max_violation(lp, x)
     if viol > 1e-6:

@@ -20,12 +20,13 @@ is this master with one cut per color.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
-from .hypergraph import EdgeColoredHypergraph, build_conflict_graph
+from .hypergraph import EdgeColoredHypergraph, build_conflict_graph, pmean_norm
 from .lp import EPS_FEAS, EQ, GE, LE, LinearProgram, solve_lp
 
 __all__ = [
@@ -206,7 +207,10 @@ def build_pmean_program(h: EdgeColoredHypergraph, p: float):
         m = np.zeros(h.color_count)
         np.add.at(m, colors, weights * point[gammas])
         np.clip(m, 0.0, None, out=m)
-        norm = float(np.sum(m**p)) ** (1.0 / p)
+        with np.errstate(over="ignore"):
+            total = float(np.sum(m**p))
+        # the plain form's bytes where it is representable, as in pmean_norm
+        norm = total ** (1.0 / p) if sys.float_info.min <= total < math.inf else pmean_norm(m.tolist(), p)
         grad = np.zeros(lay.total)
         if norm > 0.0:
             grad[gammas] = weights * (m[colors] / norm) ** (p - 1.0)
@@ -214,8 +218,7 @@ def build_pmean_program(h: EdgeColoredHypergraph, p: float):
 
     ones = np.zeros(lay.total)
     ones[gammas] = 1.0
-    t_cap = sum(mass**p for mass in masses) ** (1.0 / p)
-    return _master(region, cut(ones)[1], t_cap), lay, cut
+    return _master(region, cut(ones)[1], pmean_norm(masses, p)), lay, cut
 
 
 def _add_cuts(master: LinearProgram, cuts: np.ndarray) -> LinearProgram:

@@ -128,16 +128,23 @@ def test_solver_errors_exit_one_without_traceback(tmp_path):
     assert proc.stderr == "ecc: error: 129140163 colorings exceed the enumeration cap of 16777216\n"
 
 
-@pytest.mark.parametrize("alg", ["brute", "lp-round"])
-def test_pmean_overflow_exits_one_without_traceback(tmp_path, alg):
-    # at p = 2000 any color error or class mass of 2 or more overflows a float power
+@pytest.mark.parametrize(
+    ("weight", "p", "alg"),
+    [("2", "2000", "brute"), ("2", "2000", "lp-round"), ("1", "0.0001", "brute")],
+    ids=["brute", "lp-round", "brute-tiny-p"],
+)
+def test_pmean_at_extreme_p_solves(tmp_path, weight, p, alg):
+    # at p = 2000 any color error or class mass of 2 or more overflows a float
+    # power, and at p = 0.0001 errors (1, 1) overflow the root; the optimum
+    # leaves one color without error, so its p-mean is plain
     path = tmp_path / "heavy.ecc"
-    path.write_text("3 3 2\n1 2 2 1 2\n2 2 2 2 3\n1 2 2 1 3\n", encoding="utf-8")
-    proc = run_cli("solve", "--problem", "pmean", "--p", "2000", "--alg", alg, "--input", str(path))
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    assert proc.stderr.startswith("ecc: error: ")
-    assert proc.stderr.count("\n") == 1
+    path.write_text(f"3 3 2\n1 {weight} 2 1 2\n2 {weight} 2 2 3\n1 {weight} 2 1 3\n", encoding="utf-8")
+    proc = run_cli("solve", "--problem", "pmean", "--p", p, "--alg", alg, "--input", str(path), check=True)
+    doc = json.loads(proc.stdout)
+    assert doc["objective"] == float(weight)
+    assert sorted(doc["color_error_vector"]) == [0.0, float(weight)]
+    if alg == "lp-round":
+        assert 0.0 < doc["relaxation_bound"] <= doc["objective"]
 
 
 def test_solve_pmean_lp_round_on_edgeless_instance(tmp_path):

@@ -115,6 +115,18 @@ def test_objectives_on_triangle():
     assert ec.objective(h, lam, ec.protected(2)) == (2.0, 1.0)
 
 
+def test_pmean_norm_keeps_plain_bytes_and_scales_only_at_extremes():
+    from eccluster.hypergraph import pmean_norm
+
+    for values, p in (([0.0, 1.0, 2.0], 2.0), ([0.5, 3.0, 1.5], 1.5), ([1.0, 1.0], 0.5), ([0.0, 0.0], 3.0)):
+        assert pmean_norm(values, p) == sum(v**p for v in values) ** (1.0 / p)
+    # the plain power overflows, or the sum underflows, or the root overflows
+    assert pmean_norm([4.0, 2.0], 2000.0) == 4.0
+    assert pmean_norm([0.5, 0.5], 2000.0) == pytest.approx(0.5 * 2.0 ** (1.0 / 2000.0), rel=1e-15)
+    assert pmean_norm([1e-300, 0.0], 2.0) == 1e-300
+    assert pmean_norm([1.0, 1.0], 1e-4) == math.inf
+
+
 def test_objective_validates_coloring():
     h = ec.triangle_gadget()
     with pytest.raises(ValueError):

@@ -1,4 +1,4 @@
-"""Simplex solver: optima, statuses, and bit-identity with the dense tableau."""
+"""Simplex solver: optima, statuses, and agreement with the dense tableau."""
 
 from __future__ import annotations
 
@@ -208,10 +208,10 @@ def test_random_programs_match_vertex_enumeration():
     assert infeasible >= 2
 
 
-# The solver before its pivots were restricted to the nonzero columns of the
-# pivot row: a full rank-1 update per pivot and Python loops for Bland's rule,
-# constants and all.  Frozen here as the reference ``solve_lp`` must match bit
-# for bit.
+# The dense-tableau solver: bounds as explicit rows with slacks, a full
+# rank-1 update per pivot and Python loops for Bland's rule, constants and
+# all.  Frozen here as the oracle ``solve_lp`` must agree with in status and
+# objective; its vertex may differ.
 _REF_PIVOT_TOL = 1e-10
 _REF_RATIO_TIE = 1e-12
 _REF_PHASE1_TOL = 1e-8
@@ -419,7 +419,7 @@ EQUIVALENCE_CORPUS = {
 
 
 @pytest.mark.parametrize("corpus", sorted(EQUIVALENCE_CORPUS))
-def test_solve_lp_matches_dense_reference_bit_for_bit(corpus):
+def test_solve_lp_agrees_with_dense_reference(corpus):
     lps = EQUIVALENCE_CORPUS[corpus]()
     assert lps
     statuses = set()
@@ -427,11 +427,126 @@ def test_solve_lp_matches_dense_reference_bit_for_bit(corpus):
         got, want = ec.solve_lp(lp), _reference_solve_lp(lp)
         statuses.add(want.status)
         assert got.status == want.status
-        assert got.values.tobytes() == want.values.tobytes()
-        assert got.objective_value == want.objective_value or (
-            math.isnan(got.objective_value) and math.isnan(want.objective_value)
-        )
-        assert got.basis == want.basis
-        assert type(got.pivots) is int and got.pivots == want.pivots
+        assert type(got.pivots) is int
+        if want.status == "optimal":
+            assert abs(got.objective_value - want.objective_value) <= 1e-9 * max(
+                1.0, abs(want.objective_value)
+            )
+            assert max_violation(lp, got.values) <= 1e-9
     if corpus in ("hand-written", "random-programs"):
         assert statuses == {"optimal", "infeasible"}
+
+
+# Bounded-variable cases, each with its optimum.  FLIP_THEN_UPPER: phase 1
+# moves x1 straight to its upper bound 2 without a pivot, then phase 2 lowers
+# it while the basic x2 rises to its own upper bound 1 and leaves there.
+FLIP_THEN_UPPER = _lp([1.0, -2.0], [([1.0, 1.0], ec.EQ, 2.0)], bounds=[(0.0, 2.0), (0.0, 1.0)])
+SHIFTED_BOX = _lp(
+    [1.0, -1.0, 2.0],
+    [([1.0, 1.0, 0.0], ec.GE, 0.5), ([0.0, 1.0, 1.0], ec.LE, 0.0)],
+    bounds=[(-1.0, 1.0), (0.25, 0.75), (-2.0, -0.5)],
+)
+FIXED_VARIABLE = _lp(
+    [1.0, 1.0, -3.0],
+    [([1.0, 1.0, 1.0], ec.EQ, 1.5), ([1.0, -1.0, 0.0], ec.LE, 0.1)],
+    maximize=True,
+    bounds=[(0.0, 1.0), (0.0, 1.0), (0.7, 0.7)],
+)
+ZERO_RHS_GE = _lp(
+    [1.0, 1.0, -3.0],
+    [([1.0, 0.0, -1.0], ec.GE, 0.0), ([0.0, 1.0, -1.0], ec.GE, 0.0), ([1.0, 1.0, 0.0], ec.LE, 1.5)],
+)
+BOUNDS_ONLY = _lp([1.0, -1.0], [], maximize=True, bounds=[(-1.0, 2.0), (0.5, 0.5)])
+BOUNDED = {
+    "flip-then-upper": (FLIP_THEN_UPPER, -1.0),
+    "shifted-box": (SHIFTED_BOX, -5.0),
+    "fixed-variable": (FIXED_VARIABLE, -1.3),
+    "zero-rhs-ge": (ZERO_RHS_GE, -0.75),
+    "bounds-only": (BOUNDS_ONLY, 1.5),
+}
+
+
+def _random_boxed_program(rng):
+    """Shifted boxes, some fixed variables and GE rows tight at the lower corner."""
+    n = rng.randint(2, 4)
+    lo = np.array([rng.choice([-1.0, -0.5, 0.0, 0.25, 0.5]) for _ in range(n)])
+    hi = lo + np.array([rng.choice([0.0, 0.5, 1.0, 1.5]) for _ in range(n)])
+    witness = lo + np.array([rng.random() for _ in range(n)]) * (hi - lo)
+    rows = []
+    for _ in range(rng.randint(1, 4)):
+        vec = np.array([rng.randint(-2, 2) / 2 for _ in range(n)])
+        if not vec.any():
+            vec[rng.randrange(n)] = 1.0
+        rel = rng.choice([ec.LE, ec.GE, ec.GE, ec.EQ])
+        if rel == ec.GE and rng.random() < 0.5:
+            rhs = float(vec @ lo)  # a zero-rhs GE row once shifted by lo
+        else:
+            rhs = float(vec @ witness) + {ec.LE: 0.3, ec.GE: -0.3, ec.EQ: 0.0}[rel] * rng.random()
+        rows.append((vec, rel, rhs))
+    objective = np.array([rng.uniform(-2, 2) for _ in range(n)])
+    return _lp(objective, rows, maximize=rng.random() < 0.5, bounds=np.column_stack([lo, hi]))
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDED))
+def test_bounded_programs_match_vertex_enumeration(name):
+    lp, optimum = BOUNDED[name]
+    sol = ec.solve_lp(lp)
+    values = [float(lp.objective @ x) for x in _enumerate_vertices(lp)]
+    assert (max(values) if lp.maximize else min(values)) == pytest.approx(optimum)
+    assert sol.status == "optimal"
+    assert sol.objective_value == pytest.approx(optimum, abs=1e-9)
+    assert max_violation(lp, sol.values) <= 1e-9
+
+
+def test_random_boxed_programs_match_vertex_enumeration():
+    rng = random.Random(1955)
+    fixed = zero_rhs = solved = 0
+    for _ in range(60):
+        lp = _random_boxed_program(rng)
+        fixed += int(np.any(lp.bounds[:, 0] == lp.bounds[:, 1]))
+        zero_rhs += int(np.any((lp.senses == ec.GE) & (lp.rhs == lp.A @ lp.bounds[:, 0])))
+        sol = ec.solve_lp(lp)
+        values = [float(lp.objective @ x) for x in _enumerate_vertices(lp)]
+        if not values:
+            assert sol.status == "infeasible"
+            continue
+        assert sol.status == "optimal"
+        assert sol.objective_value == pytest.approx(max(values) if lp.maximize else min(values), abs=1e-9)
+        assert max_violation(lp, sol.values) <= 1e-9
+        solved += 1
+    assert solved >= 30 and fixed >= 10 and zero_rhs >= 10
+
+
+# A p = 2 cutting-plane master (nine cuts past the first) on which a pivot
+# tolerance of 1e-10 let the simplex pivot on a 1.2e-10 entry: the recovered
+# point then broke a row by 0.115 and the solve raised SimplexError.
+PINNED_P2_INSTANCE = """6 4 3
+3 0.5 2 1 4
+1 1.5 2 2 6
+2 1.5 2 2 4
+1 2.0 2 2 4
+"""
+PINNED_P2_CUTS = [
+    [0.15811388300841897, 0.0, 1.4230249470757705, 0.0],
+    [0.16725360455171612, 0.8113496288137998, 1.1575611714738159, 1.0817995050850664],
+    [0.16970702485288788, 0.4231883543558921, 1.3459967860948938, 0.5642511391411894],
+    [0.1702509703780751, 0.6237562233149124, 1.264934637696285, 0.8316749644198832],
+    [0.17042268556642134, 0.5248386832162675, 1.308873305862249, 0.6997849109550234],
+    [0.17044780243404825, 0.5746716081183485, 1.2877423898557132, 0.7662288108244647],
+    [0.1704629923466003, 0.5498446506067891, 1.298519223716493, 0.7331262008090522],
+    [0.17046233459130744, 0.5622810121677406, 1.2931834346784497, 0.7497080162236541],
+    [0.1704643977990136, 0.5560684889104998, 1.2958645135151938, 0.7414246518806663],
+]
+
+
+def test_pinned_p2_master_solves():
+    h = ec.parse_instance(PINNED_P2_INSTANCE)
+    master, lay, _ = build_pmean_program(h, 2.0)
+    cuts = np.zeros((len(PINNED_P2_CUTS), lay.total))
+    cuts[:, lay.edge_col(np.arange(h.edge_count))] = PINNED_P2_CUTS
+    lp = relaxations._add_cuts(master, cuts)
+    assert lp.A.shape == (24, 23)
+    got, want = ec.solve_lp(lp), _reference_solve_lp(lp)
+    assert got.status == want.status == "optimal"
+    assert got.objective_value == pytest.approx(want.objective_value, rel=1e-9)
+    assert max_violation(lp, got.values) <= 1e-9

@@ -89,10 +89,6 @@ def test_solve_against_brute_force(key, data):
         # the rounded point's p-norm lies within the loop's tolerance of its bound
         reference = opt if problem.p in (1.0, math.inf) else result.bound
         assert value <= 2.0 * reference + TOL
-    elif alg == "matching" and len({e.weight for e in h.edges}) > 1:
-        # the factors rest on the deleted maximal conflict matching, which
-        # bounds the optimum only when all weights are equal
-        assert value <= h.total_weight + TOL
     else:
         factor = FACTORS.get(key, float(h.color_count))
         assert value <= factor * opt + TOL
