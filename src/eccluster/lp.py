@@ -6,8 +6,11 @@ The solver is a small two-phase primal simplex with Bland's anti-cycling
 rule (lowest entering column, lowest-index leaving variable on ratio ties).
 Bounds are implicit (Dantzig's upper-bounding technique): the tableau holds
 only the rows of ``A``, and a nonbasic variable at its upper bound is stored
-complemented, so a step can end in a bound flip instead of a pivot.  Rows
-that start feasible on their slack, zero-rhs GE rows among them, need no
+complemented, so a step can end in a bound flip instead of a pivot.  The
+simplex starts at the lower corner of the box, or at the upper corner, every
+variable complemented, when the lower corner needs an artificial and the
+upper corner needs none (no EQ rows, every row holds there).  Rows that hold
+at the start on their slack, zero-residual GE rows among them, need no
 artificial.  The final basis is re-solved against the clean input data.
 The tableau is stored densely in column-major order, and a pivot touches
 only the columns where the normalised pivot row is nonzero.  Identical
@@ -208,21 +211,32 @@ def _run_simplex(
             raise SimplexError(f"pivot cap {cap} exceeded")
 
 
+def _on_slacks(residual: np.ndarray, le: np.ndarray, ge: np.ndarray) -> bool:
+    """Whether a corner with these row residuals (rhs - A x) satisfies every row, none EQ."""
+    return bool(np.all(np.where(le, residual >= 0, ge & (residual <= 0))))
+
+
 def solve_lp(lp: LinearProgram) -> LpSolution:
-    """Two-phase bounded-variable primal simplex with Bland's rule; deterministic for fixed input."""
+    """Two-phase bounded-variable primal simplex with Bland's rule; deterministic for fixed input.
+
+    Starts at x = hi when x = lo needs an artificial and x = hi none, else at x = lo.
+    """
     n = lp.variable_count
     lo, hi = lp.bounds.T
     sign = -1.0 if lp.maximize else 1.0
     c_min = sign * lp.objective
 
     # Standard form over y = x - lo in [0, hi - lo]; the bounds stay out of
-    # the rows.  Rows with a negative rhs, and GE rows with a zero rhs, are
-    # negated, which swaps LE and GE: every LE row then starts on its slack,
-    # and only GE rows with a positive rhs and EQ rows need an artificial.
+    # the rows.  Rows with a negative residual at the starting corner, and
+    # GE rows with a zero one, are negated, which swaps LE and GE: every LE
+    # row then starts on its slack, and only GE rows with a positive residual
+    # and EQ rows need an artificial.
     b = lp.rhs - lp.A @ lo
-    flip = (b < 0) | ((b == 0) & (lp.senses == GE))
-    b = np.abs(b)
+    r = lp.rhs - lp.A @ hi  # the residual at the upper corner
     le, ge = lp.senses == LE, lp.senses == GE
+    upper = not _on_slacks(b, le, ge) and _on_slacks(r, le, ge)
+    start = r if upper else b
+    flip = (start < 0) | ((start == 0) & ge)
     le, ge = np.where(flip, ge, le), np.where(flip, le, ge)
 
     # Slack columns follow the structural ones in row order, then artificials.
@@ -237,7 +251,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     full = np.zeros((R, ncols + 1))
     full[:, :n] = lp.A
     full[flip, :n] *= -1.0
-    full[:, -1] = b
+    full[:, -1] = np.where(flip, -b, b)
     full[slack_rows, slack_cols] = np.where(le[slack_rows], 1.0, -1.0)
     full[art_rows, art_cols] = 1.0
     u = np.full(ncols, np.inf)  # slacks and artificials have no upper bound
@@ -252,6 +266,10 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     basis[slack_rows] = slack_cols
     basis[art_rows] = art_cols
     T = full.copy(order="F")
+    if upper:  # every structural column complemented, at its u
+        T[:, :n] *= -1.0
+        T[:, -1] = np.abs(r)
+        complemented[:n] = True
     c1 = np.zeros(ncols + 1)
     c1[n_real:ncols] = 1.0
     obj1 = _reduced_costs(c1, T, basis)

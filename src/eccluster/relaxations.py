@@ -233,15 +233,20 @@ def _add_cuts(master: LinearProgram, cuts: np.ndarray) -> LinearProgram:
 def _master(region: tuple, cuts: np.ndarray, t_cap: float) -> LinearProgram:
     """min t over ``region`` plus one row <a, x> - t <= 0 per cut a.
 
-    t is the last column, boxed in [0, max(t_cap, 1)]; every other column
-    in [0, 1].  ``t_cap`` must be at least the minimum of the function the
-    cuts support, its value at gamma = 1 for the monotone functions here.
+    t is the last column, boxed in [0, 2 max(t_cap, 1)]; every other column
+    in [0, 1].  ``t_cap`` must be at least f(1), the value at the all-ones
+    point of the convex, positively homogeneous f the cuts support, so at
+    least min f over the region.  Every cut a then has a.1 <= f(1) <= t_cap,
+    so the all-ones point with t at its cap satisfies every row and
+    ``solve_lp`` starts the master there, at its upper corner, without
+    phase 1.  The factor 2 keeps that so when a.1 = f(1) and rounding puts
+    the computed a.1 a few ulps above t_cap; it cannot change the optimum.
     """
     n_vars = region[0].shape[1]
     obj = np.zeros(n_vars)
     obj[-1] = 1.0
     bounds = np.tile([0.0, 1.0], (n_vars, 1))
-    bounds[-1, 1] = max(t_cap, 1.0)
+    bounds[-1, 1] = 2.0 * max(t_cap, 1.0)
     return _add_cuts(LinearProgram(obj, *region, bounds=bounds), cuts)
 
 

@@ -457,21 +457,49 @@ ZERO_RHS_GE = _lp(
     [([1.0, 0.0, -1.0], ec.GE, 0.0), ([0.0, 1.0, -1.0], ec.GE, 0.0), ([1.0, 1.0, 0.0], ec.LE, 1.5)],
 )
 BOUNDS_ONLY = _lp([1.0, -1.0], [], maximize=True, bounds=[(-1.0, 2.0), (0.5, 0.5)])
+# The lower corner breaks the GE row and the upper corner satisfies every
+# row, so the simplex starts at the upper corner.  UPPER_OPTIMAL is already
+# optimal there.
+UPPER_START = _lp([1.0, 1.0], [([1.0, 1.0], ec.GE, 1.5)])
+UPPER_OPTIMAL = _lp(
+    [1.0, 2.0],
+    [([1.0, 1.0], ec.GE, 1.0), ([1.0, -1.0], ec.LE, 0.5)],
+    maximize=True,
+)
 BOUNDED = {
     "flip-then-upper": (FLIP_THEN_UPPER, -1.0),
     "shifted-box": (SHIFTED_BOX, -5.0),
     "fixed-variable": (FIXED_VARIABLE, -1.3),
     "zero-rhs-ge": (ZERO_RHS_GE, -0.75),
     "bounds-only": (BOUNDS_ONLY, 1.5),
+    "upper-start": (UPPER_START, 1.5),
+    "upper-optimal": (UPPER_OPTIMAL, 3.0),
 }
+
+
+def _on_slacks(lp, x):
+    """Whether the point x satisfies every row of lp and none is an equation."""
+    gap = lp.rhs - lp.A @ x
+    return bool(np.all(np.where(lp.senses == ec.LE, gap >= 0, (lp.senses == ec.GE) & (gap <= 0))))
+
+
+def _starts_at_upper_corner(lp):
+    lo, hi = lp.bounds.T
+    return not _on_slacks(lp, lo) and _on_slacks(lp, hi)
+
+
+def _random_box(rng):
+    """(lo, hi, a point inside): shifted boxes, some of them fixed variables."""
+    n = rng.randint(2, 4)
+    lo = np.array([rng.choice([-1.0, -0.5, 0.0, 0.25, 0.5]) for _ in range(n)])
+    hi = lo + np.array([rng.choice([0.0, 0.5, 1.0, 1.5]) for _ in range(n)])
+    return lo, hi, lo + np.array([rng.random() for _ in range(n)]) * (hi - lo)
 
 
 def _random_boxed_program(rng):
     """Shifted boxes, some fixed variables and GE rows tight at the lower corner."""
-    n = rng.randint(2, 4)
-    lo = np.array([rng.choice([-1.0, -0.5, 0.0, 0.25, 0.5]) for _ in range(n)])
-    hi = lo + np.array([rng.choice([0.0, 0.5, 1.0, 1.5]) for _ in range(n)])
-    witness = lo + np.array([rng.random() for _ in range(n)]) * (hi - lo)
+    lo, hi, witness = _random_box(rng)
+    n = lo.size
     rows = []
     for _ in range(rng.randint(1, 4)):
         vec = np.array([rng.randint(-2, 2) / 2 for _ in range(n)])
@@ -498,6 +526,19 @@ def test_bounded_programs_match_vertex_enumeration(name):
     assert max_violation(lp, sol.values) <= 1e-9
 
 
+def _matches_vertex_enumeration(lp):
+    """Check solve_lp against the vertex oracle; True when lp is feasible."""
+    sol = ec.solve_lp(lp)
+    values = [float(lp.objective @ x) for x in _enumerate_vertices(lp)]
+    if not values:
+        assert sol.status == "infeasible"
+        return False
+    assert sol.status == "optimal"
+    assert sol.objective_value == pytest.approx(max(values) if lp.maximize else min(values), abs=1e-9)
+    assert max_violation(lp, sol.values) <= 1e-9
+    return True
+
+
 def test_random_boxed_programs_match_vertex_enumeration():
     rng = random.Random(1955)
     fixed = zero_rhs = solved = 0
@@ -505,16 +546,52 @@ def test_random_boxed_programs_match_vertex_enumeration():
         lp = _random_boxed_program(rng)
         fixed += int(np.any(lp.bounds[:, 0] == lp.bounds[:, 1]))
         zero_rhs += int(np.any((lp.senses == ec.GE) & (lp.rhs == lp.A @ lp.bounds[:, 0])))
-        sol = ec.solve_lp(lp)
-        values = [float(lp.objective @ x) for x in _enumerate_vertices(lp)]
-        if not values:
-            assert sol.status == "infeasible"
-            continue
-        assert sol.status == "optimal"
-        assert sol.objective_value == pytest.approx(max(values) if lp.maximize else min(values), abs=1e-9)
-        assert max_violation(lp, sol.values) <= 1e-9
-        solved += 1
+        solved += _matches_vertex_enumeration(lp)
     assert solved >= 30 and fixed >= 10 and zero_rhs >= 10
+
+
+def test_upper_start_cases_take_the_upper_corner():
+    assert _starts_at_upper_corner(UPPER_START) and _starts_at_upper_corner(UPPER_OPTIMAL)
+    sol = ec.solve_lp(UPPER_OPTIMAL)
+    assert sol.values.tolist() == [1.0, 1.0]
+    assert sol.pivots == 0
+
+
+def _random_upper_program(rng):
+    """Shifted boxes, fixed variables and LE rows tight at the upper corner;
+    most programs hold at that corner, and some get a random row that can
+    make them infeasible."""
+    lo, hi, witness = _random_box(rng)
+    n = lo.size
+    rows = []
+    for _ in range(rng.randint(1, 4)):
+        vec = np.array([rng.randint(-2, 2) / 2 for _ in range(n)])
+        if not vec.any():
+            vec[rng.randrange(n)] = 1.0
+        rel = rng.choice([ec.LE, ec.GE, ec.GE])
+        top = float(vec @ hi)
+        if rng.random() < 0.15:
+            rhs = top + rng.uniform(-3.0, 3.0)
+        elif rel == ec.LE:
+            rhs = top + rng.choice([0.0, 0.3 * rng.random()])  # tight at hi half the time
+        else:
+            rhs = min(float(vec @ witness), top)
+        rows.append((vec, rel, rhs))
+    objective = np.array([rng.uniform(-2, 2) for _ in range(n)])
+    return _lp(objective, rows, maximize=rng.random() < 0.5, bounds=np.column_stack([lo, hi]))
+
+
+def test_random_upper_corner_programs_match_vertex_enumeration():
+    rng = random.Random(1992)
+    upper = fixed = tight = infeasible = 0
+    for _ in range(80):
+        lp = _random_upper_program(rng)
+        if _starts_at_upper_corner(lp):
+            upper += 1
+            fixed += int(np.any(lp.bounds[:, 0] == lp.bounds[:, 1]))
+            tight += int(np.any((lp.senses == ec.LE) & (lp.rhs == lp.A @ lp.bounds[:, 1])))
+        infeasible += not _matches_vertex_enumeration(lp)
+    assert upper >= 10 and fixed >= 3 and tight >= 3 and infeasible >= 2
 
 
 # A p = 2 cutting-plane master (nine cuts past the first) on which a pivot

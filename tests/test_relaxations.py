@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 import eccluster as ec
+import eccluster.relaxations as relaxations
+from eccluster.lp import max_violation
 from eccluster.relaxations import _lovasz_cuts, build_pmean_program
 from conftest import SLOW_P2, instance_batch, random_instance
 
@@ -115,7 +117,7 @@ def test_pmean_builder_rejects_small_p():
         build_pmean_program(ec.triangle_gadget(), 0.5)
 
 
-def test_frank_wolfe_pmean_two_on_triangle():
+def test_cutting_plane_pmean_two_on_triangle():
     h = ec.triangle_gadget()
     frac = ec.solve_pmean_relaxation(h, 2.0, max_iters=400)
     assert frac.bound == pytest.approx(math.sqrt(3) / 2, abs=1e-4)
@@ -365,3 +367,23 @@ def test_cutting_plane_brackets_independent_optima():
             assert cuts.lower <= value + 1e-9
             assert value <= cuts.lower + tol * max(value, 1.0)
             assert cuts.lower <= ec.brute_force(h, ec.pmean(p))[0] ** p + 1e-9
+
+
+def test_every_master_holds_at_its_upper_corner(monkeypatch):
+    # d = gamma = 1 with t at its cap satisfies every row of every
+    # cutting-plane master, so the simplex starts there without phase 1.
+    masters = []
+
+    def record(lp):
+        masters.append(lp)
+        return ec.solve_lp(lp)
+
+    monkeypatch.setattr(relaxations, "solve_lp", record)
+    batch = instance_batch(83, 8, unit_weights=False) + instance_batch(84, 4)
+    for h in (ec.parse_instance(SLOW_P2), ec.triangle_gadget(), *batch):
+        for p in (2.0, 1.5, math.inf):
+            ec.solve_pmean_relaxation(h, p)
+        ec.minimize_lovasz(h, 0.5)
+    assert len(masters) > 200
+    for lp in masters:
+        assert max_violation(lp, lp.bounds[:, 1]) == 0
