@@ -6,29 +6,28 @@ highest-priority color whose threshold falls below the node's fractional mass.
 Nodes that want no color fall back to their best fractional color, so the
 fallback is deterministic given the relaxation output and is reported as such.
 
-Randomness comes from a small counter-based generator rather than the stdlib
-Mersenne twister so that trial t of a run is reproducible in isolation: every
-trial derives its own stream from (master_seed, trial_index) and never touches
-shared state.
+Randomness comes from a small counter-based generator (splitmix64) rather than
+the stdlib Mersenne twister so that trial t of a run is reproducible in
+isolation: every trial derives its own stream from (master_seed, trial_index)
+and never touches shared state.
 
-``estimate_satisfaction`` runs its trials in fixed blocks of numpy arrays
-rather than one at a time.  Each trial's stream is derived exactly as
-``RandomSource.stream`` derives it, and its draws are consumed in the same
-order, so every count is the one the one-trial-at-a-time path
-(``_priority_core``) gives.  A trial whose permutation draw the scalar
-``randrange`` would reject and redraw (probability below k/2**64) is re-run
-whole on that scalar path.
+One rounder, ``_priority_block``, rounds a block of trials as numpy arrays:
+``estimate_satisfaction`` runs its trials in fixed blocks, and a single
+rounding (``hyper_max_round``, ``graph_max_round``) is a block of one trial,
+trial 0 of its seed.  A Fisher-Yates swap draw is uniform by rejection below
+the largest multiple of its range; a trial with a rejected draw (probability
+below k/2**64) has its stream walked again in-block, skipping that draw.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .hypergraph import Coloring, CoverViolation, EdgeColoredHypergraph, extend_coloring
+from .hypergraph import Coloring, EdgeColoredHypergraph, extend_coloring
 from .lp import EPS_FEAS
 from .relaxations import FractionalSolution, fallback_colors
 
@@ -71,108 +70,78 @@ def _mix64_array(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> 31)
 
 
-class RandomStream:
-    """Counter-based 64-bit generator (splitmix64) with a fixed draw order."""
-
-    __slots__ = ("_state",)
-
-    def __init__(self, state: int) -> None:
-        self._state = state & _MASK64
-
-    def next_uint64(self) -> int:
-        self._state = (self._state + _GOLDEN) & _MASK64
-        return _mix64(self._state)
-
-    def uniform(self) -> float:
-        """Uniform float in [0, 1) with 53 random bits."""
-        return (self.next_uint64() >> 11) * 2.0**-53
-
-    def randrange(self, n: int) -> int:
-        """Uniform integer in [0, n) by rejection below the largest multiple."""
-        if n <= 0:
-            raise ValueError("randrange needs a positive bound")
-        limit = (1 << 64) - ((1 << 64) % n)
-        while True:
-            u = self.next_uint64()
-            if u < limit:
-                return u % n
-
-    def permutation(self, k: int) -> list[int]:
-        """Fisher-Yates shuffle of the colors 1..k."""
-        arr = list(range(1, k + 1))
-        for i in range(k - 1, 0, -1):
-            j = self.randrange(i + 1)
-            arr[i], arr[j] = arr[j], arr[i]
-        return arr
+def _rejected(u: np.ndarray, n: int) -> np.ndarray:
+    """Draws that a uniform draw in [0, n) rejects: those at or above the
+    largest multiple of n that fits in 64 bits."""
+    limit = (1 << 64) - ((1 << 64) % n)
+    if limit == 1 << 64:
+        return np.zeros(u.shape, dtype=bool)
+    return u >= np.uint64(limit)
 
 
-@dataclass(frozen=True)
-class RandomSource:
-    """Root of reproducible randomness; one independent stream per trial."""
-
-    master_seed: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.master_seed < 1 << 64:
-            raise ValueError("master_seed must fit in 64 bits")
-
-    def stream(self, trial_index: int) -> RandomStream:
-        if trial_index < 0:
-            raise ValueError("trial_index must be nonnegative")
-        base = _mix64(self.master_seed)
-        salt = _mix64((trial_index * _GOLDEN + _STREAM_SALT) & _MASK64)
-        return RandomStream(base ^ salt)
+def _walk(state: int, k: int) -> list[int]:
+    """The 2k-1 draws of the stream at ``state``, read one output at a time:
+    each swap draw ``_rejected`` flags is skipped and the next one taken."""
+    outputs = (_mix64(state + d * _GOLDEN) for d in itertools.count(1))
+    swaps = [next(u for u in outputs if not _rejected(np.uint64(u), i + 1)) for i in range(k - 1, 0, -1)]
+    return swaps + [next(outputs) for _ in range(k)]
 
 
-def _draw_priorities(stream: RandomStream, k: int) -> tuple[list[int], list[float]]:
-    # permutation first, then one threshold per color in color order
-    order = stream.permutation(k)
-    priority = [0] * k
-    for pos, color in enumerate(order):
-        priority[color - 1] = pos
-    alphas = [stream.uniform() for _ in range(k)]
-    return priority, alphas
+def _trial_draws(master_seed: int, start: int, count: int, k: int) -> np.ndarray:
+    """(count, 2k-1) uint64: the draws trials start .. start+count-1 consume.
 
-
-def _priority_core(
-    rows: list[list[float]],
-    k: int,
-    fallback: Sequence[int],
-    stream: RandomStream,
-    strong_cut: float,
-) -> list[int]:
-    """One trial: each node takes its highest-priority wanted color.
-
-    A color with mass at least ``strong_cut`` is "strong" (at most one can
-    exist when the cut exceeds 1/2) and is taken only when no weak color is
-    wanted; ``math.inf`` makes every color weak.
+    Each trial's stream is derived from (master_seed, trial index) alone.
+    Its draws are the k-1 Fisher-Yates swap draws (positions k-1 down to 1)
+    and then the k thresholds.  The first 2k-1 outputs of every stream are
+    taken as one array; a trial with a rejected swap draw among them is
+    walked again by ``_walk``.
     """
-    priority, alphas = _draw_priorities(stream, k)
-    lam = []
-    for row, fb in zip(rows, fallback):
-        strong = -1
-        best = -1
-        best_pri = -1
-        for ci in range(k):
-            xv = row[ci]
-            if xv >= strong_cut:
-                if strong >= 0:
-                    raise RuntimeError(
-                        "two colors with mass >= 2/3 at one node; "
-                        "fractional input violates the unit simplex"
-                    )
-                strong = ci
-                continue
-            if alphas[ci] < xv and priority[ci] > best_pri:
-                best_pri = priority[ci]
-                best = ci
-        if best >= 0:
-            lam.append(best + 1)
-        elif strong >= 0:
-            lam.append(strong + 1)
-        else:
-            lam.append(fb)
-    return lam
+    if not 0 <= master_seed < 1 << 64:
+        raise ValueError("master_seed must fit in 64 bits")
+    t = np.arange(start, start + count, dtype=np.uint64)
+    salt = _mix64_array(t * np.uint64(_GOLDEN) + np.uint64(_STREAM_SALT))
+    state = salt ^ np.uint64(_mix64(master_seed))
+    # output d reads the state advanced d+1 times; masked here in Python ints
+    steps = np.array([((d + 1) * _GOLDEN) & _MASK64 for d in range(2 * k - 1)], dtype=np.uint64)
+    draws = _mix64_array(state[:, None] + steps)
+    hit = np.zeros(count, dtype=bool)
+    for d, i in enumerate(range(k - 1, 0, -1)):
+        hit |= _rejected(draws[:, d], i + 1)
+    for row in np.flatnonzero(hit):
+        draws[row] = _walk(int(state[row]), k)
+    return draws
+
+
+def _priority_block(draws: np.ndarray, x_weak: np.ndarray, rest: np.ndarray) -> np.ndarray:
+    """The (nodes, trials) colorings of a block of trials.
+
+    ``draws`` is ``_trial_draws``' output.  ``x_weak`` is the node color mass
+    with strong colors set to -inf, so no threshold falls below them, and
+    ``rest`` is each node's color when no weak color is wanted (its strong
+    color, else its fallback); its dtype, the smallest that holds the color
+    count, is the dtype of the colorings.
+    """
+    count = draws.shape[0]
+    k = x_weak.shape[1]
+    trial = np.arange(count)
+    # Fisher-Yates on 0-based colors, one swap column per draw
+    order = np.tile(np.arange(k, dtype=rest.dtype), (count, 1))
+    for d, i in enumerate(range(k - 1, 0, -1)):
+        j = (draws[:, d] % np.uint64(i + 1)).astype(np.intp)
+        held = order[:, i].copy()
+        order[:, i] = order[trial, j]
+        order[trial, j] = held
+    alphas = (draws[:, k - 1 :] >> 11) * 2.0**-53
+
+    lam = np.tile(rest, (count, 1))
+    mass = np.ascontiguousarray(x_weak.T)
+    # the color at position pos of the order has priority pos: going up from
+    # the lowest, each wanted color overwrites every one below it
+    for pos in range(k):
+        color = order[:, pos]
+        wanted = alphas[trial, color][:, None] < mass[color]
+        np.copyto(lam, (color + 1)[:, None], where=wanted)
+    return np.ascontiguousarray(lam.T)
 
 
 #: Strong-mass cut per scheme: the graph scheme is the strong/weak variant.
@@ -181,8 +150,11 @@ _SCHEMES = {"hyper": math.inf, "graph": TWO_THIRDS}
 
 def _scheme_inputs(
     h: EdgeColoredHypergraph, frac: FractionalSolution, scheme: str
-) -> tuple[list[list[float]], tuple[int, ...], float]:
-    """(rows, fallback, strong cut) for one scheme, after checking its input."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_priority_block``'s (x_weak, rest) for one scheme, after checking its
+    input.  A color with mass at least the scheme's cut is strong (at most one
+    can exist when the cut exceeds 1/2); the hyper scheme's cut of inf makes
+    every color weak."""
     if scheme not in _SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     if scheme == "graph" and any(len(e.nodes) != 2 for e in h.edges):
@@ -193,36 +165,45 @@ def _scheme_inputs(
         raise ValueError("fractional solution does not match the instance shape")
     if np.any(frac.node_color.sum(axis=1) > 1.0 + 1e-6):
         raise ValueError("node color masses exceed the unit simplex")
-    return frac.node_color.tolist(), fallback_colors(frac), _SCHEMES[scheme]
+    x = np.asarray(frac.node_color, dtype=float)
+    strong = x >= _SCHEMES[scheme]
+    if np.any(strong.sum(axis=1) > 1):
+        raise RuntimeError(
+            "two colors with mass >= 2/3 at one node; "
+            "fractional input violates the unit simplex"
+        )
+    x_weak = np.where(strong, -np.inf, x)
+    # colorings in the smallest dtype that holds color k (uint8 below 256
+    # colors) keep the per-edge gathers and compares small
+    ctype = np.min_scalar_type(h.color_count)
+    rest = np.where(strong.any(axis=1), strong.argmax(axis=1) + 1, fallback_colors(frac)).astype(ctype)
+    return x_weak, rest
 
 
-def hyper_max_round(
-    h: EdgeColoredHypergraph,
-    frac: FractionalSolution,
-    stream: RandomStream,
-) -> Coloring:
-    """Priority rounding for any rank.
+def _round_once(h: EdgeColoredHypergraph, frac: FractionalSolution, scheme: str, seed: int) -> Coloring:
+    x_weak, rest = _scheme_inputs(h, frac, scheme)
+    lam = _priority_block(_trial_draws(seed, 0, 1, h.color_count), x_weak, rest)
+    return tuple(lam[:, 0].tolist())
+
+
+def hyper_max_round(h: EdgeColoredHypergraph, frac: FractionalSolution, seed: int) -> Coloring:
+    """Priority rounding for any rank, drawn from trial 0 of ``seed``.
 
     Each satisfied LP unit survives with probability at least
     (2/e)^r / (r+1) where r is the instance rank.
     """
-    rows, fallback, cut = _scheme_inputs(h, frac, "hyper")
-    return tuple(_priority_core(rows, h.color_count, fallback, stream, cut))
+    return _round_once(h, frac, "hyper", seed)
 
 
-def graph_max_round(
-    h: EdgeColoredHypergraph,
-    frac: FractionalSolution,
-    stream: RandomStream,
-) -> Coloring:
-    """Strong/weak priority rounding for rank-2 instances, floor 154/405.
+def graph_max_round(h: EdgeColoredHypergraph, frac: FractionalSolution, seed: int) -> Coloring:
+    """Strong/weak priority rounding for rank-2 instances, floor 154/405,
+    drawn from trial 0 of ``seed``.
 
     A color with mass at least 2/3 at a node is "strong" (at most one exists)
     and is taken only when no weak color is wanted; this lifts the guarantee
     above the generic rank-2 floor.
     """
-    rows, fallback, cut = _scheme_inputs(h, frac, "graph")
-    return tuple(_priority_core(rows, h.color_count, fallback, stream, cut))
+    return _round_once(h, frac, "graph", seed)
 
 
 def half_threshold_round(
@@ -339,64 +320,6 @@ class EstimateResult:
 _BLOCK = 1024
 
 
-def _rejected(u: np.ndarray, n: int) -> np.ndarray:
-    """Draws that ``RandomStream.randrange(n)`` would reject and redraw."""
-    limit = (1 << 64) - ((1 << 64) % n)
-    if limit == 1 << 64:
-        return np.zeros(u.shape, dtype=bool)
-    return u >= np.uint64(limit)
-
-
-def _stream_draws(master_seed: int, start: int, count: int, draws: int) -> np.ndarray:
-    """(count, draws) uint64: the first ``draws`` outputs of the streams of
-    trials start .. start+count-1, as ``RandomSource.stream`` derives them."""
-    t = np.arange(start, start + count, dtype=np.uint64)
-    salt = _mix64_array(t * np.uint64(_GOLDEN) + np.uint64(_STREAM_SALT))
-    state = salt ^ np.uint64(_mix64(master_seed))
-    # draw d reads the state advanced d+1 times; masked here in Python ints
-    steps = np.array([((d + 1) * _GOLDEN) & _MASK64 for d in range(draws)], dtype=np.uint64)
-    return _mix64_array(state[:, None] + steps)
-
-
-def _priority_block(
-    draws: np.ndarray, x_weak: np.ndarray, rest: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """``_priority_core`` for a block of trials at once.
-
-    Returns the (nodes, trials) colorings and a mask of the trials whose
-    permutation draws ``randrange`` would have rejected; those columns are
-    not what the scalar path gives and must be re-run on it.  ``x_weak`` is
-    the node color mass with strong colors set to -inf, so no threshold
-    falls below them, and ``rest`` is each node's color when no weak color
-    is wanted (its strong color, else its fallback); its dtype, the
-    smallest that holds the color count, is the dtype of the colorings.
-    """
-    count = draws.shape[0]
-    k = x_weak.shape[1]
-    trial = np.arange(count)
-    # Fisher-Yates on 0-based colors, one swap column per draw
-    order = np.tile(np.arange(k, dtype=rest.dtype), (count, 1))
-    rejected = np.zeros(count, dtype=bool)
-    for d, i in enumerate(range(k - 1, 0, -1)):
-        u = draws[:, d]
-        rejected |= _rejected(u, i + 1)
-        j = (u % np.uint64(i + 1)).astype(np.intp)
-        held = order[:, i].copy()
-        order[:, i] = order[trial, j]
-        order[trial, j] = held
-    alphas = (draws[:, k - 1 :] >> 11) * 2.0**-53
-
-    lam = np.tile(rest, (count, 1))
-    mass = np.ascontiguousarray(x_weak.T)
-    # the color at position pos of the order has priority pos: going up from
-    # the lowest, each wanted color overwrites every one below it
-    for pos in range(k):
-        color = order[:, pos]
-        wanted = alphas[trial, color][:, None] < mass[color]
-        np.copyto(lam, (color + 1)[:, None], where=wanted)
-    return np.ascontiguousarray(lam.T), rejected
-
-
 def estimate_satisfaction(
     h: EdgeColoredHypergraph,
     frac: FractionalSolution,
@@ -412,21 +335,7 @@ def estimate_satisfaction(
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    rows, fallback, cut = _scheme_inputs(h, frac, scheme)
-    k = h.color_count
-    source = RandomSource(master_seed)
-    x = np.asarray(frac.node_color, dtype=float)
-    strong = x >= cut
-    if np.any(strong.sum(axis=1) > 1):
-        raise RuntimeError(
-            "two colors with mass >= 2/3 at one node; "
-            "fractional input violates the unit simplex"
-        )
-    x_weak = np.where(strong, -np.inf, x)
-    # colorings in the smallest dtype that holds color k (uint8 below 256
-    # colors) keep the per-edge gathers and compares small
-    ctype = np.min_scalar_type(k)
-    rest = np.where(strong.any(axis=1), strong.argmax(axis=1) + 1, fallback).astype(ctype)
+    x_weak, rest = _scheme_inputs(h, frac, scheme)
 
     by_size: dict[int, list[int]] = {}
     for ei, e in enumerate(h.edges):
@@ -435,7 +344,7 @@ def estimate_satisfaction(
         (
             np.array(idx),
             np.array([h.edges[ei].nodes for ei in idx]) - 1,
-            np.array([h.edges[ei].color for ei in idx], dtype=ctype)[:, None, None],
+            np.array([h.edges[ei].color for ei in idx], dtype=rest.dtype)[:, None, None],
         )
         for idx in by_size.values()
     ]
@@ -445,16 +354,13 @@ def estimate_satisfaction(
     weight_total = 0.0
     for start in range(0, trials, _BLOCK):
         count = min(_BLOCK, trials - start)
-        draws = _stream_draws(master_seed, start, count, 2 * k - 1)
-        lam, rejected = _priority_block(draws, x_weak, rest)
-        for t in np.flatnonzero(rejected):
-            lam[:, t] = _priority_core(rows, k, fallback, source.stream(start + int(t)), cut)
+        lam = _priority_block(_trial_draws(master_seed, start, count, h.color_count), x_weak, rest)
         satisfied = np.empty((h.edge_count, count), dtype=bool)
         for idx, nodes, colors in groups:
             satisfied[idx] = (lam[nodes] == colors).all(axis=1)
         counts += np.count_nonzero(satisfied, axis=1)
-        # one satisfied (trial, edge) at a time, trial-major, as the scalar
-        # loop adds them, so the float total is the same
+        # one satisfied (trial, edge) at a time, trial-major, as a
+        # trial-at-a-time loop adds them, so the float total is the same
         hits = np.broadcast_to(weights, (count, h.edge_count))[satisfied.T]
         weight_total = float(np.add.accumulate(np.concatenate(([weight_total], hits)))[-1])
 

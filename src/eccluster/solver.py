@@ -20,7 +20,6 @@ from .relaxations import (
 )
 from .rounding import (
     DEFAULT_RHO,
-    RandomSource,
     graph_max_round,
     half_threshold_round,
     hyper_max_round,
@@ -66,7 +65,7 @@ def _budget(problem: Problem) -> float:
 
 def _round_max(h: EdgeColoredHypergraph, seed: int, rounder: Callable) -> SolveResult:
     frac = solve_max_relaxation(h)
-    lam = rounder(h, frac, RandomSource(seed).stream(0))
+    lam = rounder(h, frac, seed)
     return SolveResult(lam, frac.bound, fallback="lp-informed", master_seed=seed, maximize=True)
 
 

@@ -1,4 +1,10 @@
-"""Random streams, rounding schemes, and the satisfaction estimator."""
+"""Trial draws, rounding schemes, and the satisfaction estimator.
+
+The priority roundings are checked against a frozen trial-at-a-time
+reference (``_reference_*``): a splitmix64 stream drawn one output at a time
+and the scalar priority core that rounded one trial before every rounding
+became a block of numpy trials.
+"""
 
 from __future__ import annotations
 
@@ -12,8 +18,106 @@ import pytest
 
 import eccluster as ec
 from eccluster import rounding
-from eccluster.rounding import TWO_THIRDS, _priority_core, _scheme_inputs
+from eccluster.rounding import TWO_THIRDS
 from conftest import instance_batch, random_instance
+
+_MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def _reference_mix64(z):
+    z &= _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def _reference_limit(u, n):
+    """The real rejection test: u at or above the largest multiple of n."""
+    return u >= (1 << 64) - ((1 << 64) % n)
+
+
+class _ReferenceStream:
+    """Frozen splitmix64 stream of trial ``trial`` of ``master_seed``, one
+    output at a time; ``rejects(u, n)`` is the rejection test of
+    ``randrange(n)``."""
+
+    def __init__(self, master_seed, trial, rejects=_reference_limit):
+        salt = _reference_mix64((trial * _GOLDEN + 0x1D8E4E27C47D124F) & _MASK64)
+        self.state = _reference_mix64(master_seed) ^ salt
+        self.rejects = rejects
+
+    def next_uint64(self):
+        self.state = (self.state + _GOLDEN) & _MASK64
+        return _reference_mix64(self.state)
+
+    def uniform(self):
+        return (self.next_uint64() >> 11) * 2.0**-53
+
+    def randrange(self, n):
+        while True:
+            u = self.next_uint64()
+            if not self.rejects(u, n):
+                return u % n
+
+    def permutation(self, k):
+        arr = list(range(1, k + 1))
+        for i in range(k - 1, 0, -1):
+            j = self.randrange(i + 1)
+            arr[i], arr[j] = arr[j], arr[i]
+        return arr
+
+
+def _reference_priority_core(rows, k, fallback, stream, strong_cut):
+    """Frozen scalar rounding of one trial: each node takes its highest-
+    priority wanted color, a strong color only when no weak one is wanted."""
+    order = stream.permutation(k)
+    priority = [0] * k
+    for pos, color in enumerate(order):
+        priority[color - 1] = pos
+    alphas = [stream.uniform() for _ in range(k)]
+    lam = []
+    for row, fb in zip(rows, fallback):
+        strong = -1
+        best = -1
+        best_pri = -1
+        for ci in range(k):
+            xv = row[ci]
+            if xv >= strong_cut:
+                if strong >= 0:
+                    raise RuntimeError(
+                        "two colors with mass >= 2/3 at one node; "
+                        "fractional input violates the unit simplex"
+                    )
+                strong = ci
+                continue
+            if alphas[ci] < xv and priority[ci] > best_pri:
+                best_pri = priority[ci]
+                best = ci
+        if best >= 0:
+            lam.append(best + 1)
+        elif strong >= 0:
+            lam.append(strong + 1)
+        else:
+            lam.append(fb)
+    return lam
+
+
+def _reference_inputs(frac, scheme):
+    cut = {"hyper": math.inf, "graph": TWO_THIRDS}[scheme]
+    return frac.node_color.tolist(), ec.fallback_colors(frac), cut
+
+
+def _reference_round(h, frac, scheme, seed, rejects=_reference_limit):
+    """The reference's trial 0 of ``seed``: what a single rounding returns."""
+    rows, fallback, cut = _reference_inputs(frac, scheme)
+    stream = _ReferenceStream(seed, 0, rejects)
+    return tuple(_reference_priority_core(rows, h.color_count, fallback, stream, cut))
+
+
+def _forced(u, n):
+    """A rejection test that refuses one draw in five, so the rare path runs."""
+    return u % 5 == 0
 
 
 def _assignment(rows, edge_values=None, bound=0.0):
@@ -29,47 +133,56 @@ def _distance(rows, edge_values=None, bound=0.0):
 
 
 def test_stream_is_deterministic_and_in_range():
-    a = ec.RandomSource(123).stream(5)
-    b = ec.RandomSource(123).stream(5)
-    seq_a = [a.next_uint64() for _ in range(50)]
-    seq_b = [b.next_uint64() for _ in range(50)]
-    assert seq_a == seq_b
-    assert all(0 <= v < 1 << 64 for v in seq_a)
-    us = [ec.RandomSource(9).stream(0).uniform() for _ in range(1)]
-    stream = ec.RandomSource(9).stream(0)
-    us = [stream.uniform() for _ in range(1000)]
-    assert all(0.0 <= u < 1.0 for u in us)
-    assert 0.4 < sum(us) / len(us) < 0.6
+    a = rounding._trial_draws(123, 5, 50, 4)
+    b = rounding._trial_draws(123, 5, 50, 4)
+    assert a.shape == (50, 7)
+    assert np.array_equal(a, b)
+    us = (rounding._trial_draws(9, 0, 1000, 4)[:, 3:] >> 11) * 2.0**-53
+    assert ((0.0 <= us) & (us < 1.0)).all()
+    assert 0.4 < us.mean() < 0.6
 
 
 def test_streams_differ_across_trials_and_seeds():
-    base = [ec.RandomSource(7).stream(0).next_uint64() for _ in range(4)]
-    other_trial = [ec.RandomSource(7).stream(1).next_uint64() for _ in range(4)]
-    other_seed = [ec.RandomSource(8).stream(0).next_uint64() for _ in range(4)]
-    assert base != other_trial
-    assert base != other_seed
+    base = rounding._trial_draws(7, 0, 2, 3)
+    assert not np.array_equal(base[0], base[1])
+    assert not np.array_equal(base[0], rounding._trial_draws(8, 0, 1, 3)[0])
+    # a trial's draws do not depend on the block it is drawn in
+    assert np.array_equal(rounding._trial_draws(7, 1, 1, 3)[0], base[1])
 
 
 def test_source_validation():
-    with pytest.raises(ValueError):
-        ec.RandomSource(-1)
-    with pytest.raises(ValueError):
-        ec.RandomSource(1 << 64)
-    with pytest.raises(ValueError):
-        ec.RandomSource(0).stream(-1)
+    # a seed outside 64 bits would otherwise be masked: 2**64 rounds as 0
+    h = ec.triangle_gadget()
+    frac = ec.solve_max_relaxation(h)
+    for seed in (-1, 1 << 64):
+        for call in (
+            lambda: ec.hyper_max_round(h, frac, seed),
+            lambda: ec.graph_max_round(h, frac, seed),
+            lambda: ec.estimate_satisfaction(h, frac, "hyper", 10, master_seed=seed),
+            lambda: ec.solve(h, ec.MAX, "hyper-max", seed=seed),
+            lambda: ec.solve(h, ec.MAX, "graph-max", seed=seed),
+        ):
+            with pytest.raises(ValueError, match="64 bits"):
+                call()
+    assert ec.hyper_max_round(h, frac, (1 << 64) - 1) == _reference_round(h, frac, "hyper", (1 << 64) - 1)
 
 
 def test_randrange_bounds():
-    stream = ec.RandomSource(3).stream(2)
-    draws = [stream.randrange(7) for _ in range(2000)]
-    assert set(draws) == set(range(7))
-    with pytest.raises(ValueError):
-        stream.randrange(0)
+    # every swap position j of the Fisher-Yates step at i is drawn from 0..i
+    draws = rounding._trial_draws(3, 2, 2000, 7)
+    for d, i in enumerate(range(6, 0, -1)):
+        assert set((draws[:, d] % np.uint64(i + 1)).tolist()) == set(range(i + 1))
 
 
 def test_permutations_are_uniform_enough():
-    stream = ec.RandomSource(11).stream(0)
-    counts = Counter(tuple(stream.permutation(3)) for _ in range(30000))
+    # node 0 wants every color and takes the top of the order; node c wants
+    # every color but c, so node (top) takes the second: the order is seen
+    inf = np.inf
+    x_weak = np.array([[2.0, 2.0, 2.0], [-inf, 2.0, 2.0], [2.0, -inf, 2.0], [2.0, 2.0, -inf]])
+    lam = rounding._priority_block(rounding._trial_draws(11, 0, 30000, 3), x_weak, np.zeros(4, np.uint8))
+    top = lam[0].astype(int)
+    second = lam[top, np.arange(30000)].astype(int)
+    counts = Counter(zip(top.tolist(), second.tolist(), (6 - top - second).tolist()))
     assert set(counts) == set(itertools.permutations((1, 2, 3)))
     for perm, count in counts.items():
         assert abs(count / 30000 - 1 / 6) < 0.01, perm
@@ -81,8 +194,8 @@ def test_hyper_round_wanted_color_wins():
     )
     # full mass on one color means that color is always wanted and chosen
     frac = _assignment([[0.0, 1.0, 0.0], [0.0, 1.0, 0.0]], [1.0])
-    for trial in range(20):
-        lam = ec.hyper_max_round(h, frac, ec.RandomSource(1).stream(trial))
+    for seed in range(20):
+        lam = ec.hyper_max_round(h, frac, seed)
         assert lam == (2, 2)
 
 
@@ -91,7 +204,7 @@ def test_hyper_round_fallback_when_nothing_wanted():
         2, 3, (ec.Edge(color=2, weight=1.0, nodes=(1, 2)),)
     )
     frac = _assignment([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]], [0.0])
-    lam = ec.hyper_max_round(h, frac, ec.RandomSource(1).stream(0))
+    lam = ec.hyper_max_round(h, frac, 1)
     assert lam == (1, 1)  # argmax of an all-zero row is the first color
 
 
@@ -99,13 +212,13 @@ def test_hyper_round_validates_orientation_and_shape():
     h = ec.triangle_gadget()
     dist = _distance(np.full((3, 3), 0.5), np.zeros(3))
     with pytest.raises(ValueError):
-        ec.hyper_max_round(h, dist, ec.RandomSource(0).stream(0))
+        ec.hyper_max_round(h, dist, 0)
     bad_shape = _assignment(np.full((2, 3), 0.3), np.zeros(3))
     with pytest.raises(ValueError):
-        ec.hyper_max_round(h, bad_shape, ec.RandomSource(0).stream(0))
+        ec.hyper_max_round(h, bad_shape, 0)
     overfull = _assignment(np.full((3, 3), 0.9), np.zeros(3))
     with pytest.raises(ValueError):
-        ec.hyper_max_round(h, overfull, ec.RandomSource(0).stream(0))
+        ec.hyper_max_round(h, overfull, 0)
 
 
 def test_graph_round_strong_color_taken_without_weak_want():
@@ -113,8 +226,8 @@ def test_graph_round_strong_color_taken_without_weak_want():
         2, 3, (ec.Edge(color=1, weight=1.0, nodes=(1, 2)),)
     )
     frac = _assignment([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [1.0])
-    for trial in range(20):
-        lam = ec.graph_max_round(h, frac, ec.RandomSource(2).stream(trial))
+    for seed in range(20):
+        lam = ec.graph_max_round(h, frac, seed)
         assert lam == (1, 1)
 
 
@@ -126,8 +239,8 @@ def test_graph_round_prefers_weak_wanted_over_strong():
     row = [TWO_THIRDS + 0.01, TWO_THIRDS - 0.35]
     frac = _assignment([row, row], [row[0]])
     seen = set()
-    for trial in range(200):
-        lam = ec.graph_max_round(h, frac, ec.RandomSource(5).stream(trial))
+    for seed in range(200):
+        lam = ec.graph_max_round(h, frac, seed)
         seen.update(lam)
     # weak color 2 must appear (alpha below its mass often enough), strong
     # color 1 must appear whenever nothing weak is wanted
@@ -140,7 +253,7 @@ def test_graph_round_requires_two_node_edges():
     )
     frac = _assignment(np.full((3, 2), 0.5), [0.5])
     with pytest.raises(ValueError):
-        ec.graph_max_round(h, frac, ec.RandomSource(0).stream(0))
+        ec.graph_max_round(h, frac, 0)
 
 
 def test_half_threshold_examples():
@@ -269,7 +382,7 @@ def test_rounded_colorings_are_always_valid():
     rng = random.Random(61)
     for h in instance_batch(62, 8):
         frac = ec.solve_max_relaxation(h)
-        lam = ec.hyper_max_round(h, frac, ec.RandomSource(1).stream(rng.randint(0, 99)))
+        lam = ec.hyper_max_round(h, frac, rng.randint(0, 99))
         assert len(lam) == h.node_count
         assert all(1 <= c <= h.color_count for c in lam)
         dist = ec.solve_pmean_relaxation(h, 1.0)
@@ -277,17 +390,16 @@ def test_rounded_colorings_are_always_valid():
         assert all(1 <= c <= h.color_count for c in lam2)
 
 
-def _scalar_estimate(h, frac, scheme, trials, master_seed):
+def _scalar_estimate(h, frac, scheme, trials, master_seed, rejects=_reference_limit):
     """Frozen copy of the trial-at-a-time loop that ``estimate_satisfaction``
     ran before it rounded blocks of trials: the reference it must equal."""
-    rows, fallback, cut = _scheme_inputs(h, frac, scheme)
+    rows, fallback, cut = _reference_inputs(frac, scheme)
     k = h.color_count
     edges = [(e.color, tuple(v - 1 for v in e.nodes), e.weight) for e in h.edges]
-    source = ec.RandomSource(master_seed)
     counts = [0] * h.edge_count
     weight_total = 0.0
     for t in range(trials):
-        lam = _priority_core(rows, k, fallback, source.stream(t), cut)
+        lam = _reference_priority_core(rows, k, fallback, _ReferenceStream(master_seed, t, rejects), cut)
         for ei, (color, nodes, w) in enumerate(edges):
             for v in nodes:
                 if lam[v] != color:
@@ -389,32 +501,73 @@ def test_rejected_mask_matches_randrange_limit():
 
 
 @pytest.mark.parametrize("scheme", ["hyper", "graph"])
-def test_rejected_trials_rerun_on_scalar_path(monkeypatch, scheme):
-    # real rejections have probability below k / 2**64; force one trial in
-    # several onto the scalar path and check the counts do not move
+def test_forced_rejections_match_reference_stream(monkeypatch, scheme):
+    # real rejections have probability below k / 2**64; force one draw in
+    # five to be rejected and check the counts are the reference stream's
+    # under the same rejection test
     rng = random.Random(31)
     cases = []
     for k in (2, 3, 5, 7):
         h = _decimal_instance(rng, k, (1, 2, 3) if scheme == "hyper" else (2,))
         cases.append((h, _assignment(_simplex_rows(rng, h.node_count, k))))
-    expected = [_scalar_estimate(h, frac, scheme, BLOCK + 1, 5) for h, frac in cases]
+    expected = [_scalar_estimate(h, frac, scheme, BLOCK + 1, 5, _forced) for h, frac in cases]
 
-    rerun = []
+    walked = []
+    walk = rounding._walk
 
-    def spy(rows, k, fallback, stream, cut):
-        rerun.append(k)
-        return _priority_core(rows, k, fallback, stream, cut)
+    def spy(state, k):
+        walked.append(k)
+        return walk(state, k)
 
-    monkeypatch.setattr(rounding, "_rejected", lambda u, n: u % np.uint64(5) == 0)
-    monkeypatch.setattr(rounding, "_priority_core", spy)
+    monkeypatch.setattr(rounding, "_rejected", _forced)
+    monkeypatch.setattr(rounding, "_walk", spy)
     for (h, frac), (freq, se, mean) in zip(cases, expected):
         est = ec.estimate_satisfaction(h, frac, scheme, BLOCK + 1, master_seed=5)
         assert est.frequencies.tobytes() == freq.tobytes()
         assert est.std_errors.tobytes() == se.tobytes()
         assert est.mean_objective == mean
-    # about (k - 1) / 5 of the trials of each instance took the scalar path
+    # a trial is walked again when one of its k - 1 swap draws is rejected:
+    # about (k - 1) / 5 of the trials of each instance
     for k in (2, 3, 5, 7):
-        assert 0.1 * (k - 1) * BLOCK < rerun.count(k) < 0.3 * (k - 1) * BLOCK
+        assert 0.1 * (k - 1) * BLOCK < walked.count(k) < 0.3 * (k - 1) * BLOCK
+    rounder = ec.hyper_max_round if scheme == "hyper" else ec.graph_max_round
+    for h, frac in cases:
+        for seed in range(40):
+            assert rounder(h, frac, seed) == _reference_round(h, frac, scheme, seed, _forced)
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_trial_draws_match_reference_stream_under_forced_rejections(monkeypatch, k):
+    # swap positions and raw thresholds, trial by trial, against the stream
+    # read one output at a time; rejected draws are skipped by both
+    monkeypatch.setattr(rounding, "_rejected", _forced)
+    for seed in (0, 1, (1 << 64) - 1):
+        draws = rounding._trial_draws(seed, 3, 60, k)
+        for row, t in enumerate(range(3, 63)):
+            stream = _ReferenceStream(seed, t, _forced)
+            swaps = [stream.randrange(i + 1) for i in range(k - 1, 0, -1)]
+            assert [int(draws[row, d]) % (i + 1) for d, i in enumerate(range(k - 1, 0, -1))] == swaps
+            assert draws[row, k - 1 :].tolist() == [stream.next_uint64() for _ in range(k)]
+
+
+# the corpora of the blocked-estimate tests: LP input and random simplex rows
+@pytest.mark.parametrize("scheme", ["hyper", "graph"])
+@pytest.mark.parametrize("k", range(1, 8))
+def test_single_rounds_equal_reference_trial_zero(k, scheme):
+    sizes = (1, 2, 3) if scheme == "hyper" else (2,)
+    rounder = ec.hyper_max_round if scheme == "hyper" else ec.graph_max_round
+    lp_h = _decimal_instance(random.Random(100 * k + len(scheme)), k, sizes)
+    rng = random.Random(200 * k + len(scheme))
+    rows_h = _decimal_instance(rng, k, sizes)
+    cases = [
+        (lp_h, ec.solve_max_relaxation(lp_h)),
+        (rows_h, _assignment(_simplex_rows(rng, rows_h.node_count, k))),
+    ]
+    for h, frac in cases:
+        for seed in SEEDS + tuple(range(1, 30)):
+            lam = rounder(h, frac, seed)
+            assert lam == _reference_round(h, frac, scheme, seed)
+            assert all(type(c) is int for c in lam)
 
 
 def test_two_strong_colors_error_is_unchanged():
@@ -422,7 +575,7 @@ def test_two_strong_colors_error_is_unchanged():
     # negative mass lets two colors reach 2/3 inside the unit simplex check
     frac = _assignment([[0.2, 0.3, 0.1], [0.7, 0.7, -0.4]])
     with pytest.raises(RuntimeError) as scalar:
-        ec.graph_max_round(h, frac, ec.RandomSource(0).stream(0))
+        ec.graph_max_round(h, frac, 0)
     with pytest.raises(RuntimeError) as blocked:
         ec.estimate_satisfaction(h, frac, "graph", 10)
     assert str(blocked.value) == str(scalar.value)
