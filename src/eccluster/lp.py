@@ -1,21 +1,21 @@
 """Linear programming on a column-sparse, bounded-variable simplex tableau.
 
 An LP is one constraint matrix: ``A`` (rows x variables), a sense per row
-(LE, GE or EQ) and a right-hand side vector, plus box bounds per variable.
-The solver is a small two-phase primal simplex with Bland's anti-cycling
-rule (lowest entering column, lowest-index leaving variable on ratio ties).
-Bounds are implicit (Dantzig's upper-bounding technique): the tableau holds
-only the rows of ``A``, and a nonbasic variable at its upper bound is stored
-complemented, so a step can end in a bound flip instead of a pivot.  The
-simplex starts at the lower corner of the box, or at the upper corner, every
-variable complemented, when the lower corner needs an artificial and the
-upper corner needs none (no EQ rows, every row holds there).  Rows that hold
-at the start on their slack, zero-residual GE rows among them, need no
-artificial.  The final basis is re-solved against the clean input data.
-The tableau is stored densely in column-major order, and a pivot touches
-only the columns where the normalised pivot row is nonzero.  Identical
-inputs always produce identical outputs; the optimal vertex may differ from
-the one a dense tableau with explicit bound rows would return.
+(LE, GE or EQ) and a right-hand side vector, plus box bounds per variable
+and a start corner that puts each variable at its lower or upper bound.
+The solver is a one-phase primal simplex with Bland's anti-cycling rule
+(lowest entering column, lowest-index leaving variable on ratio ties), run
+from that corner, which must satisfy every row.  Bounds are implicit
+(Dantzig's upper-bounding technique): the tableau holds only the rows of
+``A``, each with one slack column, and a nonbasic variable at its upper
+bound is stored complemented, so a step can end in a bound flip instead of
+a pivot.  An EQ row's slack is boxed in [0, 0] (Koberstein, The Dual Simplex
+Method, 2005), so no row needs an artificial and none is dropped: the basis
+holds one column per row, and the final basis is re-solved against the
+clean input data.  The tableau is stored densely in column-major order, and
+a pivot touches only the columns where the normalised pivot row is nonzero.
+Identical inputs always produce identical outputs; the optimal vertex may
+differ from the one a dense tableau with explicit bound rows would return.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ __all__ = [
     "GE",
     "EQ",
     "EPS_FEAS",
-    "EPS_OBJ",
     "LinearProgram",
     "LpSolution",
     "SimplexError",
@@ -43,13 +42,11 @@ GE = ">="
 EQ = "="
 
 EPS_FEAS = 1e-9
-EPS_OBJ = 1e-7
 #: Smallest entry pivoted on, and the reduced-cost tolerance.  At 1e-10 a
 #: p = 2 cutting-plane master pivoted on a 1.2e-10 entry and its recovered
 #: point broke a row by 0.115 (``test_pinned_p2_master_solves``).
 _PIVOT_TOL = 1e-9
 _RATIO_TIE = 1e-12
-_PHASE1_TOL = 1e-8
 
 
 class SimplexError(RuntimeError):
@@ -62,8 +59,11 @@ class LinearProgram:
 
     ``A`` is rows x variables, ``senses`` holds LE, GE or EQ per row and
     ``rhs`` one right-hand side per row.  ``bounds`` is an (n, 2) array of
-    (lo, hi) pairs, [0, 1] per variable by default.  Every number must be
-    finite, with lo <= hi, and every array is stored as a read-only copy.
+    (lo, hi) pairs, [0, 1] per variable by default.  ``start`` holds one
+    bool per variable, True where the simplex starts it at its upper bound,
+    all False (the lower corner) by default; ``solve_lp`` requires that
+    corner to satisfy every row.  Every number must be finite, with lo <=
+    hi, and every array is stored as a read-only copy.
     """
 
     objective: np.ndarray
@@ -71,6 +71,7 @@ class LinearProgram:
     senses: np.ndarray
     rhs: np.ndarray
     bounds: Optional[np.ndarray] = None
+    start: Optional[np.ndarray] = None
     maximize: bool = False
 
     def __post_init__(self) -> None:
@@ -80,13 +81,15 @@ class LinearProgram:
         A = np.asarray(self.A, dtype=float)  # copied below
         rows = A.shape[0] if A.ndim == 2 else -1
         bounds = np.tile([0.0, 1.0], (n, 1)) if self.bounds is None else self.bounds
-        for name, values, shape in (
-            ("objective", self.objective, (n,)),
-            ("A", A, (rows, n)),
-            ("rhs", self.rhs, (rows,)),
-            ("bounds", bounds, (n, 2)),
+        start = np.zeros(n, dtype=bool) if self.start is None else self.start
+        for name, values, shape, dtype in (
+            ("objective", self.objective, (n,), float),
+            ("A", A, (rows, n), float),
+            ("rhs", self.rhs, (rows,), float),
+            ("bounds", bounds, (n, 2), float),
+            ("start", start, (n,), bool),
         ):
-            arr = np.array(values, dtype=float)
+            arr = np.array(values, dtype=dtype)
             if arr.shape != shape or not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} must be finite with shape {shape}, got shape {arr.shape}")
             arr.flags.writeable = False
@@ -109,11 +112,10 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LpSolution:
-    status: str  # "optimal" | "infeasible" | "unbounded"
     values: np.ndarray
     objective_value: float
-    basis: tuple[int, ...] = ()  # final standard-form basis, one column per kept row
-    pivots: int = 0  # simplex pivots of both phases; bound flips are not counted
+    basis: tuple[int, ...] = ()  # final standard-form basis, one column per row
+    pivots: int = 0  # simplex pivots; bound flips are not counted
 
 
 def max_violation(lp: LinearProgram, x: np.ndarray) -> float:
@@ -140,14 +142,6 @@ def _pivot(T: np.ndarray, obj: np.ndarray, basis: np.ndarray, pr: int, pc: int) 
     basis[pr] = pc
 
 
-def _reduced_costs(c_ext: np.ndarray, T: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    obj = c_ext.copy()
-    for i, j in enumerate(basis):
-        if c_ext[j] != 0.0:
-            obj -= c_ext[j] * T[i]
-    return obj
-
-
 def _run_simplex(
     T: np.ndarray,
     obj: np.ndarray,
@@ -155,8 +149,8 @@ def _run_simplex(
     u: np.ndarray,
     complemented: np.ndarray,
     cap: int,
-) -> tuple[str, int]:
-    """Minimize over the tableau in place with Bland's rule; returns (status, pivots).
+) -> int:
+    """Minimize over the tableau in place with Bland's rule; returns the pivots.
 
     Tableau variable j lies in [0, u[j]], and every nonbasic one reads 0: one
     at its upper bound is stored complemented (u - y, its column and reduced
@@ -169,7 +163,8 @@ def _run_simplex(
     limit, the one whose basic variable has the lowest index; a variable that
     leaves at its u has its row complemented first.  Ratios are clamped at 0,
     so a basic value an ulp outside its box counts as on its bound.  Bound
-    flips count towards ``cap`` but not towards the pivots returned.
+    flips count towards ``cap`` but not towards the pivots returned.  An
+    entering column that nothing limits raises SimplexError.
     """
     pivots = steps = 0
     ncols = T.shape[1] - 1
@@ -178,7 +173,7 @@ def _run_simplex(
     while True:
         candidates = (obj[:ncols] < -_PIVOT_TOL).nonzero()[0]
         if not candidates.size:
-            return "optimal", pivots
+            return pivots
         entering = candidates[0]
         column = T[:, entering]
         rows = (np.abs(column) > _PIVOT_TOL).nonzero()[0]
@@ -189,7 +184,7 @@ def _run_simplex(
         own = u[entering]
         if own <= best:
             if own == np.inf:
-                return "unbounded", pivots
+                raise SimplexError(f"column {entering} enters without limit")
             T[:, -1] -= own * column
             column *= -1.0
             obj[entering] *= -1.0
@@ -211,107 +206,51 @@ def _run_simplex(
             raise SimplexError(f"pivot cap {cap} exceeded")
 
 
-def _on_slacks(residual: np.ndarray, le: np.ndarray, ge: np.ndarray) -> bool:
-    """Whether a corner with these row residuals (rhs - A x) satisfies every row, none EQ."""
-    return bool(np.all(np.where(le, residual >= 0, ge & (residual <= 0))))
-
-
 def solve_lp(lp: LinearProgram) -> LpSolution:
-    """Two-phase bounded-variable primal simplex with Bland's rule; deterministic for fixed input.
-
-    Starts at x = hi when x = lo needs an artificial and x = hi none, else at x = lo.
-    """
+    """One-phase bounded-variable primal simplex with Bland's rule from the
+    corner ``lp.start``; deterministic for fixed input.  Raises ValueError
+    when that corner breaks a row by more than EPS_FEAS."""
     n = lp.variable_count
     lo, hi = lp.bounds.T
-    sign = -1.0 if lp.maximize else 1.0
-    c_min = sign * lp.objective
+    residual = lp.rhs - lp.A @ np.where(lp.start, hi, lo)
+    le, eq = lp.senses == LE, lp.senses == EQ
+    breach = np.where(le, -residual, np.where(eq, np.abs(residual), residual))
+    if np.any(breach > EPS_FEAS):
+        i = int(np.argmax(breach > EPS_FEAS))
+        raise ValueError(f"start corner breaks row {i} ({lp.senses[i]}) by {breach[i]:.3e}")
 
     # Standard form over y = x - lo in [0, hi - lo]; the bounds stay out of
-    # the rows.  Rows with a negative residual at the starting corner, and
-    # GE rows with a zero one, are negated, which swaps LE and GE: every LE
-    # row then starts on its slack, and only GE rows with a positive residual
-    # and EQ rows need an artificial.
-    b = lp.rhs - lp.A @ lo
-    r = lp.rhs - lp.A @ hi  # the residual at the upper corner
-    le, ge = lp.senses == LE, lp.senses == GE
-    upper = not _on_slacks(b, le, ge) and _on_slacks(r, le, ge)
-    start = r if upper else b
-    flip = (start < 0) | ((start == 0) & ge)
-    le, ge = np.where(flip, ge, le), np.where(flip, le, ge)
-
-    # Slack columns follow the structural ones in row order, then artificials.
-    R = b.size
-    slack_rows = (le | ge).nonzero()[0]
-    art_rows = (~le).nonzero()[0]
-    n_real = n + slack_rows.size  # structural + slack columns, the phase-2 world
-    ncols = n_real + art_rows.size
-    slack_cols = n + np.arange(slack_rows.size)
-    art_cols = n_real + np.arange(art_rows.size)
-
+    # the rows.  Every row gets one slack column, after the structural ones
+    # in row order.  GE rows, and EQ rows with a negative residual, are
+    # negated, so each row reads f a y + s = f (rhs - a lo) with its slack
+    # starting at f * residual >= 0; an EQ row's slack is boxed in [0, 0].
+    R = residual.size
+    ncols = n + R
+    f = np.where((lp.senses == GE) | (eq & (residual < 0)), -1.0, 1.0)
     full = np.zeros((R, ncols + 1))
-    full[:, :n] = lp.A
-    full[flip, :n] *= -1.0
-    full[:, -1] = np.where(flip, -b, b)
-    full[slack_rows, slack_cols] = np.where(le[slack_rows], 1.0, -1.0)
-    full[art_rows, art_cols] = 1.0
-    u = np.full(ncols, np.inf)  # slacks and artificials have no upper bound
-    u[:n] = hi - lo
-    complemented = np.zeros(ncols, dtype=bool)
+    full[:, :n] = lp.A * f[:, None]
+    full[np.arange(R), n + np.arange(R)] = 1.0
+    full[:, -1] = f * (lp.rhs - lp.A @ lo)
+    u = np.concatenate([hi - lo, np.where(eq, 0.0, np.inf)])
 
-    cap = 10_000 + 50 * (R + ncols)
-    total_pivots = 0
-
-    # Phase 1: basis of slacks and artificials, minimize the artificial mass.
-    basis = np.empty(R, dtype=int)
-    basis[slack_rows] = slack_cols
-    basis[art_rows] = art_cols
+    # Start columns are complemented, at their u.  The basis is all slacks,
+    # so the reduced costs are the costs to minimize, negated once for a
+    # maximization and once for a complemented column.
+    complemented = np.concatenate([lp.start, np.zeros(R, dtype=bool)])
     T = full.copy(order="F")
-    if upper:  # every structural column complemented, at its u
-        T[:, :n] *= -1.0
-        T[:, -1] = np.abs(r)
-        complemented[:n] = True
-    c1 = np.zeros(ncols + 1)
-    c1[n_real:ncols] = 1.0
-    obj1 = _reduced_costs(c1, T, basis)
-    status, p = _run_simplex(T, obj1, basis, u, complemented, cap)
-    total_pivots += p
-    if status != "optimal":
-        raise SimplexError("phase 1 terminated abnormally")
-    if sum(T[basis >= n_real, -1].tolist()) > _PHASE1_TOL:
-        return LpSolution("infeasible", np.zeros(n), float("nan"))
-    # Pivot leftover artificials out on the row's largest entry; a row that
-    # cannot release one is redundant.
-    keep = np.ones(R, dtype=bool)
-    dummy = np.zeros(T.shape[1])
-    for i in (basis >= n_real).nonzero()[0]:
-        size = np.abs(T[i, :n_real])
-        j = size.argmax()
-        if size[j] > _PIVOT_TOL:
-            _pivot(T, dummy, basis, i, j)
-        else:
-            keep[i] = False
-    row_idx = keep.nonzero()[0]
-    # Indexing the row-major view makes the one copy come out column-major.
-    T = T.T[np.ix_(np.r_[:n_real, ncols], row_idx)].T
-    basis = basis[row_idx]
-    u, complemented = u[:n_real], complemented[:n_real]
-
-    # Phase 2 over the artificial-free tableau; a complemented column costs -c.
-    c2 = np.zeros(n_real + 1)
-    c2[:n] = np.where(complemented[:n], -c_min, c_min)
-    obj2 = _reduced_costs(c2, T, basis)
-    status, p = _run_simplex(T, obj2, basis, u, complemented, cap)
-    total_pivots += p
-    if status == "unbounded":
-        return LpSolution("unbounded", np.zeros(n), float("nan"))
+    T[:, lp.start.nonzero()[0]] *= -1.0
+    T[:, -1] = f * residual
+    basis = n + np.arange(R)
+    obj = np.zeros(ncols + 1)
+    obj[:n] = np.where(lp.start ^ lp.maximize, -lp.objective, lp.objective)
+    pivots = _run_simplex(T, obj, basis, u, complemented, 10_000 + 50 * (R + ncols))
 
     # Re-solve the final basis against the clean input data for sharp
     # numerics, with every complemented nonbasic variable at its upper bound.
     y = np.where(complemented, u, 0.0)
     y[basis] = 0.0
-    kept = full[row_idx]
     try:
-        y[basis] = np.linalg.solve(kept[:, basis], kept[:, -1] - kept[:, :n_real] @ y)
+        y[basis] = np.linalg.solve(full[:, basis], full[:, -1] - full[:, :ncols] @ y)
     except np.linalg.LinAlgError:
         beta = T[:, -1]
         y[basis] = np.where(complemented[basis], u[basis] - beta, beta)
@@ -319,6 +258,4 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     viol = max_violation(lp, x)
     if viol > 1e-6:
         raise SimplexError(f"recovered solution violates constraints by {viol:.3e}")
-    return LpSolution(
-        "optimal", x, float(lp.objective @ x), basis=tuple(basis.tolist()), pivots=total_pivots
-    )
+    return LpSolution(x, float(lp.objective @ x), basis=tuple(basis.tolist()), pivots=pivots)

@@ -117,18 +117,19 @@ def color_mass(h: EdgeColoredHypergraph, gamma: np.ndarray) -> np.ndarray:
 def build_max_lp(h: EdgeColoredHypergraph) -> tuple[LinearProgram, VariableLayout]:
     """maximize sum_e w_e z_e with sum_c x_v^c = 1 and x_v^c >= z_e for v in e.
 
-    ``A`` holds one row per node, then one per incidence in edge order.
+    ``A`` holds one row per node, then one per incidence in edge order.  The
+    simplex starts with every node on color 1 and every z_e at 0.
     """
     region, lay = _region(h, EQ, 1.0, GE)
-    return LinearProgram(_weight_objective(h, lay), *region, maximize=True), lay
+    start = np.zeros(lay.total, dtype=bool)
+    start[lay.node_color_col(np.arange(1, h.node_count + 1), 1)] = True
+    return LinearProgram(_weight_objective(h, lay), *region, start=start, maximize=True), lay
 
 
 def solve_max_relaxation(h: EdgeColoredHypergraph) -> FractionalSolution:
     """Assignment-orientation optimum; z_e snapped to its cap min_{v in e} x_v^c."""
     lp, lay = build_max_lp(h)
     sol = solve_lp(lp)
-    if sol.status != "optimal":
-        raise RuntimeError(f"relaxation came back {sol.status}")
     x, z = lay.split(sol.values)
     row_sums = x.sum(axis=1)
     if np.any(np.abs(row_sums - 1.0) > EPS_FEAS):
@@ -180,7 +181,8 @@ def build_pmean_program(h: EdgeColoredHypergraph, p: float):
     """Relaxation of the p-mean objective over the distance region.
 
     ``A`` holds one row per node, then one per incidence in edge order, then
-    a master's cut rows.  p = 1 returns a plain LinearProgram (total mass).
+    a master's cut rows.  Every program starts at its upper corner, d =
+    gamma = 1.  p = 1 returns a plain LinearProgram (total mass).
     p = inf returns the cutting-plane master with one cut per color, t >=
     that color's mass, so its optimum is the relaxation optimum.  1 < p < inf
     returns (master, layout, cut): the master carries one cut, at gamma = 1,
@@ -192,7 +194,7 @@ def build_pmean_program(h: EdgeColoredHypergraph, p: float):
         raise ValueError("p < 1 is handled by the Lovász path, not this builder")
     if p == 1:
         region, lay = _distance_region(h)
-        return LinearProgram(_weight_objective(h, lay), *region), lay
+        return LinearProgram(_weight_objective(h, lay), *region, start=np.ones(lay.total, bool)), lay
     region, lay = _distance_region(h, extra=1)
     colors, weights = _edge_arrays(h)
     masses = color_mass(h, np.ones(h.edge_count)).tolist()  # at gamma = 1
@@ -227,7 +229,7 @@ def _add_cuts(master: LinearProgram, cuts: np.ndarray) -> LinearProgram:
     cuts[:, -1] = -1.0
     senses = np.append(master.senses, [LE] * len(cuts))
     rhs = np.append(master.rhs, np.zeros(len(cuts)))
-    return LinearProgram(master.objective, np.vstack([master.A, cuts]), senses, rhs, master.bounds)
+    return replace(master, A=np.vstack([master.A, cuts]), senses=senses, rhs=rhs)
 
 
 def _master(region: tuple, cuts: np.ndarray, t_cap: float) -> LinearProgram:
@@ -237,17 +239,17 @@ def _master(region: tuple, cuts: np.ndarray, t_cap: float) -> LinearProgram:
     in [0, 1].  ``t_cap`` must be at least f(1), the value at the all-ones
     point of the convex, positively homogeneous f the cuts support, so at
     least min f over the region.  Every cut a then has a.1 <= f(1) <= t_cap,
-    so the all-ones point with t at its cap satisfies every row and
-    ``solve_lp`` starts the master there, at its upper corner, without
-    phase 1.  The factor 2 keeps that so when a.1 = f(1) and rounding puts
-    the computed a.1 a few ulps above t_cap; it cannot change the optimum.
+    so the all-ones point with t at its cap satisfies every row, and the
+    master starts there, at its upper corner.  The factor 2 keeps that so
+    when a.1 = f(1) and rounding puts the computed a.1 a few ulps above
+    t_cap; it cannot change the optimum.
     """
     n_vars = region[0].shape[1]
     obj = np.zeros(n_vars)
     obj[-1] = 1.0
     bounds = np.tile([0.0, 1.0], (n_vars, 1))
     bounds[-1, 1] = 2.0 * max(t_cap, 1.0)
-    return _add_cuts(LinearProgram(obj, *region, bounds=bounds), cuts)
+    return _add_cuts(LinearProgram(obj, *region, bounds=bounds, start=np.ones(n_vars, bool)), cuts)
 
 
 @dataclass(frozen=True)
@@ -279,8 +281,6 @@ def _kelley(
     best_value, best_point = math.inf, None
     for _ in range(max(max_cuts, 1)):
         sol = solve_lp(master)
-        if sol.status != "optimal":
-            raise RuntimeError(f"cutting-plane master came back {sol.status}")
         # f >= 0, and the master's t can come back an ulp below its 0 bound
         lower = max(sol.objective_value, 0.0)
         value, grad = cut(sol.values)
@@ -332,8 +332,6 @@ def solve_pmean_relaxation(
     if p == 1 or math.isinf(p):
         lp, lay = build_pmean_program(h, p)
         sol = solve_lp(lp)
-        if sol.status != "optimal":
-            raise RuntimeError(f"relaxation came back {sol.status}")
         point, bound, converged = sol.values, sol.objective_value, True
     else:
         master, lay, cut = build_pmean_program(h, p)
@@ -348,17 +346,23 @@ def build_protected_lp(
 ) -> tuple[LinearProgram, VariableLayout]:
     """min sum w_e gamma_e over the distance region, protected mass capped at b.
 
-    ``A`` holds the distance region's rows, then the budget row.
+    ``A`` holds the distance region's rows, then the budget row.  The
+    simplex starts with every node on the protected color p (d_v^p = 0, the
+    other d_v^c = 1; gamma_e = 0 on E_p, else 1): protected mass 0.
     """
     if not 1 <= protected_color <= h.color_count:
         raise ValueError(f"protected color {protected_color} out of range")
     if not budget >= 0:
         raise ValueError("budget must be >= 0")
     (A, senses, rhs), lay = _distance_region(h)
+    on_p = _edge_arrays(h)[0] == protected_color - 1
     budget_row = _weight_objective(h, lay)
-    budget_row[lay.edge_col(np.flatnonzero(_edge_arrays(h)[0] != protected_color - 1))] = 0.0
+    budget_row[lay.edge_col(np.flatnonzero(~on_p))] = 0.0
     region = (np.vstack([A, budget_row]), np.append(senses, LE), np.append(rhs, float(budget)))
-    return LinearProgram(_weight_objective(h, lay), *region), lay
+    start = np.ones(lay.total, dtype=bool)
+    start[lay.node_color_col(np.arange(1, h.node_count + 1), protected_color)] = False
+    start[lay.edge_col(np.flatnonzero(on_p))] = False
+    return LinearProgram(_weight_objective(h, lay), *region, start=start), lay
 
 
 def solve_protected_relaxation(
@@ -366,8 +370,6 @@ def solve_protected_relaxation(
 ) -> FractionalSolution:
     lp, lay = build_protected_lp(h, protected_color, budget)
     sol = solve_lp(lp)
-    if sol.status != "optimal":
-        raise RuntimeError(f"protected relaxation came back {sol.status}")
     d, gamma = _distance_point(h, lay, sol.values)
     return FractionalSolution(d, gamma, DISTANCE, sol.objective_value)
 

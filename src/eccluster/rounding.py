@@ -87,6 +87,11 @@ def _walk(state: int, k: int) -> list[int]:
     return swaps + [next(outputs) for _ in range(k)]
 
 
+def _check_seed(master_seed: int) -> None:
+    if not 0 <= master_seed < 1 << 64:
+        raise ValueError("master_seed must fit in 64 bits")
+
+
 def _trial_draws(master_seed: int, start: int, count: int, k: int) -> np.ndarray:
     """(count, 2k-1) uint64: the draws trials start .. start+count-1 consume.
 
@@ -96,8 +101,7 @@ def _trial_draws(master_seed: int, start: int, count: int, k: int) -> np.ndarray
     taken as one array; a trial with a rejected swap draw among them is
     walked again by ``_walk``.
     """
-    if not 0 <= master_seed < 1 << 64:
-        raise ValueError("master_seed must fit in 64 bits")
+    _check_seed(master_seed)
     t = np.arange(start, start + count, dtype=np.uint64)
     salt = _mix64_array(t * np.uint64(_GOLDEN) + np.uint64(_STREAM_SALT))
     state = salt ^ np.uint64(_mix64(master_seed))

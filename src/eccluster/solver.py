@@ -20,6 +20,7 @@ from .relaxations import (
 )
 from .rounding import (
     DEFAULT_RHO,
+    _check_seed,
     graph_max_round,
     half_threshold_round,
     hyper_max_round,
@@ -64,6 +65,7 @@ def _budget(problem: Problem) -> float:
 
 
 def _round_max(h: EdgeColoredHypergraph, seed: int, rounder: Callable) -> SolveResult:
+    _check_seed(seed)  # before the LP solve, which costs far more
     frac = solve_max_relaxation(h)
     lam = rounder(h, frac, seed)
     return SolveResult(lam, frac.bound, fallback="lp-informed", master_seed=seed, maximize=True)

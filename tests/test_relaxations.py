@@ -371,7 +371,7 @@ def test_cutting_plane_brackets_independent_optima():
 
 def test_every_master_holds_at_its_upper_corner(monkeypatch):
     # d = gamma = 1 with t at its cap satisfies every row of every
-    # cutting-plane master, so the simplex starts there without phase 1.
+    # cutting-plane master, and every master starts the simplex there.
     masters = []
 
     def record(lp):
@@ -386,4 +386,36 @@ def test_every_master_holds_at_its_upper_corner(monkeypatch):
         ec.minimize_lovasz(h, 0.5)
     assert len(masters) > 200
     for lp in masters:
+        assert lp.start.all()
         assert max_violation(lp, lp.bounds[:, 1]) == 0
+
+
+def _start_corner(lp):
+    return np.where(lp.start, lp.bounds[:, 1], lp.bounds[:, 0])
+
+
+def test_every_relaxation_holds_at_its_start_corner(monkeypatch):
+    # The simplex starts at the corner each builder names, so that corner
+    # must satisfy every row: for the max LP and the p = 1 and p = inf LPs,
+    # for protected LPs at budget 0, half the protected mass and all of it,
+    # and for p = 2 and Lovász masters after several cuts.
+    lps = []
+    for h in (ec.triangle_gadget(), *instance_batch(85, 8, k_hi=4, unit_weights=False)):
+        lps += [ec.build_max_lp(h)[0], build_pmean_program(h, 1)[0], build_pmean_program(h, math.inf)[0]]
+        for c, mass in enumerate(ec.color_mass(h, np.ones(h.edge_count)).tolist(), start=1):
+            lps += [ec.build_protected_lp(h, c, b)[0] for b in (0.0, mass / 2, mass)]
+    # Cuts at random points: subgradients that the loops would add there.
+    rng = np.random.default_rng(86)
+    masters = []
+    monkeypatch.setattr(relaxations, "solve_lp", lambda lp: masters.append(lp) or ec.solve_lp(lp))
+    for h in (ec.parse_instance(SLOW_P2), *instance_batch(86, 4, unit_weights=False)):
+        p2, lay, cut = build_pmean_program(h, 2.0)
+        _lovasz_cuts(h, 0.5, relaxations.LovaszParams(iterations=1))
+        lovasz = masters.pop()
+        for _ in range(6):
+            p2 = relaxations._add_cuts(p2, cut(rng.random(lay.total))[1])
+            subgrad = ec.lovasz_extension(h, 0.5, rng.random(h.edge_count))[1]
+            lovasz = relaxations._add_cuts(lovasz, np.append(subgrad, 0.0))
+            lps += [p2, lovasz]
+    for lp in lps:
+        assert max_violation(lp, _start_corner(lp)) == 0

@@ -104,6 +104,17 @@ def test_solve_rejects_unsupported_pairs():
         ec.solve(h, ec.protected(1), "lp-round")
 
 
+def test_max_roundings_reject_a_bad_seed_before_the_lp(monkeypatch):
+    def no_lp(h):
+        raise AssertionError("the max LP was solved")
+
+    monkeypatch.setattr("eccluster.solver.solve_max_relaxation", no_lp)
+    for alg in ("hyper-max", "graph-max"):
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match="64 bits"):
+                ec.solve(ec.triangle_gadget(), ec.MAX, alg, seed=seed)
+
+
 def test_solve_result_ratio_orientation():
     assert ec.SolveResult((1,), bound=3.0, maximize=True).approx_ratio(2.0) == 1.5
     assert ec.SolveResult((1,), bound=2.0).approx_ratio(3.0) == 1.5
