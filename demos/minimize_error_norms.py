@@ -8,7 +8,6 @@ with the concave case p = 1/2 through the extension minimizer.
 import math
 
 from eccluster import (
-    LovaszParams,
     brute_force,
     half_threshold_round,
     lovasz_round,
@@ -39,10 +38,7 @@ def main():
           f"{h.color_count} colors, rank {h.rank}\n")
 
     for p in (1.0, 2.0, math.inf):
-        if p == 2.0:
-            frac = solve_pmean_relaxation(h, p, max_iters=400, tol=1e-6)
-        else:
-            frac = solve_pmean_relaxation(h, p)
+        frac = solve_pmean_relaxation(h, p)
         lam = half_threshold_round(h, frac)
         obj = objective(h, lam, pmean(p))
         opt, witness = brute_force(h, pmean(p))
@@ -52,7 +48,7 @@ def main():
         print(f"       rounded <= 2 x bound: {obj <= 2 * frac.bound + 1e-9}")
 
     p = 0.5
-    gamma = minimize_lovasz(h, p, LovaszParams(iterations=10_000))
+    gamma = minimize_lovasz(h, p).point
     lam = lovasz_round(h, gamma)
     obj = objective(h, lam, pmean(p))
     opt, witness = brute_force(h, pmean(p))

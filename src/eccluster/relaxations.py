@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .hypergraph import EdgeColoredHypergraph, build_conflict_graph, pmean_norm
 from .lp import EPS_FEAS, EQ, GE, LE, LinearProgram, solve_lp
 
 __all__ = [
+    "CuttingPlaneResult",
     "FractionalSolution",
     "VariableLayout",
     "fallback_colors",
@@ -47,8 +48,10 @@ __all__ = [
 ASSIGNMENT = "assignment"
 DISTANCE = "distance"
 
-# relative gap U - L <= tol * max(U, 1) at which the cutting-plane loop stops
+# The cutting-plane loop stops once its relative gap U - L is at most
+# _GAP_TOL * max(U, 1), or unconverged after _MAX_CUTS master LPs.
 _GAP_TOL = 1e-6
+_MAX_CUTS = 10_000
 
 
 @dataclass(frozen=True)
@@ -206,9 +209,7 @@ def build_pmean_program(h: EdgeColoredHypergraph, p: float):
     gammas = lay.edge_col(np.arange(h.edge_count))
 
     def cut(point: np.ndarray) -> tuple[float, np.ndarray]:
-        m = np.zeros(h.color_count)
-        np.add.at(m, colors, weights * point[gammas])
-        np.clip(m, 0.0, None, out=m)
+        m = np.clip(color_mass(h, point[gammas]), 0.0, None)
         with np.errstate(over="ignore"):
             total = float(np.sum(m**p))
         # the plain form's bytes where it is representable, as in pmean_norm
@@ -253,8 +254,10 @@ def _master(region: tuple, cuts: np.ndarray, t_cap: float) -> LinearProgram:
 
 
 @dataclass(frozen=True)
-class _Cuts:
-    """Outcome of the cutting-plane loop: best point, certified lower bound."""
+class CuttingPlaneResult:
+    """Outcome of the cutting-plane loop: the feasible point of the smallest f
+    seen, a certified lower bound on min f, and whether the gap closed
+    before the cut cap."""
 
     point: np.ndarray
     lower: float
@@ -262,11 +265,8 @@ class _Cuts:
 
 
 def _kelley(
-    master: LinearProgram,
-    cut: Callable[[np.ndarray], tuple[float, np.ndarray]],
-    max_cuts: int,
-    tol: float,
-) -> _Cuts:
+    master: LinearProgram, cut: Callable[[np.ndarray], tuple[float, np.ndarray]]
+) -> CuttingPlaneResult:
     """Kelley's cutting-plane method for a convex, positively homogeneous f >= 0.
 
     ``master`` comes from ``_master``; ``cut`` maps a point to f there and a
@@ -274,22 +274,22 @@ def _kelley(
     Each round solves the master LP, whose value L is a certified lower bound
     on min f over the region, evaluates f at the master point (an upper bound
     U, attained by that feasible point) and adds the cut there.  Stops once
-    the smallest U seen is within tol * max(U, 1) of L, or after
-    ``max_cuts`` master solves with ``converged`` False.  Returns the point
+    the smallest U seen is within ``_GAP_TOL`` * max(U, 1) of L, or after
+    ``_MAX_CUTS`` master solves with ``converged`` False.  Returns the point
     of the smallest U with the last L.
     """
     best_value, best_point = math.inf, None
-    for _ in range(max(max_cuts, 1)):
+    for _ in range(_MAX_CUTS):
         sol = solve_lp(master)
         # f >= 0, and the master's t can come back an ulp below its 0 bound
         lower = max(sol.objective_value, 0.0)
         value, grad = cut(sol.values)
         if value < best_value:
             best_value, best_point = value, sol.values
-        if best_value - lower <= tol * max(best_value, 1.0):
-            return _Cuts(best_point, lower, True)
+        if best_value - lower <= _GAP_TOL * max(best_value, 1.0):
+            return CuttingPlaneResult(best_point, lower, True)
         master = _add_cuts(master, grad)
-    return _Cuts(best_point, lower, False)
+    return CuttingPlaneResult(best_point, lower, False)
 
 
 def _distance_point(
@@ -315,19 +315,13 @@ def _distance_point(
     return np.clip(d, 0.0, 1.0), np.clip(gamma, 0.0, 1.0)
 
 
-def solve_pmean_relaxation(
-    h: EdgeColoredHypergraph,
-    p: float,
-    max_iters: int = 5000,
-    tol: float = _GAP_TOL,
-) -> FractionalSolution:
+def solve_pmean_relaxation(h: EdgeColoredHypergraph, p: float) -> FractionalSolution:
     """Distance-orientation relaxation optimum for p >= 1 (inf allowed).
 
     p = 1 and p = inf solve one LP exactly.  1 < p < inf runs Kelley's
-    cutting-plane loop with at most ``max_iters`` master LPs: ``bound`` is
-    the last master value, a certified lower bound on the relaxation
-    optimum, and the returned point's p-norm lies within ``tol`` * max(norm,
-    1) above it when ``converged``.
+    cutting-plane loop (``_kelley``): ``bound`` is the last master value, a
+    certified lower bound on the relaxation optimum, and the returned
+    point's p-norm lies within a relative 1e-6 above it when ``converged``.
     """
     if p == 1 or math.isinf(p):
         lp, lay = build_pmean_program(h, p)
@@ -335,7 +329,7 @@ def solve_pmean_relaxation(
         point, bound, converged = sol.values, sol.objective_value, True
     else:
         master, lay, cut = build_pmean_program(h, p)
-        result = _kelley(master, cut, max_iters, tol)
+        result = _kelley(master, cut)
         point, bound, converged = result.point, result.lower, result.converged
     d, gamma = _distance_point(h, lay, point)
     return FractionalSolution(d, gamma, DISTANCE, float(bound), converged)
@@ -346,23 +340,28 @@ def build_protected_lp(
 ) -> tuple[LinearProgram, VariableLayout]:
     """min sum w_e gamma_e over the distance region, protected mass capped at b.
 
-    ``A`` holds the distance region's rows, then the budget row.  The
-    simplex starts with every node on the protected color p (d_v^p = 0, the
-    other d_v^c = 1; gamma_e = 0 on E_p, else 1): protected mass 0.
+    ``A`` holds the distance region's rows, then the budget row; at b = 0,
+    gamma_e is also boxed in [0, 0] on each protected edge of positive weight.
+    The simplex starts with every node on the protected color p (d_v^p = 0,
+    the other d_v^c = 1; gamma_e = 0 on E_p, else 1): protected mass 0.
     """
     if not 1 <= protected_color <= h.color_count:
         raise ValueError(f"protected color {protected_color} out of range")
     if not budget >= 0:
         raise ValueError("budget must be >= 0")
     (A, senses, rhs), lay = _distance_region(h)
-    on_p = _edge_arrays(h)[0] == protected_color - 1
+    colors, weights = _edge_arrays(h)
+    on_p = colors == protected_color - 1
     budget_row = _weight_objective(h, lay)
     budget_row[lay.edge_col(np.flatnonzero(~on_p))] = 0.0
     region = (np.vstack([A, budget_row]), np.append(senses, LE), np.append(rhs, float(budget)))
+    bounds = np.tile([0.0, 1.0], (lay.total, 1))
+    if budget == 0:
+        bounds[lay.edge_col(np.flatnonzero(on_p & (weights > 0))), 1] = 0.0
     start = np.ones(lay.total, dtype=bool)
     start[lay.node_color_col(np.arange(1, h.node_count + 1), protected_color)] = False
     start[lay.edge_col(np.flatnonzero(on_p))] = False
-    return LinearProgram(_weight_objective(h, lay), *region, start=start), lay
+    return LinearProgram(_weight_objective(h, lay), *region, bounds=bounds, start=start), lay
 
 
 def solve_protected_relaxation(
@@ -411,33 +410,15 @@ def lovasz_extension(
     return float(value), subgrad
 
 
-@dataclass(frozen=True)
-class LovaszParams:
-    """``iterations`` caps the master LPs of the cutting-plane loop."""
-
-    iterations: int = 10_000
-
-
-def minimize_lovasz(
-    h: EdgeColoredHypergraph, p: float, params: Optional[LovaszParams] = None
-) -> np.ndarray:
-    """Minimizer of the extension over the pair-cover polytope.
+def minimize_lovasz(h: EdgeColoredHypergraph, p: float) -> CuttingPlaneResult:
+    """Minimize the extension over the pair-cover polytope.
 
     Feasible set: gamma in [0, 1]^m with gamma_e + gamma_f >= 1 on every
-    conflicting pair.  Kelley's cutting-plane loop, whose cuts are the greedy
-    base-polytope vertices ``lovasz_extension`` returns as subgradients; the
-    extension is piecewise linear, so the loop closes its gap after finitely
-    many cuts.  Returns the best feasible point seen.
-    """
-    return _lovasz_cuts(h, p, params).point
-
-
-def _lovasz_cuts(
-    h: EdgeColoredHypergraph, p: float, params: Optional[LovaszParams] = None
-) -> _Cuts:
-    """The cutting-plane loop behind ``minimize_lovasz``, with its lower bound.
-
-    The first cut is taken at gamma = 1/2 and t is capped at f(E).
+    conflicting pair.  Kelley's loop (``_kelley``), whose cuts are the greedy
+    base-polytope vertices ``lovasz_extension`` returns as subgradients, the
+    first at gamma = 1/2, with t capped at f(E); the extension is piecewise
+    linear, so the gap closes after finitely many cuts.  ``point`` is the
+    best gamma seen and ``lower`` a certified lower bound on min f(S) = OPT^p.
     """
     if not 0.0 < p < 1.0:
         raise ValueError("the extension path requires 0 < p < 1")
@@ -453,5 +434,5 @@ def _lovasz_cuts(
 
     t_cap = sum(mass**p for mass in color_mass(h, np.ones(m)).tolist())
     master = _master(region, cut(np.full(m + 1, 0.5))[1], t_cap)
-    result = _kelley(master, cut, (params or LovaszParams()).iterations, _GAP_TOL)
+    result = _kelley(master, cut)
     return replace(result, point=result.point[:m])

@@ -13,7 +13,7 @@ from typing import Callable, Optional
 from .combinatorial import brute_force, fpt_colorfair, fpt_protected, matching_approximation
 from .hypergraph import Coloring, EdgeColoredHypergraph, Problem
 from .relaxations import (
-    _lovasz_cuts,
+    minimize_lovasz,
     solve_max_relaxation,
     solve_pmean_relaxation,
     solve_protected_relaxation,
@@ -82,13 +82,10 @@ def _half_threshold(h: EdgeColoredHypergraph, p: float) -> SolveResult:
 
 
 def _lovasz(h: EdgeColoredHypergraph, problem: Problem, **_) -> SolveResult:
-    p = problem.p
-    cuts = _lovasz_cuts(h, p)
+    cuts = minimize_lovasz(h, problem.p)
     # the loop's lower bound is on min f(S), which is OPT^p
-    bound = cuts.lower ** (1.0 / p)
-    return SolveResult(
-        lovasz_round(h, cuts.point), bound, converged=cuts.converged, fallback="constant-1"
-    )
+    bound = cuts.lower ** (1.0 / problem.p)
+    return SolveResult(lovasz_round(h, cuts.point), bound, converged=cuts.converged, fallback="constant-1")
 
 
 def _protected_lp(h: EdgeColoredHypergraph, problem: Problem, rho=None, **_) -> SolveResult:

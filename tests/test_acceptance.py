@@ -22,7 +22,6 @@ from eccluster import (
     COLORFAIR,
     MIN,
     GRAPH_GUARANTEE,
-    LovaszParams,
     brute_force,
     build_conflict_graph,
     color_error_vector,
@@ -96,10 +95,7 @@ def test_half_threshold_rounding_within_factor_two_for_p_at_least_one():
     batch = instance_batch(303, 50, n_hi=6, k_hi=3, m_hi=8, sizes=(2, 3))
     for h in batch:
         for p in (1.0, 2.0, math.inf):
-            if p == 2.0:
-                frac = solve_pmean_relaxation(h, p, max_iters=400, tol=1e-6)
-            else:
-                frac = solve_pmean_relaxation(h, p)
+            frac = solve_pmean_relaxation(h, p)
             lam = half_threshold_round(h, frac)
             obj = objective(h, lam, pmean(p))
             opt, _ = brute_force(h, pmean(p))
@@ -110,7 +106,7 @@ def test_half_threshold_rounding_within_factor_two_for_p_at_least_one():
 def test_lovasz_rounding_within_factor_four_at_p_half():
     batch = instance_batch(404, 20, n_hi=6, k_hi=3, m_hi=8, sizes=(2, 3))
     for h in batch:
-        gamma = minimize_lovasz(h, 0.5, LovaszParams(iterations=10_000))
+        gamma = minimize_lovasz(h, 0.5).point
         lam = lovasz_round(h, gamma)
         obj = objective(h, lam, pmean(0.5))
         opt, _ = brute_force(h, pmean(0.5))

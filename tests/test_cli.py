@@ -215,7 +215,7 @@ def test_solve_labels_uncertified_bounds(triangle_path, flags, single_lp):
 
 
 def test_solve_reports_unconverged_relaxation(tmp_path, monkeypatch, capsys):
-    from eccluster import cli, solver
+    from eccluster import cli, relaxations
 
     path = tmp_path / "slow.ecc"
     path.write_text(SLOW_P2, encoding="utf-8")
@@ -228,8 +228,7 @@ def test_solve_reports_unconverged_relaxation(tmp_path, monkeypatch, capsys):
     linear = [["--problem", "pmean", "--p", p, "--alg", "lp-round"] for p in ("1", "inf")]
     for flags in [p2, *linear]:
         assert "converged" not in json.loads(solve_json(*flags))
-    real = solver.solve_pmean_relaxation
-    monkeypatch.setattr(solver, "solve_pmean_relaxation", lambda h, p: real(h, p, max_iters=1))
+    monkeypatch.setattr(relaxations, "_MAX_CUTS", 1)
     doc = json.loads(solve_json(*p2))
     keys = list(doc)
     assert keys[keys.index("relaxation_bound") + 1] == "converged"

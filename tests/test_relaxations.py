@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import pytest
 import eccluster as ec
 import eccluster.relaxations as relaxations
 from eccluster.lp import max_violation
-from eccluster.relaxations import _lovasz_cuts, build_pmean_program
+from eccluster.relaxations import build_pmean_program
 from conftest import SLOW_P2, instance_batch, random_instance
 
 
@@ -63,6 +64,21 @@ def test_protected_budget_row_is_honored():
             h.edges[e].weight * frac.edge_value[e] for e in h.color_classes[c1 - 1]
         )
         assert protected_mass <= budget + 1e-8
+
+
+def test_protected_lp_at_budget_zero_boxes_weighted_protected_gammas():
+    # A zero budget forces gamma_e = 0 on every protected edge of positive
+    # weight, so those columns are boxed in [0, 0]; zero-weight edges (every
+    # third edge here) keep [0, 1], and the optimum is unchanged.
+    for h in instance_batch(88, 16, unit_weights=False):
+        edges = tuple(replace(e, weight=0.0) if i % 3 == 0 else e for i, e in enumerate(h.edges))
+        h = replace(h, edges=edges)
+        lp, lay = ec.build_protected_lp(h, 1, 0.0)
+        pinned = [lay.edge_col(e) for e in h.color_classes[0] if h.edges[e].weight > 0]
+        assert np.flatnonzero(lp.bounds[:, 1] == 0.0).tolist() == pinned
+        unpinned = ec.solve_lp(replace(lp, bounds=None)).objective_value
+        assert ec.solve_lp(lp).objective_value == pytest.approx(unpinned, rel=1e-12, abs=1e-12)
+        assert (ec.build_protected_lp(h, 1, 0.5)[0].bounds[:, 1] == 1.0).all()
 
 
 def test_max_edge_values_snap_to_their_caps():
@@ -119,18 +135,19 @@ def test_pmean_builder_rejects_small_p():
 
 def test_cutting_plane_pmean_two_on_triangle():
     h = ec.triangle_gadget()
-    frac = ec.solve_pmean_relaxation(h, 2.0, max_iters=400)
+    frac = ec.solve_pmean_relaxation(h, 2.0)
     assert frac.bound == pytest.approx(math.sqrt(3) / 2, abs=1e-4)
     assert np.allclose(frac.edge_value, 0.5, atol=1e-3)
 
 
-def test_pmean_relaxation_reports_convergence():
+def test_pmean_relaxation_reports_convergence(monkeypatch):
     h = ec.parse_instance(SLOW_P2)
     # this instance needs eleven cutting-plane master LPs at p = 2
-    assert ec.solve_pmean_relaxation(h, 2, max_iters=1).converged is False
     assert ec.solve_pmean_relaxation(h, 2).converged is True
+    monkeypatch.setattr(relaxations, "_MAX_CUTS", 1)
+    assert ec.solve_pmean_relaxation(h, 2).converged is False
     for p in (1.0, math.inf):
-        assert ec.solve_pmean_relaxation(h, p, max_iters=1).converged is True
+        assert ec.solve_pmean_relaxation(h, p).converged is True
 
 
 def test_distance_solutions_are_clipped_into_the_unit_box():
@@ -150,7 +167,7 @@ def test_structural_invariants_on_random_solves():
         assign = ec.solve_max_relaxation(h)
         assert np.all(np.abs(assign.node_color.sum(axis=1) - 1.0) <= 1e-9)
         p = [1.0, math.inf, 2.0][i % 3]
-        dist = ec.solve_pmean_relaxation(h, p, max_iters=200)
+        dist = ec.solve_pmean_relaxation(h, p)
         below_half = (dist.node_color < 0.5 - 1e-9).sum(axis=1)
         assert np.all(below_half <= 1)
         cg = ec.build_conflict_graph(h)
@@ -239,7 +256,7 @@ def test_lovasz_subgradient_supports_its_value():
 
 def test_minimize_lovasz_triangle():
     h = ec.triangle_gadget()
-    gamma = ec.minimize_lovasz(h, 0.5)
+    gamma = ec.minimize_lovasz(h, 0.5).point
     assert gamma.shape == (3,)
     assert np.all(gamma >= -1e-12) and np.all(gamma <= 1.0 + 1e-12)
     cg = ec.build_conflict_graph(h)
@@ -254,7 +271,7 @@ def test_minimize_lovasz_stays_feasible_on_random_instances():
     rng = random.Random(59)
     for _ in range(5):
         h = random_instance(rng, m_hi=7)
-        gamma = ec.minimize_lovasz(h, 0.5, ec.relaxations.LovaszParams(iterations=500))
+        gamma = ec.minimize_lovasz(h, 0.5).point
         cg = ec.build_conflict_graph(h)
         for a, b in cg.adjacency:
             assert gamma[a] + gamma[b] >= 1.0 - 1e-6
@@ -350,7 +367,7 @@ def test_cutting_plane_brackets_independent_optima():
     tol = 1e-6
     for i, h in enumerate(instance_batch(62, 18, n_hi=6, k_hi=3, m_hi=8, unit_weights=False)):
         for p in (1.5, 2.0, 3.0):
-            frac = ec.solve_pmean_relaxation(h, p, tol=tol)
+            frac = ec.solve_pmean_relaxation(h, p)
             assert frac.converged
             value = _p_norm(h, frac.edge_value, p)
             assert frac.bound <= value + 1e-9
@@ -361,7 +378,7 @@ def test_cutting_plane_brackets_independent_optima():
                 assert frac.bound <= reference + 1e-9
                 assert reference <= value + 1e-9
         for p in (0.25, 0.5, 0.75):
-            cuts = _lovasz_cuts(h, p)
+            cuts = ec.minimize_lovasz(h, p)
             assert cuts.converged
             value = ec.lovasz_extension(h, p, cuts.point)[0]
             assert cuts.lower <= value + 1e-9
@@ -408,9 +425,10 @@ def test_every_relaxation_holds_at_its_start_corner(monkeypatch):
     rng = np.random.default_rng(86)
     masters = []
     monkeypatch.setattr(relaxations, "solve_lp", lambda lp: masters.append(lp) or ec.solve_lp(lp))
+    monkeypatch.setattr(relaxations, "_MAX_CUTS", 1)
     for h in (ec.parse_instance(SLOW_P2), *instance_batch(86, 4, unit_weights=False)):
         p2, lay, cut = build_pmean_program(h, 2.0)
-        _lovasz_cuts(h, 0.5, relaxations.LovaszParams(iterations=1))
+        ec.minimize_lovasz(h, 0.5)
         lovasz = masters.pop()
         for _ in range(6):
             p2 = relaxations._add_cuts(p2, cut(rng.random(lay.total))[1])

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eccluster as ec
+from conftest import SLOW_P2
 
 WEIGHTS = (0.0, 0.5, 1.0, 2.0)
 BUDGETS = (0.0, 0.5, 1.0, 2.0, 3.0)
@@ -113,6 +114,25 @@ def test_max_roundings_reject_a_bad_seed_before_the_lp(monkeypatch):
         for seed in (-1, 2**64):
             with pytest.raises(ValueError, match="64 bits"):
                 ec.solve(ec.triangle_gadget(), ec.MAX, alg, seed=seed)
+
+
+def test_lovasz_routes_through_minimize_lovasz(monkeypatch):
+    # A spy bound in the solver's namespace, as a profiler installs its
+    # wrappers, sees the call; the bound is the loop's lower bound on OPT^p.
+    from eccluster import solver
+
+    calls = []
+    real = solver.minimize_lovasz
+
+    def spy(h, p):
+        calls.append(p)
+        return real(h, p)
+
+    monkeypatch.setattr(solver, "minimize_lovasz", spy)
+    for h in (ec.triangle_gadget(), ec.parse_instance(SLOW_P2)):
+        result = ec.solve(h, ec.pmean(0.5), "lovasz")
+        assert result.bound == ec.minimize_lovasz(h, 0.5).lower ** (1 / 0.5)
+    assert calls == [0.5, 0.5]
 
 
 def test_solve_result_ratio_orientation():
