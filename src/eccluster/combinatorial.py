@@ -23,6 +23,7 @@ import numpy as np
 
 from .hypergraph import (
     Coloring,
+    ConflictScan,
     Edge,
     EdgeColoredHypergraph,
     Problem,
@@ -90,7 +91,7 @@ def _branch_search(
 ) -> Optional[Coloring]:
     """Coloring whose deleted weight keeps every account within its limit, or None.
 
-    Branches on the first conflict, found by ``h.conflict_scan`` on per-node
+    Branches on the first conflict, found by a ``ConflictScan`` on per-node
     bitmasks of the alive edges: one of its two edges must be deleted in any
     feasible solution, and a deletion adds the edge's weight to each account
     ``accounts(edge)`` names, so every root-leaf path keeps each tally within
@@ -107,9 +108,8 @@ def _branch_search(
     charged = [accounts(e) for e in h.edges]
     bounds = [limit + _BRANCH_TOL for limit in limits]
     tallies = [0.0] * len(limits)
-    scan = h.conflict_scan
-    masks = scan.masks(range(h.edge_count))
-    conflict = scan.first(masks)
+    scan = ConflictScan(h, range(h.edge_count))
+    conflict = scan.first()
     if conflict is None:
         return extend_coloring(h, ())
     # The deleted edges of the current path, and per frame the conflict's two
@@ -128,8 +128,7 @@ def _branch_search(
                 e = path.pop()
                 for a in charged[e]:
                     tallies[a] -= weights[e]
-                for i, bit in scan.bits[e]:
-                    masks[i] ^= bit
+                scan.flip(e)
             continue
         frame[1] = tried + 1
         e = pair[tried]
@@ -146,9 +145,8 @@ def _branch_search(
             for a in charged[e]:
                 tallies[a] -= w
             continue
-        for i, bit in scan.bits[e]:
-            masks[i] ^= bit
-        conflict = scan.first(masks)
+        scan.flip(e)
+        conflict = scan.first()
         if conflict is None:
             return extend_coloring(h, path)
         stack.append([conflict[1:], 0, key])

@@ -12,7 +12,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Container, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -99,28 +99,6 @@ class EdgeColoredHypergraph:
     def rank(self) -> int:
         """Largest edge size (2 for ordinary graphs); 1 if there are no edges."""
         return max((len(e.nodes) for e in self.edges), default=1)
-
-    @cached_property
-    def conflict_scan(self) -> ConflictScan:
-        """Bitmask tables of the conflict scan; see ``ConflictScan``."""
-        nodes: list[int] = []
-        incident: list[tuple[int, ...]] = []
-        differ: list[tuple[int, ...]] = []
-        bits: list[list[tuple[int, int]]] = [[] for _ in self.edges]
-        color = [e.color for e in self.edges]
-        for v, ids in enumerate(self.incidence, start=1):
-            like: dict[int, int] = {}
-            for j, e in enumerate(ids):
-                like[color[e]] = like.get(color[e], 0) | 1 << j
-            if len(like) < 2:
-                continue
-            everything = (1 << len(ids)) - 1
-            for j, e in enumerate(ids):
-                bits[e].append((len(nodes), 1 << j))
-            nodes.append(v)
-            incident.append(ids)
-            differ.append(tuple(everything ^ like[color[e]] for e in ids))
-        return ConflictScan(tuple(nodes), tuple(incident), tuple(differ), tuple(map(tuple, bits)))
 
     @cached_property
     def total_weight(self) -> float:
@@ -361,40 +339,76 @@ def objective(h: EdgeColoredHypergraph, lam: Sequence[int], problem: Problem):
     return value
 
 
-@dataclass(frozen=True)
 class ConflictScan:
-    """Bitmask tables of the conflict scan that ``find_conflict`` and the fpt search share.
+    """The conflict scan that ``find_conflict`` and the fpt search share.
 
     Only a node whose incident edges carry two colors can hold a conflict;
-    ``nodes`` lists those ascending.  Each keeps its own mask of alive
-    incident edges, bit j for ``incident[i][j]`` (ids ascending), so a mask
-    is as long as the node's degree, not the edge count, and deleting edge e
-    flips the (node index, bit) pairs ``bits[e]`` lists.  ``differ[i][j]``
-    masks node i's incident edges colored unlike its j-th.
+    ``nodes`` lists those built so far, ascending.  Each keeps its own mask
+    of alive incident edges, ``masks[i]``, bit j for ``incident[i][j]`` (ids
+    ascending), so a mask is as long as the node's degree, not the edge
+    count.  ``differ[i][j]`` masks node i's incident edges colored unlike its
+    j-th.  The tables are built in node order, only as far as ``first`` has
+    had to look, so a scan that stops at an early conflict never touches the
+    later nodes.  ``flip`` moves an edge between alive and deleted in every
+    mask built so far; a node built later reads the alive set as it is then.
     """
 
-    nodes: tuple[int, ...]
-    incident: tuple[tuple[int, ...], ...]
-    differ: tuple[tuple[int, ...], ...]
-    bits: tuple[tuple[tuple[int, int], ...], ...]
+    def __init__(self, h: EdgeColoredHypergraph, alive: Iterable[int]) -> None:
+        self._incidence = h.incidence
+        self._color = [e.color for e in h.edges]
+        alive = set(alive)
+        self._alive = bytearray(e in alive for e in range(h.edge_count))
+        self._scanned = 0  # nodes 1.._scanned have been looked at
+        self.nodes: list[int] = []
+        self.incident: list[tuple[int, ...]] = []
+        self.differ: list[tuple[int, ...]] = []
+        self.masks: list[int] = []
+        self._bits: dict[int, list[tuple[int, int]]] = {}  # edge -> (node index, bit)
 
-    def masks(self, alive: Container[int]) -> list[int]:
-        """Per-node masks of the edges in ``alive``."""
-        return [sum(1 << j for j, e in enumerate(ids) if e in alive) for ids in self.incident]
+    def flip(self, e: int) -> None:
+        """Delete edge ``e`` if alive, else restore it."""
+        self._alive[e] ^= 1
+        for i, bit in self._bits.get(e, ()):
+            self.masks[i] ^= bit
 
-    def first(self, masks: Sequence[int]) -> Optional[tuple[int, int, int]]:
-        """First (node, edge, edge) conflict under ``masks``.
+    def _grow(self) -> bool:
+        """Build the tables of the next node whose edges carry two colors;
+        False once every node has been looked at."""
+        while self._scanned < len(self._incidence):
+            ids = self._incidence[self._scanned]
+            self._scanned += 1
+            like: dict[int, int] = {}
+            for j, e in enumerate(ids):
+                like[self._color[e]] = like.get(self._color[e], 0) | 1 << j
+            if len(like) < 2:
+                continue
+            everything = (1 << len(ids)) - 1
+            i = len(self.nodes)
+            for j, e in enumerate(ids):
+                self._bits.setdefault(e, []).append((i, 1 << j))
+            self.nodes.append(self._scanned)
+            self.incident.append(ids)
+            self.differ.append(tuple(everything ^ like[self._color[e]] for e in ids))
+            self.masks.append(sum(1 << j for j, e in enumerate(ids) if self._alive[e]))
+            return True
+        return False
+
+    def first(self) -> Optional[tuple[int, int, int]]:
+        """First (node, edge, edge) conflict among the alive edges.
 
         At the lowest node whose alive edges carry two colors, the pair is
         its lowest alive edge and its lowest alive edge of another color.
         """
-        for i, here in enumerate(masks):
+        i = 0
+        while i < len(self.masks) or self._grow():
+            here = self.masks[i]
             if here:
                 j = (here & -here).bit_length() - 1
                 other = here & self.differ[i][j]
                 if other:
                     ids = self.incident[i]
                     return self.nodes[i], ids[j], ids[(other & -other).bit_length() - 1]
+            i += 1
         return None
 
 
@@ -423,8 +437,7 @@ def find_conflict(
     smallest conflicting edge-id pair at that node.  Returns None when the
     alive set is conflict-free.
     """
-    scan = h.conflict_scan
-    return scan.first(scan.masks(set(alive)))
+    return ConflictScan(h, alive).first()
 
 
 def extend_coloring(

@@ -13,8 +13,9 @@ The convex objectives (the p-norm for 1 < p < inf, the Lovász extension for
 Its master LP minimizes t over the feasible region plus one row
 <a_i, x> - t <= 0 per cut; each cut is a supporting hyperplane of the convex,
 positively homogeneous objective, so the master value is a certified lower
-bound and the objective at the master point an upper bound.  The p = inf LP
-is this master with one cut per color.
+bound and the objective at the master point an upper bound.  Each master
+after the first is solved hot, from the last one's final tableau.  The
+p = inf LP is this master with one cut per color.
 """
 
 from __future__ import annotations
@@ -273,14 +274,16 @@ def _kelley(
     subgradient a with <a, point> = f(point), so t >= <a, x> supports f.
     Each round solves the master LP, whose value L is a certified lower bound
     on min f over the region, evaluates f at the master point (an upper bound
-    U, attained by that feasible point) and adds the cut there.  Stops once
-    the smallest U seen is within ``_GAP_TOL`` * max(U, 1) of L, or after
-    ``_MAX_CUTS`` master solves with ``converged`` False.  Returns the point
-    of the smallest U with the last L.
+    U, attained by that feasible point) and adds the cut there.  The first
+    master is solved cold from its upper corner, every later one hot, from
+    the previous master's final tableau with the new cut as an appended row
+    (``solve_lp``'s ``previous``).  Stops once the smallest U seen is within
+    ``_GAP_TOL`` * max(U, 1) of L, or after ``_MAX_CUTS`` master solves with
+    ``converged`` False.  Returns the point of the smallest U with the last L.
     """
-    best_value, best_point = math.inf, None
+    best_value, best_point, sol = math.inf, None, None
     for _ in range(_MAX_CUTS):
-        sol = solve_lp(master)
+        sol = solve_lp(master, sol)
         # f >= 0, and the master's t can come back an ulp below its 0 bound
         lower = max(sol.objective_value, 0.0)
         value, grad = cut(sol.values)

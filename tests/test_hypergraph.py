@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import eccluster as ec
+from eccluster import combinatorial
+from eccluster.hypergraph import ConflictScan
 from conftest import instance_batch, random_instance, serialize_instance
 
 TRIANGLE_TEXT = """\
@@ -187,6 +189,61 @@ def test_find_conflict_prefers_lowest_node():
     )
     # node 2 already exposes the pair (0, 2); node 3 would give (0, 1)
     assert ec.find_conflict(h, range(3)) == (2, 0, 2)
+
+
+def _first_conflict(h, alive):
+    """The scan order written out: lowest node, its lowest alive edge, and
+    its lowest alive edge of another color."""
+    for v, ids in enumerate(h.incidence, start=1):
+        live = [e for e in ids if e in alive]
+        for b in live:
+            if h.edges[b].color != h.edges[live[0]].color:
+                return v, live[0], b
+    return None
+
+
+def test_conflict_scan_tracks_flips_and_builds_as_far_as_it_looks():
+    rng = random.Random(17)
+    for h in instance_batch(171, 30, n_lo=3, n_hi=12, m_hi=16, sizes=(1, 2, 3)):
+        alive = {e for e in range(h.edge_count) if rng.random() < 0.8}
+        scan = ConflictScan(h, alive)
+        furthest = 0
+        for _ in range(12):
+            conflict = scan.first()
+            assert conflict == _first_conflict(h, alive)
+            # Tables exist only for nodes up to the furthest one a scan stopped at.
+            furthest = max(furthest, conflict[0] if conflict else h.node_count)
+            assert all(v <= furthest for v in scan.nodes)
+            if not h.edge_count:
+                break
+            e = rng.randrange(h.edge_count)
+            scan.flip(e)
+            alive ^= {e}
+
+
+def test_conflict_scan_stops_at_the_first_conflict_of_a_long_chain():
+    # 20,000 nodes on a path of edges in alternating colors: the first
+    # conflict is at node 2, and neither a scan nor an fpt search that ends
+    # there builds a table for any later node.
+    n = 20_000
+    h = ec.EdgeColoredHypergraph(n, 2, tuple(ec.Edge(1 + v % 2, 1.0, (v, v + 1)) for v in range(1, n)))
+    scan = ConflictScan(h, range(h.edge_count))
+    assert scan.first() == (2, 0, 1)
+    assert scan.nodes == [2]
+    scans = []
+
+    def record(*args):
+        scans.append(ConflictScan(*args))
+        return scans[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(combinatorial, "ConflictScan", record)
+        assert ec.fpt_colorfair(h, 0.5) is None
+    assert [s.nodes for s in scans] == [[2]]
+    # Deleting edge 1 leaves node 3 one edge, so the scan moves on to node 4.
+    scan.flip(1)
+    assert scan.first() == (4, 2, 3)
+    assert scan.nodes == [2, 3, 4]
 
 
 def test_extend_coloring_assigns_survivor_colors():

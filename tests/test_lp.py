@@ -385,9 +385,9 @@ def _cutting_plane_masters():
     """Every master LP of p=2 and Lovász (p=1/2) cutting-plane solves."""
     masters = []
 
-    def record(lp):
+    def record(lp, *args):
         masters.append(lp)
-        return ec.solve_lp(lp)
+        return ec.solve_lp(lp, *args)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(relaxations, "solve_lp", record)
@@ -611,3 +611,123 @@ def test_pinned_p2_master_solves():
     assert status == "optimal"
     assert got.objective_value == pytest.approx(value, rel=1e-9)
     assert max_violation(lp, got.values) <= 1e-9
+
+
+def _hot_kelley_solves():
+    """(master, hot solution) of every hot-started master of p = 1.5, p = 2
+    and Lovász (p = 1/2) cutting-plane solves."""
+    solves = []
+
+    def record(lp, previous=None):
+        sol = ec.solve_lp(lp, previous)
+        if previous is not None:
+            solves.append((lp, sol))
+        return sol
+
+    batch = instance_batch(83, 3, unit_weights=False) + instance_batch(84, 3)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(relaxations, "solve_lp", record)
+        for h in (ec.parse_instance(SLOW_P2), ec.triangle_gadget(), *batch):
+            for p in (1.5, 2.0):
+                ec.solve_pmean_relaxation(h, p)
+            ec.minimize_lovasz(h, 0.5)
+    return solves
+
+
+def test_hot_masters_match_cold_solves_and_the_dense_reference():
+    solves = _hot_kelley_solves()
+    assert len(solves) > 50
+    for lp, hot in solves:
+        cold = ec.solve_lp(lp)
+        assert abs(hot.objective_value - cold.objective_value) <= 1e-9 * max(1.0, abs(cold.objective_value))
+        status, _, value = _reference_solve_lp(lp)
+        assert status == "optimal"
+        assert abs(hot.objective_value - value) <= 1e-9 * max(1.0, abs(value))
+        assert max_violation(lp, hot.values) <= 1e-9
+
+
+def _append(lp, *rows):
+    """``lp`` plus (coefficients, relation, rhs) rows at the end."""
+    A = np.vstack([lp.A, [vec for vec, _, _ in rows]])
+    senses = np.append(lp.senses, [rel for _, rel, _ in rows])
+    rhs = np.append(lp.rhs, [rhs for _, _, rhs in rows])
+    return ec.LinearProgram(lp.objective, A, senses, rhs, lp.bounds, lp.start, lp.maximize)
+
+
+# Rows appended to BOX, whose optimum is (0.5, 1) with value 2.5, each with
+# the new optimum and the pivots a hot solve takes.  Each row holds at BOX's
+# start corner, so a cold solve can check the hot one.  The EQ row's slack
+# reads 0.5 at (0.5, 1), above its box [0, 0]: its row is complemented, and
+# one dual pivot then repairs it.
+APPENDED = {
+    "cuts-off-optimum": (([0.0, 1.0], ec.LE, 0.5), 2.0, 1),
+    "already-satisfied": (([1.0, 1.0], ec.LE, 2.0), 2.5, 0),
+    "slack-above-its-box": (([1.0, -1.0], ec.EQ, 0.0), 2.25, 1),
+    "ge-cut": (([1.0, -1.0], ec.GE, 0.0), 2.25, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(APPENDED))
+def test_appended_row_is_solved_from_the_previous_tableau(name):
+    row, optimum, pivots = APPENDED[name]
+    previous = ec.solve_lp(BOX)
+    lp = _append(BOX, row)
+    hot = ec.solve_lp(lp, previous)
+    assert hot.objective_value == pytest.approx(optimum, abs=1e-12)
+    assert hot.objective_value == pytest.approx(ec.solve_lp(lp).objective_value, abs=1e-12)
+    assert max_violation(lp, hot.values) <= 1e-12
+    _matches_vertex_enumeration(lp)
+    assert hot.pivots == pivots
+    # The previous solution is left as it was: a second hot solve repeats the first.
+    again = ec.solve_lp(lp, previous)
+    assert again.values.tolist() == hot.values.tolist() and again.pivots == hot.pivots
+
+
+def test_hot_start_chains_and_takes_several_rows_at_once():
+    lp1 = _append(BOX, APPENDED["cuts-off-optimum"][0])
+    lp2 = _append(lp1, APPENDED["ge-cut"][0], ([1.0, 0.0], ec.LE, 0.8))
+    chained = ec.solve_lp(lp2, ec.solve_lp(lp1, ec.solve_lp(BOX)))
+    at_once = ec.solve_lp(lp2, ec.solve_lp(BOX))
+    # x1 <= 0.8 and x2 <= 0.5 leave x1 + 2 x2 at most 1.8.
+    for sol in (chained, at_once):
+        assert sol.objective_value == pytest.approx(1.8, abs=1e-12)
+        assert max_violation(lp2, sol.values) <= 1e-12
+
+
+def test_appended_row_that_empties_the_program_raises():
+    previous = ec.solve_lp(BOX)
+    with pytest.raises(SimplexError, match="infeasible"):
+        ec.solve_lp(_append(BOX, ([1.0, 1.0], ec.GE, 2.5)), previous)
+    # Two rows that each hold alone but not together.
+    lp = _append(BOX, ([1.0, 0.0], ec.GE, 0.75), ([1.0, 1.0], ec.LE, 0.5))
+    with pytest.raises(SimplexError, match="infeasible"):
+        ec.solve_lp(lp, previous)
+
+
+def test_hot_start_rejects_a_program_that_is_not_the_previous_plus_rows():
+    previous = ec.solve_lp(ONE_ROW)
+    row = ([1.0, 0.0, 0.0], ec.LE, 0.5)
+    lp = _append(ONE_ROW, row)
+    ec.solve_lp(lp, previous)
+    changed = {
+        "objective": dict(objective=[3.0, -1.0, 2.5]),
+        "bounds": dict(bounds=[(0.0, 1.0), (0.0, 1.0), (0.0, 0.5)]),
+        "start": dict(start=[False, False, True]),
+        "maximize": dict(maximize=False),
+        "earlier row": dict(A=[[1.0, 2.0, 1.5], row[0]]),
+        "earlier sense": dict(senses=[ec.GE, ec.LE]),
+        "earlier rhs": dict(rhs=[2.5, 0.5]),
+    }
+    fields = dict(objective=lp.objective, A=lp.A, senses=lp.senses, rhs=lp.rhs, bounds=lp.bounds, start=lp.start,
+                  maximize=lp.maximize)
+    for name, change in changed.items():
+        with pytest.raises(ValueError, match="plus appended rows"):
+            ec.solve_lp(ec.LinearProgram(**(fields | change)), previous)
+    # A row dropped, and a row put before the old ones.
+    with pytest.raises(ValueError, match="plus appended rows"):
+        ec.solve_lp(ONE_ROW, ec.solve_lp(lp))
+    swapped = _lp([3.0, -1.0, 2.0], [row, ([1.0, 2.0, 1.0], ec.LE, 2.0)], maximize=True)
+    with pytest.raises(ValueError, match="plus appended rows"):
+        ec.solve_lp(swapped, previous)
+    with pytest.raises(ValueError, match="no tableau"):
+        ec.solve_lp(lp, ec.LpSolution(previous.values, previous.objective_value))

@@ -388,12 +388,12 @@ def test_cutting_plane_brackets_independent_optima():
 
 def test_every_master_holds_at_its_upper_corner(monkeypatch):
     # d = gamma = 1 with t at its cap satisfies every row of every
-    # cutting-plane master, and every master starts the simplex there.
+    # cutting-plane master, and every cold master starts the simplex there.
     masters = []
 
-    def record(lp):
+    def record(lp, *args):
         masters.append(lp)
-        return ec.solve_lp(lp)
+        return ec.solve_lp(lp, *args)
 
     monkeypatch.setattr(relaxations, "solve_lp", record)
     batch = instance_batch(83, 8, unit_weights=False) + instance_batch(84, 4)
@@ -424,7 +424,7 @@ def test_every_relaxation_holds_at_its_start_corner(monkeypatch):
     # Cuts at random points: subgradients that the loops would add there.
     rng = np.random.default_rng(86)
     masters = []
-    monkeypatch.setattr(relaxations, "solve_lp", lambda lp: masters.append(lp) or ec.solve_lp(lp))
+    monkeypatch.setattr(relaxations, "solve_lp", lambda lp, *args: masters.append(lp) or ec.solve_lp(lp, *args))
     monkeypatch.setattr(relaxations, "_MAX_CUTS", 1)
     for h in (ec.parse_instance(SLOW_P2), *instance_batch(86, 4, unit_weights=False)):
         p2, lay, cut = build_pmean_program(h, 2.0)
