@@ -1,25 +1,26 @@
 """Linear programming on a column-sparse, bounded-variable simplex tableau.
 
 An LP is one constraint matrix: ``A`` (rows x variables), a sense per row
-(LE, GE or EQ) and a right-hand side vector, plus box bounds per variable
-and a start corner that puts each variable at its lower or upper bound.
-The solver is a one-phase primal simplex with Bland's anti-cycling rule
-(lowest entering column, lowest-index leaving variable on ratio ties), run
-from that corner, which must satisfy every row.  Bounds are implicit
-(Dantzig's upper-bounding technique): the tableau holds only the rows of
-``A``, each with one slack column, and a nonbasic variable at its upper
-bound is stored complemented, so a step can end in a bound flip instead of
-a pivot.  An EQ row's slack is boxed in [0, 0] (Koberstein, The Dual Simplex
-Method, 2005), so no row needs an artificial and none is dropped: the basis
-holds one column per row, and the final basis is re-solved against the
-clean input data.  The tableau is stored densely in column-major order, and
-a pivot touches only the columns where the normalised pivot row is nonzero.
-A solve can also start hot, from an earlier solution's final tableau, when
-the program only gained rows: each new row joins with its slack basic, and a
-bounded dual simplex restores feasibility before the primal simplex checks
-optimality.  Identical inputs always produce identical outputs; the optimal
-vertex may differ from the one a dense tableau with explicit bound rows, or
-a cold solve of the same program, would return.
+(LE, GE or EQ) and a right-hand side vector, plus a finite box per
+variable.  The one solver is a bounded dual simplex (Koberstein, The Dual
+Simplex Method, 2005).  Bounds are implicit (Dantzig's upper-bounding
+technique): the tableau holds only the rows of ``A``, each with one slack
+column, and a nonbasic variable at its upper bound is stored complemented.
+An EQ row's slack is boxed in [0, 0], so no row needs an artificial and none
+is dropped: the basis holds one column per row, and the final basis is
+re-solved against the clean input data.  The tableau is stored densely in
+column-major order, and a pivot touches only the columns where the
+normalised pivot row is nonzero.
+
+Every box is finite, so a program with no rows is solved by putting each
+variable at its cheaper bound, and that tableau is dual feasible.  A solve
+appends rows to a tableau in dual-feasible form, each new row with its slack
+basic, and the dual simplex then restores primal feasibility: a cold solve
+appends all of the program's rows to its empty tableau, a hot one only the
+rows the program gained since an earlier solution.  Identical inputs always
+produce identical outputs; the optimal vertex may differ from the one a
+dense tableau with explicit bound rows, or a cold solve of the same program,
+would return.
 """
 
 from __future__ import annotations
@@ -51,10 +52,15 @@ EPS_FEAS = 1e-9
 #: point broke a row by 0.115 (``test_pinned_p2_master_solves``).
 _PIVOT_TOL = 1e-9
 _RATIO_TIE = 1e-12
+#: Degenerate pivots in a row after which the leaving row is chosen by
+#: Bland's rule, until the next nondegenerate pivot.
+_STALL = 50
 
 
 class SimplexError(RuntimeError):
-    """Numerical failure (pivot cap, singular basis); never a silent wrong answer."""
+    """Infeasible program, or numerical failure (pivot cap, lost dual
+    feasibility, a recovered point that breaks a row); never a silent wrong
+    answer."""
 
 
 @dataclass(frozen=True)
@@ -63,11 +69,8 @@ class LinearProgram:
 
     ``A`` is rows x variables, ``senses`` holds LE, GE or EQ per row and
     ``rhs`` one right-hand side per row.  ``bounds`` is an (n, 2) array of
-    (lo, hi) pairs, [0, 1] per variable by default.  ``start`` holds one
-    bool per variable, True where the simplex starts it at its upper bound,
-    all False (the lower corner) by default; ``solve_lp`` requires that
-    corner to satisfy every row.  Every number must be finite, with lo <=
-    hi, and every array is stored as a read-only copy.
+    (lo, hi) pairs, [0, 1] per variable by default.  Every number must be
+    finite, with lo <= hi, and every array is stored as a read-only copy.
     """
 
     objective: np.ndarray
@@ -75,7 +78,6 @@ class LinearProgram:
     senses: np.ndarray
     rhs: np.ndarray
     bounds: Optional[np.ndarray] = None
-    start: Optional[np.ndarray] = None
     maximize: bool = False
 
     def __post_init__(self) -> None:
@@ -85,15 +87,13 @@ class LinearProgram:
         A = np.asarray(self.A, dtype=float)  # copied below
         rows = A.shape[0] if A.ndim == 2 else -1
         bounds = np.tile([0.0, 1.0], (n, 1)) if self.bounds is None else self.bounds
-        start = np.zeros(n, dtype=bool) if self.start is None else self.start
-        for name, values, shape, dtype in (
-            ("objective", self.objective, (n,), float),
-            ("A", A, (rows, n), float),
-            ("rhs", self.rhs, (rows,), float),
-            ("bounds", bounds, (n, 2), float),
-            ("start", start, (n,), bool),
+        for name, values, shape in (
+            ("objective", self.objective, (n,)),
+            ("A", A, (rows, n)),
+            ("rhs", self.rhs, (rows,)),
+            ("bounds", bounds, (n, 2)),
         ):
-            arr = np.array(values, dtype=dtype)
+            arr = np.array(values, dtype=float)
             if arr.shape != shape or not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} must be finite with shape {shape}, got shape {arr.shape}")
             arr.flags.writeable = False
@@ -115,7 +115,7 @@ class LinearProgram:
 
 
 class _Tableau(NamedTuple):
-    """A final simplex state, kept so that rows can be appended to it."""
+    """A dual-feasible simplex state, kept so that rows can be appended to it."""
 
     lp: LinearProgram
     T: np.ndarray
@@ -126,10 +126,16 @@ class _Tableau(NamedTuple):
 
 @dataclass(frozen=True)
 class LpSolution:
+    """An optimal point and its value.
+
+    A solution holds its final tableau, rows x (variables + rows + 1) floats,
+    so that ``solve_lp`` can hot-start from it.
+    """
+
     values: np.ndarray
     objective_value: float
     basis: tuple[int, ...] = ()  # final standard-form basis, one column per row
-    pivots: int = 0  # simplex pivots, primal and dual; bound flips are not counted
+    pivots: int = 0  # dual simplex pivots
     _tableau: Optional[_Tableau] = field(default=None, repr=False, compare=False)
 
 
@@ -157,78 +163,6 @@ def _pivot(T: np.ndarray, obj: np.ndarray, basis: np.ndarray, pr: int, pc: int) 
     basis[pr] = pc
 
 
-def _complement_row(
-    T: np.ndarray, basis: np.ndarray, ub: np.ndarray, complemented: np.ndarray, pr: int
-) -> None:
-    """Store row ``pr``'s basic variable complemented, as ub - y, so that it
-    leaves the basis at 0 when it would leave at its upper bound."""
-    leaving = basis[pr]
-    T[pr] *= -1.0
-    T[pr, leaving] = 1.0
-    T[pr, -1] += ub[pr]
-    complemented[leaving] = not complemented[leaving]
-
-
-def _run_simplex(
-    T: np.ndarray,
-    obj: np.ndarray,
-    basis: np.ndarray,
-    u: np.ndarray,
-    complemented: np.ndarray,
-    cap: int,
-) -> int:
-    """Minimize over the tableau in place with Bland's rule; returns the pivots.
-
-    Tableau variable j lies in [0, u[j]], and every nonbasic one reads 0: one
-    at its upper bound is stored complemented (u - y, its column and reduced
-    cost negated), as ``complemented`` records.  Entering: the lowest column
-    with a reduced cost below -``_PIVOT_TOL``.  The step stops at the first
-    of three limits: a basic value falling to 0, a basic value rising to its
-    own u, or the entering value reaching its own u.  The last is a bound
-    flip, which complements the entering column without a pivot.  Otherwise
-    the leaving row is, among the rows within ``_RATIO_TIE`` of the smallest
-    limit, the one whose basic variable has the lowest index; a variable that
-    leaves at its u has its row complemented first.  Ratios are clamped at 0,
-    so a basic value an ulp outside its box counts as on its bound.  Bound
-    flips count towards ``cap`` but not towards the pivots returned.  An
-    entering column that nothing limits raises SimplexError.
-    """
-    pivots = steps = 0
-    ncols = T.shape[1] - 1
-    beta = T[:, -1]
-    ub = u[basis]
-    while True:
-        candidates = (obj[:ncols] < -_PIVOT_TOL).nonzero()[0]
-        if not candidates.size:
-            return pivots
-        entering = candidates[0]
-        column = T[:, entering]
-        rows = (np.abs(column) > _PIVOT_TOL).nonzero()[0]
-        alpha, value = column[rows], beta[rows]
-        room = np.where(alpha > 0.0, value, ub[rows] - value)
-        ratios = np.maximum(room, 0.0) / np.abs(alpha)
-        best = ratios.min(initial=np.inf)
-        own = u[entering]
-        if own <= best:
-            if own == np.inf:
-                raise SimplexError(f"column {entering} enters without limit")
-            T[:, -1] -= own * column
-            column *= -1.0
-            obj[entering] *= -1.0
-            complemented[entering] = not complemented[entering]
-        else:
-            tied = rows[ratios <= best + _RATIO_TIE]
-            pr = tied[basis[tied].argmin()]
-            if column[pr] < 0.0:
-                _complement_row(T, basis, ub, complemented, pr)
-            _pivot(T, obj, basis, pr, entering)
-            ub[pr] = own
-            pivots += 1
-        steps += 1
-        if steps > cap:
-            raise SimplexError(f"pivot cap {cap} exceeded")
-
-
 def _run_dual(
     T: np.ndarray,
     obj: np.ndarray,
@@ -237,138 +171,135 @@ def _run_dual(
     complemented: np.ndarray,
     cap: int,
 ) -> int:
-    """Restore primal feasibility over a dual-feasible tableau in place; returns the pivots.
+    """Minimize over a dual-feasible tableau in place; returns the pivots.
 
-    The bounded dual simplex (Koberstein 2005) in its textbook form, on the
-    conventions of ``_run_simplex``.  Leaving: the row whose basic variable
-    has the lowest index among those outside [0, u] by more than EPS_FEAS; a
-    variable above its u has its row complemented first, so it leaves at 0.
-    Entering: among non-fixed columns whose entry in that row is below
-    -``_PIVOT_TOL``, the one of smallest ratio reduced cost / |entry| (clamped
-    at 0), the lowest column within ``_RATIO_TIE`` of it.  Reduced costs stay
-    nonnegative, so the tableau stays dual feasible.  A row that no column can
-    enter proves the program infeasible and raises SimplexError.
+    Tableau variable j lies in [0, u[j]], and every nonbasic one reads 0: one
+    at its upper bound is stored complemented (u - y, its column and reduced
+    cost negated), as ``complemented`` records.  Leaving: the row whose basic
+    variable lies furthest outside [0, u], by more than EPS_FEAS; after
+    ``_STALL`` degenerate pivots in a row (best ratio at most ``_RATIO_TIE``),
+    the one whose basic variable has the lowest index (Bland, Math. Oper.
+    Res. 2(2), 1977), until the next nondegenerate pivot.  A variable above
+    its u has its row complemented first, so it leaves at 0.  Entering: among
+    columns that can move (u > 0) whose entry in that row is below
+    -``_PIVOT_TOL``, the one of smallest ratio reduced cost / |entry|
+    (clamped at 0), the lowest column within ``_RATIO_TIE`` of it.  A row
+    that no column can enter proves the program infeasible and raises
+    SimplexError, as does a movable column whose reduced cost ends below
+    -``_PIVOT_TOL``.
     """
-    pivots = 0
+    pivots = degenerate = 0
     ncols = T.shape[1] - 1
     beta = T[:, -1]
     ub = u[basis]
     movable = u > 0.0
     while True:
-        high = beta - ub > EPS_FEAS
-        rows = ((beta < -EPS_FEAS) | high).nonzero()[0]
+        excess = np.maximum(-beta, beta - ub)
+        rows = (excess > EPS_FEAS).nonzero()[0]
         if not rows.size:
-            return pivots
-        pr = rows[basis[rows].argmin()]
-        if high[pr]:
-            _complement_row(T, basis, ub, complemented, pr)
+            break
+        pr = rows[basis[rows].argmin()] if degenerate >= _STALL else rows[excess[rows].argmax()]
+        if beta[pr] > ub[pr]:  # store the basic variable as ub - y, which leaves at 0
+            T[pr] *= -1.0
+            T[pr, basis[pr]] = 1.0
+            T[pr, -1] += ub[pr]
+            complemented[basis[pr]] = not complemented[basis[pr]]
         row = T[pr, :ncols]
         candidates = ((row < -_PIVOT_TOL) & movable).nonzero()[0]
         if not candidates.size:
             raise SimplexError(f"row {pr} cannot be made feasible: the program is infeasible")
         ratios = np.maximum(obj[candidates], 0.0) / -row[candidates]
-        entering = candidates[(ratios <= ratios.min() + _RATIO_TIE).argmax()]
+        best = ratios.min()
+        degenerate = degenerate + 1 if best <= _RATIO_TIE else 0
+        entering = candidates[(ratios <= best + _RATIO_TIE).argmax()]
         _pivot(T, obj, basis, pr, entering)
         ub[pr] = u[entering]
         pivots += 1
         if pivots > cap:
             raise SimplexError(f"pivot cap {cap} exceeded")
+    lost = (obj[:ncols] < -_PIVOT_TOL) & movable
+    if lost.any():
+        j = int(lost.argmax())
+        raise SimplexError(f"column {j} ends with reduced cost {obj[j]:.3e}: dual feasibility lost")
+    return pivots
 
 
-def _hot_tableau(
-    lp: LinearProgram, previous: LpSolution, full: np.ndarray, u: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(T, obj, basis, complemented): ``previous``'s final tableau plus ``lp``'s
-    further rows, given ``lp``'s standard form ``full`` and ``u``.
+def _base_tableau(lp: LinearProgram, previous: Optional[LpSolution]) -> _Tableau:
+    """The tableau ``lp``'s further rows are appended to.
 
-    Each new row is written over the current columns: a complemented column
-    is negated with its u moved to the rhs, then the basic columns are
-    eliminated.  The row's slack joins the basis at the value it reads there,
-    which may lie outside its box.  Raises ValueError unless ``lp`` is
-    ``previous``'s program plus rows appended at the end.
+    Cold: ``lp`` with no rows, each column at its cheaper bound, complemented
+    where its cost to minimize is negative, with that cost's absolute value
+    as its reduced cost.  Hot: ``previous``'s final tableau; raises
+    ValueError unless ``lp`` is ``previous``'s program plus rows appended at
+    the end.
     """
+    if previous is None:
+        cost = -lp.objective if lp.maximize else lp.objective
+        T = np.zeros((0, lp.variable_count + 1), order="F")
+        return _Tableau(lp, T, np.append(np.abs(cost), 0.0), np.zeros(0, dtype=np.intp), cost < 0.0)
     state = previous._tableau
     if state is None:
         raise ValueError("previous solution carries no tableau")
     old = state.lp
-    R0, (R, width) = old.rhs.size, full.shape
+    R0 = old.rhs.size
     unchanged = (
         (lp.objective, old.objective),
         (lp.bounds, old.bounds),
-        (lp.start, old.start),
         (lp.A[:R0], old.A),
         (lp.senses[:R0], old.senses),
         (lp.rhs[:R0], old.rhs),
     )
-    if lp.maximize != old.maximize or R < R0 or not all(np.array_equal(a, b) for a, b in unchanged):
+    if lp.maximize != old.maximize or lp.rhs.size < R0 or not all(np.array_equal(a, b) for a, b in unchanged):
         raise ValueError("lp is not the previous solution's program plus appended rows")
-    kept = lp.variable_count + R0  # the columns of previous's tableau, less its rhs
-    complemented = np.concatenate([state.complemented, np.zeros(R - R0, dtype=bool)])
-    basis = np.concatenate([state.basis, kept + np.arange(R - R0)])
-    obj = np.zeros(width)
-    obj[:kept], obj[-1] = state.obj[:-1], state.obj[-1]
-    T = np.zeros((R, width), order="F")
-    T[:R0, :kept], T[:R0, -1] = state.T[:, :-1], state.T[:, -1]
-    rows = full[R0:].copy()
-    flip = complemented.nonzero()[0]
-    rows[:, -1] -= rows[:, flip] @ u[flip]
-    rows[:, flip] *= -1.0
-    T[R0:] = rows - rows[:, state.basis] @ T[:R0]
-    return T, obj, basis, complemented
+    return state
 
 
 def solve_lp(lp: LinearProgram, previous: Optional[LpSolution] = None) -> LpSolution:
-    """Bounded-variable simplex with Bland's rule; deterministic for fixed input.
+    """Bounded dual simplex; deterministic for fixed input.
 
-    Cold (``previous`` None): one-phase primal simplex from the corner
-    ``lp.start``; raises ValueError when that corner breaks a row by more
-    than EPS_FEAS.  Hot: ``lp`` must be ``previous``'s program plus rows
-    appended at the end, else ValueError.  Each new row is written over
-    ``previous``'s final tableau with its slack basic, ``_run_dual`` makes
-    the basis feasible again, and the primal simplex certifies optimality.
-    Either way the final basis is re-solved against the clean input data.
+    Cold (``previous`` None): every row of ``lp`` is appended to its empty
+    tableau.  Hot: ``lp`` must be ``previous``'s program plus rows appended
+    at the end, else ValueError, and only those rows are appended to
+    ``previous``'s final tableau.  Each new row is written over the current
+    columns with its slack basic, at the value it reads there, which may lie
+    outside its box, and ``_run_dual`` restores feasibility.  The final basis
+    is re-solved against the clean input data.  An infeasible program raises
+    SimplexError.
     """
     n = lp.variable_count
     lo, hi = lp.bounds.T
-    residual = lp.rhs - lp.A @ np.where(lp.start, hi, lo)
-    le, eq = lp.senses == LE, lp.senses == EQ
-    if previous is None:
-        breach = np.where(le, -residual, np.where(eq, np.abs(residual), residual))
-        if np.any(breach > EPS_FEAS):
-            i = int(np.argmax(breach > EPS_FEAS))
-            raise ValueError(f"start corner breaks row {i} ({lp.senses[i]}) by {breach[i]:.3e}")
-
     # Standard form over y = x - lo in [0, hi - lo]; the bounds stay out of
     # the rows.  Every row gets one slack column, after the structural ones
-    # in row order.  GE rows, and EQ rows with a negative residual at the
-    # start corner, are negated, so each row reads f a y + s = f (rhs - a lo);
-    # an EQ row's slack is boxed in [0, 0].
-    R = residual.size
+    # in row order.  GE rows are negated, so each row reads f a y + s =
+    # f (rhs - a lo); an EQ row's slack is boxed in [0, 0].
+    R = lp.rhs.size
     ncols = n + R
-    f = np.where((lp.senses == GE) | (eq & (residual < 0)), -1.0, 1.0)
+    f = np.where(lp.senses == GE, -1.0, 1.0)
     full = np.zeros((R, ncols + 1))
     full[:, :n] = lp.A * f[:, None]
     full[np.arange(R), n + np.arange(R)] = 1.0
     full[:, -1] = f * (lp.rhs - lp.A @ lo)
-    u = np.concatenate([hi - lo, np.where(eq, 0.0, np.inf)])
-    cap = 10_000 + 50 * (R + ncols)
+    u = np.concatenate([hi - lo, np.where(lp.senses == EQ, 0.0, np.inf)])
 
-    if previous is None:
-        # Start columns are complemented, at their u.  The basis is all
-        # slacks, so the reduced costs are the costs to minimize, negated
-        # once for a maximization and once for a complemented column.
-        complemented = np.concatenate([lp.start, np.zeros(R, dtype=bool)])
-        T = full.copy(order="F")
-        T[:, lp.start.nonzero()[0]] *= -1.0
-        T[:, -1] = f * residual
-        basis = n + np.arange(R)
-        obj = np.zeros(ncols + 1)
-        obj[:n] = np.where(lp.start ^ lp.maximize, -lp.objective, lp.objective)
-        pivots = 0
-    else:
-        T, obj, basis, complemented = _hot_tableau(lp, previous, full, u)
-        pivots = _run_dual(T, obj, basis, u, complemented, cap)
-    pivots += _run_simplex(T, obj, basis, u, complemented, cap)
+    # Append rows R0.. of ``full``: a complemented column is negated with
+    # its u moved to the rhs, then the basic columns are eliminated.
+    state = _base_tableau(lp, previous)
+    R0 = state.basis.size
+    kept = n + R0  # the columns of state's tableau, less its rhs
+    complemented = np.concatenate([state.complemented, np.zeros(R - R0, dtype=bool)])
+    basis = np.concatenate([state.basis, kept + np.arange(R - R0)])
+    obj = np.zeros(ncols + 1)
+    obj[:kept], obj[-1] = state.obj[:-1], state.obj[-1]
+    T = np.zeros((R, ncols + 1), order="F")
+    T[:R0, :kept], T[:R0, -1] = state.T[:, :-1], state.T[:, -1]
+    rows = T[R0:]
+    rows[:] = full[R0:]
+    flip = complemented.nonzero()[0]
+    rows[:, -1] -= rows[:, flip] @ u[flip]
+    rows[:, flip] *= -1.0
+    if R0:  # a cold solve has no basic columns, and the product would be all zeros
+        rows -= rows[:, state.basis] @ T[:R0]
+    pivots = _run_dual(T, obj, basis, u, complemented, 10_000 + 50 * (R + ncols))
 
     # Re-solve the final basis against the clean input data for sharp
     # numerics, with every complemented nonbasic variable at its upper bound.

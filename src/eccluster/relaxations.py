@@ -121,13 +121,10 @@ def color_mass(h: EdgeColoredHypergraph, gamma: np.ndarray) -> np.ndarray:
 def build_max_lp(h: EdgeColoredHypergraph) -> tuple[LinearProgram, VariableLayout]:
     """maximize sum_e w_e z_e with sum_c x_v^c = 1 and x_v^c >= z_e for v in e.
 
-    ``A`` holds one row per node, then one per incidence in edge order.  The
-    simplex starts with every node on color 1 and every z_e at 0.
+    ``A`` holds one row per node, then one per incidence in edge order.
     """
     region, lay = _region(h, EQ, 1.0, GE)
-    start = np.zeros(lay.total, dtype=bool)
-    start[lay.node_color_col(np.arange(1, h.node_count + 1), 1)] = True
-    return LinearProgram(_weight_objective(h, lay), *region, start=start, maximize=True), lay
+    return LinearProgram(_weight_objective(h, lay), *region, maximize=True), lay
 
 
 def solve_max_relaxation(h: EdgeColoredHypergraph) -> FractionalSolution:
@@ -185,8 +182,7 @@ def build_pmean_program(h: EdgeColoredHypergraph, p: float):
     """Relaxation of the p-mean objective over the distance region.
 
     ``A`` holds one row per node, then one per incidence in edge order, then
-    a master's cut rows.  Every program starts at its upper corner, d =
-    gamma = 1.  p = 1 returns a plain LinearProgram (total mass).
+    a master's cut rows.  p = 1 returns a plain LinearProgram (total mass).
     p = inf returns the cutting-plane master with one cut per color, t >=
     that color's mass, so its optimum is the relaxation optimum.  1 < p < inf
     returns (master, layout, cut): the master carries one cut, at gamma = 1,
@@ -198,7 +194,7 @@ def build_pmean_program(h: EdgeColoredHypergraph, p: float):
         raise ValueError("p < 1 is handled by the Lovász path, not this builder")
     if p == 1:
         region, lay = _distance_region(h)
-        return LinearProgram(_weight_objective(h, lay), *region, start=np.ones(lay.total, bool)), lay
+        return LinearProgram(_weight_objective(h, lay), *region), lay
     region, lay = _distance_region(h, extra=1)
     colors, weights = _edge_arrays(h)
     masses = color_mass(h, np.ones(h.edge_count)).tolist()  # at gamma = 1
@@ -241,17 +237,17 @@ def _master(region: tuple, cuts: np.ndarray, t_cap: float) -> LinearProgram:
     in [0, 1].  ``t_cap`` must be at least f(1), the value at the all-ones
     point of the convex, positively homogeneous f the cuts support, so at
     least min f over the region.  Every cut a then has a.1 <= f(1) <= t_cap,
-    so the all-ones point with t at its cap satisfies every row, and the
-    master starts there, at its upper corner.  The factor 2 keeps that so
-    when a.1 = f(1) and rounding puts the computed a.1 a few ulps above
-    t_cap; it cannot change the optimum.
+    so the all-ones point with t at its cap satisfies every row and no cut
+    can make the master infeasible.  The factor 2 keeps that so when a.1 =
+    f(1) and rounding puts the computed a.1 a few ulps above t_cap; it
+    cannot change the optimum.
     """
     n_vars = region[0].shape[1]
     obj = np.zeros(n_vars)
     obj[-1] = 1.0
     bounds = np.tile([0.0, 1.0], (n_vars, 1))
     bounds[-1, 1] = 2.0 * max(t_cap, 1.0)
-    return _add_cuts(LinearProgram(obj, *region, bounds=bounds, start=np.ones(n_vars, bool)), cuts)
+    return _add_cuts(LinearProgram(obj, *region, bounds=bounds), cuts)
 
 
 @dataclass(frozen=True)
@@ -275,9 +271,9 @@ def _kelley(
     Each round solves the master LP, whose value L is a certified lower bound
     on min f over the region, evaluates f at the master point (an upper bound
     U, attained by that feasible point) and adds the cut there.  The first
-    master is solved cold from its upper corner, every later one hot, from
-    the previous master's final tableau with the new cut as an appended row
-    (``solve_lp``'s ``previous``).  Stops once the smallest U seen is within
+    master is solved cold, every later one hot, from the previous master's
+    final tableau with the new cut as an appended row (``solve_lp``'s
+    ``previous``).  Stops once the smallest U seen is within
     ``_GAP_TOL`` * max(U, 1) of L, or after ``_MAX_CUTS`` master solves with
     ``converged`` False.  Returns the point of the smallest U with the last L.
     """
@@ -343,28 +339,19 @@ def build_protected_lp(
 ) -> tuple[LinearProgram, VariableLayout]:
     """min sum w_e gamma_e over the distance region, protected mass capped at b.
 
-    ``A`` holds the distance region's rows, then the budget row; at b = 0,
-    gamma_e is also boxed in [0, 0] on each protected edge of positive weight.
-    The simplex starts with every node on the protected color p (d_v^p = 0,
-    the other d_v^c = 1; gamma_e = 0 on E_p, else 1): protected mass 0.
+    ``A`` holds the distance region's rows, then the budget row, so every
+    budget gives the same program up to the budget row's rhs.
     """
     if not 1 <= protected_color <= h.color_count:
         raise ValueError(f"protected color {protected_color} out of range")
     if not budget >= 0:
         raise ValueError("budget must be >= 0")
     (A, senses, rhs), lay = _distance_region(h)
-    colors, weights = _edge_arrays(h)
-    on_p = colors == protected_color - 1
+    on_p = _edge_arrays(h)[0] == protected_color - 1
     budget_row = _weight_objective(h, lay)
     budget_row[lay.edge_col(np.flatnonzero(~on_p))] = 0.0
     region = (np.vstack([A, budget_row]), np.append(senses, LE), np.append(rhs, float(budget)))
-    bounds = np.tile([0.0, 1.0], (lay.total, 1))
-    if budget == 0:
-        bounds[lay.edge_col(np.flatnonzero(on_p & (weights > 0))), 1] = 0.0
-    start = np.ones(lay.total, dtype=bool)
-    start[lay.node_color_col(np.arange(1, h.node_count + 1), protected_color)] = False
-    start[lay.edge_col(np.flatnonzero(on_p))] = False
-    return LinearProgram(_weight_objective(h, lay), *region, bounds=bounds, start=start), lay
+    return LinearProgram(_weight_objective(h, lay), *region), lay
 
 
 def solve_protected_relaxation(

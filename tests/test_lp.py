@@ -1,36 +1,51 @@
-"""Simplex solver: optima, start corners, and agreement with the dense tableau."""
+"""Simplex solver: optima, infeasibility, hot starts, and agreement with the dense tableau."""
 
 from __future__ import annotations
 
 import itertools
 import math
 import random
-import re
 
 import numpy as np
 import pytest
 
 import eccluster as ec
+import eccluster.lp as lp_module
 import eccluster.relaxations as relaxations
 from eccluster.lp import EPS_FEAS, EQ, GE, LE, SimplexError, max_violation
 from eccluster.relaxations import build_max_lp, build_pmean_program, build_protected_lp
 from conftest import SLOW_P2, instance_batch, random_instance
 
 
-def _lp(objective, rows, maximize=False, bounds=None, start=None):
+def _lp(objective, rows, maximize=False, bounds=None):
     """LinearProgram from (coefficients, relation, rhs) rows."""
     A = [vec for vec, _, _ in rows] if rows else np.zeros((0, len(objective)))
     senses = [rel for _, rel, _ in rows]
     rhs = [rhs for _, _, rhs in rows]
-    return ec.LinearProgram(objective, A, senses, rhs, bounds=bounds, start=start, maximize=maximize)
+    return ec.LinearProgram(objective, A, senses, rhs, bounds=bounds, maximize=maximize)
+
+
+# The dual simplex's leaving rules: the row furthest outside its box, and
+# Bland's lowest basic index, here from the first pivot on.
+STALLS = (lp_module._STALL, 0)
+
+
+def _solve_each_rule(lp):
+    """``solve_lp`` under each leaving rule in STALLS, in that order."""
+    sols = []
+    for stall in STALLS:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lp_module, "_STALL", stall)
+            sols.append(ec.solve_lp(lp))
+    return sols
 
 
 BOX = _lp([1.0, 2.0], [([1.0, 1.0], ec.LE, 1.5)], maximize=True)
 EQUALITY_AND_GE = _lp(
     [1.0, 1.0, 0.0],
     [([1.0, 1.0, 1.0], ec.EQ, 2.0), ([1.0, 0.0, 0.0], ec.GE, 0.25)],
-    start=[True, True, False],
 )
+INFEASIBLE = _lp([1.0], [([1.0], ec.GE, 2.0)])
 REDUNDANT = _lp(
     [1.0, 1.0],
     [
@@ -39,7 +54,6 @@ REDUNDANT = _lp(
         ([2.0, 2.0], ec.EQ, 2.0),
     ],
     maximize=True,
-    start=[True, False],
 )
 LOWER_BOUNDS = _lp(
     [1.0, 1.0],
@@ -64,13 +78,17 @@ def test_equality_and_ge_rows():
     assert abs(sol.values.sum() - 2.0) <= 1e-9
 
 
-def test_start_that_breaks_a_row_raises():
-    # Row 0 holds at the lower corner and row 1 does not, whatever its sense.
-    for rel, rhs in ((ec.LE, -0.5), (ec.GE, 0.5), (ec.EQ, 0.5), (ec.EQ, -0.5)):
-        lp = _lp([1.0, 1.0], [([1.0, 0.0], ec.LE, 1.0), ([1.0, 1.0], rel, rhs)])
-        with pytest.raises(ValueError, match=re.escape(f"row 1 ({rel}) by 5.000e-01")):
-            ec.solve_lp(lp)
-    # A breach within EPS_FEAS starts anyway.
+def test_infeasible_programs_raise():
+    # Row 1 holds nowhere in the box, whatever its sense; the last program
+    # has two rows that each hold alone but not together.
+    programs = [INFEASIBLE]
+    for rel, rhs in ((ec.LE, -0.5), (ec.GE, 2.5), (ec.EQ, 2.5), (ec.EQ, -0.5)):
+        programs.append(_lp([1.0, 1.0], [([1.0, 0.0], ec.LE, 1.0), ([1.0, 1.0], rel, rhs)]))
+    programs.append(_lp([1.0, -1.0], [([1.0, 0.0], ec.GE, 0.75), ([1.0, 1.0], ec.LE, 0.5)], maximize=True))
+    for lp in programs:
+        assert _reference_solve_lp(lp)[0] == "infeasible"
+        _assert_infeasible(lp)
+    # A breach within EPS_FEAS is not infeasible.
     sol = ec.solve_lp(_lp([1.0], [([1.0], ec.GE, EPS_FEAS / 2)]))
     assert sol.values.tolist() == [0.0]
 
@@ -106,7 +124,6 @@ def test_program_validation():
     lp = ec.LinearProgram(**good)
     assert lp.variable_count == 2
     assert lp.bounds.tolist() == [[0.0, 1.0], [0.0, 1.0]]
-    assert lp.start.tolist() == [False, False]
     for bad in (
         dict(senses=[ec.LE]),
         dict(senses=[ec.LE, ec.GE, ec.EQ]),
@@ -122,8 +139,6 @@ def test_program_validation():
         dict(bounds=[0.0, 1.0]),
         dict(bounds=[(0.0, 1.0, 2.0), (0.0, 1.0, 2.0)]),
         dict(bounds=[(0.0, math.inf), (0.0, 1.0)]),
-        dict(start=[True]),
-        dict(start=[[True, False]]),
     ):
         with pytest.raises(ValueError):
             ec.LinearProgram(**(good | bad))
@@ -131,7 +146,7 @@ def test_program_validation():
     # writes through the program can change it.
     A[0, 0] = 5.0
     assert lp.A[0, 0] == 1.0
-    for arr in (lp.objective, lp.A, lp.senses, lp.rhs, lp.bounds, lp.start):
+    for arr in (lp.objective, lp.A, lp.senses, lp.rhs, lp.bounds):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = arr[0]
@@ -180,33 +195,58 @@ def _sense(rng, senses, rows, vec):
 
 
 def _random_program(rng):
-    """Rows anchored at a random corner of [0, 1]^n, which is the start:
-    EQ rows pass through it, LE and GE rows hold there by a random gap."""
+    """Rows anchored at a random corner of [0, 1]^n: EQ rows pass through
+    it, LE and GE rows hold there by a random gap.  A quarter of the rows
+    move their rhs at random instead, so the program may be infeasible."""
     n = rng.randint(2, 6)
     n_rows = rng.randint(1, 8)
-    start = [rng.random() < 0.5 for _ in range(n)]
+    corner = np.array([float(rng.random() < 0.5) for _ in range(n)])
     rows = []
     for _ in range(n_rows):
         vec = np.array([rng.randint(-3, 3) / 2 for _ in range(n)])
         if not vec.any():
             vec[rng.randrange(n)] = 1.0
         rel = _sense(rng, [ec.LE, ec.LE, ec.GE, ec.GE, ec.EQ], rows, vec)
-        gap = 0.3 * rng.random() if rng.random() < 0.75 else rng.uniform(0.0, 1.5)
-        rhs = float(vec @ np.array(start, dtype=float)) + {ec.LE: gap, ec.GE: -gap, ec.EQ: 0.0}[rel]
+        if rng.random() < 0.75:
+            gap = 0.3 * rng.random()
+            rhs = float(vec @ corner) + {ec.LE: gap, ec.GE: -gap, ec.EQ: 0.0}[rel]
+        else:
+            rhs = float(vec @ corner) + rng.uniform(-1.5, 1.5)
         rows.append((vec, rel, rhs))
     objective = np.array([rng.uniform(-2, 2) for _ in range(n)])
-    return _lp(objective, rows, maximize=rng.random() < 0.5, start=start)
+    return _lp(objective, rows, maximize=rng.random() < 0.5)
+
+
+def _assert_infeasible(lp):
+    """``solve_lp`` raises under each leaving rule instead of answering."""
+    for stall in STALLS:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lp_module, "_STALL", stall)
+            with pytest.raises(SimplexError, match="infeasible"):
+                ec.solve_lp(lp)
+
+
+def _matches_vertex_enumeration(lp, value_tol=1e-9, violation_tol=1e-9):
+    """Checks ``lp``'s optimum under each leaving rule against the vertex
+    oracle.  A program is infeasible exactly when the dense reference says
+    so, and ``solve_lp`` must then raise.  Returns whether it is infeasible."""
+    infeasible = _reference_solve_lp(lp)[0] == "infeasible"
+    vertices = _enumerate_vertices(lp)
+    assert infeasible == (not vertices)
+    if infeasible:
+        _assert_infeasible(lp)
+        return True
+    values = [float(lp.objective @ x) for x in vertices]
+    for sol in _solve_each_rule(lp):
+        assert sol.objective_value == pytest.approx(max(values) if lp.maximize else min(values), abs=value_tol)
+        assert max_violation(lp, sol.values) <= violation_tol
+    return False
 
 
 def test_random_programs_match_vertex_enumeration():
     rng = random.Random(20240229)
-    for _ in range(40):
-        lp = _random_program(rng)
-        sol = ec.solve_lp(lp)
-        values = [float(np.asarray(lp.objective) @ x) for x in _enumerate_vertices(lp)]
-        best = max(values) if lp.maximize else min(values)
-        assert sol.objective_value == pytest.approx(best, abs=1e-6)
-        assert max_violation(lp, sol.values) <= 1e-8
+    infeasible = sum(_matches_vertex_enumeration(_random_program(rng), 1e-6, 1e-8) for _ in range(40))
+    assert 2 <= infeasible <= 20
 
 
 # The dense-tableau solver: bounds as explicit rows with slacks, a full
@@ -409,7 +449,7 @@ def _random_programs():
 
 
 EQUIVALENCE_CORPUS = {
-    "hand-written": lambda: list(HAND_WRITTEN),
+    "hand-written": lambda: [*HAND_WRITTEN, INFEASIBLE],
     "random-programs": _random_programs,
     "relaxations": _relaxation_lps,
     "cutting-plane-masters": _cutting_plane_masters,
@@ -422,47 +462,42 @@ def test_solve_lp_agrees_with_dense_reference(corpus):
     lps = EQUIVALENCE_CORPUS[corpus]()
     assert lps
     for lp in lps:
-        got = ec.solve_lp(lp)
         status, _, value = _reference_solve_lp(lp)
+        if status == "infeasible":
+            _assert_infeasible(lp)
+            continue
         assert status == "optimal"
-        assert type(got.pivots) is int
-        assert abs(got.objective_value - value) <= 1e-9 * max(1.0, abs(value))
-        assert max_violation(lp, got.values) <= 1e-9
+        for got in _solve_each_rule(lp):
+            assert type(got.pivots) is int
+            assert abs(got.objective_value - value) <= 1e-9 * max(1.0, abs(value))
+            assert max_violation(lp, got.values) <= 1e-9
 
 
 # Bounded-variable cases, each with its optimum.  FLIP_THEN_UPPER starts
-# at x1 = 2; x1 enters in place of the fixed slack of the EQ row, and x2
-# then rises to its upper bound 1 in a bound flip while the basic x1 falls.
-FLIP_THEN_UPPER = _lp(
-    [1.0, -2.0], [([1.0, 1.0], ec.EQ, 2.0)], bounds=[(0.0, 2.0), (0.0, 1.0)], start=[True, False]
-)
+# with x2 at its upper bound 1 and x1 at 0, which breaks the EQ row; x1
+# enters in place of the row's fixed slack.
+FLIP_THEN_UPPER = _lp([1.0, -2.0], [([1.0, 1.0], ec.EQ, 2.0)], bounds=[(0.0, 2.0), (0.0, 1.0)])
 SHIFTED_BOX = _lp(
     [1.0, -1.0, 2.0],
     [([1.0, 1.0, 0.0], ec.GE, 0.5), ([0.0, 1.0, 1.0], ec.LE, 0.0)],
     bounds=[(-1.0, 1.0), (0.25, 0.75), (-2.0, -0.5)],
-    start=[True, False, False],
 )
 FIXED_VARIABLE = _lp(
     [1.0, 1.0, -3.0],
     [([1.0, 1.0, 1.0], ec.EQ, 1.7), ([1.0, -1.0, 0.0], ec.LE, 0.1)],
     maximize=True,
     bounds=[(0.0, 1.0), (0.0, 1.0), (0.7, 0.7)],
-    start=[False, True, False],
 )
 ZERO_RHS_GE = _lp(
     [1.0, 1.0, -3.0],
     [([1.0, 0.0, -1.0], ec.GE, 0.0), ([0.0, 1.0, -1.0], ec.GE, 0.0), ([1.0, 1.0, 0.0], ec.LE, 1.5)],
 )
 BOUNDS_ONLY = _lp([1.0, -1.0], [], maximize=True, bounds=[(-1.0, 2.0), (0.5, 0.5)])
-# The lower corner breaks the GE row, so both start at the upper corner,
-# where UPPER_OPTIMAL is already optimal.
-UPPER_START = _lp([1.0, 1.0], [([1.0, 1.0], ec.GE, 1.5)], start=[True, True])
-UPPER_OPTIMAL = _lp(
-    [1.0, 2.0],
-    [([1.0, 1.0], ec.GE, 1.0), ([1.0, -1.0], ec.LE, 0.5)],
-    maximize=True,
-    start=[True, True],
-)
+# The corner each cost favours: the lower one for UPPER_START, which breaks
+# its GE row there, and the upper one for UPPER_OPTIMAL, which is optimal
+# there.
+UPPER_START = _lp([1.0, 1.0], [([1.0, 1.0], ec.GE, 1.5)])
+UPPER_OPTIMAL = _lp([1.0, 2.0], [([1.0, 1.0], ec.GE, 1.0), ([1.0, -1.0], ec.LE, 0.5)], maximize=True)
 BOUNDED = {
     "flip-then-upper": (FLIP_THEN_UPPER, -1.0),
     "shifted-box": (SHIFTED_BOX, -5.0),
@@ -482,14 +517,20 @@ def _random_box(rng):
     return lo, hi, lo + np.array([rng.random() for _ in range(n)]) * (hi - lo)
 
 
+def _shift(rng, rhs):
+    """``rhs``, or one time in four ``rhs`` moved at random, which may make
+    the program infeasible."""
+    return rhs + rng.uniform(-1.0, 1.0) if rng.random() < 0.25 else rhs
+
+
 def _random_boxed_program(rng):
-    """Shifted boxes, some fixed variables, and rows anchored at a random
-    corner, which is the start: EQ rows pass through it, half the GE rows
-    are tight there, and the other rows hold there by a random gap."""
+    """(program, witness corner): shifted boxes, some fixed variables, and
+    rows anchored at a random corner: EQ rows pass through it, half the GE
+    rows are tight there, and the other rows hold there by a random gap,
+    before ``_shift``."""
     lo, hi, _ = _random_box(rng)
     n = lo.size
-    start = [rng.random() < 0.5 for _ in range(n)]
-    corner = np.where(start, hi, lo)
+    corner = np.where([rng.random() < 0.5 for _ in range(n)], hi, lo)
     rows = []
     for _ in range(rng.randint(1, 4)):
         vec = np.array([rng.randint(-2, 2) / 2 for _ in range(n)])
@@ -498,55 +539,48 @@ def _random_boxed_program(rng):
         rel = _sense(rng, [ec.LE, ec.GE, ec.GE, ec.EQ], rows, vec)
         gap = 0.0 if rel == ec.GE and rng.random() < 0.5 else 0.3 * rng.random()
         rhs = float(vec @ corner) + {ec.LE: gap, ec.GE: -gap, ec.EQ: 0.0}[rel]
-        rows.append((vec, rel, rhs))
+        rows.append((vec, rel, _shift(rng, rhs)))
     objective = np.array([rng.uniform(-2, 2) for _ in range(n)])
     bounds = np.column_stack([lo, hi])
-    return _lp(objective, rows, maximize=rng.random() < 0.5, bounds=bounds, start=start)
+    return _lp(objective, rows, maximize=rng.random() < 0.5, bounds=bounds), corner
 
 
 @pytest.mark.parametrize("name", sorted(BOUNDED))
 def test_bounded_programs_match_vertex_enumeration(name):
     lp, optimum = BOUNDED[name]
-    sol = ec.solve_lp(lp)
     values = [float(lp.objective @ x) for x in _enumerate_vertices(lp)]
     assert (max(values) if lp.maximize else min(values)) == pytest.approx(optimum)
-    assert sol.objective_value == pytest.approx(optimum, abs=1e-9)
-    assert max_violation(lp, sol.values) <= 1e-9
+    assert not _matches_vertex_enumeration(lp)
 
 
-def _matches_vertex_enumeration(lp):
-    sol = ec.solve_lp(lp)
-    values = [float(lp.objective @ x) for x in _enumerate_vertices(lp)]
-    assert sol.objective_value == pytest.approx(max(values) if lp.maximize else min(values), abs=1e-9)
-    assert max_violation(lp, sol.values) <= 1e-9
-
-
-def _tight_at_start(lp, sense):
-    """Whether some row of this sense holds with equality at the start corner."""
-    corner = np.where(lp.start, lp.bounds[:, 1], lp.bounds[:, 0])
+def _tight_at(lp, corner, sense):
+    """Whether some row of this sense holds with equality at ``corner``."""
     return bool(np.any((lp.senses == sense) & (lp.rhs == lp.A @ corner)))
 
 
 def test_random_boxed_programs_match_vertex_enumeration():
     rng = random.Random(1955)
-    fixed = tight = 0
+    fixed = tight = infeasible = 0
     for _ in range(60):
-        lp = _random_boxed_program(rng)
+        lp, corner = _random_boxed_program(rng)
         fixed += int(np.any(lp.bounds[:, 0] == lp.bounds[:, 1]))
-        tight += _tight_at_start(lp, ec.GE)
-        _matches_vertex_enumeration(lp)
-    assert fixed >= 10 and tight >= 10
+        tight += _tight_at(lp, corner, ec.GE)
+        infeasible += _matches_vertex_enumeration(lp)
+    assert fixed >= 10 and tight >= 10 and 3 <= infeasible <= 30
 
 
 def test_program_optimal_at_its_start_corner_takes_no_pivots():
-    sol = ec.solve_lp(UPPER_OPTIMAL)
-    assert sol.values.tolist() == [1.0, 1.0]
-    assert sol.pivots == 0
+    # Maximized with positive costs, UPPER_OPTIMAL starts at its upper
+    # corner, which satisfies both rows.
+    for sol in _solve_each_rule(UPPER_OPTIMAL):
+        assert sol.values.tolist() == [1.0, 1.0]
+        assert sol.pivots == 0
 
 
 def _random_upper_program(rng):
-    """Shifted boxes, fixed variables and rows that hold at the upper corner,
-    which is the start; half the LE rows are tight there."""
+    """(program, upper corner): shifted boxes, fixed variables and rows that
+    hold at the upper corner before ``_shift``; half the LE rows are tight
+    there."""
     lo, hi, witness = _random_box(rng)
     n = lo.size
     rows = []
@@ -560,21 +594,21 @@ def _random_upper_program(rng):
             rhs = top + rng.choice([0.0, 0.3 * rng.random()])
         else:
             rhs = min(float(vec @ witness), top)
-        rows.append((vec, rel, rhs))
+        rows.append((vec, rel, _shift(rng, rhs)))
     objective = np.array([rng.uniform(-2, 2) for _ in range(n)])
     bounds = np.column_stack([lo, hi])
-    return _lp(objective, rows, maximize=rng.random() < 0.5, bounds=bounds, start=[True] * n)
+    return _lp(objective, rows, maximize=rng.random() < 0.5, bounds=bounds), hi
 
 
 def test_random_upper_corner_programs_match_vertex_enumeration():
     rng = random.Random(1992)
-    fixed = tight = 0
+    fixed = tight = infeasible = 0
     for _ in range(80):
-        lp = _random_upper_program(rng)
+        lp, corner = _random_upper_program(rng)
         fixed += int(np.any(lp.bounds[:, 0] == lp.bounds[:, 1]))
-        tight += _tight_at_start(lp, ec.LE)
-        _matches_vertex_enumeration(lp)
-    assert fixed >= 3 and tight >= 3
+        tight += _tight_at(lp, corner, ec.LE)
+        infeasible += _matches_vertex_enumeration(lp)
+    assert fixed >= 3 and tight >= 3 and 3 <= infeasible <= 40
 
 
 # A p = 2 cutting-plane master (nine cuts past the first) on which a pivot
@@ -635,15 +669,18 @@ def _hot_kelley_solves():
 
 
 def test_hot_masters_match_cold_solves_and_the_dense_reference():
-    solves = _hot_kelley_solves()
-    assert len(solves) > 50
-    for lp, hot in solves:
-        cold = ec.solve_lp(lp)
-        assert abs(hot.objective_value - cold.objective_value) <= 1e-9 * max(1.0, abs(cold.objective_value))
-        status, _, value = _reference_solve_lp(lp)
-        assert status == "optimal"
-        assert abs(hot.objective_value - value) <= 1e-9 * max(1.0, abs(value))
-        assert max_violation(lp, hot.values) <= 1e-9
+    for stall in STALLS:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lp_module, "_STALL", stall)
+            solves = _hot_kelley_solves()
+            assert len(solves) > 50
+            for lp, hot in solves:
+                cold = ec.solve_lp(lp)
+                assert abs(hot.objective_value - cold.objective_value) <= 1e-9 * max(1.0, abs(cold.objective_value))
+                status, _, value = _reference_solve_lp(lp)
+                assert status == "optimal"
+                assert abs(hot.objective_value - value) <= 1e-9 * max(1.0, abs(value))
+                assert max_violation(lp, hot.values) <= 1e-9
 
 
 def _append(lp, *rows):
@@ -651,14 +688,13 @@ def _append(lp, *rows):
     A = np.vstack([lp.A, [vec for vec, _, _ in rows]])
     senses = np.append(lp.senses, [rel for _, rel, _ in rows])
     rhs = np.append(lp.rhs, [rhs for _, _, rhs in rows])
-    return ec.LinearProgram(lp.objective, A, senses, rhs, lp.bounds, lp.start, lp.maximize)
+    return ec.LinearProgram(lp.objective, A, senses, rhs, lp.bounds, lp.maximize)
 
 
 # Rows appended to BOX, whose optimum is (0.5, 1) with value 2.5, each with
-# the new optimum and the pivots a hot solve takes.  Each row holds at BOX's
-# start corner, so a cold solve can check the hot one.  The EQ row's slack
-# reads 0.5 at (0.5, 1), above its box [0, 0]: its row is complemented, and
-# one dual pivot then repairs it.
+# the new optimum and the pivots a hot solve takes; a cold solve checks the
+# hot one.  The EQ row's slack reads 0.5 at (0.5, 1), above its box [0, 0]:
+# its row is complemented, and one dual pivot then repairs it.
 APPENDED = {
     "cuts-off-optimum": (([0.0, 1.0], ec.LE, 0.5), 2.0, 1),
     "already-satisfied": (([1.0, 1.0], ec.LE, 2.0), 2.5, 0),
@@ -712,14 +748,12 @@ def test_hot_start_rejects_a_program_that_is_not_the_previous_plus_rows():
     changed = {
         "objective": dict(objective=[3.0, -1.0, 2.5]),
         "bounds": dict(bounds=[(0.0, 1.0), (0.0, 1.0), (0.0, 0.5)]),
-        "start": dict(start=[False, False, True]),
         "maximize": dict(maximize=False),
         "earlier row": dict(A=[[1.0, 2.0, 1.5], row[0]]),
         "earlier sense": dict(senses=[ec.GE, ec.LE]),
         "earlier rhs": dict(rhs=[2.5, 0.5]),
     }
-    fields = dict(objective=lp.objective, A=lp.A, senses=lp.senses, rhs=lp.rhs, bounds=lp.bounds, start=lp.start,
-                  maximize=lp.maximize)
+    fields = dict(objective=lp.objective, A=lp.A, senses=lp.senses, rhs=lp.rhs, bounds=lp.bounds, maximize=lp.maximize)
     for name, change in changed.items():
         with pytest.raises(ValueError, match="plus appended rows"):
             ec.solve_lp(ec.LinearProgram(**(fields | change)), previous)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -64,21 +63,6 @@ def test_protected_budget_row_is_honored():
             h.edges[e].weight * frac.edge_value[e] for e in h.color_classes[c1 - 1]
         )
         assert protected_mass <= budget + 1e-8
-
-
-def test_protected_lp_at_budget_zero_boxes_weighted_protected_gammas():
-    # A zero budget forces gamma_e = 0 on every protected edge of positive
-    # weight, so those columns are boxed in [0, 0]; zero-weight edges (every
-    # third edge here) keep [0, 1], and the optimum is unchanged.
-    for h in instance_batch(88, 16, unit_weights=False):
-        edges = tuple(replace(e, weight=0.0) if i % 3 == 0 else e for i, e in enumerate(h.edges))
-        h = replace(h, edges=edges)
-        lp, lay = ec.build_protected_lp(h, 1, 0.0)
-        pinned = [lay.edge_col(e) for e in h.color_classes[0] if h.edges[e].weight > 0]
-        assert np.flatnonzero(lp.bounds[:, 1] == 0.0).tolist() == pinned
-        unpinned = ec.solve_lp(replace(lp, bounds=None)).objective_value
-        assert ec.solve_lp(lp).objective_value == pytest.approx(unpinned, rel=1e-12, abs=1e-12)
-        assert (ec.build_protected_lp(h, 1, 0.5)[0].bounds[:, 1] == 1.0).all()
 
 
 def test_max_edge_values_snap_to_their_caps():
@@ -388,7 +372,7 @@ def test_cutting_plane_brackets_independent_optima():
 
 def test_every_master_holds_at_its_upper_corner(monkeypatch):
     # d = gamma = 1 with t at its cap satisfies every row of every
-    # cutting-plane master, and every cold master starts the simplex there.
+    # cutting-plane master, so no cut can make a master infeasible.
     masters = []
 
     def record(lp, *args):
@@ -403,37 +387,4 @@ def test_every_master_holds_at_its_upper_corner(monkeypatch):
         ec.minimize_lovasz(h, 0.5)
     assert len(masters) > 200
     for lp in masters:
-        assert lp.start.all()
         assert max_violation(lp, lp.bounds[:, 1]) == 0
-
-
-def _start_corner(lp):
-    return np.where(lp.start, lp.bounds[:, 1], lp.bounds[:, 0])
-
-
-def test_every_relaxation_holds_at_its_start_corner(monkeypatch):
-    # The simplex starts at the corner each builder names, so that corner
-    # must satisfy every row: for the max LP and the p = 1 and p = inf LPs,
-    # for protected LPs at budget 0, half the protected mass and all of it,
-    # and for p = 2 and Lovász masters after several cuts.
-    lps = []
-    for h in (ec.triangle_gadget(), *instance_batch(85, 8, k_hi=4, unit_weights=False)):
-        lps += [ec.build_max_lp(h)[0], build_pmean_program(h, 1)[0], build_pmean_program(h, math.inf)[0]]
-        for c, mass in enumerate(ec.color_mass(h, np.ones(h.edge_count)).tolist(), start=1):
-            lps += [ec.build_protected_lp(h, c, b)[0] for b in (0.0, mass / 2, mass)]
-    # Cuts at random points: subgradients that the loops would add there.
-    rng = np.random.default_rng(86)
-    masters = []
-    monkeypatch.setattr(relaxations, "solve_lp", lambda lp, *args: masters.append(lp) or ec.solve_lp(lp, *args))
-    monkeypatch.setattr(relaxations, "_MAX_CUTS", 1)
-    for h in (ec.parse_instance(SLOW_P2), *instance_batch(86, 4, unit_weights=False)):
-        p2, lay, cut = build_pmean_program(h, 2.0)
-        ec.minimize_lovasz(h, 0.5)
-        lovasz = masters.pop()
-        for _ in range(6):
-            p2 = relaxations._add_cuts(p2, cut(rng.random(lay.total))[1])
-            subgrad = ec.lovasz_extension(h, 0.5, rng.random(h.edge_count))[1]
-            lovasz = relaxations._add_cuts(lovasz, np.append(subgrad, 0.0))
-            lps += [p2, lovasz]
-    for lp in lps:
-        assert max_violation(lp, _start_corner(lp)) == 0
