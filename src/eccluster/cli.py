@@ -29,7 +29,7 @@ from .hypergraph import (
 )
 from .relaxations import solve_max_relaxation
 from .rounding import DEFAULT_RHO, GRAPH_GUARANTEE, estimate_satisfaction, rank_guarantee
-from .solver import SOLVERS, solve
+from .solver import SOLVERS, solve, solve_budget_sweep
 
 _PROBLEM_ALGS = {kind: tuple(a for k, a in SOLVERS if k == kind) for kind, _ in SOLVERS}
 
@@ -344,9 +344,9 @@ def _run_bench(args) -> tuple[str, int]:
     )
     class_size = len(h.color_classes[args.protected_color - 1])
     lines = ["fraction,budget,total_unsatisfied,protected_unsatisfied,relaxation_bound,violation_factor"]
-    for phi in fractions:
-        budget = math.ceil(phi * class_size)
-        result = solve(h, protected(args.protected_color, float(budget)), "lp-round", rho=args.rho)
+    budgets = [math.ceil(phi * class_size) for phi in fractions]
+    results = solve_budget_sweep(h, args.protected_color, budgets, rho=args.rho)
+    for phi, budget, result in zip(fractions, budgets, results):
         errors = color_error_vector(h, result.coloring).tolist()
         total = sum(errors)
         prot = errors[args.protected_color - 1]

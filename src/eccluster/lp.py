@@ -17,10 +17,13 @@ variable at its cheaper bound, and that tableau is dual feasible.  A solve
 appends rows to a tableau in dual-feasible form, each new row with its slack
 basic, and the dual simplex then restores primal feasibility: a cold solve
 appends all of the program's rows to its empty tableau, a hot one only the
-rows the program gained since an earlier solution.  Identical inputs always
-produce identical outputs; the optimal vertex may differ from the one a
-dense tableau with explicit bound rows, or a cold solve of the same program,
-would return.
+rows the program gained since an earlier solution.  A hot solve also takes
+new right-hand sides for the earlier rows: they leave the reduced costs
+alone, so the earlier optimal tableau stays dual feasible once its rhs
+column has moved along the inverse basis, which its slack columns hold.
+Identical inputs always produce identical outputs; the optimal vertex may
+differ from the one a dense tableau with explicit bound rows, or a cold
+solve of the same program, would return.
 """
 
 from __future__ import annotations
@@ -115,7 +118,11 @@ class LinearProgram:
 
 
 class _Tableau(NamedTuple):
-    """A dual-feasible simplex state, kept so that rows can be appended to it."""
+    """A dual-feasible simplex state, kept so that rows can be appended to it.
+
+    ``obj`` holds the reduced costs, plus one entry beside the rhs column
+    that a pivot updates like any other and nothing reads.
+    """
 
     lp: LinearProgram
     T: np.ndarray
@@ -231,7 +238,7 @@ def _base_tableau(lp: LinearProgram, previous: Optional[LpSolution]) -> _Tableau
     where its cost to minimize is negative, with that cost's absolute value
     as its reduced cost.  Hot: ``previous``'s final tableau; raises
     ValueError unless ``lp`` is ``previous``'s program plus rows appended at
-    the end.
+    the end, up to the right-hand sides of its earlier rows.
     """
     if previous is None:
         cost = -lp.objective if lp.maximize else lp.objective
@@ -247,10 +254,9 @@ def _base_tableau(lp: LinearProgram, previous: Optional[LpSolution]) -> _Tableau
         (lp.bounds, old.bounds),
         (lp.A[:R0], old.A),
         (lp.senses[:R0], old.senses),
-        (lp.rhs[:R0], old.rhs),
     )
     if lp.maximize != old.maximize or lp.rhs.size < R0 or not all(np.array_equal(a, b) for a, b in unchanged):
-        raise ValueError("lp is not the previous solution's program plus appended rows")
+        raise ValueError("lp is not the previous solution's program plus appended rows, up to right-hand sides")
     return state
 
 
@@ -259,12 +265,14 @@ def solve_lp(lp: LinearProgram, previous: Optional[LpSolution] = None) -> LpSolu
 
     Cold (``previous`` None): every row of ``lp`` is appended to its empty
     tableau.  Hot: ``lp`` must be ``previous``'s program plus rows appended
-    at the end, else ValueError, and only those rows are appended to
-    ``previous``'s final tableau.  Each new row is written over the current
-    columns with its slack basic, at the value it reads there, which may lie
-    outside its box, and ``_run_dual`` restores feasibility.  The final basis
-    is re-solved against the clean input data.  An infeasible program raises
-    SimplexError.
+    at the end, where its earlier rows may have new right-hand sides, else
+    ValueError.  A copy of ``previous``'s final tableau takes the new
+    right-hand sides, which leave it dual feasible, and then only the new
+    rows; ``previous`` itself is left as it was.  Each new row is written
+    over the current columns with its slack basic, at the value it reads
+    there, which may lie outside its box, and ``_run_dual`` restores
+    feasibility.  The final basis is re-solved against the clean input data.
+    An infeasible program raises SimplexError.
     """
     n = lp.variable_count
     lo, hi = lp.bounds.T
@@ -275,25 +283,30 @@ def solve_lp(lp: LinearProgram, previous: Optional[LpSolution] = None) -> LpSolu
     R = lp.rhs.size
     ncols = n + R
     f = np.where(lp.senses == GE, -1.0, 1.0)
-    full = np.zeros((R, ncols + 1))
-    full[:, :n] = lp.A * f[:, None]
-    full[np.arange(R), n + np.arange(R)] = 1.0
-    full[:, -1] = f * (lp.rhs - lp.A @ lo)
+    b = f * (lp.rhs - lp.A @ lo)
     u = np.concatenate([hi - lo, np.where(lp.senses == EQ, 0.0, np.inf)])
 
-    # Append rows R0.. of ``full``: a complemented column is negated with
-    # its u moved to the rhs, then the basic columns are eliminated.
     state = _base_tableau(lp, previous)
     R0 = state.basis.size
     kept = n + R0  # the columns of state's tableau, less its rhs
     complemented = np.concatenate([state.complemented, np.zeros(R - R0, dtype=bool)])
     basis = np.concatenate([state.basis, kept + np.arange(R - R0)])
     obj = np.zeros(ncols + 1)
-    obj[:kept], obj[-1] = state.obj[:-1], state.obj[-1]
+    obj[:kept] = state.obj[:-1]
     T = np.zeros((R, ncols + 1), order="F")
     T[:R0, :kept], T[:R0, -1] = state.T[:, :-1], state.T[:, -1]
+    moved = lp.rhs[:R0] - state.lp.rhs[:R0]  # a cold state's program is lp itself
+    if moved.any():
+        # New right-hand sides move the rhs column along the inverse basis,
+        # which the slack columns hold, negated where a slack is complemented.
+        T[:R0, -1] += T[:R0, n:kept] @ (np.where(complemented[n:kept], -f[:R0], f[:R0]) * moved)
+
+    # Append rows R0..: a complemented column is negated with its u moved to
+    # the rhs, then the basic columns are eliminated.
     rows = T[R0:]
-    rows[:] = full[R0:]
+    np.multiply(lp.A[R0:], f[R0:, None], out=rows[:, :n])
+    rows[np.arange(R - R0), kept + np.arange(R - R0)] = 1.0
+    rows[:, -1] = b[R0:]
     flip = complemented.nonzero()[0]
     rows[:, -1] -= rows[:, flip] @ u[flip]
     rows[:, flip] *= -1.0
@@ -303,10 +316,17 @@ def solve_lp(lp: LinearProgram, previous: Optional[LpSolution] = None) -> LpSolu
 
     # Re-solve the final basis against the clean input data for sharp
     # numerics, with every complemented nonbasic variable at its upper bound.
+    # The basis matrix holds f times A's column for a structural basic and a
+    # unit column for a basic slack.
     y = np.where(complemented, u, 0.0)
     y[basis] = 0.0
+    structural = basis < n
+    B = lp.A[:, np.where(structural, basis, 0)]
+    B *= f[:, None]
+    B[:, ~structural] = 0.0
+    B[basis[~structural] - n, ~structural] = 1.0
     try:
-        y[basis] = np.linalg.solve(full[:, basis], full[:, -1] - full[:, :ncols] @ y)
+        y[basis] = np.linalg.solve(B, b - f * (lp.A @ y[:n]) - y[n:])
     except np.linalg.LinAlgError:
         beta = T[:, -1]
         y[basis] = np.where(complemented[basis], u[basis] - beta, beta)

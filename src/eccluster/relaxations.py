@@ -15,7 +15,9 @@ Its master LP minimizes t over the feasible region plus one row
 positively homogeneous objective, so the master value is a certified lower
 bound and the objective at the master point an upper bound.  Each master
 after the first is solved hot, from the last one's final tableau.  The
-p = inf LP is this master with one cut per color.
+p = inf LP is this master with one cut per color.  A protected budget sweep
+is one LP too: each budget after the first only changes the budget row's
+rhs, and is solved hot from the last budget's final tableau.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -42,6 +44,7 @@ __all__ = [
     "solve_pmean_relaxation",
     "build_protected_lp",
     "solve_protected_relaxation",
+    "solve_protected_sweep",
     "lovasz_extension",
     "minimize_lovasz",
 ]
@@ -128,13 +131,20 @@ def build_max_lp(h: EdgeColoredHypergraph) -> tuple[LinearProgram, VariableLayou
 
 
 def solve_max_relaxation(h: EdgeColoredHypergraph) -> FractionalSolution:
-    """Assignment-orientation optimum; z_e snapped to its cap min_{v in e} x_v^c."""
+    """Assignment-orientation optimum; x snapped to 0 or 1 within EPS_FEAS, and
+    z_e to its cap min_{v in e} x_v^c.
+
+    The snap drops the few ulps the simplex's final basis re-solve leaves on
+    entries at a bound, so equal optima print equal bytes.
+    """
     lp, lay = build_max_lp(h)
     sol = solve_lp(lp)
     x, z = lay.split(sol.values)
     row_sums = x.sum(axis=1)
     if np.any(np.abs(row_sums - 1.0) > EPS_FEAS):
         raise RuntimeError("node color mass does not sum to 1 within tolerance")
+    x[np.abs(x) <= EPS_FEAS] = 0.0
+    x[np.abs(x - 1.0) <= EPS_FEAS] = 1.0
     for e, edge in enumerate(h.edges):
         cap = min(x[v - 1, edge.color - 1] for v in edge.nodes)
         z[e] = min(max(cap, 0.0), 1.0)
@@ -354,13 +364,35 @@ def build_protected_lp(
     return LinearProgram(_weight_objective(h, lay), *region), lay
 
 
+def solve_protected_sweep(
+    h: EdgeColoredHypergraph, protected_color: int, budgets: Sequence[float]
+) -> list[FractionalSolution]:
+    """The protected relaxation at each budget, in the order given.
+
+    One program serves the whole sweep: the budgets differ only in the
+    budget row's rhs, so the first is solved cold and each later one hot,
+    from the last one's final tableau.  Every bound is the LP optimum at its
+    budget; the vertex may depend on the budgets before it.
+    """
+    if not all(budget >= 0 for budget in budgets):
+        raise ValueError("budget must be >= 0")
+    fracs, sol = [], None
+    for budget in budgets:
+        if sol is None:
+            lp, lay = build_protected_lp(h, protected_color, budget)
+        else:
+            lp = replace(lp, rhs=np.append(lp.rhs[:-1], float(budget)))
+        sol = solve_lp(lp, sol)
+        d, gamma = _distance_point(h, lay, sol.values)
+        fracs.append(FractionalSolution(d, gamma, DISTANCE, sol.objective_value))
+    return fracs
+
+
 def solve_protected_relaxation(
     h: EdgeColoredHypergraph, protected_color: int, budget: float
 ) -> FractionalSolution:
-    lp, lay = build_protected_lp(h, protected_color, budget)
-    sol = solve_lp(lp)
-    d, gamma = _distance_point(h, lay, sol.values)
-    return FractionalSolution(d, gamma, DISTANCE, sol.objective_value)
+    """The protected relaxation at one budget: a sweep of one."""
+    return solve_protected_sweep(h, protected_color, [budget])[0]
 
 
 def lovasz_extension(

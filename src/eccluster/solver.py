@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .combinatorial import brute_force, fpt_colorfair, fpt_protected, matching_approximation
 from .hypergraph import Coloring, EdgeColoredHypergraph, Problem
@@ -16,7 +16,7 @@ from .relaxations import (
     minimize_lovasz,
     solve_max_relaxation,
     solve_pmean_relaxation,
-    solve_protected_relaxation,
+    solve_protected_sweep,
 )
 from .rounding import (
     DEFAULT_RHO,
@@ -28,7 +28,7 @@ from .rounding import (
     protected_round,
 )
 
-__all__ = ["SolveResult", "SOLVERS", "solve"]
+__all__ = ["SolveResult", "SOLVERS", "solve", "solve_budget_sweep"]
 
 
 @dataclass(frozen=True)
@@ -88,11 +88,23 @@ def _lovasz(h: EdgeColoredHypergraph, problem: Problem, **_) -> SolveResult:
     return SolveResult(lovasz_round(h, cuts.point), bound, converged=cuts.converged, fallback="constant-1")
 
 
+def solve_budget_sweep(
+    h: EdgeColoredHypergraph, protected_color: int, budgets: Sequence[float], *, rho: Optional[float] = None
+) -> list[SolveResult]:
+    """Protected ``lp-round`` at each budget, in the order given.
+
+    One LP serves the sweep (``solve_protected_sweep``), and each budget's
+    optimum is rounded on its own with ``rho`` (default ``DEFAULT_RHO``).
+    """
+    rho = DEFAULT_RHO if rho is None else rho
+    return [
+        SolveResult(protected_round(h, frac, protected_color, rho), frac.bound, fallback="lp-informed")
+        for frac in solve_protected_sweep(h, protected_color, budgets)
+    ]
+
+
 def _protected_lp(h: EdgeColoredHypergraph, problem: Problem, rho=None, **_) -> SolveResult:
-    color = problem.protected_color
-    frac = solve_protected_relaxation(h, color, _budget(problem))
-    lam = protected_round(h, frac, color, DEFAULT_RHO if rho is None else rho)
-    return SolveResult(lam, frac.bound, fallback="lp-informed")
+    return solve_budget_sweep(h, problem.protected_color, [_budget(problem)], rho=rho)[0]
 
 
 def _fpt(h: EdgeColoredHypergraph, problem: Problem, tau=None, t=None, **_) -> SolveResult:

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import json
 import math
+import random
 import subprocess
 import sys
 
 import pytest
 
-from conftest import SLOW_P2
+from conftest import SLOW_P2, serialize_instance
+from eccluster import Edge, EdgeColoredHypergraph
 
 TRIANGLE = """\
 3 3 3
@@ -391,6 +393,31 @@ def test_estimate_byte_determinism(triangle_path):
     assert doc["guarantee"] == pytest.approx((2 / math.e) ** 2 / 3)
     assert len(doc["edges"]) == 3
     assert "wall_time_sec" not in doc
+
+
+def _estimate_workload_instance():
+    """The first instance of the ``mc-estimate`` benchmark workload at seed 1
+    (n = 20, 40 unit edges of 2 or 3 nodes, three colors): its max LP optimum
+    is integral, and the final basis re-solve used to leave a few ulps on it."""
+    rng = random.Random("mc-estimate:1")
+    edges = []
+    for _ in range(40):
+        nodes = tuple(rng.sample(range(1, 21), rng.choice((2, 3))))
+        edges.append(Edge(color=rng.randint(1, 3), weight=1.0, nodes=nodes))
+    return EdgeColoredHypergraph(node_count=20, color_count=3, edges=tuple(edges))
+
+
+def test_estimate_prints_integral_lp_values_exactly(tmp_path):
+    path = tmp_path / "mc0-hyper.ecc"
+    path.write_text(serialize_instance(_estimate_workload_instance()), encoding="utf-8")
+    proc = run_cli("estimate", "--scheme", "hyper", "--trials", "10", "--seed", "0", "--input", str(path), check=True)
+    doc = json.loads(proc.stdout)
+    edges = doc["edges"]
+    assert sum(e["lp_value"] for e in edges) == doc["relaxation_bound"] == 15
+    assert all(e["lp_value"] in (0, 1) and e["floor"] in (0, 0.0995741367357279) for e in edges)
+    # edges 0, 4 and 17 read 0.9999999999999998, 2.220446049250313e-16 and
+    # 0.9999999999999998 before the max relaxation snapped x
+    assert [edges[i]["lp_value"] for i in (0, 4, 17)] == [1, 0, 1]
 
 
 def test_estimate_graph_scheme(triangle_path):

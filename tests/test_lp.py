@@ -751,7 +751,6 @@ def test_hot_start_rejects_a_program_that_is_not_the_previous_plus_rows():
         "maximize": dict(maximize=False),
         "earlier row": dict(A=[[1.0, 2.0, 1.5], row[0]]),
         "earlier sense": dict(senses=[ec.GE, ec.LE]),
-        "earlier rhs": dict(rhs=[2.5, 0.5]),
     }
     fields = dict(objective=lp.objective, A=lp.A, senses=lp.senses, rhs=lp.rhs, bounds=lp.bounds, maximize=lp.maximize)
     for name, change in changed.items():
@@ -765,3 +764,96 @@ def test_hot_start_rejects_a_program_that_is_not_the_previous_plus_rows():
         ec.solve_lp(swapped, previous)
     with pytest.raises(ValueError, match="no tableau"):
         ec.solve_lp(lp, ec.LpSolution(previous.values, previous.objective_value))
+
+
+def _with_rhs(lp, rhs):
+    """``lp`` with the right-hand sides ``rhs``."""
+    return ec.LinearProgram(lp.objective, lp.A, lp.senses, rhs, lp.bounds, lp.maximize)
+
+
+# BOX plus x1 - x2 = 0, solved hot from BOX: the EQ row's slack leaves its
+# box [0, 0] from above, so it ends nonbasic and stored complemented.
+BOX_EQ = _append(BOX, ([1.0, -1.0], ec.EQ, 0.0))
+
+# New right-hand sides for BOX_EQ (LE, EQ) and EQUALITY_AND_GE (EQ, GE), each
+# with the optimum a hot solve must reach.
+RHS_EDITS = {
+    "le": (BOX_EQ, [1.0, 0.0], 1.5),
+    "eq-up": (BOX_EQ, [1.5, 0.5], 2.0),
+    "eq-down": (BOX_EQ, [1.5, -0.5], 2.5),
+    "le-and-eq": (BOX_EQ, [1.2, -0.2], 1.9),
+    "ge": (EQUALITY_AND_GE, [2.0, 0.75], 1.0),
+    "eq-of-eq-and-ge": (EQUALITY_AND_GE, [1.5, 0.25], 0.5),
+    "eq-and-ge": (EQUALITY_AND_GE, [2.5, 1.0], 1.5),
+    "unchanged": (EQUALITY_AND_GE, [2.0, 0.25], 1.0),
+}
+
+
+def _previous(lp):
+    """``lp``'s solution, BOX_EQ's hot from BOX so that its EQ slack is complemented."""
+    if lp is BOX_EQ:
+        sol = ec.solve_lp(BOX_EQ, ec.solve_lp(BOX))
+        assert sol._tableau.complemented[BOX.variable_count + 1]
+        return sol
+    return ec.solve_lp(lp)
+
+
+@pytest.mark.parametrize("name", sorted(RHS_EDITS))
+def test_new_right_hand_sides_are_solved_from_the_previous_tableau(name):
+    lp, rhs, optimum = RHS_EDITS[name]
+    previous = _previous(lp)
+    tableau = previous._tableau.T.copy()
+    edited = _with_rhs(lp, rhs)
+    hot = ec.solve_lp(edited, previous)
+    assert hot.objective_value == pytest.approx(optimum, abs=1e-12)
+    assert hot.objective_value == pytest.approx(ec.solve_lp(edited).objective_value, abs=1e-12)
+    assert max_violation(edited, hot.values) <= 1e-12
+    _matches_vertex_enumeration(edited)
+    if name == "unchanged":
+        assert hot.pivots == 0
+    # The previous solution is left as it was: a second hot solve repeats the first.
+    assert previous._tableau.T.tolist() == tableau.tolist()
+    again = ec.solve_lp(edited, previous)
+    assert again.values.tolist() == hot.values.tolist() and again.pivots == hot.pivots
+
+
+def test_new_right_hand_side_with_appended_rows():
+    previous = ec.solve_lp(BOX)
+    # x1 + x2 <= 1 and then x2 <= 0.5 leave x1 + 2 x2 at most 1.5.
+    lp = _append(_with_rhs(BOX, [1.0]), ([0.0, 1.0], ec.LE, 0.5))
+    hot = ec.solve_lp(lp, previous)
+    assert hot.objective_value == pytest.approx(1.5, abs=1e-12)
+    _matches_vertex_enumeration(lp)
+
+
+def test_random_right_hand_side_edits_match_cold_solves():
+    rng = random.Random(20261019)
+    hot_solves = infeasible = 0
+    for _ in range(60):
+        lp = _random_program(rng)
+        try:
+            previous = ec.solve_lp(lp)
+        except SimplexError:
+            continue
+        moves = [rng.uniform(-1.0, 1.0) if rng.random() < 0.5 else 0.0 for _ in lp.rhs]
+        edited = _with_rhs(lp, lp.rhs + moves)
+        if _matches_vertex_enumeration(edited, 1e-6, 1e-8):
+            infeasible += 1
+            with pytest.raises(SimplexError, match="infeasible"):
+                ec.solve_lp(edited, previous)
+            continue
+        hot = ec.solve_lp(edited, previous)
+        cold = ec.solve_lp(edited)
+        assert hot.objective_value == pytest.approx(cold.objective_value, abs=1e-9)
+        assert max_violation(edited, hot.values) <= 1e-8
+        hot_solves += 1
+    assert hot_solves >= 20 and infeasible >= 2
+
+
+def test_right_hand_side_that_empties_the_program_raises():
+    previous = ec.solve_lp(BOX)
+    with pytest.raises(SimplexError, match="infeasible"):
+        ec.solve_lp(_with_rhs(BOX, [-0.5]), previous)
+    # x1 - x2 = 1.5 has no point in the unit box.
+    with pytest.raises(SimplexError, match="infeasible"):
+        ec.solve_lp(_with_rhs(BOX_EQ, [1.5, 1.5]), _previous(BOX_EQ))

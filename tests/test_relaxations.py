@@ -65,6 +65,55 @@ def test_protected_budget_row_is_honored():
         assert protected_mass <= budget + 1e-8
 
 
+# Budget sweeps as fractions of the protected color's weight: rising,
+# falling, and one that returns to a budget and then repeats it.
+SWEEPS = {
+    "up": (0.0, 0.25, 0.5, 0.75, 1.0),
+    "down": (1.0, 0.75, 0.5, 0.25, 0.0),
+    "repeat": (0.5, 0.0, 0.5, 0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_hot_sweep_bounds_equal_cold_solves(name):
+    fractions = SWEEPS[name]
+    solves = []
+
+    def record(lp, previous=None):
+        sol = ec.solve_lp(lp, previous)
+        solves.append((previous is not None, sol.pivots))
+        return sol
+
+    big = random_instance(random.Random(91), n_lo=20, n_hi=20, k_lo=3, k_hi=3, m_lo=40, m_hi=40)
+    for h in (ec.triangle_gadget(), big, *instance_batch(92, 6, unit_weights=False)):
+        for color in (1, h.color_count):
+            mass = sum(h.edges[e].weight for e in h.color_classes[color - 1])
+            budgets = [phi * mass for phi in fractions]
+            solves.clear()
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(relaxations, "solve_lp", record)
+                sweep = ec.solve_protected_sweep(h, color, budgets)
+            # one program: the first budget cold, every later one hot
+            assert [hot for hot, _ in solves] == [False] + [True] * (len(budgets) - 1)
+            for budget, frac in zip(budgets, sweep):
+                cold = ec.solve_protected_relaxation(h, color, budget)
+                assert abs(frac.bound - cold.bound) <= 1e-9 * max(1.0, abs(cold.bound))
+                protected_mass = sum(h.edges[e].weight * frac.edge_value[e] for e in h.color_classes[color - 1])
+                assert protected_mass <= budget + 1e-8
+            if name == "repeat":
+                assert solves[-1][1] == 0
+
+
+def test_sweep_checks_every_budget_before_solving():
+    h = ec.triangle_gadget()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(relaxations, "solve_lp", None)
+        for budgets in ([1.0, -1.0], [0.0, math.nan]):
+            with pytest.raises(ValueError, match="budget"):
+                ec.solve_protected_sweep(h, 1, budgets)
+    assert ec.solve_protected_sweep(h, 1, []) == []
+
+
 def test_max_edge_values_snap_to_their_caps():
     for h in instance_batch(53, 10):
         frac = ec.solve_max_relaxation(h)

@@ -157,3 +157,17 @@ def test_half_threshold_ratio_only_from_certified_bounds(p, single_lp):
         assert optimum - 1e-6 * max(optimum, 1.0) <= result.bound <= optimum + 1e-12
     assert result.bound <= ec.brute_force(h, ec.pmean(p))[0]
     assert result.approx_ratio(value) == value / result.bound
+
+
+def test_protected_lp_round_is_the_sweep_of_one_budget():
+    # Each sweep entry holds the bicriteria bounds at its own budget, and a
+    # one-budget sweep is exactly what ``solve`` returns.
+    h = ec.parse_instance(SLOW_P2)
+    rho = 0.25
+    budgets = [2.0, 0.0, 1.0, 2.0]
+    for budget, result in zip(budgets, ec.solve_budget_sweep(h, 1, budgets, rho=rho)):
+        errors = ec.color_error_vector(h, result.coloring)
+        assert errors[0] <= budget / (1.0 - rho) + TOL
+        assert errors.sum() <= result.bound / rho + TOL
+        assert result.bound == pytest.approx(ec.solve_protected_relaxation(h, 1, budget).bound, rel=1e-9, abs=1e-12)
+        assert ec.solve_budget_sweep(h, 1, [budget], rho=rho) == [ec.solve(h, ec.protected(1, budget), "lp-round", rho=rho)]
