@@ -10,6 +10,7 @@ exactly.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -23,6 +24,7 @@ from .hypergraph import (
     Problem,
     color_error_vector,
     evaluate_errors,
+    left_sum,
     parse_instance,
     pmean,
     protected,
@@ -44,7 +46,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The ``ecc`` parser, built once per process: parsing leaves it unchanged,
+    and building it costs more than a parse (each ``add_argument`` sizes a
+    help formatter to the terminal)."""
     parser = _Parser(prog="ecc", description="clustering toolkit for edge-colored hypergraphs")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -348,7 +354,7 @@ def _run_bench(args) -> tuple[str, int]:
     results = solve_budget_sweep(h, args.protected_color, budgets, rho=args.rho)
     for phi, budget, result in zip(fractions, budgets, results):
         errors = color_error_vector(h, result.coloring).tolist()
-        total = sum(errors)
+        total = left_sum(errors)
         prot = errors[args.protected_color - 1]
         violation = prot / budget if budget > 0 else None
         cells = [

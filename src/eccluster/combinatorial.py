@@ -8,9 +8,9 @@ budget, on bitmasks of the alive edges with an explicit stack and a memo of
 exhausted states; brute force enumerates all colorings and is the ground
 truth at desk scale.  It walks the colorings in ``itertools.product`` order
 in numpy blocks of k^L states that share all but the last L node colors, and
-scores each distinct per-color error vector of a block once with
-``evaluate_errors``, so its values and tie-break are those of a
-one-coloring-at-a-time loop.
+scores each block with one array call of ``evaluate_errors``, whose entries
+have the bytes of one-vector calls, so its values and tie-break are those of
+a one-coloring-at-a-time loop.
 """
 
 from __future__ import annotations
@@ -196,7 +196,9 @@ def brute_force(
     file order, adding the edge's weight when the block's fixed nodes already
     leave it unsatisfied and its stored vector otherwise, so every state gets
     the float additions of a one-coloring-at-a-time loop.  It calls
-    ``evaluate_errors`` once per distinct error vector.  Ties keep the
+    ``evaluate_errors`` once per block, on the block's error rows (those of
+    the states within a protected budget), and that call gives every entry
+    the bytes of a one-vector call.  Ties keep the
     lexicographically smallest coloring.  For the protected problem the value
     is the least total unsatisfied weight among colorings whose protected
     share stays within the budget (no budget means unconstrained).
@@ -217,14 +219,14 @@ def brute_force(
         if not 0 <= protected_idx < k:
             raise ValueError("protected color out of range")
 
-    # One error row per color that carries an edge or is protected (at least
-    # one row, for lexsort).  Every other color's error is 0.0 in every state,
-    # so arrays stay small when k is large, and ``spread`` rebuilds the full
-    # length-k vector that ``evaluate_errors`` is given.
+    # One error row per color that carries an edge or is protected.  Every
+    # other color's error is 0.0 in every state, so arrays stay small when k
+    # is large; leaving those rows out changes no value, as adding 0.0
+    # changes no sum, it raises no max of nonnegative errors, and 0.0**p is 0.
     used = {e.color - 1 for e in h.edges}
     if budget is not None:
         used.add(protected_idx)
-    rows = sorted(used) or [0]
+    rows = sorted(used)
     row_of = {c: r for r, c in enumerate(rows)}
 
     low = 0
@@ -247,7 +249,6 @@ def brute_force(
         high_slots = [i for i in slots if i < high]
         edges.append((row_of[e.color - 1], e.color, high_slots, low_part, e.weight))
 
-    spread = [0.0] * k
     best_value: Optional[float] = None
     best_colors: list[int] = []
     for digits in itertools.product(range(1, k + 1), repeat=high):
@@ -265,18 +266,7 @@ def brute_force(
                 continue
             errors = errors[:, candidates]
 
-        order = np.lexsort(errors)
-        ordered = errors[:, order]
-        starts = np.ones(len(order), dtype=bool)
-        starts[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
-        scores = []
-        for vector in ordered[:, starts].T.tolist():
-            for c, err in zip(rows, vector):
-                spread[c] = err
-            scores.append(evaluate_errors(spread, problem, total_weight))
-        values = np.empty(len(order))
-        values[order] = np.asarray(scores)[np.cumsum(starts) - 1]
-
+        values = evaluate_errors(errors, problem, total_weight)
         j = int(values.argmax() if maximize else values.argmin())
         value = float(values[j])
         if (

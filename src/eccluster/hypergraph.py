@@ -102,7 +102,7 @@ class EdgeColoredHypergraph:
 
     @cached_property
     def total_weight(self) -> float:
-        return float(sum(e.weight for e in self.edges))
+        return left_sum(e.weight for e in self.edges)
 
     @cached_property
     def color_classes(self) -> tuple[tuple[int, ...], ...]:
@@ -285,46 +285,109 @@ def color_error_vector(h: EdgeColoredHypergraph, lam: Sequence[int]) -> np.ndarr
     return out
 
 
-def evaluate_errors(errors: Sequence[float], problem: Problem, total_weight: float) -> float:
-    """Objective value from per-color unsatisfied weights (entry c-1 for color c).
+def left_sum(values: Iterable):
+    """``values`` added left to right from 0.0, as a loop of ``+`` adds them.
 
-    Protected yields its total; ``objective`` pairs it with the protected
-    share.  Plain Python floats over a sequence: the one evaluator every
-    objective value comes from, brute force included (it calls this once per
-    distinct error vector of each block it enumerates).
+    Floats or equal-length arrays (added entrywise).  Python's ``sum`` is not
+    this on every version: from 3.12 it compensates float sums, so
+    ``sum([0.1, 0.2, 0.3])`` reads 0.6 there and 0.6000000000000001 before.
     """
-    kind = problem.kind
-    if kind == "max":
-        return total_weight - sum(errors)
-    if kind in ("min", "protected"):
-        return sum(errors)
-    p = math.inf if kind == "colorfair" else problem.p
-    if math.isinf(p):
-        return max(errors)
-    return pmean_norm(errors, p)
+    total = 0.0
+    for v in values:
+        total = total + v
+    return total
 
 
-def pmean_norm(values: Sequence[float], p: float) -> float:
-    """(sum of v**p) ** (1/p) over nonnegative floats, 0 < p < inf.
+def _columns(values) -> tuple[np.ndarray, bool]:
+    """Per-color values as a (colors, colorings) float array, and whether
+    they were one vector (one column); no colors reads as one zero row."""
+    arr = np.asarray(values, dtype=float)
+    single = arr.ndim == 1
+    if single:
+        arr = arr[:, None]
+    if arr.ndim != 2:
+        raise ValueError(f"need one value or one array per color, got shape {np.shape(values)}")
+    if arr.shape[0] == 0:
+        arr = np.zeros((1, arr.shape[1]))
+    return arr, single
 
-    Computed in that plain form, whose bytes every ordinary p keeps.  Only
-    when it overflows, or its sum falls below the smallest normal float, the
-    value comes from the scaled form max * (sum of (v/max)**p) ** (1/p); that
-    is inf only when the value itself lies beyond the float range.
-    """
+
+def _power(v: float, e: float) -> float:
     try:
-        total = sum(v**p for v in values)
-        if sys.float_info.min <= total < math.inf:
-            return total ** (1.0 / p)
-    except OverflowError:
-        pass
-    top = max(values, default=0.0)
-    if top == 0.0:
-        return 0.0
-    try:
-        return top * sum((v / top) ** p for v in values) ** (1.0 / p)
+        return v**e
     except OverflowError:
         return math.inf
+
+
+def _powers(x: np.ndarray, e: float) -> np.ndarray:
+    """``x ** e`` entrywise by Python's float power, inf where it overflows.
+
+    One sort of ``x`` finds its distinct values and each is raised once.
+    ``np.power`` is not used: its loops need not match libm bit for bit.
+    """
+    flat = x.reshape(-1)
+    out = np.empty(flat.size)
+    if flat.size:
+        order = flat.argsort()
+        ordered = flat[order]
+        # run boundaries of equal values in sorted order, ends included
+        edge = np.empty(flat.size + 1, dtype=bool)
+        edge[0] = edge[-1] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=edge[1:-1])
+        bounds = np.flatnonzero(edge)
+        table = [_power(v, e) for v in ordered[bounds[:-1]].tolist()]
+        out[order] = np.repeat(table, bounds[1:] - bounds[:-1])
+    return out.reshape(x.shape)
+
+
+def evaluate_errors(errors, problem: Problem, total_weight: float):
+    """Objective value from per-color unsatisfied weights (entry c-1 for color c).
+
+    ``errors`` holds one float per color, or one equal-length array per color
+    (one entry per coloring); the result is a float or an array to match,
+    and every entry has the bytes of a one-vector call.  Sums run left to
+    right on every Python version.  Protected yields its total; ``objective``
+    pairs it with the protected share.  The one evaluator every objective
+    value comes from: brute force calls it once per block it enumerates.
+    """
+    rows, single = _columns(errors)
+    kind = problem.kind
+    with np.errstate(all="ignore"):  # inf and nan arise as they do in Python floats
+        if kind == "max":
+            values = total_weight - left_sum(rows)
+        elif kind in ("min", "protected"):
+            values = left_sum(rows)
+        elif kind == "colorfair" or math.isinf(problem.p):
+            values = rows.max(axis=0)
+        else:
+            values = pmean_norm(rows, problem.p)
+    return float(values[0]) if single else values
+
+
+def pmean_norm(values, p: float):
+    """(sum of v**p) ** (1/p) over nonnegative floats, 0 < p < inf.
+
+    ``values`` holds one float per color, or one equal-length array per
+    color; the result is a float or an array to match.  Computed in that
+    plain form, whose bytes every ordinary p keeps: the sum runs left to
+    right and each power is Python's float ``**``.  Only for an entry whose
+    plain form overflows, or whose sum falls below the smallest normal
+    float, the value comes from the scaled form max * (sum of (v/max)**p) **
+    (1/p); that is inf only when the value itself lies beyond the float range.
+    """
+    cols, single = _columns(values)
+    with np.errstate(all="ignore"):  # overflow reads as inf, as the scalar form decides
+        total = left_sum(_powers(cols, p))
+        plain = (total >= sys.float_info.min) & (total < math.inf)
+        norm = np.full(total.shape, math.inf)
+        norm[plain] = _powers(total[plain], 1.0 / p)
+        scaled = norm == math.inf
+        if scaled.any():
+            sub = cols[:, scaled]
+            top = sub.max(axis=0)
+            ratio = sub / np.where(top > 0.0, top, 1.0)  # all-zero columns stay 0
+            norm[scaled] = top * _powers(left_sum(_powers(ratio, p)), 1.0 / p)
+    return float(norm[0]) if single else norm
 
 
 def objective(h: EdgeColoredHypergraph, lam: Sequence[int], problem: Problem):

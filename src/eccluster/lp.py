@@ -73,7 +73,9 @@ class LinearProgram:
     ``A`` is rows x variables, ``senses`` holds LE, GE or EQ per row and
     ``rhs`` one right-hand side per row.  ``bounds`` is an (n, 2) array of
     (lo, hi) pairs, [0, 1] per variable by default.  Every number must be
-    finite, with lo <= hi, and every array is stored as a read-only copy.
+    finite, with lo <= hi, and every array is stored as a read-only copy,
+    except that a read-only float64 array owning its data (such as another
+    program's, passed on by ``dataclasses.replace``) is kept as it is.
     """
 
     objective: np.ndarray
@@ -96,7 +98,13 @@ class LinearProgram:
             ("rhs", self.rhs, (rows,)),
             ("bounds", bounds, (n, 2)),
         ):
-            arr = np.array(values, dtype=float)
+            kept = (
+                isinstance(values, np.ndarray)
+                and values.dtype == np.float64
+                and not values.flags.writeable
+                and values.flags.owndata
+            )
+            arr = values if kept else np.array(values, dtype=float)
             if arr.shape != shape or not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} must be finite with shape {shape}, got shape {arr.shape}")
             arr.flags.writeable = False

@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .hypergraph import EdgeColoredHypergraph, build_conflict_graph, pmean_norm
+from .hypergraph import EdgeColoredHypergraph, build_conflict_graph, left_sum, pmean_norm
 from .lp import EPS_FEAS, EQ, GE, LE, LinearProgram, solve_lp
 
 __all__ = [
@@ -454,7 +454,7 @@ def minimize_lovasz(h: EdgeColoredHypergraph, p: float) -> CuttingPlaneResult:
         value, subgrad = lovasz_extension(h, p, point[:m])
         return value, np.append(subgrad, 0.0)
 
-    t_cap = sum(mass**p for mass in color_mass(h, np.ones(m)).tolist())
+    t_cap = left_sum(mass**p for mass in color_mass(h, np.ones(m)).tolist())
     master = _master(region, cut(np.full(m + 1, 0.5))[1], t_cap)
     result = _kelley(master, cut)
     return replace(result, point=result.point[:m])

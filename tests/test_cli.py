@@ -367,6 +367,33 @@ def test_unknown_flag_and_missing_input_exit_one(triangle_path):
     assert "cannot read" in missing.stderr
 
 
+def test_one_parser_serves_every_call_in_a_process(triangle_path, monkeypatch, capsys):
+    from eccluster import cli
+
+    monkeypatch.setenv("COLUMNS", "80")  # usage wraps at the terminal width
+    bad = ["solve", "--problem", "min", "--alg", "nope", "--input", triangle_path]
+    good = ["solve", "--problem", "min", "--alg", "brute", "--input", triangle_path]
+
+    def untimed(out):
+        return {k: v for k, v in json.loads(out).items() if k != "wall_time_sec"} if out else out
+
+    def in_process(argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        return code, untimed(out), err
+
+    runs = [in_process(argv) for argv in (bad, good, bad)]
+    assert [code for code, _, _ in runs] == [1, 0, 1]
+    assert runs[2] == runs[0]
+    assert cli._build_parser() is cli._build_parser()
+    for run, argv in zip(runs, (bad, good)):
+        proc = run_cli(*argv)
+        assert run == (proc.returncode, untimed(proc.stdout), proc.stderr)
+
+
 def test_parse_errors_carry_line_numbers(tmp_path):
     path = tmp_path / "bad.ecc"
     path.write_text("3 1 3\n9 1 2 1 2\n", encoding="utf-8")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -252,6 +253,40 @@ def test_matching_lighter_edge_pays_alone():
     assert ec.objective(h, lam, ec.MIN) == 0.0 == ec.brute_force(h, ec.MIN)[0]
 
 
+def _left_sum(values):
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def _frozen_evaluate(errors, problem, total_weight):
+    """The one-vector objective, frozen as the oracle: sums left to right,
+    Python's float ``**``, and the scaled p-mean only where the plain one
+    overflows or its sum falls below the smallest normal float."""
+    kind = problem.kind
+    if kind == "max":
+        return total_weight - _left_sum(errors)
+    if kind in ("min", "protected"):
+        return _left_sum(errors)
+    p = math.inf if kind == "colorfair" else problem.p
+    if math.isinf(p):
+        return max(errors)
+    try:
+        total = _left_sum(v**p for v in errors)
+        if sys.float_info.min <= total < math.inf:
+            return total ** (1.0 / p)
+    except OverflowError:
+        pass
+    top = max(errors, default=0.0)
+    if top == 0.0:
+        return 0.0
+    try:
+        return top * _left_sum((v / top) ** p for v in errors) ** (1.0 / p)
+    except OverflowError:
+        return math.inf
+
+
 def _scalar_brute_force(h, problem):
     """The one-coloring-at-a-time enumeration ``brute_force`` replaced, frozen as its reference."""
     populated = [v for v in range(1, h.node_count + 1) if h.incidence[v - 1]]
@@ -280,7 +315,7 @@ def _scalar_brute_force(h, problem):
                     break
         if budget is not None and errors[protected_idx] > budget + 1e-9:
             continue
-        value = ec.evaluate_errors(errors, problem, h.total_weight)
+        value = _frozen_evaluate(errors, problem, h.total_weight)
         if (
             best_value is None
             or (maximize and value > best_value)
@@ -361,6 +396,71 @@ def test_brute_force_block_boundaries(monkeypatch):
     assert ec.brute_force(path, ec.protected(2, 0.0)) == (0.0, (2, 2, 2))
     cases = list(itertools.islice(_equivalence_cases(), 0, None, 3))
     _assert_same_as_scalar(cases + [(path, ec.protected(2, 0.0)), (path, ec.MAX)])
+
+
+_EVAL_WEIGHTS = (0.1, 0.3, 0.7, 1e200, 1e-200)
+
+
+def test_array_errors_score_as_per_column_calls():
+    rng = random.Random(77)
+    colors = 4
+    columns = [
+        [_left_sum(rng.choice(_EVAL_WEIGHTS) for _ in range(rng.randint(0, 3))) for _ in range(colors)]
+        for _ in range(300)
+    ]
+    # for p >= 2 the plain p-mean overflows on the first and underflows on
+    # the second; the third is all zero
+    columns += [[1e200] * colors, [1e-200] * colors, [0.0] * colors, [1e200] + [1e-200] * (colors - 1)]
+    rows = np.array(columns).T
+    problems = [ec.MAX, ec.MIN, ec.COLORFAIR, ec.protected(1)]
+    problems += [ec.pmean(p) for p in (0.5, 1.5, 2, 3, 2000, 1e-4, math.inf)]
+    for problem in problems:
+        scalar = [ec.evaluate_errors(column, problem, 5.5) for column in columns]
+        assert all(type(v) is float for v in scalar)
+        frozen = [_frozen_evaluate(column, problem, 5.5) for column in columns]
+        assert [v.hex() for v in scalar] == [v.hex() for v in frozen], problem
+        for errors in (rows, list(rows)):
+            got = ec.evaluate_errors(errors, problem, 5.5)
+            assert [v.hex() for v in got.tolist()] == [v.hex() for v in scalar], problem
+    # the scaled form is finite where only the plain one leaves the range
+    assert ec.evaluate_errors([1e200] * colors, ec.pmean(2), 0.0) == 2e200
+    assert ec.evaluate_errors([1e-200] * colors, ec.pmean(2), 0.0) == 2e-200
+
+
+def test_brute_force_with_huge_and_tiny_weights_matches_scalar():
+    rng = random.Random(78)
+    cases = []
+    for _ in range(12):
+        h = random_instance(rng, n_lo=2, n_hi=6, k_lo=2, k_hi=3, m_lo=2, m_hi=8, sizes=(1, 2, 3))
+        edges = tuple(replace(e, weight=rng.choice([1e200, 1e-200])) for e in h.edges)
+        cases.append((ec.EdgeColoredHypergraph(h.node_count, h.color_count, edges), ec.pmean(2)))
+    _assert_same_as_scalar(cases)
+
+
+def test_brute_force_scores_each_block_with_one_call(monkeypatch):
+    shapes = []
+
+    def spy(errors, problem, total_weight):
+        shapes.append(np.shape(errors))
+        return ec.evaluate_errors(errors, problem, total_weight)
+
+    def no_lexsort(*args, **kwargs):
+        raise AssertionError("brute force sorted its error vectors")
+
+    monkeypatch.setattr(combinatorial, "evaluate_errors", spy)
+    monkeypatch.setattr(np, "lexsort", no_lexsort)
+    monkeypatch.setattr(combinatorial, "_BLOCK", 9)
+    # 27 colorings of the triangle in three blocks of 9, one row per color
+    assert ec.brute_force(ec.triangle_gadget(), ec.pmean(2.0))[1] == (1, 1, 1)
+    assert shapes == [(3, 9)] * 3
+    # two blocks of 4 on a color-2 path at budget 0: only the last state,
+    # hence only the second block, holds a candidate
+    shapes.clear()
+    monkeypatch.setattr(combinatorial, "_BLOCK", 5)
+    edges = (ec.Edge(color=2, weight=1.0, nodes=(1, 2)), ec.Edge(color=2, weight=1.0, nodes=(2, 3)))
+    path = ec.EdgeColoredHypergraph(3, 2, edges)
+    assert ec.brute_force(path, ec.protected(2, 0.0)) == (0.0, (2, 2, 2))
+    assert shapes == [(1, 1)]
 
 
 def _reference_find_conflict(h, alive):
@@ -453,7 +553,7 @@ def _reference_brute_force(h, problem):
         for vector in ordered[:, starts].T.tolist():
             for c, err in zip(rows, vector):
                 spread[c] = err
-            scores.append(ec.evaluate_errors(spread, problem, h.total_weight))
+            scores.append(_frozen_evaluate(spread, problem, h.total_weight))
         values = np.empty(len(order))
         values[order] = np.asarray(scores)[np.cumsum(starts) - 1]
         j = int(values.argmax() if maximize else values.argmin())

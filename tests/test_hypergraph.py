@@ -94,6 +94,18 @@ def test_cached_views():
     assert h.incidence == ((0, 2), (0, 1), (1, 2))
 
 
+def test_sums_run_left_to_right():
+    # Python 3.12's sum() compensates: sum([0.1, 0.2, 0.3]) reads 0.6 there
+    edges = (
+        ec.Edge(color=1, weight=0.1, nodes=(1, 2)),
+        ec.Edge(color=2, weight=0.2, nodes=(2, 3)),
+        ec.Edge(color=3, weight=0.3, nodes=(1, 3)),
+    )
+    h = ec.EdgeColoredHypergraph(3, 3, edges)
+    assert h.total_weight == (0.1 + 0.2) + 0.3
+    assert ec.objective(h, (2, 3, 1), ec.MIN) == 0.6000000000000001
+
+
 def test_satisfaction_and_error_vector():
     h = ec.triangle_gadget()
     lam = (1, 1, 2)

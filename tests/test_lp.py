@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -110,6 +111,19 @@ def test_solution_is_feasible_and_reports_basis():
     sol = ec.solve_lp(ONE_ROW)
     assert max_violation(ONE_ROW, sol.values) <= 1e-9
     assert len(sol.basis) == 1
+
+
+def test_programs_share_read_only_arrays_and_copy_the_rest():
+    A = np.array([[1.0, 2.0], [0.0, 1.0]])
+    lp = ec.LinearProgram(objective=[1.0, 1.0], A=A, senses=[ec.LE, ec.GE], rhs=[1.0, 0.0])
+    A[0, 0] = 5.0  # a writeable input is copied
+    assert lp.A[0, 0] == 1.0 and not lp.A.flags.writeable
+    hot = replace(lp, rhs=np.array([2.0, 0.0]))
+    assert hot.A is lp.A and hot.objective is lp.objective and hot.bounds is lp.bounds
+    assert hot.rhs.tolist() == [2.0, 0.0] and lp.rhs.tolist() == [1.0, 0.0]
+    # a read-only view does not own its data, so it is copied too
+    view = lp.A[:, :]
+    assert not view.flags.writeable and replace(lp, A=view).A is not view
 
 
 def test_program_validation():
