@@ -16,7 +16,15 @@ One rounder, ``_priority_block``, rounds a block of trials as numpy arrays:
 rounding (``hyper_max_round``, ``graph_max_round``) is a block of one trial,
 trial 0 of its seed.  A Fisher-Yates swap draw is uniform by rejection below
 the largest multiple of its range; a trial with a rejected draw (probability
-below k/2**64) has its stream walked again in-block, skipping that draw.
+below k/2**64) has its stream walked again in-block, skipping that draw.  The
+rounder resolves priorities color by color, keeping the largest code
+(position, then color) among the colors each row wants.
+
+A node's color in a trial depends only on the trial's draws and the node's
+row, so ``estimate_satisfaction`` rounds each distinct row once.  Its mean
+objective is the exact count-weighted total whenever no partial sum of a
+trial-at-a-time loop can round, and that loop's float total otherwise: the
+bytes are the loop's either way.
 """
 
 from __future__ import annotations
@@ -117,35 +125,42 @@ def _trial_draws(master_seed: int, start: int, count: int, k: int) -> np.ndarray
 
 
 def _priority_block(draws: np.ndarray, x_weak: np.ndarray, rest: np.ndarray) -> np.ndarray:
-    """The (nodes, trials) colorings of a block of trials.
+    """The (rows, trials) colorings of a block of trials.
 
-    ``draws`` is ``_trial_draws``' output.  ``x_weak`` is the node color mass
-    with strong colors set to -inf, so no threshold falls below them, and
-    ``rest`` is each node's color when no weak color is wanted (its strong
-    color, else its fallback); its dtype, the smallest that holds the color
-    count, is the dtype of the colorings.
+    ``draws`` is ``_trial_draws``' output.  ``x_weak`` is the color mass of
+    each row (a node, or a class of nodes with equal rows) with strong colors
+    set to -inf, so no threshold falls below them, and ``rest`` is each row's
+    color when no weak color is wanted (its strong color, else its fallback);
+    its dtype, the smallest that holds the color count, is the dtype of the
+    colorings.
     """
     count = draws.shape[0]
     k = x_weak.shape[1]
-    trial = np.arange(count)
+    # flat index of each trial's first entry in a (count, k) array
+    base = np.arange(0, count * k, k)
+    # the color at position pos of the order has priority pos; its code
+    # pos * (k+1) + color + 1 ranks by priority first, so the largest code
+    # among a row's wanted colors names its choice, and 0 names none
+    ctype = np.min_scalar_type(k * (k + 1))
     # Fisher-Yates on 0-based colors, one swap column per draw
-    order = np.tile(np.arange(k, dtype=rest.dtype), (count, 1))
+    order = np.tile(np.arange(k, dtype=ctype), (count, 1))
+    flat = order.reshape(-1)
     for d, i in enumerate(range(k - 1, 0, -1)):
-        j = (draws[:, d] % np.uint64(i + 1)).astype(np.intp)
+        j = base + (draws[:, d] % np.uint64(i + 1)).astype(np.intp)
         held = order[:, i].copy()
-        order[:, i] = order[trial, j]
-        order[trial, j] = held
-    alphas = (draws[:, k - 1 :] >> 11) * 2.0**-53
+        order[:, i] = flat[j]
+        flat[j] = held
+    code = np.empty(count * k, dtype=ctype)
+    code[base[:, None] + order] = np.arange(k, dtype=ctype) * (k + 1) + order + 1
+    code = code.reshape(count, k).T.copy()
+    alphas = ((draws[:, k - 1 :] >> 11) * 2.0**-53).T.copy()
 
-    lam = np.tile(rest, (count, 1))
-    mass = np.ascontiguousarray(x_weak.T)
-    # the color at position pos of the order has priority pos: going up from
-    # the lowest, each wanted color overwrites every one below it
-    for pos in range(k):
-        color = order[:, pos]
-        wanted = alphas[trial, color][:, None] < mass[color]
-        np.copyto(lam, (color + 1)[:, None], where=wanted)
-    return np.ascontiguousarray(lam.T)
+    best = np.zeros((x_weak.shape[0], count), dtype=ctype)
+    for c in range(k):
+        np.maximum(best, (alphas[c] < x_weak[:, c, None]) * code[c], out=best)
+    lam = (best % (k + 1)).astype(rest.dtype)
+    np.copyto(lam, rest[:, None], where=best == 0)
+    return lam
 
 
 #: Strong-mass cut per scheme: the graph scheme is the strong/weak variant.
@@ -320,8 +335,26 @@ class EstimateResult:
 
 
 #: Trials rounded together by ``estimate_satisfaction``.  Small blocks keep
-#: the working arrays to a few (block x nodes) arrays whatever the trial count.
+#: the working arrays to a few (distinct rows x block) arrays whatever the
+#: trial count.
 _BLOCK = 1024
+
+
+def _unit_weights(weights: list[float], trials: int) -> tuple[list[int], int] | None:
+    """Each weight as a whole number of units 1/scale, and scale, when no
+    partial sum of ``trials`` trials' satisfied weights can round; else None.
+
+    A float is p/q with q a power of two, so every weight is a whole number
+    of units of 1/scale for the largest q.  While the units of every weight
+    over every trial add up to less than 2**53, each partial sum is an exact
+    float, so adding the hits one at a time gives the exact total.
+    """
+    ratios = [w.as_integer_ratio() for w in weights]
+    scale = max((q for _, q in ratios), default=1)
+    units = [p * (scale // q) for p, q in ratios]
+    if sum(units) * trials >= 1 << 53:
+        return None
+    return units, scale
 
 
 def estimate_satisfaction(
@@ -335,11 +368,20 @@ def estimate_satisfaction(
 
     Results are a pure function of (instance, fractional solution, scheme,
     trials, master_seed): trial t uses the stream derived for index t and
-    nothing else.
+    nothing else, and every output has the bytes a trial-at-a-time loop
+    gives.  Nodes with equal rows take the same color in every trial, so each
+    distinct row is rounded once.  ``mean_objective`` is the satisfied weight
+    over all trials, added in trial order one hit at a time, divided by the
+    trial count; when no partial sum of that loop can round
+    (``_unit_weights``), the total is computed exactly from the counts.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     x_weak, rest = _scheme_inputs(h, frac, scheme)
+    _, first, row_of = np.unique(
+        np.column_stack([x_weak, rest]), axis=0, return_index=True, return_inverse=True
+    )
+    x_weak, rest, row_of = x_weak[first], rest[first], row_of.reshape(-1)
 
     by_size: dict[int, list[int]] = {}
     for ei, e in enumerate(h.edges):
@@ -347,12 +389,13 @@ def estimate_satisfaction(
     groups = [
         (
             np.array(idx),
-            np.array([h.edges[ei].nodes for ei in idx]) - 1,
+            row_of[np.array([h.edges[ei].nodes for ei in idx]) - 1],
             np.array([h.edges[ei].color for ei in idx], dtype=rest.dtype)[:, None, None],
         )
         for idx in by_size.values()
     ]
     weights = np.array([e.weight for e in h.edges], dtype=float)
+    exact = _unit_weights(weights.tolist(), trials)
 
     counts = np.zeros(h.edge_count, dtype=np.int64)
     weight_total = 0.0
@@ -360,13 +403,18 @@ def estimate_satisfaction(
         count = min(_BLOCK, trials - start)
         lam = _priority_block(_trial_draws(master_seed, start, count, h.color_count), x_weak, rest)
         satisfied = np.empty((h.edge_count, count), dtype=bool)
-        for idx, nodes, colors in groups:
-            satisfied[idx] = (lam[nodes] == colors).all(axis=1)
+        for idx, rows, colors in groups:
+            satisfied[idx] = (lam[rows] == colors).all(axis=1)
         counts += np.count_nonzero(satisfied, axis=1)
-        # one satisfied (trial, edge) at a time, trial-major, as a
-        # trial-at-a-time loop adds them, so the float total is the same
-        hits = np.broadcast_to(weights, (count, h.edge_count))[satisfied.T]
-        weight_total = float(np.add.accumulate(np.concatenate(([weight_total], hits)))[-1])
+        if exact is None:
+            # one satisfied (trial, edge) at a time, trial-major, as a
+            # trial-at-a-time loop adds them, so the float total is the same
+            hits = np.broadcast_to(weights, (count, h.edge_count))[satisfied.T]
+            weight_total = float(np.add.accumulate(np.concatenate(([weight_total], hits)))[-1])
+    if exact is not None:
+        units, scale = exact
+        # int / int: a float scale of 2**1074 would overflow
+        weight_total = sum(u * c for u, c in zip(units, counts.tolist())) / scale
 
     freq = counts.astype(float) / trials
     se = np.sqrt(freq * (1.0 - freq) / trials)

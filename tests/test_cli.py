@@ -447,6 +447,103 @@ def test_estimate_prints_integral_lp_values_exactly(tmp_path):
     assert [edges[i]["lp_value"] for i in (0, 4, 17)] == [1, 0, 1]
 
 
+# Rank-2 instances whose max LP has fractional, repeated node rows.  Whole
+# weights make the mean objective an exact count-weighted total; 0.1/0.3/0.7
+# sum to different floats in different orders, so theirs is added trial by
+# trial.  2049 trials cross two block boundaries.
+FROZEN_INSTANCES = {
+    "whole": """\
+6 8 3
+1 1.0 2 1 2
+2 1.0 2 2 3
+3 1.0 2 1 3
+1 2.0 2 4 5
+2 2.0 2 5 6
+3 2.0 2 4 6
+1 3.0 2 3 4
+2 1.0 2 1 6
+""",
+    "decimal": """\
+6 8 3
+1 0.1 2 1 2
+2 0.3 2 2 3
+3 0.7 2 1 3
+1 0.3 2 3 4
+2 0.7 2 4 5
+3 0.1 2 5 6
+1 0.7 2 4 6
+2 0.1 2 1 6
+""",
+}
+
+# ``ecc estimate --trials 2049 --seed 7`` output, frozen when every trial was
+# rounded one node at a time and its weights were summed one hit at a time
+FROZEN_ESTIMATES = {
+    ("whole", "hyper"): (
+        '{"scheme": "hyper", "trials": 2049, "master_seed": 7, "rank": 2, "guarantee": 0.18044704431548361, "relaxation_bound": 6, "mean_objective": 4.5900439238653004, "edges": ['
+        '{"edge": 0, "lp_value": 0.5, "floor": 0.090223522157741806, "frequency": 0.61346998535871156, "std_error": 0.010757647067815197, "pass": true}, '
+        '{"edge": 1, "lp_value": 0.5, "floor": 0.090223522157741806, "frequency": 0.38653001464128844, "std_error": 0.010757647067815197, "pass": true}, '
+        '{"edge": 2, "lp_value": 0, "floor": 0, "frequency": 0, "std_error": 0, "pass": true}, '
+        '{"edge": 3, "lp_value": 0.5, "floor": 0.090223522157741806, "frequency": 0.427037579306979, "std_error": 0.010927608753657791, "pass": true}, '
+        '{"edge": 4, "lp_value": 0.5, "floor": 0.090223522157741806, "frequency": 0.30893118594436308, "std_error": 0.010207527158224077, "pass": true}, '
+        '{"edge": 5, "lp_value": 0.5, "floor": 0.090223522157741806, "frequency": 0.26403123474865786, "std_error": 0.0097383721211210406, "pass": true}, '
+        '{"edge": 6, "lp_value": 0.5, "floor": 0.090223522157741806, "frequency": 0.427037579306979, "std_error": 0.010927608753657791, "pass": true}, '
+        '{"edge": 7, "lp_value": 0.5, "floor": 0.090223522157741806, "frequency": 0.30893118594436308, "std_error": 0.010207527158224077, "pass": true}'
+        '], "all_pass": true}'
+        "\n"
+    ),
+    ("whole", "graph"): (
+        '{"scheme": "graph", "trials": 2049, "master_seed": 7, "rank": 2, "guarantee": 0.38024691358024693, "relaxation_bound": 6, "mean_objective": 4.5900439238653004, "edges": ['
+        '{"edge": 0, "lp_value": 0.5, "floor": 0.19012345679012346, "frequency": 0.61346998535871156, "std_error": 0.010757647067815197, "pass": true}, '
+        '{"edge": 1, "lp_value": 0.5, "floor": 0.19012345679012346, "frequency": 0.38653001464128844, "std_error": 0.010757647067815197, "pass": true}, '
+        '{"edge": 2, "lp_value": 0, "floor": 0, "frequency": 0, "std_error": 0, "pass": true}, '
+        '{"edge": 3, "lp_value": 0.5, "floor": 0.19012345679012346, "frequency": 0.427037579306979, "std_error": 0.010927608753657791, "pass": true}, '
+        '{"edge": 4, "lp_value": 0.5, "floor": 0.19012345679012346, "frequency": 0.30893118594436308, "std_error": 0.010207527158224077, "pass": true}, '
+        '{"edge": 5, "lp_value": 0.5, "floor": 0.19012345679012346, "frequency": 0.26403123474865786, "std_error": 0.0097383721211210406, "pass": true}, '
+        '{"edge": 6, "lp_value": 0.5, "floor": 0.19012345679012346, "frequency": 0.427037579306979, "std_error": 0.010927608753657791, "pass": true}, '
+        '{"edge": 7, "lp_value": 0.5, "floor": 0.19012345679012346, "frequency": 0.30893118594436308, "std_error": 0.010207527158224077, "pass": true}'
+        '], "all_pass": true}'
+        "\n"
+    ),
+    ("decimal", "hyper"): (
+        '{"scheme": "hyper", "trials": 2049, "master_seed": 7, "rank": 2, "guarantee": 0.18044704431548361, "relaxation_bound": 1.4499999999999997, "mean_objective": 1.2415812591507762, "edges": ['
+        '{"edge": 0, "lp_value": 0, "floor": 0, "frequency": 0, "std_error": 0, "pass": true}, '
+        '{"edge": 1, "lp_value": 0, "floor": 0, "frequency": 0, "std_error": 0, "pass": true}, '
+        '{"edge": 2, "lp_value": 1, "floor": 0.18044704431548361, "frequency": 1, "std_error": 0, "pass": true}, '
+        '{"edge": 3, "lp_value": 0, "floor": 0, "frequency": 0, "std_error": 0, "pass": true}, '
+        '{"edge": 4, "lp_value": 0.5, "floor": 0.090223522157741806, "frequency": 0.30893118594436308, "std_error": 0.010207527158224077, "pass": true}, '
+        '{"edge": 5, "lp_value": 0.5, "floor": 0.090223522157741806, "frequency": 0.26403123474865786, "std_error": 0.0097383721211210406, "pass": true}, '
+        '{"edge": 6, "lp_value": 0.5, "floor": 0.090223522157741806, "frequency": 0.427037579306979, "std_error": 0.010927608753657791, "pass": true}, '
+        '{"edge": 7, "lp_value": 0, "floor": 0, "frequency": 0, "std_error": 0, "pass": true}'
+        '], "all_pass": true}'
+        "\n"
+    ),
+    ("decimal", "graph"): (
+        '{"scheme": "graph", "trials": 2049, "master_seed": 7, "rank": 2, "guarantee": 0.38024691358024693, "relaxation_bound": 1.4499999999999997, "mean_objective": 1.2415812591507762, "edges": ['
+        '{"edge": 0, "lp_value": 0, "floor": 0, "frequency": 0, "std_error": 0, "pass": true}, '
+        '{"edge": 1, "lp_value": 0, "floor": 0, "frequency": 0, "std_error": 0, "pass": true}, '
+        '{"edge": 2, "lp_value": 1, "floor": 0.38024691358024693, "frequency": 1, "std_error": 0, "pass": true}, '
+        '{"edge": 3, "lp_value": 0, "floor": 0, "frequency": 0, "std_error": 0, "pass": true}, '
+        '{"edge": 4, "lp_value": 0.5, "floor": 0.19012345679012346, "frequency": 0.30893118594436308, "std_error": 0.010207527158224077, "pass": true}, '
+        '{"edge": 5, "lp_value": 0.5, "floor": 0.19012345679012346, "frequency": 0.26403123474865786, "std_error": 0.0097383721211210406, "pass": true}, '
+        '{"edge": 6, "lp_value": 0.5, "floor": 0.19012345679012346, "frequency": 0.427037579306979, "std_error": 0.010927608753657791, "pass": true}, '
+        '{"edge": 7, "lp_value": 0, "floor": 0, "frequency": 0, "std_error": 0, "pass": true}'
+        '], "all_pass": true}'
+        "\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("instance, scheme", sorted(FROZEN_ESTIMATES))
+def test_estimate_prints_frozen_bytes(tmp_path, instance, scheme):
+    path = tmp_path / f"{instance}.ecc"
+    path.write_text(FROZEN_INSTANCES[instance], encoding="utf-8")
+    proc = run_cli(
+        "estimate", "--scheme", scheme, "--trials", "2049", "--seed", "7", "--input", str(path), check=True
+    )
+    assert proc.stdout == FROZEN_ESTIMATES[instance, scheme]
+
+
 def test_estimate_graph_scheme(triangle_path):
     proc = run_cli(
         "estimate", "--scheme", "graph", "--trials", "300", "--seed", "5",

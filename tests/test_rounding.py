@@ -582,3 +582,87 @@ def test_two_strong_colors_error_is_unchanged():
     assert str(scalar.value).startswith("two colors with mass >= 2/3 at one node")
     # the hyper scheme has no strong colors, so the same rows round fine
     _assert_matches_scalar(h, frac, "hyper", 50, 0)
+
+
+@pytest.mark.parametrize("scheme", ["hyper", "graph"])
+def test_blocked_estimate_on_dyadic_weights_equals_scalar_loop(scheme):
+    # 0.5, 0.25 and 3.0 are whole numbers of quarters: an exact total
+    rng = random.Random(41 + len(scheme))
+    for k in (2, 3, 4):
+        h = _decimal_instance(rng, k, (1, 2, 3) if scheme == "hyper" else (2,), weights=(0.5, 0.25, 3.0))
+        for frac in (ec.solve_max_relaxation(h), _assignment(_simplex_rows(rng, h.node_count, k))):
+            _assert_matches_scalar(h, frac, scheme, BLOCK + 1, SEEDS[k % 2])
+
+
+def _always_satisfied(weights):
+    """One color and every node's full mass on it: every trial satisfies every
+    edge, so the scalar loop's partial sums climb to sum(weights) * trials."""
+    edges = tuple(ec.Edge(color=1, weight=w, nodes=(i % 3 + 1,)) for i, w in enumerate(weights))
+    return ec.EdgeColoredHypergraph(3, 1, edges), _assignment(np.ones((3, 1)))
+
+
+@pytest.mark.parametrize(
+    "weights, trials, exact",
+    [
+        ([2.0**40] * 8, 1024, False),  # sum of units x trials is 2**53
+        ([2.0**40] * 8, 1023, True),
+        ([2.0**40] * 7 + [2.0**40 - 1], 1024, True),  # 2**53 - 1024
+        ([2.0**40 + 1] * 8, 1025, False),  # past 2**53 the scalar loop rounds
+        ([5e-324] * 4, BLOCK + 1, True),  # one unit of 2**-1074
+        ([5e-324, 1.0], BLOCK + 1, False),
+        ([1e300, 0.5], BLOCK + 1, False),
+        ([0.0, 3.0], 7, True),
+    ],
+)
+def test_exact_total_guard_boundaries(weights, trials, exact):
+    h, frac = _always_satisfied(weights)
+    assert (rounding._unit_weights(weights, trials) is not None) == exact
+    _assert_matches_scalar(h, frac, "hyper", trials, 3)
+    if weights[0] == 2.0**40 + 1:
+        # the case bites: the scalar loop's total is not the exact one
+        _, _, mean = _scalar_estimate(h, frac, "hyper", trials, 3)
+        assert mean != math.fsum(weights * trials) / trials
+
+
+def _spy_block_rows(monkeypatch):
+    rows = []
+    block = rounding._priority_block
+
+    def spy(draws, x_weak, rest):
+        rows.append(len(x_weak))
+        return block(draws, x_weak, rest)
+
+    monkeypatch.setattr(rounding, "_priority_block", spy)
+    return rows
+
+
+def test_estimate_rounds_each_distinct_node_row_once(monkeypatch):
+    rng = random.Random(53)
+    lp_h = _decimal_instance(rng, 3, (2,), m_lo=8, m_hi=9, weights=(1.0,))
+    lp = ec.solve_max_relaxation(lp_h)
+    rows_h = _decimal_instance(rng, 3, (1, 2, 3))
+    masses = _assignment(_simplex_rows(rng, rows_h.node_count, 3))
+    rows = _spy_block_rows(monkeypatch)
+    for scheme in ("hyper", "graph"):
+        ec.estimate_satisfaction(lp_h, lp, scheme, BLOCK + 1)
+        # an LP vertex repeats its node rows
+        distinct = len(np.unique(lp.node_color, axis=0))
+        assert rows == [distinct, distinct] and distinct < lp_h.node_count
+        rows.clear()
+    ec.estimate_satisfaction(rows_h, masses, "hyper", BLOCK + 1)
+    assert rows == [rows_h.node_count] * 2
+
+
+def test_duplicated_rows_with_a_strong_color_match_scalar_loop():
+    # nodes 1, 3 and 5 share a row whose color 1 is strong under the graph
+    # scheme; nodes 2 and 4 share one with no strong color
+    strong, weak = [0.7, 0.2, 0.1], [0.3, 0.3, 0.4]
+    frac = _assignment([strong, weak, strong, weak, strong, [0.0, 0.9, 0.1]])
+    edges = tuple(
+        ec.Edge(color=c, weight=w, nodes=pair)
+        for c, w, pair in [(1, 1.0, (1, 3)), (1, 0.3, (3, 5)), (3, 2.0, (2, 4)), (2, 0.7, (4, 6)), (1, 1.0, (5, 6))]
+    )
+    h = ec.EdgeColoredHypergraph(6, 3, edges)
+    for scheme in ("hyper", "graph"):
+        for trials in (1, BLOCK + 1):
+            _assert_matches_scalar(h, frac, scheme, trials, SEEDS[1])
