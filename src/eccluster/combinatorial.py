@@ -3,14 +3,19 @@
 These need no linear algebra.  The matching pass gives a linear-time factor-k
 approximation for the min-max color objective and factor 2 for the min
 objective, whatever the weights; the branching searches decide
-budgeted feasibility questions exactly in time exponential only in the
-budget, on bitmasks of the alive edges with an explicit stack and a memo of
-exhausted states; brute force enumerates all colorings and is the ground
-truth at desk scale.  It walks the colorings in ``itertools.product`` order
-in numpy blocks of k^L states that share all but the last L node colors, and
-scores each block with one array call of ``evaluate_errors``, whose entries
-have the bytes of one-vector calls, so its values and tie-break are those of
-a one-coloring-at-a-time loop.
+budgeted feasibility questions exactly, on bitmasks of the alive edges with
+an explicit stack and a memo of exhausted states, in a number of steps
+exponential only in the budget, though each step also costs time linear in
+the search depth (its conflict scan starts at the first node and its memo
+key sorts the deleted edges); brute force enumerates all colorings and is
+the ground truth at desk scale.  It walks the colorings in
+``itertools.product`` order in numpy blocks of k^L states that share all but
+the last L node colors, and scores each block with at most one array call of
+``evaluate_errors``, whose entries have the bytes of one-vector calls, so its
+values and tie-break are those of a one-coloring-at-a-time loop.  Where its
+powers stay within the float range, a p-mean block is first screened by its
+sums of ``np.power``: only colorings within a small margin of the best sum
+so far are scored, and a block with none is skipped.
 """
 
 from __future__ import annotations
@@ -29,11 +34,25 @@ from .hypergraph import (
     Problem,
     evaluate_errors,
     extend_coloring,
+    left_sum,
 )
 
 _BRANCH_TOL = 1e-9
 _BRUTE_CAP = 1 << 24
 _BLOCK = 1 << 12
+#: A p-mean screen keeps every coloring whose sum of ``np.power`` terms lies
+#: within this relative margin of the least sum in the block or of the
+#: incumbent's, whichever is less.  ``np.power`` and Python's ``**`` agree to
+#: a few ulps on normal floats, so a coloring left out has an exact sum
+#: larger by about the margin, and a norm larger by about margin / p.
+_SCREEN_REL = 1e-9
+#: The screen runs only when every nonzero error's power lies within
+#: [1 / ``_SCREEN_RANGE``, ``_SCREEN_RANGE``]: then no power and no sum
+#: leaves the normal floats, so every norm takes its plain form, and
+#: ``np.power`` never takes its slow path for results past the range.  With
+#: two positive weights the range holds only for p < 2000 (2^p <= 1e600),
+#: where margin / p is many ulps; with one, the nonzero sums are all equal.
+_SCREEN_RANGE = 1e300
 #: The fpt memo stops growing at this many exhausted states, so its memory
 #: stays bounded (about 100 MB at a few hundred bytes per state) however long
 #: a search runs.
@@ -181,6 +200,22 @@ def fpt_protected(
     )
 
 
+def _screened(h: EdgeColoredHypergraph, p: float) -> bool:
+    """Whether a p-mean brute force screens its blocks: p is finite and every
+    nonzero error's p-th power lies within ``_SCREEN_RANGE``.
+
+    A color's nonzero error is a float sum of edge weights, so it lies
+    between the least positive weight and the total weight.
+    """
+    positive = [e.weight for e in h.edges if e.weight > 0.0]
+    if math.isinf(p) or not positive:
+        return False
+    try:
+        return min(positive) ** p >= 1.0 / _SCREEN_RANGE and h.total_weight**p <= _SCREEN_RANGE
+    except OverflowError:
+        return False
+
+
 def brute_force(
     h: EdgeColoredHypergraph, problem: Problem
 ) -> tuple[float, Coloring]:
@@ -196,9 +231,17 @@ def brute_force(
     file order, adding the edge's weight when the block's fixed nodes already
     leave it unsatisfied and its stored vector otherwise, so every state gets
     the float additions of a one-coloring-at-a-time loop.  It calls
-    ``evaluate_errors`` once per block, on the block's error rows (those of
-    the states within a protected budget), and that call gives every entry
-    the bytes of a one-vector call.  Ties keep the
+    ``evaluate_errors`` at most once per block, on the block's error rows
+    (those of the states within a protected budget), and that call gives
+    every entry the bytes of a one-vector call.  A p-mean search whose
+    powers stay in range (``_screened``) screens each block first: S, the sum
+    of ``np.power(errors, p)`` per state, is one array expression.  Only the
+    states whose S lies within ``_SCREEN_REL`` of the lesser of the block's
+    least S and the incumbent's S are scored, in ascending order, and a
+    block with none is skipped.  A state left out is worse than the block's
+    best and than the incumbent, so every state that could replace the
+    incumbent, and every state that ties it, is scored: the screen changes
+    no value and no tie-break.  Ties keep the
     lexicographically smallest coloring.  For the protected problem the value
     is the least total unsatisfied weight among colorings whose protected
     share stays within the budget (no budget means unconstrained).
@@ -219,6 +262,7 @@ def brute_force(
         if not 0 <= protected_idx < k:
             raise ValueError("protected color out of range")
 
+    screen = problem.kind == "pmean" and _screened(h, problem.p)
     # One error row per color that carries an edge or is protected.  Every
     # other color's error is 0.0 in every state, so arrays stay small when k
     # is large; leaving those rows out changes no value, as adding 0.0
@@ -251,6 +295,7 @@ def brute_force(
 
     best_value: Optional[float] = None
     best_colors: list[int] = []
+    best_sum = math.inf  # the incumbent's screened sum
     for digits in itertools.product(range(1, k + 1), repeat=high):
         errors = np.zeros((len(rows), size))
         for r, color, high_slots, low_part, w in edges:
@@ -262,6 +307,10 @@ def brute_force(
         if budget is not None:
             over = errors[row_of[protected_idx]] > budget + _BRANCH_TOL
             candidates = np.flatnonzero(~over)
+        elif screen:
+            sums = left_sum(np.power(errors, problem.p))
+            candidates = np.flatnonzero(sums <= min(sums.min(), best_sum) * (1.0 + _SCREEN_REL))
+        if candidates is not None:
             if candidates.size == 0:
                 continue
             errors = errors[:, candidates]
@@ -277,6 +326,8 @@ def brute_force(
             best_value = value
             if candidates is not None:
                 j = int(candidates[j])
+            if screen:
+                best_sum = sums[j]
             best_colors = list(digits) + low_colors[:, j].tolist()
     if best_value is None:
         raise ValueError("no coloring satisfies the protected budget")

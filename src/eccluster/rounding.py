@@ -340,21 +340,21 @@ class EstimateResult:
 _BLOCK = 1024
 
 
-def _unit_weights(weights: list[float], trials: int) -> tuple[list[int], int] | None:
-    """Each weight as a whole number of units 1/scale, and scale, when no
-    partial sum of ``trials`` trials' satisfied weights can round; else None.
+def _mean_weight(weights: list[float], counts: list[int], trials: int) -> float:
+    """sum of weights[e] * counts[e] / trials, correctly rounded; inf beyond
+    the float range.
 
     A float is p/q with q a power of two, so every weight is a whole number
-    of units of 1/scale for the largest q.  While the units of every weight
-    over every trial add up to less than 2**53, each partial sum is an exact
-    float, so adding the hits one at a time gives the exact total.
+    of units 1/scale for the largest q, and the mean is one integer over
+    scale * trials; Python's int / int rounds that quotient once.
     """
     ratios = [w.as_integer_ratio() for w in weights]
     scale = max((q for _, q in ratios), default=1)
-    units = [p * (scale // q) for p, q in ratios]
-    if sum(units) * trials >= 1 << 53:
-        return None
-    return units, scale
+    numerator = sum(p * (scale // q) * c for (p, q), c in zip(ratios, counts))
+    try:
+        return numerator / (scale * trials)
+    except OverflowError:
+        return math.inf
 
 
 def estimate_satisfaction(
@@ -368,12 +368,11 @@ def estimate_satisfaction(
 
     Results are a pure function of (instance, fractional solution, scheme,
     trials, master_seed): trial t uses the stream derived for index t and
-    nothing else, and every output has the bytes a trial-at-a-time loop
-    gives.  Nodes with equal rows take the same color in every trial, so each
-    distinct row is rounded once.  ``mean_objective`` is the satisfied weight
-    over all trials, added in trial order one hit at a time, divided by the
-    trial count; when no partial sum of that loop can round
-    (``_unit_weights``), the total is computed exactly from the counts.
+    nothing else, and every frequency and standard error has the bytes a
+    trial-at-a-time loop gives.  Nodes with equal rows take the same color in every trial, so each
+    distinct row is rounded once.  ``mean_objective`` is the exact satisfied
+    weight over all trials divided by the trial count, rounded once
+    (``_mean_weight``), so no order of adding the hits shows in it.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -394,11 +393,7 @@ def estimate_satisfaction(
         )
         for idx in by_size.values()
     ]
-    weights = np.array([e.weight for e in h.edges], dtype=float)
-    exact = _unit_weights(weights.tolist(), trials)
-
     counts = np.zeros(h.edge_count, dtype=np.int64)
-    weight_total = 0.0
     for start in range(0, trials, _BLOCK):
         count = min(_BLOCK, trials - start)
         lam = _priority_block(_trial_draws(master_seed, start, count, h.color_count), x_weak, rest)
@@ -406,15 +401,6 @@ def estimate_satisfaction(
         for idx, rows, colors in groups:
             satisfied[idx] = (lam[rows] == colors).all(axis=1)
         counts += np.count_nonzero(satisfied, axis=1)
-        if exact is None:
-            # one satisfied (trial, edge) at a time, trial-major, as a
-            # trial-at-a-time loop adds them, so the float total is the same
-            hits = np.broadcast_to(weights, (count, h.edge_count))[satisfied.T]
-            weight_total = float(np.add.accumulate(np.concatenate(([weight_total], hits)))[-1])
-    if exact is not None:
-        units, scale = exact
-        # int / int: a float scale of 2**1074 would overflow
-        weight_total = sum(u * c for u, c in zip(units, counts.tolist())) / scale
 
     freq = counts.astype(float) / trials
     se = np.sqrt(freq * (1.0 - freq) / trials)
@@ -424,5 +410,5 @@ def estimate_satisfaction(
         master_seed=master_seed,
         frequencies=freq,
         std_errors=se,
-        mean_objective=weight_total / trials,
+        mean_objective=_mean_weight([e.weight for e in h.edges], counts.tolist(), trials),
     )

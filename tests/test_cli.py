@@ -477,7 +477,8 @@ FROZEN_INSTANCES = {
 }
 
 # ``ecc estimate --trials 2049 --seed 7`` output, frozen when every trial was
-# rounded one node at a time and its weights were summed one hit at a time
+# rounded one node at a time; the decimal instances' ``mean_objective`` is
+# the exact satisfied weight over the trials, rounded once
 FROZEN_ESTIMATES = {
     ("whole", "hyper"): (
         '{"scheme": "hyper", "trials": 2049, "master_seed": 7, "rank": 2, "guarantee": 0.18044704431548361, "relaxation_bound": 6, "mean_objective": 4.5900439238653004, "edges": ['
@@ -506,7 +507,7 @@ FROZEN_ESTIMATES = {
         "\n"
     ),
     ("decimal", "hyper"): (
-        '{"scheme": "hyper", "trials": 2049, "master_seed": 7, "rank": 2, "guarantee": 0.18044704431548361, "relaxation_bound": 1.4499999999999997, "mean_objective": 1.2415812591507762, "edges": ['
+        '{"scheme": "hyper", "trials": 2049, "master_seed": 7, "rank": 2, "guarantee": 0.18044704431548361, "relaxation_bound": 1.4499999999999997, "mean_objective": 1.2415812591508053, "edges": ['
         '{"edge": 0, "lp_value": 0, "floor": 0, "frequency": 0, "std_error": 0, "pass": true}, '
         '{"edge": 1, "lp_value": 0, "floor": 0, "frequency": 0, "std_error": 0, "pass": true}, '
         '{"edge": 2, "lp_value": 1, "floor": 0.18044704431548361, "frequency": 1, "std_error": 0, "pass": true}, '
@@ -519,7 +520,7 @@ FROZEN_ESTIMATES = {
         "\n"
     ),
     ("decimal", "graph"): (
-        '{"scheme": "graph", "trials": 2049, "master_seed": 7, "rank": 2, "guarantee": 0.38024691358024693, "relaxation_bound": 1.4499999999999997, "mean_objective": 1.2415812591507762, "edges": ['
+        '{"scheme": "graph", "trials": 2049, "master_seed": 7, "rank": 2, "guarantee": 0.38024691358024693, "relaxation_bound": 1.4499999999999997, "mean_objective": 1.2415812591508053, "edges": ['
         '{"edge": 0, "lp_value": 0, "floor": 0, "frequency": 0, "std_error": 0, "pass": true}, '
         '{"edge": 1, "lp_value": 0, "floor": 0, "frequency": 0, "std_error": 0, "pass": true}, '
         '{"edge": 2, "lp_value": 1, "floor": 0.38024691358024693, "frequency": 1, "std_error": 0, "pass": true}, '

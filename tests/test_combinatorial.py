@@ -450,9 +450,11 @@ def test_brute_force_scores_each_block_with_one_call(monkeypatch):
     monkeypatch.setattr(combinatorial, "evaluate_errors", spy)
     monkeypatch.setattr(np, "lexsort", no_lexsort)
     monkeypatch.setattr(combinatorial, "_BLOCK", 9)
-    # 27 colorings of the triangle in three blocks of 9, one row per color
+    # 27 colorings of the triangle in three blocks of 9, one row per color;
+    # the p-mean screen scores at most the whole block, once
     assert ec.brute_force(ec.triangle_gadget(), ec.pmean(2.0))[1] == (1, 1, 1)
-    assert shapes == [(3, 9)] * 3
+    assert 1 <= len(shapes) <= 3
+    assert all(rows == 3 and 1 <= states <= 9 for rows, states in shapes)
     # two blocks of 4 on a color-2 path at budget 0: only the last state,
     # hence only the second block, holds a candidate
     shapes.clear()
@@ -461,6 +463,32 @@ def test_brute_force_scores_each_block_with_one_call(monkeypatch):
     path = ec.EdgeColoredHypergraph(3, 2, edges)
     assert ec.brute_force(path, ec.protected(2, 0.0)) == (0.0, (2, 2, 2))
     assert shapes == [(1, 1)]
+
+
+def test_pmean_screen_scores_few_states(monkeypatch):
+    # counts work, not time: the screen passes only the colorings near the
+    # best sum of powers to the exact evaluator, and skips most of the 81
+    # blocks once the incumbent's sum is below their least
+    rng = random.Random(11)
+    h = random_instance(rng, n_lo=11, n_hi=11, k_lo=3, k_hi=3, m_lo=22, m_hi=22)
+    while any(not ids for ids in h.incidence):
+        h = random_instance(rng, n_lo=11, n_hi=11, k_lo=3, k_hi=3, m_lo=22, m_hi=22)
+    scored = []
+
+    def spy(errors, problem, total_weight):
+        scored.append(np.shape(errors)[1])
+        return ec.evaluate_errors(errors, problem, total_weight)
+
+    monkeypatch.setattr(combinatorial, "evaluate_errors", spy)
+    for p in (0.5, 2, 3):
+        scored.clear()
+        ec.brute_force(h, ec.pmean(p))
+        assert 0 < sum(scored) <= 3**11 // 100, p
+        assert len(scored) <= 10, p
+    # 2**2000 overflows: powers past the float range turn the screen off
+    scored.clear()
+    ec.brute_force(h, ec.pmean(2000))
+    assert sum(scored) == 3**11
 
 
 def _reference_find_conflict(h, alive):
@@ -585,7 +613,7 @@ def test_exact_solvers_match_frozen_reference(monkeypatch, block, memo_cap):
     # way, and an fpt memo full after 8 states must not change an answer
     monkeypatch.setattr(combinatorial, "_BLOCK", block)
     monkeypatch.setattr(combinatorial, "_MEMO_CAP", memo_cap)
-    problems = [ec.MAX, ec.MIN, ec.COLORFAIR] + [ec.pmean(p) for p in (0.5, 2, math.inf)]
+    problems = [ec.MAX, ec.MIN, ec.COLORFAIR] + [ec.pmean(p) for p in (0.3, 0.5, 1.5, 2, 3, math.inf)]
     for h in _reference_cases():
         k = h.color_count
         for problem in problems + [ec.protected(k), ec.protected(k, 0.0), ec.protected(1, 1.0)]:
@@ -608,6 +636,46 @@ def test_exact_solvers_match_frozen_reference(monkeypatch, block, memo_cap):
                 charged = lambda e: (0, 1) if e.color == color else (0,)  # noqa: E731
                 assert got == _reference_branch_search(h, [t, min(b, t)], charged)
                 assert (got is None) == (t < opt)
+
+
+def test_pmean_screen_keeps_every_tie_to_the_byte():
+    rng = random.Random(79)
+    cases = []
+    # powers of 1e200 overflow, of 1e-160 and 1e-200 go subnormal or to 0,
+    # and norms take the scaled form: such searches are scored in full,
+    # while at p = 0.5 errors 400 orders of magnitude apart are screened
+    for _ in range(16):
+        h = random_instance(rng, n_lo=2, n_hi=7, k_lo=2, k_hi=3, m_lo=2, m_hi=9, sizes=(1, 2, 3))
+        edges = tuple(replace(e, weight=rng.choice([1e200, 1.0, 1e-160, 1e-200])) for e in h.edges)
+        mixed = ec.EdgeColoredHypergraph(h.node_count, h.color_count, edges)
+        cases += [(mixed, ec.pmean(p)) for p in (0.5, 2, 3, 2000)]
+    # the first best coloring, (1, 1, 1), has errors (0.3, 0.2, 0.1 + 0.2),
+    # whose sum of squares lies one ulp above that of (3, 1, 3), an equal norm
+    ulp = ec.parse_instance("3 4 3\n3 0.2 2 1 3\n1 0.3 2 2 3\n2 0.2 2 1 3\n3 0.1 1 3\n")
+    assert ec.brute_force(ulp, ec.pmean(2)) == (0.36055512754639896, (1, 1, 1))
+    # at p = 1e7 a relative 1e-9 between sums is 1e-16 between norms, so
+    # equal norms come from sums further apart; the search is not screened,
+    # as these weights' powers leave the range
+    below, above = 1.0 - 2.0**-53, 1.0 + 2.0**-52
+    huge = ec.parse_instance(f"3 4 3\n1 {below!r} 1 1\n3 {below!r} 2 2 3\n2 {above!r} 1 1\n2 {above!r} 1 2\n")
+    # subnormal squares round 1.6 and 3.4 units to 2 and 3, so a sum of
+    # numpy squares ranks the best coloring, (1, 2) with errors (x, x), behind
+    # (1, 1) with errors (0, y); the search is not screened
+    x, y = math.sqrt(1.6) * 2.0**-537, math.sqrt(3.4) * 2.0**-537
+    E = ec.Edge
+    tiny = ec.EdgeColoredHypergraph(2, 2, (E(1, 1.0, (1,)), E(2, x, (1,)), E(1, x, (2,)), E(2, y - x, (2,))))
+    assert ec.brute_force(tiny, ec.pmean(2))[1] == (1, 2)
+    # sums of squares within a relative 1e-9 of the largest float: the margin
+    # would overflow, and the search is not screened
+    top = math.sqrt(1.7976931347e308)
+    edge = ec.EdgeColoredHypergraph(1, 2, (E(1, top, (1,)), E(2, top, (1,))))
+    # one unit edge: its powers stay in range at every p, so even p = 1e7 is
+    # screened (every nonzero sum is 1.0), and p = inf is left to the max
+    single = ec.EdgeColoredHypergraph(2, 2, (E(1, 1.0, (1, 2)),))
+    cases += [(ulp, ec.pmean(2)), (huge, ec.pmean(1e7)), (tiny, ec.pmean(2)), (edge, ec.pmean(2))]
+    cases += [(single, ec.pmean(p)) for p in (2, 1e7, math.inf)]
+    for h, problem in cases:
+        assert ec.brute_force(h, problem) == _reference_brute_force(h, problem), (h, problem)
 
 
 def _alternating_star(edges):

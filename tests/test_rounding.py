@@ -12,6 +12,7 @@ import itertools
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -392,24 +393,28 @@ def test_rounded_colorings_are_always_valid():
 
 def _scalar_estimate(h, frac, scheme, trials, master_seed, rejects=_reference_limit):
     """Frozen copy of the trial-at-a-time loop that ``estimate_satisfaction``
-    ran before it rounded blocks of trials: the reference it must equal."""
+    ran before it rounded blocks of trials: the reference it must equal.  The
+    mean is the exact satisfied weight over the trial count, rounded once."""
     rows, fallback, cut = _reference_inputs(frac, scheme)
     k = h.color_count
-    edges = [(e.color, tuple(v - 1 for v in e.nodes), e.weight) for e in h.edges]
+    edges = [(e.color, tuple(v - 1 for v in e.nodes)) for e in h.edges]
     counts = [0] * h.edge_count
-    weight_total = 0.0
     for t in range(trials):
         lam = _reference_priority_core(rows, k, fallback, _ReferenceStream(master_seed, t, rejects), cut)
-        for ei, (color, nodes, w) in enumerate(edges):
+        for ei, (color, nodes) in enumerate(edges):
             for v in nodes:
                 if lam[v] != color:
                     break
             else:
                 counts[ei] += 1
-                weight_total += w
     freq = np.array(counts, dtype=float) / trials
     se = np.sqrt(freq * (1.0 - freq) / trials)
-    return freq, se, weight_total / trials
+    return freq, se, _exact_mean(h, counts, trials)
+
+
+def _exact_mean(h, counts, trials):
+    """sum of weight x count over trials, as the nearest float."""
+    return float(sum(Fraction(e.weight) * c for e, c in zip(h.edges, counts)) / trials)
 
 
 def _assert_matches_scalar(h, frac, scheme, trials, seed):
@@ -615,13 +620,28 @@ def _always_satisfied(weights):
     ],
 )
 def test_exact_total_guard_boundaries(weights, trials, exact):
+    # exact: every partial sum of a trial-at-a-time float total is exact, so
+    # that total over the trials is the correctly rounded mean as well
     h, frac = _always_satisfied(weights)
-    assert (rounding._unit_weights(weights, trials) is not None) == exact
     _assert_matches_scalar(h, frac, "hyper", trials, 3)
+    mean = ec.estimate_satisfaction(h, frac, "hyper", trials, master_seed=3).mean_objective
+    total = 0.0
+    for _ in range(trials):
+        for w in weights:
+            total += w
+    if exact:
+        assert mean == total / trials
     if weights[0] == 2.0**40 + 1:
         # the case bites: the scalar loop's total is not the exact one
-        _, _, mean = _scalar_estimate(h, frac, "hyper", trials, 3)
-        assert mean != math.fsum(weights * trials) / trials
+        assert mean != total / trials
+
+
+def test_mean_objective_past_the_float_range_is_inf():
+    h, frac = _always_satisfied([1e308, 1e308])
+    assert ec.estimate_satisfaction(h, frac, "hyper", 3).mean_objective == math.inf
+    # a total past the range whose mean lies within it
+    h, frac = _always_satisfied([1e308])
+    assert ec.estimate_satisfaction(h, frac, "hyper", 3).mean_objective == 1e308
 
 
 def _spy_block_rows(monkeypatch):
