@@ -357,15 +357,7 @@ def _run_bench(args) -> tuple[str, int]:
         total = left_sum(errors)
         prot = errors[args.protected_color - 1]
         violation = prot / budget if budget > 0 else None
-        cells = [
-            _fmt_float(phi),
-            str(budget),
-            _fmt_float(total),
-            _fmt_float(prot),
-            _fmt_float(result.bound),
-            "" if violation is None else _fmt_float(violation),
-        ]
-        lines.append(",".join(cells))
+        lines.append(",".join(_csv_cell(v) for v in (phi, budget, total, prot, result.bound, violation)))
     return "\n".join(lines) + "\n", 0
 
 

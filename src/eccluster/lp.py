@@ -342,9 +342,12 @@ def solve_lp(lp: LinearProgram, previous: Optional[LpSolution] = None) -> LpSolu
     viol = max_violation(lp, x)
     if viol > 1e-6:
         raise SimplexError(f"recovered solution violates constraints by {viol:.3e}")
+    # an objective past the float range is inf, its true value, not a warning
+    with np.errstate(over="ignore"):
+        value = float(lp.objective @ x)
     return LpSolution(
         x,
-        float(lp.objective @ x),
+        value,
         basis=tuple(basis.tolist()),
         pivots=pivots,
         _tableau=_Tableau(lp, T, obj, basis, complemented),

@@ -22,9 +22,13 @@ rounder resolves priorities color by color, keeping the largest code
 
 A node's color in a trial depends only on the trial's draws and the node's
 row, so ``estimate_satisfaction`` rounds each distinct row once.  Its mean
-objective is the exact count-weighted total whenever no partial sum of a
-trial-at-a-time loop can round, and that loop's float total otherwise: the
-bytes are the loop's either way.
+objective is the exact count-weighted satisfied weight divided by the trial
+count and rounded once (``_mean_weight``), so no order of adding the hits
+shows in it.
+
+The deterministic roundings keep what a distance relaxation puts below a cut:
+half-threshold a node's closest color, protected and Lovasz rounding the edges
+below their cuts (``_keep_below``).
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ import numpy as np
 
 from .hypergraph import Coloring, EdgeColoredHypergraph, extend_coloring
 from .lp import EPS_FEAS
-from .relaxations import FractionalSolution, fallback_colors
+from .relaxations import ASSIGNMENT, DISTANCE, FractionalSolution, fallback_colors
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -167,6 +171,20 @@ def _priority_block(draws: np.ndarray, x_weak: np.ndarray, rest: np.ndarray) -> 
 _SCHEMES = {"hyper": math.inf, "graph": TWO_THIRDS}
 
 
+def _check_input(
+    h: EdgeColoredHypergraph, frac: FractionalSolution, orientation: str, name: str, edges: bool = False
+) -> np.ndarray:
+    """``frac``'s node-color rows, or its edge values when ``edges``, as
+    floats, after checking that ``frac`` has the orientation rounding ``name``
+    needs and that those values fit ``h``."""
+    if frac.orientation != orientation:
+        raise ValueError(f"{name} needs {orientation}-oriented input")
+    values = frac.edge_value if edges else frac.node_color
+    if values.shape != ((h.edge_count,) if edges else (h.node_count, h.color_count)):
+        raise ValueError("fractional solution does not match the instance shape")
+    return np.asarray(values, dtype=float)
+
+
 def _scheme_inputs(
     h: EdgeColoredHypergraph, frac: FractionalSolution, scheme: str
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -178,13 +196,9 @@ def _scheme_inputs(
         raise ValueError(f"unknown scheme {scheme!r}")
     if scheme == "graph" and any(len(e.nodes) != 2 for e in h.edges):
         raise ValueError("the graph scheme needs every edge to have exactly 2 nodes")
-    if frac.orientation != "assignment":
-        raise ValueError("this rounding scheme needs assignment-oriented input")
-    if frac.node_color.shape != (h.node_count, h.color_count):
-        raise ValueError("fractional solution does not match the instance shape")
-    if np.any(frac.node_color.sum(axis=1) > 1.0 + 1e-6):
+    x = _check_input(h, frac, ASSIGNMENT, "this rounding scheme")
+    if np.any(x.sum(axis=1) > 1.0 + 1e-6):
         raise ValueError("node color masses exceed the unit simplex")
-    x = np.asarray(frac.node_color, dtype=float)
     strong = x >= _SCHEMES[scheme]
     if np.any(strong.sum(axis=1) > 1):
         raise RuntimeError(
@@ -225,35 +239,29 @@ def graph_max_round(h: EdgeColoredHypergraph, frac: FractionalSolution, seed: in
     return _round_once(h, frac, "graph", seed)
 
 
-def half_threshold_round(
-    h: EdgeColoredHypergraph,
-    frac: FractionalSolution,
-) -> Coloring:
+def half_threshold_round(h: EdgeColoredHypergraph, frac: FractionalSolution) -> Coloring:
     """Deterministic rounding of a distance solution: factor 2 for p >= 1.
 
-    A node takes the unique color whose distance is below 1/2 when one exists,
-    otherwise its fallback color. Two distances strictly below 1/2 at one node
-    cannot occur for a feasible distance solution and raise an error.
+    A node takes its one color with distance below 1/2, else its fallback
+    color; both are its closest color, so this is ``fallback_colors``.  Two
+    distances strictly below 1/2 at one node cannot occur for a feasible
+    distance solution and raise an error.
     """
-    if frac.orientation != "distance":
-        raise ValueError("half-threshold rounding needs distance-oriented input")
-    if frac.node_color.shape != (h.node_count, h.color_count):
-        raise ValueError("fractional solution does not match the instance shape")
-    fallback = fallback_colors(frac)
-    lam = []
-    cut = 0.5 - EPS_FEAS
-    for vi, row in enumerate(frac.node_color.tolist()):
-        chosen = -1
-        for ci, dv in enumerate(row):
-            if dv < cut:
-                if chosen >= 0:
-                    raise RuntimeError(
-                        f"node {vi + 1} has two colors with distance below 1/2; "
-                        "input is not a feasible distance solution"
-                    )
-                chosen = ci
-        lam.append(chosen + 1 if chosen >= 0 else fallback[vi])
-    return tuple(lam)
+    d = _check_input(h, frac, DISTANCE, "half-threshold rounding")
+    twice = np.flatnonzero(np.count_nonzero(d < 0.5 - EPS_FEAS, axis=1) > 1)
+    if twice.size:
+        raise RuntimeError(
+            f"node {twice[0] + 1} has two colors with distance below 1/2; "
+            "input is not a feasible distance solution"
+        )
+    return fallback_colors(frac)
+
+
+def _keep_below(h: EdgeColoredHypergraph, gamma: np.ndarray, cut, fallback=None) -> Coloring:
+    """Delete every edge with ``gamma >= cut`` (per edge, or one cut for all)
+    and extend the survivors to a coloring; nodes they leave uncommitted take
+    ``fallback``, else color 1."""
+    return extend_coloring(h, np.flatnonzero(gamma >= cut).tolist(), fallback=fallback)
 
 
 # Slack below the selection thresholds so float jitter on a tight constraint
@@ -278,39 +286,27 @@ def protected_round(
         raise ValueError("rho must lie in (0, 1/2]")
     if not 1 <= protected_color <= h.color_count:
         raise ValueError("protected color out of range")
-    if frac.orientation != "distance":
-        raise ValueError("protected rounding needs distance-oriented input")
-    if frac.edge_value.shape != (h.edge_count,):
-        raise ValueError("fractional solution does not match the instance shape")
-    gamma = frac.edge_value
-    discard = set()
-    for e, edge in enumerate(h.edges):
-        cut = (1.0 - rho) if edge.color == protected_color else rho
-        if gamma[e] >= cut - _SELECT_SLACK:
-            discard.add(e)
+    gamma = _check_input(h, frac, DISTANCE, "protected rounding", edges=True)
+    cut = np.full(h.edge_count, rho - _SELECT_SLACK)
+    cut[list(h.color_classes[protected_color - 1])] = (1.0 - rho) - _SELECT_SLACK
     # a cover violation here means the relaxation output was not feasible
-    return extend_coloring(h, discard, fallback=fallback_colors(frac))
+    return _keep_below(h, gamma, cut, fallback_colors(frac))
 
 
 _LOVASZ_SELECT_SLACK = 1e-9
 
 
-def lovasz_round(
-    h: EdgeColoredHypergraph,
-    gamma: np.ndarray,
-    fallback: list[int] | None = None,
-) -> Coloring:
+def lovasz_round(h: EdgeColoredHypergraph, gamma: np.ndarray) -> Coloring:
     """Round a fractional deletion vector by keeping edges with gamma < 1/2.
 
     For the concave color-error objective with exponent p in (0, 1) this loses
-    at most a factor 2^(1/p) against the fractional value.
+    at most a factor 2^(1/p) against the fractional value.  Nodes no kept edge
+    commits take color 1.
     """
     gamma = np.asarray(gamma, dtype=float)
     if gamma.shape != (h.edge_count,):
         raise ValueError("gamma does not match the instance shape")
-    cut = 0.5 - _LOVASZ_SELECT_SLACK
-    discard = {e for e in range(h.edge_count) if gamma[e] >= cut}
-    return extend_coloring(h, discard, fallback=fallback)
+    return _keep_below(h, gamma, 0.5 - _LOVASZ_SELECT_SLACK)
 
 
 @dataclass(frozen=True)
@@ -369,10 +365,11 @@ def estimate_satisfaction(
     Results are a pure function of (instance, fractional solution, scheme,
     trials, master_seed): trial t uses the stream derived for index t and
     nothing else, and every frequency and standard error has the bytes a
-    trial-at-a-time loop gives.  Nodes with equal rows take the same color in every trial, so each
-    distinct row is rounded once.  ``mean_objective`` is the exact satisfied
-    weight over all trials divided by the trial count, rounded once
-    (``_mean_weight``), so no order of adding the hits shows in it.
+    trial-at-a-time loop gives.  Nodes with equal rows take the same color in
+    every trial, so each distinct row is rounded once.  ``mean_objective`` is
+    the exact satisfied weight over all trials divided by the trial count,
+    rounded once (``_mean_weight``), so no order of adding the hits shows in
+    it.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")

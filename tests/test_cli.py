@@ -614,3 +614,20 @@ def test_bench_rejects_bad_fractions(triangle_path):
     )
     assert proc.returncode == 1
     assert "--fractions" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("estimate", "--scheme", "hyper", "--trials", "3"),
+        ("solve", "--problem", "max", "--alg", "hyper-max"),
+    ],
+)
+def test_objective_past_the_float_range_is_one_error_line(tmp_path, args):
+    # the max LP's bound is inf, which the JSON output cannot hold
+    path = tmp_path / "overflow.ecc"
+    path.write_text("2 2 1\n1 1e308 1 1\n1 1e308 1 2\n", encoding="utf-8")
+    proc = run_cli(*args, "--input", str(path))
+    assert proc.returncode == 1
+    assert proc.stderr == "ecc: error: cannot serialize a non-finite number\n"
+    assert proc.stdout == ""

@@ -126,6 +126,16 @@ def test_max_edge_values_snap_to_their_caps():
         assert recovered >= frac.bound - 1e-7
 
 
+def test_max_bound_past_the_float_range_is_inf():
+    # two weights of 1e308 sum to more than the largest float
+    h = ec.EdgeColoredHypergraph(
+        2, 1, (ec.Edge(color=1, weight=1e308, nodes=(1,)), ec.Edge(color=1, weight=1e308, nodes=(2,)))
+    )
+    frac = ec.solve_max_relaxation(h)
+    assert frac.bound == math.inf
+    assert frac.edge_value.tolist() == [1.0, 1.0]
+
+
 def test_variable_layout_split():
     lay = ec.VariableLayout(node_count=2, color_count=3, edge_count=2, extra=1)
     assert lay.total == 9

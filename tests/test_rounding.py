@@ -3,7 +3,9 @@
 The priority roundings are checked against a frozen trial-at-a-time
 reference (``_reference_*``): a splitmix64 stream drawn one output at a time
 and the scalar priority core that rounded one trial before every rounding
-became a block of numpy trials.
+became a block of numpy trials.  The deterministic roundings are checked
+against frozen copies of the per-node and per-edge loops that ran before they
+became one keep-below-cut path.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import pytest
 
 import eccluster as ec
 from eccluster import rounding
+from eccluster.lp import EPS_FEAS
 from eccluster.rounding import TWO_THIRDS
 from conftest import instance_batch, random_instance
 
@@ -686,3 +689,163 @@ def test_duplicated_rows_with_a_strong_color_match_scalar_loop():
     for scheme in ("hyper", "graph"):
         for trials in (1, BLOCK + 1):
             _assert_matches_scalar(h, frac, scheme, trials, SEEDS[1])
+
+
+def _reference_half_threshold(h, frac):
+    """Frozen per-node loop of the half-threshold rounding."""
+    if frac.orientation != "distance":
+        raise ValueError("half-threshold rounding needs distance-oriented input")
+    if frac.node_color.shape != (h.node_count, h.color_count):
+        raise ValueError("fractional solution does not match the instance shape")
+    fallback = ec.fallback_colors(frac)
+    lam = []
+    cut = 0.5 - EPS_FEAS
+    for vi, row in enumerate(frac.node_color.tolist()):
+        chosen = -1
+        for ci, dv in enumerate(row):
+            if dv < cut:
+                if chosen >= 0:
+                    raise RuntimeError(
+                        f"node {vi + 1} has two colors with distance below 1/2; "
+                        "input is not a feasible distance solution"
+                    )
+                chosen = ci
+        lam.append(chosen + 1 if chosen >= 0 else fallback[vi])
+    return tuple(lam)
+
+
+def _reference_protected(h, frac, protected_color, rho):
+    """Frozen per-edge loop of the protected rounding."""
+    if not 0.0 < rho <= 0.5:
+        raise ValueError("rho must lie in (0, 1/2]")
+    if not 1 <= protected_color <= h.color_count:
+        raise ValueError("protected color out of range")
+    if frac.orientation != "distance":
+        raise ValueError("protected rounding needs distance-oriented input")
+    if frac.edge_value.shape != (h.edge_count,):
+        raise ValueError("fractional solution does not match the instance shape")
+    gamma = frac.edge_value
+    discard = set()
+    for e, edge in enumerate(h.edges):
+        cut = (1.0 - rho) if edge.color == protected_color else rho
+        if gamma[e] >= cut - 1e-12:
+            discard.add(e)
+    return ec.extend_coloring(h, discard, fallback=ec.fallback_colors(frac))
+
+
+def _reference_lovasz(h, gamma):
+    """Frozen per-edge loop of the Lovasz rounding."""
+    gamma = np.asarray(gamma, dtype=float)
+    if gamma.shape != (h.edge_count,):
+        raise ValueError("gamma does not match the instance shape")
+    discard = {e for e in range(h.edge_count) if gamma[e] >= 0.5 - 1e-9}
+    return ec.extend_coloring(h, discard)
+
+
+def _outcome(fn, *args):
+    """``fn(*args)``'s coloring, or the type and message of what it raised."""
+    try:
+        lam = fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the error itself is compared
+        return type(exc), str(exc)
+    assert all(type(c) is int for c in lam)
+    return lam
+
+
+def _assert_same(rounder, reference, *args):
+    assert _outcome(rounder, *args) == _outcome(reference, *args)
+
+
+def _around(cut):
+    """``cut`` and the floats one ulp below and above it."""
+    return np.nextafter(cut, -np.inf), cut, np.nextafter(cut, np.inf)
+
+
+def test_deterministic_roundings_equal_frozen_loops_on_relaxations():
+    for h in instance_batch(2301, 60):
+        for p in (1.0, 2.0, math.inf):
+            _assert_same(ec.half_threshold_round, _reference_half_threshold, h, ec.solve_pmean_relaxation(h, p))
+        _assert_same(ec.lovasz_round, _reference_lovasz, h, ec.minimize_lovasz(h, 0.5).point)
+        c1 = 1 + h.edge_count % h.color_count
+        size = len(h.color_classes[c1 - 1])
+        for frac in ec.solve_protected_sweep(h, c1, [size, size / 2, 0, 1]):
+            for rho in (0.1, 0.25, 1 / 3, 0.5):
+                _assert_same(ec.protected_round, _reference_protected, h, frac, c1, rho)
+
+
+def test_half_threshold_equals_frozen_loop_at_the_cut():
+    below, cut, above = _around(0.5 - EPS_FEAS)
+    values = (0.0, below, cut, above, 0.5, 0.7, 1.0)
+    rng = random.Random(2302)
+    for _ in range(500):
+        n, k = rng.randint(1, 4), rng.randint(1, 4)
+        h = ec.EdgeColoredHypergraph(n, k, ())
+        frac = _distance([[rng.choice(values) for _ in range(k)] for _ in range(n)])
+        _assert_same(ec.half_threshold_round, _reference_half_threshold, h, frac)
+    h = ec.EdgeColoredHypergraph(3, 3, ())
+    cases = {
+        # one ulp below the cut is kept, the cut itself is not below it
+        ((cut, below, 1.0), (above, cut, cut), (0.7, 0.6, 0.6)): (2, 2, 2),
+        # ties between colors go to the lowest index
+        ((1.0, 1.0, 1.0), (0.5, 0.5, 0.5), (cut, 1.0, cut)): (1, 1, 1),
+    }
+    for rows, expected in cases.items():
+        frac = _distance(rows)
+        assert ec.half_threshold_round(h, frac) == _reference_half_threshold(h, frac) == expected
+    for rounder in (ec.half_threshold_round, _reference_half_threshold):
+        # the first node with two colors below the cut is named
+        with pytest.raises(RuntimeError, match="^node 2 has two colors with distance below 1/2; input is not"):
+            rounder(h, _distance([[cut, cut, 1.0], [below, 0.0, 1.0], [0.0, below, 0.0]]))
+    for frac in (_assignment(np.ones((3, 3))), _distance(np.ones((3, 2))), _distance(np.ones((2, 3)))):
+        _assert_same(ec.half_threshold_round, _reference_half_threshold, h, frac)
+
+
+def _disjoint_edges(colors, k):
+    """Two-node edges on disjoint node pairs; every node prefers color k."""
+    edges = tuple(ec.Edge(color=c, weight=1.0, nodes=(2 * e + 1, 2 * e + 2)) for e, c in enumerate(colors))
+    rows = np.ones((2 * len(colors), k))
+    rows[:, k - 1] = 0.0
+    return ec.EdgeColoredHypergraph(2 * len(colors), k, edges), rows
+
+
+def test_protected_round_equals_frozen_loop_at_each_cut():
+    # a kept edge shows its own color at its nodes, a deleted one color 3
+    h, rows = _disjoint_edges([1, 1, 1, 2, 2, 2], 3)
+    for rho in (0.1, 0.25, 1 / 3, 0.5, np.nextafter(0.5, 0.0)):
+        gamma = [*_around(1.0 - rho - 1e-12), *_around(rho - 1e-12)]
+        frac = _distance(rows, gamma)
+        _assert_same(ec.protected_round, _reference_protected, h, frac, 1, rho)
+        assert ec.protected_round(h, frac, 1, rho) == (1, 1, 3, 3, 3, 3, 2, 2, 3, 3, 3, 3)
+    rng = random.Random(2303)
+    h = ec.triangle_gadget()
+    rows = [[0.0, 1.0, 1.0], [1.0, 0.0, 0.0], [1.0, 1.0, 1.0]]
+    for _ in range(200):
+        rho = rng.choice((0.25, 0.5))
+        gamma = [rng.choice(_around(rng.choice((1.0 - rho, rho)) - 1e-12)) for _ in range(3)]
+        _assert_same(ec.protected_round, _reference_protected, h, _distance(rows, gamma), rng.randint(1, 3), rho)
+    # no edge deleted: the triangle's pairs are uncovered
+    _assert_same(ec.protected_round, _reference_protected, h, _distance(rows, np.zeros(3)), 1, 0.5)
+    with pytest.raises(ec.CoverViolation):
+        ec.protected_round(h, _distance(rows, np.zeros(3)), 1, 0.5)
+    for frac, color, rho in (
+        (_distance(rows, np.zeros(3)), 1, 0.0),
+        (_distance(rows, np.zeros(3)), 4, 0.5),
+        (_assignment(rows, np.zeros(3)), 1, 0.5),
+        (_distance(rows, np.zeros(2)), 1, 0.5),
+    ):
+        _assert_same(ec.protected_round, _reference_protected, h, frac, color, rho)
+
+
+def test_lovasz_round_equals_frozen_loop_at_the_cut():
+    # nodes no kept edge commits take color 1, so the edges use colors 2 and 3
+    h, _ = _disjoint_edges([2, 3, 2], 3)
+    gamma = np.array(_around(0.5 - 1e-9))
+    _assert_same(ec.lovasz_round, _reference_lovasz, h, gamma)
+    assert ec.lovasz_round(h, gamma) == (2, 2, 1, 1, 1, 1)
+    rng = random.Random(2304)
+    tri = ec.triangle_gadget()
+    for _ in range(100):
+        gamma = [rng.choice((0.0, *_around(0.5 - 1e-9), 1.0)) for _ in range(3)]
+        _assert_same(ec.lovasz_round, _reference_lovasz, tri, gamma)
+    for gamma in (np.zeros(3), np.zeros(2), [[0.0, 0.0, 0.0]]):
+        _assert_same(ec.lovasz_round, _reference_lovasz, tri, gamma)
