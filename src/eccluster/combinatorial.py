@@ -4,11 +4,11 @@ These need no linear algebra.  The matching pass gives a linear-time factor-k
 approximation for the min-max color objective and factor 2 for the min
 objective, whatever the weights; the branching searches decide
 budgeted feasibility questions exactly, on bitmasks of the alive edges with
-an explicit stack and a memo of exhausted states, in a number of steps
-exponential only in the budget, though each step also costs time linear in
-the search depth (its conflict scan starts at the first node and its memo
-key sorts the deleted edges); brute force enumerates all colorings and is
-the ground truth at desk scale.  It walks the colorings in
+an explicit stack, in a number of steps exponential only in the budget:
+their two branches share no deletion set, so no state is searched twice,
+and each step's conflict scan resumes at its parent's conflict node; brute
+force enumerates all colorings and is the ground truth at desk scale.  It
+walks the colorings in
 ``itertools.product`` order in numpy blocks of k^L states that share all but
 the last L node colors, and scores each block with at most one array call of
 ``evaluate_errors``, whose entries have the bytes of one-vector calls, so its
@@ -53,10 +53,6 @@ _SCREEN_REL = 1e-9
 #: two positive weights the range holds only for p < 2000 (2^p <= 1e600),
 #: where margin / p is many ulps; with one, the nonzero sums are all equal.
 _SCREEN_RANGE = 1e300
-#: The fpt memo stops growing at this many exhausted states, so its memory
-#: stays bounded (about 100 MB at a few hundred bytes per state) however long
-#: a search runs.
-_MEMO_CAP = 1 << 18
 
 
 def matching_approximation(
@@ -111,64 +107,60 @@ def _branch_search(
     """Coloring whose deleted weight keeps every account within its limit, or None.
 
     Branches on the first conflict, found by a ``ConflictScan`` on per-node
-    bitmasks of the alive edges: one of its two edges must be deleted in any
-    feasible solution, and a deletion adds the edge's weight to each account
-    ``accounts(edge)`` names, so every root-leaf path keeps each tally within
-    its limit.  The depth-first search runs on an explicit stack, so the
-    interpreter's recursion limit does not bound its depth.  Every exhausted
-    child's deleted set (its sorted edge ids, the complement of its alive
-    set) is remembered, up to ``_MEMO_CAP`` of them, with the tallies it was
-    entered with; a later child with the same set and tallies no smaller in
-    every account is skipped.  The limit checks are monotone in the
-    tallies, so a skipped subtree holds no solution and the first feasible
-    leaf, hence the coloring, is the one a plain depth-first search finds.
+    bitmasks of the alive edges: any feasible deletion set holds the
+    conflict's first edge a, or its second edge b but not a.  So the first branch deletes a,
+    and the second deletes b and keeps a alive for its whole subtree; a
+    deletion adds the edge's weight to each account ``accounts(edge)``
+    names, and a branch that would pass a limit or delete a kept edge is
+    skipped.  The two subtrees share no deletion set, so no set is searched
+    twice and no memo is needed.  Each leaf the keep rule prunes deletes an
+    edge whose first branch already failed, so (in exact arithmetic) the
+    first feasible leaf, hence the coloring, is the one a plain depth-first
+    search finds.  Deleting an edge never creates a conflict, so a child's
+    scan resumes at its parent's conflict node.  The search runs on an
+    explicit stack, so the interpreter's recursion limit does not bound its
+    depth, and its memory is linear in the depth.
     """
     weights = [e.weight for e in h.edges]
     charged = [accounts(e) for e in h.edges]
     bounds = [limit + _BRANCH_TOL for limit in limits]
     tallies = [0.0] * len(limits)
+    kept = [0] * h.edge_count  # frames in their second branch that keep each edge alive
     scan = ConflictScan(h, range(h.edge_count))
     conflict = scan.first()
     if conflict is None:
         return extend_coloring(h, ())
-    # The deleted edges of the current path, and per frame the conflict's two
-    # edges, the branches tried and the tallies the frame was entered with.
+    # The deleted edges of the current path, and per frame its conflict
+    # (node, edge, edge) and the number of branches tried.
     path: list[int] = []
-    stack = [[conflict[1:], 0, ()]]
-    exhausted: dict[tuple[int, ...], tuple[float, ...]] = {}
+    stack = [[conflict, 0]]
     while stack:
         frame = stack[-1]
-        pair, tried, entered = frame
+        (node, first, second), tried = frame
         if tried == 2:
             stack.pop()
-            if stack:
-                if len(exhausted) < _MEMO_CAP:
-                    exhausted[tuple(sorted(path))] = entered
+            kept[first] -= 1
+            if path:
                 e = path.pop()
                 for a in charged[e]:
                     tallies[a] -= weights[e]
                 scan.flip(e)
             continue
         frame[1] = tried + 1
-        e = pair[tried]
+        if tried:  # the second branch keeps the first edge alive
+            kept[first] += 1
+        e = second if tried else first
         w = weights[e]
-        if any(tallies[a] + w > bounds[a] for a in charged[e]):
+        if kept[e] or any(tallies[a] + w > bounds[a] for a in charged[e]):
             continue
         for a in charged[e]:
             tallies[a] += w
         path.append(e)
-        key = tuple(tallies)
-        seen = exhausted.get(tuple(sorted(path)))
-        if seen is not None and all(s <= t for s, t in zip(seen, key)):
-            path.pop()
-            for a in charged[e]:
-                tallies[a] -= w
-            continue
         scan.flip(e)
-        conflict = scan.first()
+        conflict = scan.first(node)
         if conflict is None:
             return extend_coloring(h, path)
-        stack.append([conflict[1:], 0, key])
+        stack.append([conflict, 0])
     return None
 
 

@@ -8,6 +8,7 @@ rounding, branching) works over the types in this module.
 
 from __future__ import annotations
 
+import bisect
 import math
 import sys
 from dataclasses import dataclass, field
@@ -456,13 +457,17 @@ class ConflictScan:
             return True
         return False
 
-    def first(self) -> Optional[tuple[int, int, int]]:
+    def first(self, start: int = 0) -> Optional[tuple[int, int, int]]:
         """First (node, edge, edge) conflict among the alive edges.
 
         At the lowest node whose alive edges carry two colors, the pair is
         its lowest alive edge and its lowest alive edge of another color.
+        Deleting edges never creates a conflict, so after deletions a scan
+        may resume at ``start``, the node of a conflict ``first`` returned
+        before: ``bisect`` finds its table in ``nodes``, and no node before
+        it is read.
         """
-        i = 0
+        i = bisect.bisect_left(self.nodes, start)
         while i < len(self.masks) or self._grow():
             here = self.masks[i]
             if here:

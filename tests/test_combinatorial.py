@@ -13,6 +13,7 @@ import pytest
 
 import eccluster as ec
 from eccluster import combinatorial
+from eccluster.hypergraph import ConflictScan
 from conftest import instance_batch, random_instance
 
 
@@ -606,13 +607,11 @@ def _reference_cases():
         yield _reweighted(h, rng) if i % 2 else h
 
 
-@pytest.mark.parametrize("block, memo_cap", [(1 << 12, 1 << 18), (81, 8)])
-def test_exact_solvers_match_frozen_reference(monkeypatch, block, memo_cap):
+@pytest.mark.parametrize("block", [1 << 12, 81])
+def test_exact_solvers_match_frozen_reference(monkeypatch, block):
     # the reference always runs 4096-state blocks; at 81 the search runs
-    # blocks of 2^6, 3^4 or 4^3 states and must still break ties the same
-    # way, and an fpt memo full after 8 states must not change an answer
+    # blocks of 2^6, 3^4 or 4^3 states and must still break ties the same way
     monkeypatch.setattr(combinatorial, "_BLOCK", block)
-    monkeypatch.setattr(combinatorial, "_MEMO_CAP", memo_cap)
     problems = [ec.MAX, ec.MIN, ec.COLORFAIR] + [ec.pmean(p) for p in (0.3, 0.5, 1.5, 2, 3, math.inf)]
     for h in _reference_cases():
         k = h.color_count
@@ -692,3 +691,93 @@ def test_fpt_answers_deep_yes_instance():
     small = ec.parse_instance(_alternating_star(20))
     assert ec.solve(small, ec.COLORFAIR, "fpt", tau=5.0).coloring is None
     assert ec.solve(small, ec.COLORFAIR, "fpt", tau=10.0).coloring is not None
+
+
+def _fpt_searches():
+    """(h, limits, accounts) of fpt searches at, above and just below each
+    optimum of ``_reference_cases()``, and on alternating stars."""
+    for h in _reference_cases():
+        k = h.color_count
+        opt_cf = ec.brute_force(h, ec.COLORFAIR)[0]
+        for tau in (opt_cf, opt_cf + 0.5, opt_cf - 1e-6):
+            if tau >= 0:
+                yield h, [tau] * k, lambda e: (e.color - 1,)
+        for color, b in ((1, 0.0), (k, 1.0), (k, math.inf)):
+            opt = ec.brute_force(h, ec.protected(color, None if math.isinf(b) else b))[0]
+            for t in (opt, opt + 0.5, opt - 1e-6):
+                if t >= 0:
+                    yield h, [t, min(b, t)], lambda e, color=color: (0, 1) if e.color == color else (0,)
+    for edges, tau in ((12, 5.0), (12, 6.0), (20, 5.0), (20, 10.0)):
+        h = ec.parse_instance(_alternating_star(edges))
+        yield h, [tau] * 2, lambda e: (e.color - 1,)
+        yield h, [tau, 0.0], lambda e: (0, 1) if e.color == 1 else (0,)
+
+
+def test_fpt_searches_no_deletion_set_twice(monkeypatch):
+    # The second branch keeps the first edge alive, so two search nodes that
+    # part at a conflict differ in that edge, and no deletion set repeats;
+    # and the search calls ``first`` no more often than the search without a
+    # memo scans for conflicts.
+    deleted_sets = []
+
+    class Spy(ConflictScan):
+        def __init__(self, h, alive):
+            super().__init__(h, alive)
+            self.deleted = set(range(h.edge_count)) - set(alive)
+
+        def flip(self, e):
+            super().flip(e)
+            self.deleted ^= {e}
+
+        def first(self, start=0):
+            deleted_sets.append(frozenset(self.deleted))
+            return super().first(start)
+
+    reference_scans = 0
+    find_conflict = _reference_find_conflict
+
+    def counted(h, alive):
+        nonlocal reference_scans
+        reference_scans += 1
+        return find_conflict(h, alive)
+
+    monkeypatch.setattr(combinatorial, "ConflictScan", Spy)
+    monkeypatch.setitem(globals(), "_reference_find_conflict", counted)
+    for h, limits, accounts in _fpt_searches():
+        deleted_sets.clear()
+        reference_scans = 0
+        got = combinatorial._branch_search(h, limits, accounts)
+        assert got == _reference_branch_search(h, limits, accounts)
+        assert len(set(deleted_sets)) == len(deleted_sets), (h, limits)
+        assert len(deleted_sets) <= reference_scans, (h, limits)
+
+
+def test_fpt_search_reads_linear_work_on_a_long_path(monkeypatch):
+    # 20,000 nodes on a path of edges in alternating colors, with budget for
+    # every edge: the search deletes one edge per step and never backtracks.
+    # Each scan resumes at its parent's conflict node, so the per-node tables
+    # (incident, differ, masks) are read O(nodes + depth x degree) times, here
+    # a few per node; a scan from the first node at every step would read
+    # them about n^2 / 2 times.
+    n = 20_000
+    h = ec.EdgeColoredHypergraph(n, 2, tuple(ec.Edge(1 + v % 2, 1.0, (v, v + 1)) for v in range(1, n)))
+    limit = 10 * n
+    reads = 0
+
+    class Counted(list):
+        def __getitem__(self, i):
+            nonlocal reads
+            reads += 1
+            if reads > limit:
+                raise AssertionError(f"the node tables were read more than {limit} times")
+            return super().__getitem__(i)
+
+    class Spy(ConflictScan):
+        def __init__(self, h, alive):
+            super().__init__(h, alive)
+            self.incident, self.differ, self.masks = Counted(), Counted(), Counted()
+
+    monkeypatch.setattr(combinatorial, "ConflictScan", Spy)
+    lam = ec.fpt_colorfair(h, float(n))
+    assert lam is not None
+    assert float(ec.color_error_vector(h, lam).max()) <= n
