@@ -8,14 +8,17 @@ an explicit stack, in a number of steps exponential only in the budget:
 their two branches share no deletion set, so no state is searched twice,
 and each step's conflict scan resumes at its parent's conflict node; brute
 force enumerates all colorings and is the ground truth at desk scale.  It
-walks the colorings in
-``itertools.product`` order in numpy blocks of k^L states that share all but
-the last L node colors, and scores each block with at most one array call of
-``evaluate_errors``, whose entries have the bytes of one-vector calls, so its
-values and tie-break are those of a one-coloring-at-a-time loop.  Where its
-powers stay within the float range, a p-mean block is first screened by its
-sums of ``np.power``: only colorings within a small margin of the best sum
-so far are scored, and a block with none is skipped.
+walks the colorings in ``itertools.product`` order in numpy blocks of k^L
+states that share all but the last L node colors.  A color's error row over
+a block depends on the shared colors only through one bit per node in one of
+the color's edges, so each row is summed once per such pattern and reused,
+and a block whose rows all equal an earlier block's is not walked.  Each
+block is scored with at most one array call of ``evaluate_errors``, whose
+entries have the bytes of one-vector calls, so its values and tie-break are
+those of a one-coloring-at-a-time loop.  Where its powers stay within the
+float range, a p-mean block is first screened by its sums of ``np.power``:
+only colorings within a small margin of the best sum so far are scored, and
+a block with none is skipped.
 """
 
 from __future__ import annotations
@@ -53,6 +56,10 @@ _SCREEN_REL = 1e-9
 #: two positive weights the range holds only for p < 2000 (2^p <= 1e600),
 #: where margin / p is many ulps; with one, the nonzero sums are all equal.
 _SCREEN_RANGE = 1e300
+#: Brute force keeps at most this many error rows per color; a new row past
+#: them replaces the oldest.  A row has at most 2^h patterns, h its color's
+#: high nodes, so searches with at most 4 high nodes never build one twice.
+_ROWS_KEPT = 16
 
 
 def matching_approximation(
@@ -208,6 +215,22 @@ def _screened(h: EdgeColoredHypergraph, p: float) -> bool:
         return False
 
 
+def _error_row(
+    color: int, parts: list, digits: tuple, out: np.ndarray, states: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """``out`` filled with one color's errors over a block's low colorings,
+    or over those of ``states``, its edges summed in file order: an edge adds
+    its weight where a high node in ``digits`` leaves it unsatisfied, and its
+    low part otherwise."""
+    out[:] = 0.0
+    for high_slots, low_part, w in parts:
+        if any(digits[i] != color for i in high_slots):
+            out += w
+        elif low_part is not None:  # else the edge is satisfied: adding 0.0 changes nothing
+            out += low_part if states is None else low_part[states]
+    return out
+
+
 def brute_force(
     h: EdgeColoredHypergraph, problem: Problem
 ) -> tuple[float, Coloring]:
@@ -217,23 +240,33 @@ def brute_force(
     k^(non-isolated nodes) and is capped at 2^24 states.  States are visited
     in ``itertools.product`` order (last populated node fastest) in aligned
     blocks of k^L states, L the largest with k^L <= ``_BLOCK``: a block fixes
-    the colors of all but the last L populated nodes.  The colorings of those
-    L nodes, and each edge's weight where they leave it unsatisfied, are
-    computed once.  A block then sums the per-color errors edge by edge in
-    file order, adding the edge's weight when the block's fixed nodes already
-    leave it unsatisfied and its stored vector otherwise, so every state gets
-    the float additions of a one-coloring-at-a-time loop.  It calls
-    ``evaluate_errors`` at most once per block, on the block's error rows
+    the colors (digits) of the first populated nodes, the high nodes, and
+    varies the last L.  The colorings of those L nodes, and each edge's
+    weight where they leave it unsatisfied (its low part), are computed
+    once.  A color's error row over a block sums the color's edges in file
+    order, adding an edge's weight when a high node already leaves it
+    unsatisfied and its low part otherwise, so every state gets the float
+    additions of a one-coloring-at-a-time loop.  The row depends on the
+    digits only through its pattern, one bit per high node in one of the
+    color's edges (does the node carry the color?), so a row is built once
+    per pattern and reused by later blocks.  At most ``_ROWS_KEPT`` rows per
+    color are kept at a time, so the search holds at most that many arrays
+    of k^L floats per color besides one low part per edge.  A block whose
+    rows all equal an earlier block's is not walked: a high node whose digit
+    is no color of its edges is given only the least such digit.
+
+    Each block calls ``evaluate_errors`` at most once, on its error rows
     (those of the states within a protected budget), and that call gives
     every entry the bytes of a one-vector call.  A p-mean search whose
-    powers stay in range (``_screened``) screens each block first: S, the sum
-    of ``np.power(errors, p)`` per state, is one array expression.  Only the
-    states whose S lies within ``_SCREEN_REL`` of the lesser of the block's
-    least S and the incumbent's S are scored, in ascending order, and a
-    block with none is skipped.  A state left out is worse than the block's
-    best and than the incumbent, so every state that could replace the
-    incumbent, and every state that ties it, is scored: the screen changes
-    no value and no tie-break.  Ties keep the
+    powers stay in range (``_screened``) screens each block first: it keeps
+    ``np.power`` of each row in place of the row, and S, the sum of a
+    block's power rows, is one array expression.  Only the states whose S
+    lies within ``_SCREEN_REL`` of the lesser of the block's least S and the
+    incumbent's S are scored, in ascending order, their errors summed again
+    from the low parts, and a block with none is skipped.  A state left out
+    is worse than the block's best and than the incumbent, so every state
+    that could replace the incumbent, and every state that ties it, is
+    scored: the screen changes no value and no tie-break.  Ties keep the
     lexicographically smallest coloring.  For the protected problem the value
     is the least total unsatisfied weight among colorings whose protected
     share stays within the budget (no budget means unconstrained).
@@ -250,8 +283,7 @@ def brute_force(
     budget = None
     if problem.kind == "protected":
         budget = math.inf if problem.budget is None else problem.budget
-        protected_idx = problem.protected_color - 1
-        if not 0 <= protected_idx < k:
+        if not 1 <= problem.protected_color <= k:
             raise ValueError("protected color out of range")
 
     screen = problem.kind == "pmean" and _screened(h, problem.p)
@@ -259,9 +291,9 @@ def brute_force(
     # other color's error is 0.0 in every state, so arrays stay small when k
     # is large; leaving those rows out changes no value, as adding 0.0
     # changes no sum, it raises no max of nonnegative errors, and 0.0**p is 0.
-    used = {e.color - 1 for e in h.edges}
+    used = {e.color for e in h.edges}
     if budget is not None:
-        used.add(protected_idx)
+        used.add(problem.protected_color)
     rows = sorted(used)
     row_of = {c: r for r, c in enumerate(rows)}
 
@@ -273,39 +305,66 @@ def brute_force(
     radix = k ** np.arange(low - 1, -1, -1)
     low_colors = (np.arange(size) // radix[:, None] % k + 1).astype(np.min_scalar_type(k))
     slot = {v: i for i, v in enumerate(populated)}
-    # (row, color, slots among the high nodes, weight where the low nodes
-    # leave the edge unsatisfied or None when it has no low node, weight)
-    edges = []
+    # Per row, its edges in file order as (slots among the high nodes,
+    # low part or None when the edge has no low node, weight).
+    parts: list[list] = [[] for _ in rows]
     for e in h.edges:
         slots = [slot[v] for v in e.nodes]
         low_slots = [i - high for i in slots if i >= high]
         low_part = None
         if low_slots:
             low_part = np.where((low_colors[low_slots] != e.color).any(axis=0), e.weight, 0.0)
-        high_slots = [i for i in slots if i < high]
-        edges.append((row_of[e.color - 1], e.color, high_slots, low_part, e.weight))
+        parts[row_of[e.color]].append(([i for i in slots if i < high], low_part, e.weight))
+    # Per row, (high slot, bit) for each high node in its edges: a pattern
+    # is the sum of the bits of the nodes that carry the row's color.
+    bits = []
+    for part in parts:
+        touched = sorted({i for high_slots, _, _ in part for i in high_slots})
+        bits.append([(i, 1 << j) for j, i in enumerate(touched)])
+    # Per high node, the digits walked: its edges' colors, and the least
+    # other color, whose rows every other such color repeats.
+    choices = []
+    for v in populated[:high]:
+        colors = {h.edges[e].color for e in h.incidence[v - 1]}
+        other = next(c for c in itertools.count(1) if c not in colors)
+        choices.append(sorted(colors | {other} if other <= k else colors))
+    cache: list[dict] = [{} for _ in rows]  # per row, pattern -> row, or its powers when screened
+    raw = np.empty(size)  # a screened row before its powers
 
     best_value: Optional[float] = None
     best_colors: list[int] = []
     best_sum = math.inf  # the incumbent's screened sum
-    for digits in itertools.product(range(1, k + 1), repeat=high):
-        errors = np.zeros((len(rows), size))
-        for r, color, high_slots, low_part, w in edges:
-            if any(digits[i] != color for i in high_slots):
-                errors[r] += w
-            elif low_part is not None:  # else the edge is satisfied: adding 0.0 changes nothing
-                errors[r] += low_part
+    for digits in itertools.product(*choices):
+        block = []
+        for color, part, row_bits, kept in zip(rows, parts, bits, cache):
+            key = sum(bit for i, bit in row_bits if digits[i] == color)
+            row = kept.get(key)
+            if row is None:
+                # the oldest row's array takes the new one, so memory is not churned
+                row = kept.pop(next(iter(kept))) if len(kept) == _ROWS_KEPT else np.empty(size)
+                if screen:
+                    np.power(_error_row(color, part, digits, raw), problem.p, out=row)
+                else:
+                    _error_row(color, part, digits, row)
+                kept[key] = row
+            block.append(row)
         candidates = None
-        if budget is not None:
-            over = errors[row_of[protected_idx]] > budget + _BRANCH_TOL
-            candidates = np.flatnonzero(~over)
-        elif screen:
-            sums = left_sum(np.power(errors, problem.p))
+        if screen:
+            sums = left_sum(block)
             candidates = np.flatnonzero(sums <= min(sums.min(), best_sum) * (1.0 + _SCREEN_REL))
-        if candidates is not None:
             if candidates.size == 0:
                 continue
-            errors = errors[:, candidates]
+            errors = np.empty((len(rows), candidates.size))
+            for out, color, part in zip(errors, rows, parts):
+                _error_row(color, part, digits, out, candidates)
+        else:
+            errors = np.array(block) if block else np.zeros((0, size))
+            if budget is not None and budget < math.inf:
+                over = block[row_of[problem.protected_color]] > budget + _BRANCH_TOL
+                candidates = np.flatnonzero(~over)
+                if candidates.size == 0:
+                    continue
+                errors = errors[:, candidates]
 
         values = evaluate_errors(errors, problem, total_weight)
         j = int(values.argmax() if maximize else values.argmin())

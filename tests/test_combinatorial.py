@@ -6,6 +6,7 @@ import itertools
 import math
 import random
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -675,6 +676,151 @@ def test_pmean_screen_keeps_every_tie_to_the_byte():
     cases += [(single, ec.pmean(p)) for p in (2, 1e7, math.inf)]
     for h, problem in cases:
         assert ec.brute_force(h, problem) == _reference_brute_force(h, problem), (h, problem)
+
+
+def _block_layout(h):
+    """The populated nodes and how many of them are high (fixed per block)."""
+    populated = [v for v in range(1, h.node_count + 1) if h.incidence[v - 1]]
+    low = 0
+    while low < len(populated) and h.color_count ** (low + 1) <= combinatorial._BLOCK:
+        low += 1
+    return populated, len(populated) - low
+
+
+def _touched(h):
+    """Per used color, the high slots of the nodes in its edges, ascending."""
+    populated, high = _block_layout(h)
+    slots = {c: set() for c in {e.color for e in h.edges}}
+    for e in h.edges:
+        slots[e.color].update(i for i in map(populated.index, e.nodes) if i < high)
+    return {c: sorted(s) for c, s in slots.items()}
+
+
+def _joint_patterns(h):
+    """The distinct joint patterns over all k^high blocks, and their count."""
+    _, high = _block_layout(h)
+    touched = _touched(h)
+    joint = set()
+    for digits in itertools.product(range(1, h.color_count + 1), repeat=high):
+        joint.add(tuple((c, tuple(digits[i] == c for i in touched[c])) for c in sorted(touched)))
+    return joint, h.color_count**high
+
+
+def _binding_budget(h, color):
+    """Half the protected share of the unconstrained optimum."""
+    lam = ec.brute_force(h, ec.protected(color))[1]
+    return float(ec.color_error_vector(h, lam)[color - 1]) / 2
+
+
+def _reuse_cases():
+    """Instances on which blocks of 9 and 81 states vary several high digits
+    and repeat row patterns: k = 2, 3 and 4, with decimal and extreme weights."""
+    rng = random.Random(80)
+    for k, n in ((2, 9), (3, 7), (4, 5)):
+        for weights in ((0.1, 0.3, 0.7), (1e200, 1e-200)):
+            h = random_instance(rng, n_lo=n, n_hi=n, k_lo=k, k_hi=k, m_lo=2 * n, m_hi=2 * n, sizes=(1, 2, 3))
+            edges = tuple(replace(e, weight=rng.choice(weights)) for e in h.edges)
+            yield ec.EdgeColoredHypergraph(n, k, edges)
+
+
+@pytest.mark.parametrize("block", [9, 81])
+def test_reused_rows_keep_the_bytes(monkeypatch, block):
+    monkeypatch.setattr(combinatorial, "_BLOCK", block)
+    problems = [ec.MAX, ec.MIN, ec.COLORFAIR] + [ec.pmean(p) for p in (0.5, 2, 3, math.inf)]
+    binding = 0
+    for h in _reuse_cases():
+        _, high = _block_layout(h)
+        assert high >= 2
+        color = max(range(1, h.color_count + 1), key=lambda c: sum(e.weight for e in h.edges if e.color == c))
+        budget = _binding_budget(h, color)
+        free = ec.brute_force(h, ec.protected(color))[0]
+        for problem in problems + [ec.protected(color), ec.protected(color, budget)]:
+            got = ec.brute_force(h, problem)
+            for reference in (_reference_brute_force, _scalar_brute_force):
+                want = reference(h, problem)
+                assert (got[0].hex(), got[1]) == (want[0].hex(), want[1]), (h, problem, reference)
+        binding += ec.brute_force(h, ec.protected(color, budget))[0] > free
+    assert binding >= 2
+
+
+def test_brute_force_builds_each_row_once_and_scores_each_pattern_once(monkeypatch):
+    # counts work, not time: of the 81 blocks of a k = 3, n = 11 instance,
+    # only those with a new joint pattern are scored, and each (color,
+    # pattern) row is summed once
+    rng = random.Random(1)
+    h = random_instance(rng, n_lo=11, n_hi=11, k_lo=3, k_hi=3, m_lo=22, m_hi=22)
+    while any(not ids for ids in h.incidence):
+        h = random_instance(rng, n_lo=11, n_hi=11, k_lo=3, k_hi=3, m_lo=22, m_hi=22)
+    joint, blocks = _joint_patterns(h)
+    assert blocks == 81 and len(joint) < blocks
+    touched = _touched(h)
+    rows = {(c, pattern) for patterns in joint for c, pattern in patterns}
+    calls, built = [], []
+    error_row = combinatorial._error_row
+
+    def count_calls(errors, problem, total_weight):
+        calls.append(np.shape(errors))
+        return ec.evaluate_errors(errors, problem, total_weight)
+
+    def count_rows(color, parts, digits, out, states=None):
+        if states is None:
+            built.append((color, tuple(digits[i] == color for i in touched[color])))
+        return error_row(color, parts, digits, out, states)
+
+    monkeypatch.setattr(combinatorial, "evaluate_errors", count_calls)
+    monkeypatch.setattr(combinatorial, "_error_row", count_rows)
+    for problem in (ec.MIN, ec.MAX, ec.COLORFAIR, ec.protected(1), ec.pmean(2)):
+        calls.clear()
+        built.clear()
+        assert ec.brute_force(h, problem) == _reference_brute_force(h, problem), problem
+        assert sorted(built) == sorted(rows), problem
+        if problem.kind == "pmean":  # the screen skips most blocks
+            assert 0 < len(calls) < len(joint)
+        else:
+            assert len(calls) == len(joint), problem
+
+
+def test_brute_force_skips_no_block_when_every_high_node_touches_every_color(monkeypatch):
+    monkeypatch.setattr(combinatorial, "_BLOCK", 9)
+    E = ec.Edge
+    edges = []
+    for v in range(1, 6):
+        edges += [E(1, (0.1, 0.3, 0.7)[v % 3], (v, v + 1)), E(2, (0.7, 0.3, 0.1)[v % 3], (v, v + 3))]
+    h = ec.EdgeColoredHypergraph(8, 2, tuple(edges))
+    joint, blocks = _joint_patterns(h)
+    assert blocks == 32 and len(joint) == blocks
+    calls = []
+
+    def count_calls(errors, problem, total_weight):
+        calls.append(1)
+        return ec.evaluate_errors(errors, problem, total_weight)
+
+    monkeypatch.setattr(combinatorial, "evaluate_errors", count_calls)
+    for problem in (ec.MIN, ec.MAX, ec.COLORFAIR, ec.pmean(2), ec.protected(2, 0.4)):
+        calls.clear()
+        got = ec.brute_force(h, problem)
+        for reference in (_reference_brute_force, _scalar_brute_force):
+            want = reference(h, problem)
+            assert (got[0].hex(), got[1]) == (want[0].hex(), want[1]), (problem, reference)
+        if problem.kind in ("min", "max", "colorfair"):
+            assert len(calls) == blocks, problem
+
+
+def test_brute_force_memory_stays_bounded():
+    # a k = 3, n = 15 search has 8 high nodes, so its rows are evicted and
+    # built again; this reads about 1.4 MB for each problem, 0.6 MB with no
+    # row kept and 4.5 MB with every row kept
+    rng = random.Random(15)
+    h = random_instance(rng, n_lo=15, n_hi=15, k_lo=3, k_hi=3, m_lo=30, m_hi=30)
+    assert _block_layout(h)[1] == 8
+    for problem in (ec.MIN, ec.pmean(2)):
+        tracemalloc.start()
+        try:
+            ec.brute_force(h, problem)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000, (problem, peak)
 
 
 def _alternating_star(edges):
