@@ -1,12 +1,16 @@
 """Fractional relaxations of the clustering objectives.
 
-Two variable orientations appear throughout.  The assignment orientation
-carries x_v^c (how much node v leans toward color c, summing to 1 per node)
-and per-edge satisfaction caps z_e.  The distance orientation carries the
-complementary d_v^c = 1 - x_v^c and per-edge violation levels gamma_e = 1 -
-z_e.  Builders translate an instance into a LinearProgram, one constraint
-matrix filled by index arrays with a sense and a rhs per row, and solvers
-map the optimum back onto the hypergraph.
+Every relaxation lives in one distance region: d_v^c (how far node v sits
+from color c) with sum_c d_v^c >= k - 1 per node, and per-edge violation
+levels gamma_e >= d_v^c for every node v of the edge, all in [0, 1].
+Builders translate an instance into a LinearProgram, one constraint matrix
+filled by index arrays, and solvers map the optimum back onto the
+hypergraph.  The max relaxation is the assignment orientation of the p = 1
+distance LP (the edge-colored clustering LP of Amburg, Veldt and Benson,
+WWW 2020): x_v^c = 1 - d_v^c, how much node v leans toward color c, and
+satisfaction caps z_e = 1 - gamma_e.  Read that way the region is the
+assignment polytope with sum_c x_v^c <= 1 per node in place of = 1, which
+moves no optimum, since raising an x entry never lowers a cap.
 
 The convex objectives (the p-norm for 1 < p < inf, the Lovász extension for
 0 < p < 1) go through one cutting-plane loop (Kelley, J. SIAM 8(4), 1960).
@@ -30,7 +34,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .hypergraph import EdgeColoredHypergraph, build_conflict_graph, left_sum, pmean_norm
-from .lp import EPS_FEAS, EQ, GE, LE, LinearProgram, solve_lp
+from .lp import EPS_FEAS, GE, LE, LinearProgram, solve_lp
 
 __all__ = [
     "CuttingPlaneResult",
@@ -38,7 +42,6 @@ __all__ = [
     "VariableLayout",
     "fallback_colors",
     "color_mass",
-    "build_max_lp",
     "solve_max_relaxation",
     "build_pmean_program",
     "solve_pmean_relaxation",
@@ -65,8 +68,9 @@ class FractionalSolution:
     ``node_color`` is n x k: x_v^c under the assignment orientation, d_v^c
     under the distance orientation.  ``edge_value`` is z_e respectively
     gamma_e.  ``bound`` is a certified bound on the relaxation optimum, and so
-    on the integral optimum, from the relaxation's side: the LP optimum, or
-    the cutting-plane loop's lower bound.  ``converged`` is False when that
+    on the integral optimum, from the relaxation's side: the LP optimum (for
+    the max relaxation, sum_e w_e z_e at the optimal point), or the
+    cutting-plane loop's lower bound.  ``converged`` is False when that
     loop stopped at its cut cap before closing its gap to the tolerance.
     """
 
@@ -121,42 +125,26 @@ def color_mass(h: EdgeColoredHypergraph, gamma: np.ndarray) -> np.ndarray:
     return np.bincount(colors, weights * np.asarray(gamma, dtype=float), minlength=h.color_count)
 
 
-def build_max_lp(h: EdgeColoredHypergraph) -> tuple[LinearProgram, VariableLayout]:
-    """maximize sum_e w_e z_e with sum_c x_v^c = 1 and x_v^c >= z_e for v in e.
-
-    ``A`` holds one row per node, then one per incidence in edge order.
-    """
-    region, lay = _region(h, EQ, 1.0, GE)
-    return LinearProgram(_weight_objective(h, lay), *region, maximize=True), lay
-
-
 def solve_max_relaxation(h: EdgeColoredHypergraph) -> FractionalSolution:
-    """Assignment-orientation optimum; x snapped to 0 or 1 within EPS_FEAS, and
-    z_e to its cap min_{v in e} x_v^c.
+    """Assignment-orientation optimum: the p = 1 distance LP read as x = 1 - d.
 
-    The snap drops the few ulps the simplex's final basis re-solve leaves on
-    entries at a bound, so equal optima print equal bytes.
+    Node masses sum to at most 1 (the priority roundings accept that).  x is
+    snapped to 0 or 1 within EPS_FEAS, which drops the few ulps the simplex's
+    final basis re-solve leaves on entries at a bound, so equal optima print
+    equal bytes; z_e is its cap min_{v in e} x_v^c.  ``bound`` is sum_e w_e
+    z_e at that point, summed left to right, so a total past the float range
+    reads inf.
     """
-    lp, lay = build_max_lp(h)
-    sol = solve_lp(lp)
-    x, z = lay.split(sol.values)
-    row_sums = x.sum(axis=1)
-    if np.any(np.abs(row_sums - 1.0) > EPS_FEAS):
-        raise RuntimeError("node color mass does not sum to 1 within tolerance")
+    x = 1.0 - solve_pmean_relaxation(h, 1.0).node_color
     x[np.abs(x) <= EPS_FEAS] = 0.0
     x[np.abs(x - 1.0) <= EPS_FEAS] = 1.0
-    for e, edge in enumerate(h.edges):
-        cap = min(x[v - 1, edge.color - 1] for v in edge.nodes)
-        z[e] = min(max(cap, 0.0), 1.0)
-    return FractionalSolution(x, z, ASSIGNMENT, sol.objective_value)
+    z = np.array([min(x[v - 1, edge.color - 1] for v in edge.nodes) for edge in h.edges], dtype=float)
+    return FractionalSolution(x, z, ASSIGNMENT, left_sum((_edge_arrays(h)[1] * z).tolist()))
 
 
-def _region(
-    h: EdgeColoredHypergraph, node_sense: str, node_rhs: float, edge_sense: str, extra: int = 0
-) -> tuple[tuple, VariableLayout]:
-    """(A, senses, rhs) of one mass row per node over its colors, then one row
-    per incidence, in edge order, comparing node v's entry for the edge's
-    color with the edge's value."""
+def _region(h: EdgeColoredHypergraph, extra: int = 0) -> tuple[tuple, VariableLayout]:
+    """(A, senses, rhs) of the distance region: sum_c d_v^c >= k - 1 per
+    node, then d_v^c <= gamma_e per incidence, in edge order."""
     lay = VariableLayout(h.node_count, h.color_count, h.edge_count, extra=extra)
     n, k = h.node_count, h.color_count
     inc_node = np.array([v for edge in h.edges for v in edge.nodes], dtype=np.intp)
@@ -166,14 +154,9 @@ def _region(
     inc_rows = n + np.arange(inc_node.size)
     A[inc_rows, lay.node_color_col(inc_node, _edge_arrays(h)[0][inc_edge] + 1)] = 1.0
     A[inc_rows, lay.edge_col(inc_edge)] = -1.0
-    senses = np.repeat([node_sense, edge_sense], [n, inc_node.size])
-    rhs = np.repeat([node_rhs, 0.0], [n, inc_node.size])
+    senses = np.repeat([GE, LE], [n, inc_node.size])
+    rhs = np.repeat([float(k - 1), 0.0], [n, inc_node.size])
     return (A, senses, rhs), lay
-
-
-def _distance_region(h: EdgeColoredHypergraph, extra: int = 0) -> tuple[tuple, VariableLayout]:
-    """Shared rows: sum_c d_v^c >= k-1 per node; d_v^c <= gamma_e per incidence."""
-    return _region(h, GE, float(h.color_count - 1), LE, extra)
 
 
 def _edge_arrays(h: EdgeColoredHypergraph) -> tuple[np.ndarray, np.ndarray]:
@@ -203,9 +186,9 @@ def build_pmean_program(h: EdgeColoredHypergraph, p: float):
     if p < 1:
         raise ValueError("p < 1 is handled by the Lovász path, not this builder")
     if p == 1:
-        region, lay = _distance_region(h)
+        region, lay = _region(h)
         return LinearProgram(_weight_objective(h, lay), *region), lay
-    region, lay = _distance_region(h, extra=1)
+    region, lay = _region(h, extra=1)
     colors, weights = _edge_arrays(h)
     masses = color_mass(h, np.ones(h.edge_count)).tolist()  # at gamma = 1
     if math.isinf(p):
@@ -356,7 +339,7 @@ def build_protected_lp(
         raise ValueError(f"protected color {protected_color} out of range")
     if not budget >= 0:
         raise ValueError("budget must be >= 0")
-    (A, senses, rhs), lay = _distance_region(h)
+    (A, senses, rhs), lay = _region(h)
     on_p = _edge_arrays(h)[0] == protected_color - 1
     budget_row = _weight_objective(h, lay)
     budget_row[lay.edge_col(np.flatnonzero(~on_p))] = 0.0

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import random
 
-from eccluster import Edge, EdgeColoredHypergraph
+import numpy as np
+
+from eccluster import EQ, GE, Edge, EdgeColoredHypergraph, LinearProgram
 
 # The convex benchmark workload's capped p = 2 instance: six nodes, three
 # colors, twelve unit edges.  The cutting-plane loop needs eleven master LPs.
@@ -52,6 +54,31 @@ def random_instance(
 def instance_batch(seed: int, count: int, **kwargs) -> list[EdgeColoredHypergraph]:
     rng = random.Random(seed)
     return [random_instance(rng, **kwargs) for _ in range(count)]
+
+
+def assignment_lp(h: EdgeColoredHypergraph) -> LinearProgram:
+    """The max relaxation's LP in its own, assignment form, frozen here.
+
+    maximize sum_e w_e z_e over columns x (node by node, color by color)
+    then z, with one EQ row sum_c x_v^c = 1 per node, then one GE row
+    x_v^c - z_e >= 0 per incidence, in edge order.  The library solves the
+    p = 1 distance LP instead; this program keeps EQ rows and a maximize
+    objective in the simplex tests, and its optimum is the max bound.
+    """
+    n, k, m = h.node_count, h.color_count, h.edge_count
+    inc_node = np.array([v for edge in h.edges for v in edge.nodes], dtype=np.intp)
+    inc_edge = np.repeat(np.arange(m), [len(edge.nodes) for edge in h.edges])
+    inc_color = np.array([h.edges[e].color for e in inc_edge], dtype=np.intp)
+    A = np.zeros((n + inc_node.size, n * k + m))
+    A[np.arange(n).repeat(k), np.arange(n * k)] = 1.0
+    inc_rows = n + np.arange(inc_node.size)
+    A[inc_rows, (inc_node - 1) * k + inc_color - 1] = 1.0
+    A[inc_rows, n * k + inc_edge] = -1.0
+    objective = np.zeros(n * k + m)
+    objective[n * k :] = [edge.weight for edge in h.edges]
+    senses = np.repeat([EQ, GE], [n, inc_node.size])
+    rhs = np.repeat([1.0, 0.0], [n, inc_node.size])
+    return LinearProgram(objective, A, senses, rhs, maximize=True)
 
 
 def serialize_instance(h: EdgeColoredHypergraph) -> str:

@@ -14,8 +14,8 @@ import eccluster as ec
 import eccluster.lp as lp_module
 import eccluster.relaxations as relaxations
 from eccluster.lp import EPS_FEAS, EQ, GE, LE, SimplexError, max_violation
-from eccluster.relaxations import build_max_lp, build_pmean_program, build_protected_lp
-from conftest import SLOW_P2, instance_batch, random_instance
+from eccluster.relaxations import build_pmean_program, build_protected_lp
+from conftest import SLOW_P2, assignment_lp, instance_batch, random_instance
 
 
 def _lp(objective, rows, maximize=False, bounds=None):
@@ -429,7 +429,7 @@ def _relaxation_lps():
     assert any(h.color_count >= 4 for h in batch)
     lps = []
     for h in batch:
-        lps += [build_max_lp(h)[0], build_pmean_program(h, 1)[0], build_pmean_program(h, math.inf)[0]]
+        lps += [assignment_lp(h), build_pmean_program(h, 1)[0], build_pmean_program(h, math.inf)[0]]
         mass = sum(h.edges[e].weight for e in h.color_classes[-1])
         lps += [build_protected_lp(h, 1, 0.0)[0], build_protected_lp(h, h.color_count, mass / 2)[0]]
     return lps
@@ -454,7 +454,7 @@ def _cutting_plane_masters():
 def _n50_max_lp():
     rng = random.Random(50)
     h = random_instance(rng, n_lo=50, n_hi=50, k_lo=3, k_hi=3, m_lo=100, m_hi=100)
-    return [build_max_lp(h)[0]]
+    return [assignment_lp(h)]
 
 
 def _random_programs():

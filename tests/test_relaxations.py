@@ -10,9 +10,10 @@ import pytest
 
 import eccluster as ec
 import eccluster.relaxations as relaxations
-from eccluster.lp import max_violation
+from eccluster.hypergraph import left_sum
+from eccluster.lp import EPS_FEAS, max_violation
 from eccluster.relaxations import build_pmean_program
-from conftest import SLOW_P2, instance_batch, random_instance
+from conftest import SLOW_P2, assignment_lp, instance_batch, random_instance
 
 
 def test_triangle_max_relaxation_half_integral():
@@ -134,6 +135,35 @@ def test_max_bound_past_the_float_range_is_inf():
     frac = ec.solve_max_relaxation(h)
     assert frac.bound == math.inf
     assert frac.edge_value.tolist() == [1.0, 1.0]
+
+
+def test_max_relaxation_is_the_min_lp_at_optimality():
+    # x = 1 - d of the p = 1 distance LP: the assignment LP with node masses
+    # at most 1, which attains the equality form's optimum
+    edge = ec.Edge
+    # k = 1 satisfies every edge; these weights add to 3.5000000000000004
+    # left to right and to 3.5 in numpy's pairwise sum
+    weights = (0.7, 0.7, 0.1, 0.7, 0.3, 0.2, 0.1, 0.3, 0.1, 0.1, 0.1, 0.1)
+    cases = instance_batch(57, 12) + instance_batch(58, 8, k_hi=5, unit_weights=False)
+    cases += [
+        ec.EdgeColoredHypergraph(3, 2, (edge(1, 0.0, (1, 2)), edge(2, 1.0, (2, 3)), edge(1, 2.0, (1, 3)))),
+        ec.EdgeColoredHypergraph(4, 2, (edge(1, 1.0, (1, 2)), edge(2, 1.0, (2, 3)))),
+        ec.EdgeColoredHypergraph(4, 1, tuple(edge(1, w, (e % 4 + 1, (e + 1) % 4 + 1)) for e, w in enumerate(weights))),
+        ec.EdgeColoredHypergraph(3, 2, ()),
+    ]
+    for h in cases:
+        frac = ec.solve_max_relaxation(h)
+        x, z = frac.node_color, frac.edge_value
+        assert frac.orientation == "assignment"
+        assert x.min() >= 0.0 and x.max() <= 1.0
+        assert np.all(x.sum(axis=1) <= 1.0 + EPS_FEAS)
+        assert z.tolist() == [min(x[v - 1, e.color - 1] for v in e.nodes) for e in h.edges]
+        weighted = [e.weight * value for e, value in zip(h.edges, z.tolist())]
+        assert frac.bound.hex() == float(left_sum(weighted)).hex()
+        equality_optimum = ec.solve_lp(assignment_lp(h)).objective_value
+        min_side = h.total_weight - ec.solve_pmean_relaxation(h, 1.0).bound
+        for other in (equality_optimum, min_side):
+            assert math.isclose(frac.bound, other, rel_tol=1e-9, abs_tol=1e-12)
 
 
 def test_variable_layout_split():
