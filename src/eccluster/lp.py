@@ -10,7 +10,10 @@ An EQ row's slack is boxed in [0, 0], so no row needs an artificial and none
 is dropped: the basis holds one column per row, and the final basis is
 re-solved against the clean input data.  The tableau is stored densely in
 column-major order, and a pivot touches only the columns where the
-normalised pivot row is nonzero.
+normalised pivot row is nonzero.  The leaving row is priced by dual steepest
+edge (Forrest and Goldfarb, Math. Prog. 57, 1992): each row's weight is the
+squared norm of its row of the inverse basis, which the slack columns hold,
+so the weights are exact, recomputed for the rows each pivot changes.
 
 Every box is finite, so a program with no rows is solved by putting each
 variable at its cheaper bound, and that tableau is dual feasible.  A solve
@@ -55,9 +58,11 @@ EPS_FEAS = 1e-9
 #: point broke a row by 0.115 (``test_pinned_p2_master_solves``).
 _PIVOT_TOL = 1e-9
 _RATIO_TIE = 1e-12
-#: Degenerate pivots in a row after which the leaving row is chosen by
-#: Bland's rule, until the next nondegenerate pivot.
-_STALL = 50
+#: Degenerate pivots in a row, per tableau row, after which the leaving row
+#: is chosen by Bland's rule, until the next nondegenerate pivot.  Steepest
+#: edge runs degenerate streaks of up to about half the rows on the
+#: relaxation LPs, so a fixed count would hand them to Bland's rule.
+_STALL = 1
 
 
 class SimplexError(RuntimeError):
@@ -162,20 +167,36 @@ def max_violation(lp: LinearProgram, x: np.ndarray) -> float:
     return float(max(0.0, np.max(lo - x), np.max(x - hi), row.max(initial=0.0)))
 
 
-def _pivot(T: np.ndarray, obj: np.ndarray, basis: np.ndarray, pr: int, pc: int) -> None:
+def _slack_norms(T: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Squared norms of ``rows`` of T's slack block, the rows of the inverse
+    basis up to signs.
+
+    The block is gathered row-major, so each norm is summed in one order
+    whichever rows are asked for.
+    """
+    ncols = T.shape[1] - 1
+    block = T[:, ncols - T.shape[0] : ncols][rows]
+    return np.einsum("ij,ij->i", block, block)
+
+
+def _pivot(T: np.ndarray, obj: np.ndarray, basis: np.ndarray, w: np.ndarray, pr: int, pc: int) -> None:
     """Pivot on (pr, pc), updating only the columns where the pivot row is nonzero.
 
     Against a full rank-1 update, at most the sign of a zero entry differs.
+    The rows where the pivot column is nonzero get their weights ``w``
+    recomputed by ``_slack_norms``; no other row changes.
     """
     T[pr] /= T[pr, pc]
     cols = T[pr].nonzero()[0]
     row = T[pr, cols]
     col = T[:, pc].copy()
+    touched = col.nonzero()[0]
     col[pr] = 0.0
     # T is column-major, so T.T[cols] gathers each updated column contiguously.
     T.T[cols] -= np.multiply.outer(row, col)
     obj[cols] -= obj[pc] * row
     basis[pr] = pc
+    w[touched] = _slack_norms(T, touched)
 
 
 def _run_dual(
@@ -190,30 +211,38 @@ def _run_dual(
 
     Tableau variable j lies in [0, u[j]], and every nonbasic one reads 0: one
     at its upper bound is stored complemented (u - y, its column and reduced
-    cost negated), as ``complemented`` records.  Leaving: the row whose basic
-    variable lies furthest outside [0, u], by more than EPS_FEAS; after
-    ``_STALL`` degenerate pivots in a row (best ratio at most ``_RATIO_TIE``),
-    the one whose basic variable has the lowest index (Bland, Math. Oper.
-    Res. 2(2), 1977), until the next nondegenerate pivot.  A variable above
-    its u has its row complemented first, so it leaves at 0.  Entering: among
-    columns that can move (u > 0) whose entry in that row is below
-    -``_PIVOT_TOL``, the one of smallest ratio reduced cost / |entry|
-    (clamped at 0), the lowest column within ``_RATIO_TIE`` of it.  A row
-    that no column can enter proves the program infeasible and raises
-    SimplexError, as does a movable column whose reduced cost ends below
-    -``_PIVOT_TOL``.
+    cost negated), as ``complemented`` records.  Leaving, among the rows
+    whose basic variable lies outside [0, u] by more than EPS_FEAS: the
+    lowest row of largest excess^2 / w (dual steepest edge), where w is the
+    squared norm of that row of the slack block, the inverse basis up to
+    signs.  w is computed here for every row and then kept exact by
+    ``_pivot``; complementing a row or column leaves it alone.  After
+    ``_STALL`` times the row count degenerate pivots in a row (best ratio at
+    most ``_RATIO_TIE``), the row whose basic variable has the lowest index
+    leaves instead (Bland, Math. Oper. Res. 2(2), 1977), until the next
+    nondegenerate pivot.  A variable above its u has its row complemented
+    first, so it leaves at 0.  Entering: among columns that can move (u > 0)
+    whose entry in that row is below -``_PIVOT_TOL``, the one of smallest
+    ratio reduced cost / |entry| (clamped at 0), the lowest column within
+    ``_RATIO_TIE`` of it.  A row that no column can enter proves the program
+    infeasible and raises SimplexError, as does a movable column whose
+    reduced cost ends below -``_PIVOT_TOL``.
     """
     pivots = degenerate = 0
-    ncols = T.shape[1] - 1
+    R, ncols = T.shape[0], T.shape[1] - 1
     beta = T[:, -1]
     ub = u[basis]
     movable = u > 0.0
+    w = _slack_norms(T, np.arange(R))
     while True:
         excess = np.maximum(-beta, beta - ub)
         rows = (excess > EPS_FEAS).nonzero()[0]
         if not rows.size:
             break
-        pr = rows[basis[rows].argmin()] if degenerate >= _STALL else rows[excess[rows].argmax()]
+        if degenerate >= _STALL * R:
+            pr = rows[basis[rows].argmin()]
+        else:
+            pr = rows[(np.square(excess[rows]) / w[rows]).argmax()]
         if beta[pr] > ub[pr]:  # store the basic variable as ub - y, which leaves at 0
             T[pr] *= -1.0
             T[pr, basis[pr]] = 1.0
@@ -227,7 +256,7 @@ def _run_dual(
         best = ratios.min()
         degenerate = degenerate + 1 if best <= _RATIO_TIE else 0
         entering = candidates[(ratios <= best + _RATIO_TIE).argmax()]
-        _pivot(T, obj, basis, pr, entering)
+        _pivot(T, obj, basis, w, pr, entering)
         ub[pr] = u[entering]
         pivots += 1
         if pivots > cap:

@@ -8,10 +8,12 @@ import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from conftest import SLOW_P2, serialize_instance
-from eccluster import Edge, EdgeColoredHypergraph
+from eccluster import Edge, EdgeColoredHypergraph, parse_instance
+from eccluster.relaxations import ASSIGNMENT, FractionalSolution, solve_max_relaxation
 
 TRIANGLE = """\
 3 3 3
@@ -447,10 +449,10 @@ def test_estimate_prints_integral_lp_values_exactly(tmp_path):
     assert [edges[i]["lp_value"] for i in (0, 4, 17)] == [1, 0, 1]
 
 
-# Rank-2 instances whose max LP has fractional, repeated node rows.  Whole
-# weights make the mean objective an exact count-weighted total; 0.1/0.3/0.7
-# sum to different floats in different orders, so theirs is added trial by
-# trial.  2049 trials cross two block boundaries.
+# Rank-2 instances whose max LP has an optimum with fractional, repeated
+# node rows.  Whole weights make the mean objective an exact count-weighted
+# total; 0.1/0.3/0.7 sum to different floats in different orders, so theirs
+# is added trial by trial.  2049 trials cross two block boundaries.
 FROZEN_INSTANCES = {
     "whole": """\
 6 8 3
@@ -535,14 +537,39 @@ FROZEN_ESTIMATES = {
 }
 
 
+# The "whole" max LP also has integral optima of the same bound, 6 (every
+# node color 1), and which optimal vertex the simplex returns depends on its
+# pricing.  The estimate is a pure function of (point, scheme, trials, seed),
+# so the "whole" cases pin the fractional optimum their bytes were frozen at.
+WHOLE_ROWS = [[0.5, 0.5, 0.0]] * 3 + [[0.5, 0.0, 0.5], [0.5, 0.5, 0.0], [0.0, 0.5, 0.5]]
+WHOLE_POINT = FractionalSolution(
+    np.array(WHOLE_ROWS), np.array([0.5, 0.5, 0.0, 0.5, 0.5, 0.5, 0.5, 0.5]), ASSIGNMENT, 6.0
+)
+
+
+def test_pinned_whole_point_is_a_max_lp_optimum():
+    h = parse_instance(FROZEN_INSTANCES["whole"])
+    x, z = WHOLE_POINT.node_color, WHOLE_POINT.edge_value
+    assert np.all(x.sum(axis=1) <= 1.0)
+    assert z.tolist() == [min(x[v - 1, e.color - 1] for v in e.nodes) for e in h.edges]
+    assert sum(e.weight * ze for e, ze in zip(h.edges, z.tolist())) == WHOLE_POINT.bound
+    assert solve_max_relaxation(h).bound == WHOLE_POINT.bound
+
+
 @pytest.mark.parametrize("instance, scheme", sorted(FROZEN_ESTIMATES))
-def test_estimate_prints_frozen_bytes(tmp_path, instance, scheme):
+def test_estimate_prints_frozen_bytes(tmp_path, monkeypatch, capsys, instance, scheme):
+    from eccluster import cli
+
     path = tmp_path / f"{instance}.ecc"
     path.write_text(FROZEN_INSTANCES[instance], encoding="utf-8")
-    proc = run_cli(
-        "estimate", "--scheme", scheme, "--trials", "2049", "--seed", "7", "--input", str(path), check=True
-    )
-    assert proc.stdout == FROZEN_ESTIMATES[instance, scheme]
+    args = ["estimate", "--scheme", scheme, "--trials", "2049", "--seed", "7", "--input", str(path)]
+    if instance == "whole":
+        monkeypatch.setattr(cli, "solve_max_relaxation", lambda h: WHOLE_POINT)
+        assert cli.main(args) == 0
+        stdout = capsys.readouterr().out
+    else:
+        stdout = run_cli(*args, check=True).stdout
+    assert stdout == FROZEN_ESTIMATES[instance, scheme]
 
 
 def test_estimate_graph_scheme(triangle_path):

@@ -26,8 +26,9 @@ def _lp(objective, rows, maximize=False, bounds=None):
     return ec.LinearProgram(objective, A, senses, rhs, bounds=bounds, maximize=maximize)
 
 
-# The dual simplex's leaving rules: the row furthest outside its box, and
-# Bland's lowest basic index, here from the first pivot on.
+# The dual simplex's leaving rules: dual steepest edge, with Bland's lowest
+# basic index after a degenerate streak as long as the tableau, and Bland's
+# rule from the first pivot on.
 STALLS = (lp_module._STALL, 0)
 
 
@@ -423,6 +424,36 @@ def _reference_solve_lp(lp):
     return "optimal", x, float(lp.objective @ x)
 
 
+def _highs_value(lp):
+    """``lp``'s optimal value from HiGHS (scipy's ``linprog``)."""
+    from scipy.optimize import linprog
+
+    le, ge, eq = (lp.senses == sense for sense in (LE, GE, EQ))
+    A_ub, b_ub = np.vstack([lp.A[le], -lp.A[ge]]), np.concatenate([lp.rhs[le], -lp.rhs[ge]])
+    res = linprog(
+        -lp.objective if lp.maximize else lp.objective,
+        A_ub=A_ub if b_ub.size else None,
+        b_ub=b_ub if b_ub.size else None,
+        A_eq=lp.A[eq] if eq.any() else None,
+        b_eq=lp.rhs[eq] if eq.any() else None,
+        bounds=lp.bounds,
+        method="highs",
+    )
+    assert res.status == 0, res.message
+    return -res.fun if lp.maximize else res.fun
+
+
+def _oracle(lp):
+    """(status, value, by_highs): the dense reference's answer, or HiGHS's
+    optimum where the reference raises its own numerical SimplexError (one
+    p = 2 master's recovered point breaks a row by 9.5e-4 there)."""
+    try:
+        status, _, value = _reference_solve_lp(lp)
+    except SimplexError:
+        return "optimal", _highs_value(lp), True
+    return status, value, False
+
+
 def _relaxation_lps():
     """Max, min (p=1), colorfair (p=inf) and protected LPs of mixed batches."""
     batch = instance_batch(81, 8, k_hi=5) + instance_batch(82, 8, k_hi=5, unit_weights=False)
@@ -475,8 +506,10 @@ EQUIVALENCE_CORPUS = {
 def test_solve_lp_agrees_with_dense_reference(corpus):
     lps = EQUIVALENCE_CORPUS[corpus]()
     assert lps
+    by_highs = 0
     for lp in lps:
-        status, _, value = _reference_solve_lp(lp)
+        status, value, highs = _oracle(lp)
+        by_highs += highs
         if status == "infeasible":
             _assert_infeasible(lp)
             continue
@@ -485,6 +518,7 @@ def test_solve_lp_agrees_with_dense_reference(corpus):
             assert type(got.pivots) is int
             assert abs(got.objective_value - value) <= 1e-9 * max(1.0, abs(value))
             assert max_violation(lp, got.values) <= 1e-9
+    assert by_highs <= len(lps) // 10
 
 
 # Bounded-variable cases, each with its optimum.  FLIP_THEN_UPPER starts
@@ -688,13 +722,16 @@ def test_hot_masters_match_cold_solves_and_the_dense_reference():
             patch.setattr(lp_module, "_STALL", stall)
             solves = _hot_kelley_solves()
             assert len(solves) > 50
+            by_highs = 0
             for lp, hot in solves:
                 cold = ec.solve_lp(lp)
                 assert abs(hot.objective_value - cold.objective_value) <= 1e-9 * max(1.0, abs(cold.objective_value))
-                status, _, value = _reference_solve_lp(lp)
+                status, value, highs = _oracle(lp)
+                by_highs += highs
                 assert status == "optimal"
                 assert abs(hot.objective_value - value) <= 1e-9 * max(1.0, abs(value))
                 assert max_violation(lp, hot.values) <= 1e-9
+            assert by_highs <= len(solves) // 10
 
 
 def _append(lp, *rows):
@@ -871,3 +908,119 @@ def test_right_hand_side_that_empties_the_program_raises():
     # x1 - x2 = 1.5 has no point in the unit box.
     with pytest.raises(SimplexError, match="infeasible"):
         ec.solve_lp(_with_rhs(BOX_EQ, [1.5, 1.5]), _previous(BOX_EQ))
+
+
+def _fresh_weights(T):
+    """Squared norms of the rows of T's slack block, from scratch."""
+    R, ncols = T.shape[0], T.shape[1] - 1
+    block = np.ascontiguousarray(T[:, ncols - R : ncols])
+    return np.einsum("ij,ij->i", block, block)
+
+
+class _PricingSpy:
+    """Wraps ``_run_dual`` and ``_pivot`` to check every leaving row.
+
+    Before each pivot, the kept weights must equal ``_fresh_weights`` byte
+    for byte, and the leaving row must be Bland's once ``_STALL`` times the
+    row count degenerate pivots have passed in a row, else the lowest row
+    that maximises excess^2 / w.  After each pivot, the weights must again
+    equal ``_fresh_weights``.  The streak is replayed from the ratio test.
+    """
+
+    def __init__(self, patch):
+        self.run_dual, self.pivot = lp_module._run_dual, lp_module._pivot
+        self.steepest = self.bland = 0
+        patch.setattr(lp_module, "_run_dual", self._run_dual)
+        patch.setattr(lp_module, "_pivot", self._pivot)
+
+    def _run_dual(self, T, obj, basis, u, complemented, cap):
+        self.u, self.streak = u, 0
+        return self.run_dual(T, obj, basis, u, complemented, cap)
+
+    def _pivot(self, T, obj, basis, w, pr, pc):
+        assert w.tobytes() == _fresh_weights(T).tobytes()
+        # A row above its box has been complemented by now, and reads its
+        # excess as -beta: the same bytes as beta - ub before.
+        beta, ub = T[:, -1], self.u[basis]
+        excess = np.maximum(-beta, beta - ub)
+        rows = (excess > EPS_FEAS).nonzero()[0]
+        if self.streak >= lp_module._STALL * T.shape[0]:
+            assert pr == rows[basis[rows].argmin()]
+            self.bland += 1
+        else:
+            score = np.square(excess[rows]) / w[rows]
+            assert pr == rows[score == score.max()].min()
+            self.steepest += 1
+        row = T[pr, : T.shape[1] - 1]
+        candidates = ((row < -lp_module._PIVOT_TOL) & (self.u > 0.0)).nonzero()[0]
+        best = (np.maximum(obj[candidates], 0.0) / -row[candidates]).min()
+        self.streak = self.streak + 1 if best <= lp_module._RATIO_TIE else 0
+        self.pivot(T, obj, basis, w, pr, pc)
+        assert w.tobytes() == _fresh_weights(T).tobytes()
+
+
+def _rhs_moved_solves():
+    """RHS_EDITS, random right-hand-side edits and protected budget sweeps,
+    each solved hot from the program's previous solution."""
+    for lp, rhs, _ in RHS_EDITS.values():
+        ec.solve_lp(_with_rhs(lp, rhs), _previous(lp))
+    rng = random.Random(20261019)
+    for _ in range(60):
+        lp = _random_program(rng)
+        try:
+            previous = ec.solve_lp(lp)
+            ec.solve_lp(_with_rhs(lp, lp.rhs + [rng.uniform(-1.0, 1.0) for _ in lp.rhs]), previous)
+        except SimplexError:
+            pass
+    for h in instance_batch(85, 4, unit_weights=False):
+        relaxations.solve_protected_sweep(h, 1, [0.0, 1.0, 0.5, 3.0])
+
+
+def _cold_solves():
+    """Every program of EQUIVALENCE_CORPUS, solved cold."""
+    for corpus in EQUIVALENCE_CORPUS.values():
+        for lp in corpus():
+            try:
+                ec.solve_lp(lp)
+            except SimplexError:
+                pass
+
+
+PRICED_SOLVES = {
+    "cold": _cold_solves,
+    "hot-appended-rows": _hot_kelley_solves,
+    "hot-rhs-moved": _rhs_moved_solves,
+}
+
+
+@pytest.mark.parametrize("stall", STALLS, ids=("default", "bland"))
+@pytest.mark.parametrize("solves", sorted(PRICED_SOLVES))
+def test_leaving_row_is_dual_steepest_edge_on_exact_weights(solves, stall):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lp_module, "_STALL", stall)
+        spy = _PricingSpy(patch)
+        PRICED_SOLVES[solves]()
+    assert spy.steepest + spy.bland > 100
+    assert (spy.steepest > 0) == (stall > 0)
+
+
+def _ladder_instance(n):
+    """The benchmark's seeded n-node instance, ``random_instance(random.Random(n), n)``
+    in ``bench/instances.py``: 2n unit edges of 2 or 3 nodes, three colors."""
+    rng = random.Random(n)
+    edges = []
+    for _ in range(2 * n):
+        nodes = tuple(rng.sample(range(1, n + 1), rng.choice((2, 3))))
+        edges.append(ec.Edge(color=rng.randint(1, 3), weight=1.0, nodes=nodes))
+    return ec.EdgeColoredHypergraph(node_count=n, color_count=3, edges=tuple(edges))
+
+
+def test_n100_relaxation_lps_take_fewer_than_1000_pivots():
+    # Dantzig's rule, with Bland's after 50 degenerate pivots, took 1,031,
+    # 2,081 and 1,062 pivots here; dual steepest edge takes 550, 681 and 605.
+    h = _ladder_instance(100)
+    mass = sum(e.weight for e in h.edges if e.color == 1)
+    lps = [build_pmean_program(h, 1)[0], build_pmean_program(h, math.inf)[0], build_protected_lp(h, 1, mass / 4)[0]]
+    assert [lp.A.shape[0] for lp in lps] == [598, 601, 599]
+    for lp in lps:
+        assert ec.solve_lp(lp).pivots < 1000
