@@ -21,10 +21,13 @@ rounder resolves priorities color by color, keeping the largest code
 (position, then color) among the colors each row wants.
 
 A node's color in a trial depends only on the trial's draws and the node's
-row, so ``estimate_satisfaction`` rounds each distinct row once.  Its mean
-objective is the exact count-weighted satisfied weight divided by the trial
-count and rounded once (``_mean_weight``), so no order of adding the hits
-shows in it.
+row, so ``estimate_satisfaction`` rounds each distinct row once.  A threshold
+lies in [0, 1 - 2**-53], so a row whose every weak mass is <= 0 or >= 1, with
+at most one >= 1, takes the same color in every trial (``_fixed_colors``); an
+edge such rows decide is counted exactly, and only the other edges, compared
+on their draw-dependent rows, go through the trials.  The mean objective is
+the exact count-weighted satisfied weight divided by the trial count and
+rounded once (``_mean_weight``), so no order of adding the hits shows in it.
 
 The deterministic roundings keep what a distance relaxation puts below a cut:
 half-threshold a node's closest color, protected and Lovasz rounding the edges
@@ -182,6 +185,9 @@ def _check_input(
     values = frac.edge_value if edges else frac.node_color
     if values.shape != ((h.edge_count,) if edges else (h.node_count, h.color_count)):
         raise ValueError("fractional solution does not match the instance shape")
+    # a NaN mass would compare false against every threshold and cut
+    if not (np.isfinite(frac.node_color).all() and np.isfinite(frac.edge_value).all()):
+        raise ValueError("fractional solution has a NaN or infinite value")
     return np.asarray(values, dtype=float)
 
 
@@ -331,9 +337,23 @@ class EstimateResult:
 
 
 #: Trials rounded together by ``estimate_satisfaction``.  Small blocks keep
-#: the working arrays to a few (distinct rows x block) arrays whatever the
-#: trial count.
+#: the working arrays to a few (draw-dependent rows x block) and (open edges
+#: x block) arrays whatever the trial count.
 _BLOCK = 1024
+
+
+def _fixed_colors(x_weak: np.ndarray, rest: np.ndarray) -> np.ndarray:
+    """Each row's color in every trial, or 0 where it depends on the draws.
+
+    A threshold ``(u >> 11) * 2**-53`` lies in [0, 1 - 2**-53], so ``alpha <
+    x`` is false for every draw when x <= 0 (-inf and -0.0 included) and true
+    for every draw when x >= 1.  A row whose weak masses all lie there, with
+    at most one at 1 or above, takes that color, else ``rest``; 1 - 2**-53
+    and 5e-324 are wanted by some draws and not others.
+    """
+    sure = x_weak >= 1.0
+    fixed = ((x_weak <= 0.0) | sure).all(axis=1) & (np.count_nonzero(sure, axis=1) <= 1)
+    return np.where(fixed, np.where(sure.any(axis=1), sure.argmax(axis=1) + 1, rest), 0).astype(rest.dtype)
 
 
 def _mean_weight(weights: list[float], counts: list[int], trials: int) -> float:
@@ -366,38 +386,65 @@ def estimate_satisfaction(
     trials, master_seed): trial t uses the stream derived for index t and
     nothing else, and every frequency and standard error has the bytes a
     trial-at-a-time loop gives.  Nodes with equal rows take the same color in
-    every trial, so each distinct row is rounded once.  ``mean_objective`` is
-    the exact satisfied weight over all trials divided by the trial count,
-    rounded once (``_mean_weight``), so no order of adding the hits shows in
-    it.
+    every trial, so each distinct row is rounded once, and a row that takes
+    one color in every trial (``_fixed_colors``) not at all.  An edge with
+    such a row of another color is satisfied in no trial, an edge whose rows
+    all take its color is satisfied in every trial, and only the other, open
+    edges are compared trial by trial, on their draw-dependent rows.  When no
+    edge is open no trial is drawn.  ``mean_objective`` is the exact
+    satisfied weight over all trials divided by the trial count, rounded once
+    (``_mean_weight``), so no order of adding the hits shows in it.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    _check_seed(master_seed)
     x_weak, rest = _scheme_inputs(h, frac, scheme)
     _, first, row_of = np.unique(
         np.column_stack([x_weak, rest]), axis=0, return_index=True, return_inverse=True
     )
     x_weak, rest, row_of = x_weak[first], rest[first], row_of.reshape(-1)
+    fixed = _fixed_colors(x_weak, rest)
+    drawn = fixed == 0
+    # a draw-dependent row's index among the draw-dependent rows
+    drawn_of = np.cumsum(drawn) - 1
 
     by_size: dict[int, list[int]] = {}
     for ei, e in enumerate(h.edges):
         by_size.setdefault(len(e.nodes), []).append(ei)
-    groups = [
-        (
-            np.array(idx),
-            row_of[np.array([h.edges[ei].nodes for ei in idx]) - 1],
-            np.array([h.edges[ei].color for ei in idx], dtype=rest.dtype)[:, None, None],
-        )
-        for idx in by_size.values()
-    ]
     counts = np.zeros(h.edge_count, dtype=np.int64)
-    for start in range(0, trials, _BLOCK):
-        count = min(_BLOCK, trials - start)
-        lam = _priority_block(_trial_draws(master_seed, start, count, h.color_count), x_weak, rest)
-        satisfied = np.empty((h.edge_count, count), dtype=bool)
-        for idx, rows, colors in groups:
-            satisfied[idx] = (lam[rows] == colors).all(axis=1)
-        counts += np.count_nonzero(satisfied, axis=1)
+    # open edges by their count j of draw-dependent rows: (edges, their j
+    # draw-dependent rows, their colors)
+    groups = []
+    for idx in by_size.values():
+        idx = np.array(idx)
+        rows = row_of[np.array([h.edges[ei].nodes for ei in idx]) - 1]
+        colors = np.array([h.edges[ei].color for ei in idx], dtype=rest.dtype)
+        edge_fixed = fixed[rows]
+        edge_drawn = edge_fixed == 0
+        alive = ((edge_fixed == colors[:, None]) | edge_drawn).all(axis=1)
+        j_drawn = np.count_nonzero(edge_drawn, axis=1)
+        counts[idx[alive & (j_drawn == 0)]] = trials
+        for j in range(1, rows.shape[1] + 1):
+            sel = alive & (j_drawn == j)
+            if sel.any():
+                groups.append(
+                    (idx[sel], drawn_of[rows[sel][edge_drawn[sel]]].reshape(-1, j), colors[sel][:, None, None])
+                )
+
+    if groups:
+        x_drawn, rest_drawn = x_weak[drawn], rest[drawn]
+        open_edges = np.concatenate([idx for idx, _, _ in groups])
+        hits = np.zeros(open_edges.size, dtype=np.int64)
+        for start in range(0, trials, _BLOCK):
+            count = min(_BLOCK, trials - start)
+            lam = _priority_block(_trial_draws(master_seed, start, count, h.color_count), x_drawn, rest_drawn)
+            satisfied = np.empty((open_edges.size, count), dtype=bool)
+            lo = 0
+            for idx, rows, colors in groups:
+                satisfied[lo : lo + idx.size] = (lam[rows] == colors).all(axis=1)
+                lo += idx.size
+            hits += np.count_nonzero(satisfied, axis=1)
+        counts[open_edges] = hits
 
     freq = counts.astype(float) / trials
     se = np.sqrt(freq * (1.0 - freq) / trials)

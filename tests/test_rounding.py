@@ -665,12 +665,19 @@ def test_estimate_rounds_each_distinct_node_row_once(monkeypatch):
     lp = ec.solve_max_relaxation(lp_h)
     rows_h = _decimal_instance(rng, 3, (1, 2, 3))
     masses = _assignment(_simplex_rows(rng, rows_h.node_count, 3))
+    # the same vertex with one fractional row on both nodes of the first edge
+    mixed = lp.node_color.copy()
+    mixed[[v - 1 for v in lp_h.edges[0].nodes]] = [0.25, 0.5, 0.25]
     rows = _spy_block_rows(monkeypatch)
     for scheme in ("hyper", "graph"):
+        # an integral vertex takes one color per row in every trial: no row
+        # is handed over, and no block drawn
+        assert set(lp.node_color.flat) == {0.0, 1.0}
         ec.estimate_satisfaction(lp_h, lp, scheme, BLOCK + 1)
-        # an LP vertex repeats its node rows
-        distinct = len(np.unique(lp.node_color, axis=0))
-        assert rows == [distinct, distinct] and distinct < lp_h.node_count
+        assert rows == []
+        # only the one distinct draw-dependent row is rounded, once a block
+        ec.estimate_satisfaction(lp_h, _assignment(mixed), scheme, BLOCK + 1)
+        assert rows == [1, 1]
         rows.clear()
     ec.estimate_satisfaction(rows_h, masses, "hyper", BLOCK + 1)
     assert rows == [rows_h.node_count] * 2
@@ -689,6 +696,102 @@ def test_duplicated_rows_with_a_strong_color_match_scalar_loop():
     for scheme in ("hyper", "graph"):
         for trials in (1, BLOCK + 1):
             _assert_matches_scalar(h, frac, scheme, trials, SEEDS[1])
+
+
+# rows at the edges of the threshold range [0, 1 - 2**-53]: the first four
+# take one color in every trial, the last four depend on the draws (under the
+# graph scheme the strong 1 - 2**-53 is set aside, which fixes that row too)
+_EDGE_ROWS = [
+    [1.0, 0.0, 0.0],
+    [0.0, -0.0, 1.0],
+    [0.0, 0.0, -0.0],
+    [-0.0, 1.0, 0.0],
+    [float(np.nextafter(1.0, 0.0)), 0.0, 0.0],
+    [5e-324, 0.0, 1.0],
+    [0.3, 0.3, 0.4],
+    [0.7, 0.2, 0.1],
+]
+_EDGE_FIXED = {"hyper": [1, 3, 1, 2, 0, 0, 0, 0], "graph": [1, 3, 1, 2, 1, 0, 0, 0]}
+
+
+def _boundary_instance():
+    """Pairs on the rows of ``_EDGE_ROWS``; the first, (1, 7) and (3, 4) are
+    decided by a fixed row of another color whatever their other row is."""
+    pairs = [(1, 1, 2), (1, 1, 5), (3, 2, 6), (2, 1, 7), (1, 7, 8), (2, 4, 8), (2, 3, 4), (1, 5, 6), (3, 6, 7)]
+    edges = tuple(ec.Edge(color=c, weight=(0.1, 0.3, 0.7)[i % 3], nodes=(a, b)) for i, (c, a, b) in enumerate(pairs))
+    return ec.EdgeColoredHypergraph(8, 3, edges)
+
+
+def _all_fixed_rows():
+    return [_EDGE_ROWS[i] for i in (0, 1, 2, 3, 0, 1, 3, 0)]
+
+
+@pytest.mark.parametrize("scheme", ["hyper", "graph"])
+def test_boundary_masses_match_scalar_loop(scheme):
+    x_weak, rest = rounding._scheme_inputs(_boundary_instance(), _assignment(_EDGE_ROWS), scheme)
+    assert rounding._fixed_colors(x_weak, rest).tolist() == _EDGE_FIXED[scheme]
+    h = _boundary_instance()
+    for rows in (_EDGE_ROWS, _all_fixed_rows()):
+        for trials in (1, BLOCK + 1):
+            for seed in SEEDS:
+                _assert_matches_scalar(h, _assignment(rows), scheme, trials, seed)
+
+
+def test_decided_edges_draw_no_trial(monkeypatch):
+    h = _boundary_instance()
+    frac = _assignment(_all_fixed_rows())
+    expected = {scheme: _scalar_estimate(h, frac, scheme, 3, 0) for scheme in ("hyper", "graph")}
+    calls = []
+    draws = rounding._trial_draws
+
+    def spy(*args):
+        calls.append(args)
+        return draws(*args)
+
+    monkeypatch.setattr(rounding, "_trial_draws", spy)
+    for scheme, (freq, _, _) in expected.items():
+        est = ec.estimate_satisfaction(h, frac, scheme, 10**9)
+        assert est.frequencies.tolist() == freq.tolist()
+        assert set(freq.tolist()) == {0.0, 1.0}
+    assert calls == []
+    ec.estimate_satisfaction(h, _assignment(_EDGE_ROWS), "hyper", 3)
+    assert len(calls) == 1
+
+
+def test_estimate_checks_the_seed_before_any_draw():
+    h = _boundary_instance()
+    for scheme in ("hyper", "graph"):
+        for seed in (-1, 1 << 64):
+            with pytest.raises(ValueError, match="master_seed"):
+                ec.estimate_satisfaction(h, _assignment(_all_fixed_rows()), scheme, 10, master_seed=seed)
+
+
+def _with(rows, value):
+    rows = np.array(rows, dtype=float)
+    rows.flat[1] = value
+    return rows
+
+
+_TRIANGLE_ROWS = [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]
+_NON_FINITE_CALLS = {
+    "hyper_max_round": lambda h, bad: ec.hyper_max_round(h, _assignment(_with(_TRIANGLE_ROWS, bad)), 0),
+    "graph_max_round": lambda h, bad: ec.graph_max_round(h, _assignment(_with(_TRIANGLE_ROWS, bad)), 0),
+    "estimate_satisfaction": lambda h, bad: ec.estimate_satisfaction(
+        h, _assignment(_with(_TRIANGLE_ROWS, bad)), "hyper", 10
+    ),
+    "half_threshold_round": lambda h, bad: ec.half_threshold_round(h, _distance(_with(_TRIANGLE_ROWS, bad))),
+    "protected_round": lambda h, bad: ec.protected_round(h, _distance(_TRIANGLE_ROWS, _with([0.0] * 3, bad)), 1, 0.5),
+}
+
+
+@pytest.mark.parametrize("rounder", sorted(_NON_FINITE_CALLS))
+def test_rounders_reject_non_finite_input(rounder):
+    # a NaN mass compares false against every threshold; -inf passes the
+    # unit-simplex check
+    h = ec.triangle_gadget()
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            _NON_FINITE_CALLS[rounder](h, bad)
 
 
 def _reference_half_threshold(h, frac):
