@@ -7,8 +7,11 @@ Simplex Method, 2005).  Bounds are implicit (Dantzig's upper-bounding
 technique): the tableau holds only the rows of ``A``, each with one slack
 column, and a nonbasic variable at its upper bound is stored complemented.
 An EQ row's slack is boxed in [0, 0], so no row needs an artificial and none
-is dropped: the basis holds one column per row, and the final basis is
-re-solved against the clean input data.  The tableau is stored densely in
+is dropped: the basis holds one column per row.  The point is read off the
+rhs column and corrected once by its residual against the clean input data,
+moved along the inverse basis, which the slack columns hold (one step of
+iterative refinement; Higham, Accuracy and Stability of Numerical
+Algorithms, 2002, ch. 12).  The tableau is stored densely in
 column-major order, and a pivot touches only the columns where the
 normalised pivot row is nonzero.  The leaving row is priced by dual steepest
 edge (Forrest and Goldfarb, Math. Prog. 57, 1992): each row's weight is the
@@ -24,9 +27,10 @@ rows the program gained since an earlier solution.  A hot solve also takes
 new right-hand sides for the earlier rows: they leave the reduced costs
 alone, so the earlier optimal tableau stays dual feasible once its rhs
 column has moved along the inverse basis, which its slack columns hold.
-Identical inputs always produce identical outputs; the optimal vertex may
-differ from the one a dense tableau with explicit bound rows, or a cold
-solve of the same program, would return.
+Identical inputs always produce identical outputs, whatever the BLAS thread
+count: every product is an ``np.einsum`` summed in a fixed order, with no
+BLAS call.  The optimal vertex may differ from the one a dense tableau with
+explicit bound rows, or a cold solve of the same program, would return.
 """
 
 from __future__ import annotations
@@ -53,9 +57,11 @@ GE = ">="
 EQ = "="
 
 EPS_FEAS = 1e-9
-#: Smallest entry pivoted on, and the reduced-cost tolerance.  At 1e-10 a
-#: p = 2 cutting-plane master pivoted on a 1.2e-10 entry and its recovered
-#: point broke a row by 0.115 (``test_pinned_p2_master_solves``).
+#: Smallest entry pivoted on, and the reduced-cost tolerance.  At 1e-10 an
+#: earlier version of this solver pivoted on a 1.2e-10 entry of a p = 2
+#: cutting-plane master, and the point of the basis it reached broke a row by
+#: 0.115 (``test_pinned_p2_master_solves``): no correction by the residual
+#: repairs a basis that near singular.
 _PIVOT_TOL = 1e-9
 _RATIO_TIE = 1e-12
 #: Degenerate pivots in a row, per tableau row, after which the leaving row
@@ -162,7 +168,7 @@ class LpSolution:
 def max_violation(lp: LinearProgram, x: np.ndarray) -> float:
     """Largest constraint or bound violation of ``x`` (0 means feasible)."""
     lo, hi = lp.bounds.T
-    gap = lp.A @ x - lp.rhs
+    gap = np.einsum("ij,j->i", lp.A, x) - lp.rhs
     row = np.where(lp.senses == LE, gap, np.where(lp.senses == GE, -gap, np.abs(gap)))
     return float(max(0.0, np.max(lo - x), np.max(x - hi), row.max(initial=0.0)))
 
@@ -177,6 +183,27 @@ def _slack_norms(T: np.ndarray, rows: np.ndarray) -> np.ndarray:
     ncols = T.shape[1] - 1
     block = T[:, ncols - T.shape[0] : ncols][rows]
     return np.einsum("ij,ij->i", block, block)
+
+
+def _move_rhs(T: np.ndarray, n: int, complemented: np.ndarray, delta: np.ndarray) -> None:
+    """Move the rhs column of T's first ``delta.size`` rows by the inverse
+    basis times ``delta``, a change in those rows' right-hand sides.
+
+    The inverse basis is the slack block, whose columns start at ``n``,
+    negated where a slack is complemented.
+    """
+    m = delta.size
+    T[:m, -1] += np.einsum("ij,j->i", T[:m, n : n + m], np.where(complemented[n : n + m], -delta, delta))
+
+
+def _basic_solution(T: np.ndarray, basis: np.ndarray, u: np.ndarray, complemented: np.ndarray) -> np.ndarray:
+    """The standard-form point the tableau reads: basic variables from the
+    rhs column (u - beta where complemented), every nonbasic one at 0, or
+    at u where complemented."""
+    y = np.where(complemented, u, 0.0)
+    beta = T[:, -1]
+    y[basis] = np.where(complemented[basis], u[basis] - beta, beta)
+    return y
 
 
 def _pivot(T: np.ndarray, obj: np.ndarray, basis: np.ndarray, w: np.ndarray, pr: int, pc: int) -> None:
@@ -308,8 +335,11 @@ def solve_lp(lp: LinearProgram, previous: Optional[LpSolution] = None) -> LpSolu
     rows; ``previous`` itself is left as it was.  Each new row is written
     over the current columns with its slack basic, at the value it reads
     there, which may lie outside its box, and ``_run_dual`` restores
-    feasibility.  The final basis is re-solved against the clean input data.
-    An infeasible program raises SimplexError.
+    feasibility.  The final point is read off the rhs column and corrected
+    once: its residual against the clean input data moves the rhs column
+    along the inverse basis (``_move_rhs``), as new right-hand sides do.  An
+    infeasible program, or a corrected point that breaks a row by more than
+    1e-6, raises SimplexError.
     """
     n = lp.variable_count
     lo, hi = lp.bounds.T
@@ -320,7 +350,7 @@ def solve_lp(lp: LinearProgram, previous: Optional[LpSolution] = None) -> LpSolu
     R = lp.rhs.size
     ncols = n + R
     f = np.where(lp.senses == GE, -1.0, 1.0)
-    b = f * (lp.rhs - lp.A @ lo)
+    b = f * (lp.rhs - np.einsum("ij,j->i", lp.A, lo))
     u = np.concatenate([hi - lo, np.where(lp.senses == EQ, 0.0, np.inf)])
 
     state = _base_tableau(lp, previous)
@@ -333,10 +363,8 @@ def solve_lp(lp: LinearProgram, previous: Optional[LpSolution] = None) -> LpSolu
     T = np.zeros((R, ncols + 1), order="F")
     T[:R0, :kept], T[:R0, -1] = state.T[:, :-1], state.T[:, -1]
     moved = lp.rhs[:R0] - state.lp.rhs[:R0]  # a cold state's program is lp itself
-    if moved.any():
-        # New right-hand sides move the rhs column along the inverse basis,
-        # which the slack columns hold, negated where a slack is complemented.
-        T[:R0, -1] += T[:R0, n:kept] @ (np.where(complemented[n:kept], -f[:R0], f[:R0]) * moved)
+    if moved.any():  # new right-hand sides leave the reduced costs alone
+        _move_rhs(T, n, complemented, f[:R0] * moved)
 
     # Append rows R0..: a complemented column is negated with its u moved to
     # the rhs, then the basic columns are eliminated.
@@ -345,35 +373,25 @@ def solve_lp(lp: LinearProgram, previous: Optional[LpSolution] = None) -> LpSolu
     rows[np.arange(R - R0), kept + np.arange(R - R0)] = 1.0
     rows[:, -1] = b[R0:]
     flip = complemented.nonzero()[0]
-    rows[:, -1] -= rows[:, flip] @ u[flip]
+    rows[:, -1] -= np.einsum("ij,j->i", rows[:, flip], u[flip])
     rows[:, flip] *= -1.0
     if R0:  # a cold solve has no basic columns, and the product would be all zeros
-        rows -= rows[:, state.basis] @ T[:R0]
+        rows -= np.einsum("ij,jk->ik", rows[:, state.basis], T[:R0])
     pivots = _run_dual(T, obj, basis, u, complemented, 10_000 + 50 * (R + ncols))
 
-    # Re-solve the final basis against the clean input data for sharp
-    # numerics, with every complemented nonbasic variable at its upper bound.
-    # The basis matrix holds f times A's column for a structural basic and a
-    # unit column for a basic slack.
-    y = np.where(complemented, u, 0.0)
-    y[basis] = 0.0
-    structural = basis < n
-    B = lp.A[:, np.where(structural, basis, 0)]
-    B *= f[:, None]
-    B[:, ~structural] = 0.0
-    B[basis[~structural] - n, ~structural] = 1.0
-    try:
-        y[basis] = np.linalg.solve(B, b - f * (lp.A @ y[:n]) - y[n:])
-    except np.linalg.LinAlgError:
-        beta = T[:, -1]
-        y[basis] = np.where(complemented[basis], u[basis] - beta, beta)
+    # One step of iterative refinement: the residual of the tableau's point
+    # against the clean input data moves the rhs column along the inverse
+    # basis, and the point is read again.
+    y = _basic_solution(T, basis, u, complemented)
+    _move_rhs(T, n, complemented, b - f * np.einsum("ij,j->i", lp.A, y[:n]) - y[n:])
+    y = _basic_solution(T, basis, u, complemented)
     x = y[:n] + lo
     viol = max_violation(lp, x)
     if viol > 1e-6:
         raise SimplexError(f"recovered solution violates constraints by {viol:.3e}")
     # an objective past the float range is inf, its true value, not a warning
     with np.errstate(over="ignore"):
-        value = float(lp.objective @ x)
+        value = float(np.einsum("i,i->", lp.objective, x))
     return LpSolution(
         x,
         value,

@@ -130,7 +130,7 @@ def solve_max_relaxation(h: EdgeColoredHypergraph) -> FractionalSolution:
 
     Node masses sum to at most 1 (the priority roundings accept that).  x is
     snapped to 0 or 1 within EPS_FEAS, which drops the few ulps the simplex's
-    final basis re-solve leaves on entries at a bound, so equal optima print
+    corrected point can leave on entries at a bound, so equal optima print
     equal bytes; z_e is its cap min_{v in e} x_v^c.  ``bound`` is sum_e w_e
     z_e at that point, summed left to right, so a total past the float range
     reads inf.
@@ -393,6 +393,8 @@ def lovasz_extension(
     g = np.asarray(gamma, dtype=float)
     if g.shape != (h.edge_count,):
         raise ValueError(f"gamma must have length {h.edge_count}")
+    if not np.isfinite(g).all():
+        raise ValueError("gamma has a NaN or infinite value")
     if g.size and (g.min() < -EPS_FEAS or g.max() > 1.0 + EPS_FEAS):
         raise ValueError("gamma entries must lie in [0, 1]")
     g = np.clip(g, 0.0, 1.0)

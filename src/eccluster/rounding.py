@@ -312,6 +312,9 @@ def lovasz_round(h: EdgeColoredHypergraph, gamma: np.ndarray) -> Coloring:
     gamma = np.asarray(gamma, dtype=float)
     if gamma.shape != (h.edge_count,):
         raise ValueError("gamma does not match the instance shape")
+    # a NaN deletion value would compare false against the cut and be kept
+    if not np.isfinite(gamma).all():
+        raise ValueError("gamma has a NaN or infinite value")
     return _keep_below(h, gamma, 0.5 - _LOVASZ_SELECT_SLACK)
 
 

@@ -56,6 +56,17 @@ def instance_batch(seed: int, count: int, **kwargs) -> list[EdgeColoredHypergrap
     return [random_instance(rng, **kwargs) for _ in range(count)]
 
 
+def ladder_instance(n: int) -> EdgeColoredHypergraph:
+    """The benchmark's seeded n-node instance, ``random_instance(random.Random(n), n)``
+    in ``bench/instances.py``: 2n unit edges of 2 or 3 nodes, three colors."""
+    rng = random.Random(n)
+    edges = []
+    for _ in range(2 * n):
+        nodes = tuple(rng.sample(range(1, n + 1), rng.choice((2, 3))))
+        edges.append(Edge(color=rng.randint(1, 3), weight=1.0, nodes=nodes))
+    return EdgeColoredHypergraph(node_count=n, color_count=3, edges=tuple(edges))
+
+
 def assignment_lp(h: EdgeColoredHypergraph) -> LinearProgram:
     """The max relaxation's LP in its own, assignment form, frozen here.
 

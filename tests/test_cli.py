@@ -4,14 +4,16 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import random
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from conftest import SLOW_P2, serialize_instance
+from conftest import SLOW_P2, ladder_instance, serialize_instance
 from eccluster import Edge, EdgeColoredHypergraph, parse_instance
 from eccluster.relaxations import ASSIGNMENT, FractionalSolution, solve_max_relaxation
 
@@ -30,11 +32,13 @@ def triangle_path(tmp_path):
     return str(path)
 
 
-def run_cli(*args, check=False):
+def run_cli(*args, check=False, env=None):
+    """``ecc`` with ``args`` in a subprocess; ``env`` adds to the environment."""
     proc = subprocess.run(
         [sys.executable, "-m", "eccluster.cli", *args],
         capture_output=True,
         text=True,
+        env=None if env is None else os.environ | env,
     )
     if check and proc.returncode != 0:
         raise AssertionError(f"exit {proc.returncode}: {proc.stderr}")
@@ -427,7 +431,7 @@ def test_estimate_byte_determinism(triangle_path):
 def _estimate_workload_instance():
     """The first instance of the ``mc-estimate`` benchmark workload at seed 1
     (n = 20, 40 unit edges of 2 or 3 nodes, three colors): its max LP optimum
-    is integral, and the final basis re-solve used to leave a few ulps on it."""
+    is integral, and the LP solve used to leave a few ulps on it."""
     rng = random.Random("mc-estimate:1")
     edges = []
     for _ in range(40):
@@ -658,3 +662,21 @@ def test_objective_past_the_float_range_is_one_error_line(tmp_path, args):
     assert proc.returncode == 1
     assert proc.stderr == "ecc: error: cannot serialize a non-finite number\n"
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("problem", [("colorfair",), ("pmean", "--p", "2")], ids=("colorfair", "pmean-2"))
+def test_solve_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, problem):
+    # The CI's n=100 instance: both outputs change with the thread count if
+    # any LP product goes through BLAS.
+    path = tmp_path / "n100.ecc"
+    path.write_text(serialize_instance(ladder_instance(100)), encoding="utf-8")
+    outputs = []
+    for threads in ("1", "2"):
+        proc = run_cli(
+            "solve", "--problem", *problem, "--alg", "lp-round", "--input", str(path),
+            check=True, env={"OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads},
+        )
+        out, timed = re.subn(r', "wall_time_sec": [^,}]*', "", proc.stdout)
+        assert timed == 1
+        outputs.append(out)
+    assert outputs[0] == outputs[1]

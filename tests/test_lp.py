@@ -15,7 +15,7 @@ import eccluster.lp as lp_module
 import eccluster.relaxations as relaxations
 from eccluster.lp import EPS_FEAS, EQ, GE, LE, SimplexError, max_violation
 from eccluster.relaxations import build_pmean_program, build_protected_lp
-from conftest import SLOW_P2, assignment_lp, instance_batch, random_instance
+from conftest import SLOW_P2, assignment_lp, instance_batch, ladder_instance, random_instance
 
 
 def _lp(objective, rows, maximize=False, bounds=None):
@@ -1004,23 +1004,67 @@ def test_leaving_row_is_dual_steepest_edge_on_exact_weights(solves, stall):
     assert (spy.steepest > 0) == (stall > 0)
 
 
-def _ladder_instance(n):
-    """The benchmark's seeded n-node instance, ``random_instance(random.Random(n), n)``
-    in ``bench/instances.py``: 2n unit edges of 2 or 3 nodes, three colors."""
-    rng = random.Random(n)
-    edges = []
-    for _ in range(2 * n):
-        nodes = tuple(rng.sample(range(1, n + 1), rng.choice((2, 3))))
-        edges.append(ec.Edge(color=rng.randint(1, 3), weight=1.0, nodes=nodes))
-    return ec.EdgeColoredHypergraph(node_count=n, color_count=3, edges=tuple(edges))
-
-
 def test_n100_relaxation_lps_take_fewer_than_1000_pivots():
     # Dantzig's rule, with Bland's after 50 degenerate pivots, took 1,031,
     # 2,081 and 1,062 pivots here; dual steepest edge takes 550, 681 and 605.
-    h = _ladder_instance(100)
+    h = ladder_instance(100)
     mass = sum(e.weight for e in h.edges if e.color == 1)
     lps = [build_pmean_program(h, 1)[0], build_pmean_program(h, math.inf)[0], build_protected_lp(h, 1, mass / 4)[0]]
     assert [lp.A.shape[0] for lp in lps] == [598, 601, 599]
     for lp in lps:
         assert ec.solve_lp(lp).pivots < 1000
+
+
+def _reference_point(lp, sol):
+    """The basic solution of ``sol``'s basis by ``np.linalg.solve``: every
+    nonbasic variable at its lower bound, or at its upper bound where the
+    final tableau stores it complemented."""
+    n, R = lp.variable_count, lp.rhs.size
+    lo, hi = lp.bounds.T
+    f = np.where(lp.senses == GE, -1.0, 1.0)
+    M = np.hstack([f[:, None] * lp.A, np.eye(R)])
+    y = np.zeros(n + R)
+    y[:n] = np.where(sol._tableau.complemented[:n], hi - lo, 0.0)  # a complemented slack is boxed in [0, 0]
+    basis = np.array(sol.basis, dtype=np.intp)
+    y[basis] = 0.0
+    y[basis] = np.linalg.solve(M[:, basis], f * (lp.rhs - lp.A @ lo) - M @ y)
+    return y[:n] + lo
+
+
+def _appended_solves():
+    """APPENDED, each solved hot from BOX."""
+    for row, _, _ in APPENDED.values():
+        ec.solve_lp(_append(BOX, row), ec.solve_lp(BOX))
+
+
+def _ladder_relaxations():
+    """The p = 1, p = inf and protected LPs of the n = 20 to 200 benchmark instances."""
+    for n in (20, 50, 100, 200):
+        h = ladder_instance(n)
+        mass = sum(e.weight for e in h.edges if e.color == 1)
+        lps = [build_pmean_program(h, 1)[0], build_pmean_program(h, math.inf)[0], build_protected_lp(h, 1, mass / 4)[0]]
+        for lp in lps:
+            ec.solve_lp(lp)
+
+
+BASIC_SOLUTION_SOLVES = PRICED_SOLVES | {"hot-appended-hand-written": _appended_solves, "ladder": _ladder_relaxations}
+
+
+@pytest.mark.parametrize("solves", sorted(BASIC_SOLUTION_SOLVES))
+def test_point_is_the_basic_solution_of_its_basis(solves):
+    recorded = []
+
+    def record(lp, previous=None):
+        sol = lp_module.solve_lp(lp, previous)
+        recorded.append((lp, sol))
+        return sol
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ec, "solve_lp", record)
+        patch.setattr(relaxations, "solve_lp", record)
+        BASIC_SOLUTION_SOLVES[solves]()
+    assert recorded
+    for lp, sol in recorded:
+        ref = _reference_point(lp, sol)
+        assert np.all(np.abs(sol.values - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+        assert max_violation(lp, sol.values) <= 1e-12

@@ -313,6 +313,10 @@ def test_lovasz_extension_validates_input():
         ec.lovasz_extension(h, 0.5, np.zeros(2))
     with pytest.raises(ValueError):
         ec.lovasz_extension(h, 0.5, np.array([2.0, 0.0, 0.0]))
+    # NaN passes both range checks
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            ec.lovasz_extension(h, 0.5, np.array([bad, 1.0, 1.0]))
 
 
 def test_lovasz_subgradient_supports_its_value():

@@ -781,6 +781,7 @@ _NON_FINITE_CALLS = {
     ),
     "half_threshold_round": lambda h, bad: ec.half_threshold_round(h, _distance(_with(_TRIANGLE_ROWS, bad))),
     "protected_round": lambda h, bad: ec.protected_round(h, _distance(_TRIANGLE_ROWS, _with([0.0] * 3, bad)), 1, 0.5),
+    "lovasz_round": lambda h, bad: ec.lovasz_round(h, _with([0.0, 1.0, 1.0], bad)),
 }
 
 
