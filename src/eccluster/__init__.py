@@ -22,7 +22,6 @@ from .hypergraph import (
     MAX,
     MIN,
     Coloring,
-    ConflictGraph,
     CoverViolation,
     Edge,
     EdgeColoredHypergraph,
@@ -32,7 +31,6 @@ from .hypergraph import (
     color_error_vector,
     evaluate_errors,
     extend_coloring,
-    find_conflict,
     is_satisfied,
     objective,
     parse_instance,
@@ -95,7 +93,6 @@ __all__ = [
     "MAX",
     "MIN",
     "Coloring",
-    "ConflictGraph",
     "CoverViolation",
     "CuttingPlaneResult",
     "Edge",
@@ -127,7 +124,6 @@ __all__ = [
     "exactly_t_probability",
     "extend_coloring",
     "fallback_colors",
-    "find_conflict",
     "fpt_colorfair",
     "fpt_protected",
     "graph_max_round",

@@ -21,7 +21,6 @@ __all__ = [
     "Edge",
     "EdgeColoredHypergraph",
     "Coloring",
-    "ConflictGraph",
     "Problem",
     "MAX",
     "MIN",
@@ -36,7 +35,6 @@ __all__ = [
     "objective",
     "evaluate_errors",
     "build_conflict_graph",
-    "find_conflict",
     "extend_coloring",
     "triangle_gadget",
 ]
@@ -103,7 +101,11 @@ class EdgeColoredHypergraph:
 
     @cached_property
     def total_weight(self) -> float:
-        return left_sum(e.weight for e in self.edges)
+        """Every weight, summed color class by color class, each class in
+        edge order: the sum of the per-color errors of a coloring that
+        satisfies no edge.  Any other coloring's errors sum to at most this,
+        as float ``+`` is monotone, so no max objective is negative."""
+        return left_sum(left_sum(self.edges[e].weight for e in ids) for ids in self.color_classes)
 
     @cached_property
     def color_classes(self) -> tuple[tuple[int, ...], ...]:
@@ -121,19 +123,6 @@ class EdgeColoredHypergraph:
             for v in e.nodes:
                 inc[v - 1].append(i)
         return tuple(tuple(sorted(ids)) for ids in inc)
-
-
-@dataclass(frozen=True)
-class ConflictGraph:
-    """One vertex per hyperedge; adjacency between overlapping, distinctly colored pairs."""
-
-    edge_count: int
-    adjacency: frozenset[tuple[int, int]]
-    colors: tuple[int, ...]
-
-    def neighbors(self, e: int) -> tuple[int, ...]:
-        out = [b if a == e else a for (a, b) in self.adjacency if e in (a, b)]
-        return tuple(sorted(out))
 
 
 @dataclass(frozen=True)
@@ -404,7 +393,8 @@ def objective(h: EdgeColoredHypergraph, lam: Sequence[int], problem: Problem):
 
 
 class ConflictScan:
-    """The conflict scan that ``find_conflict`` and the fpt search share.
+    """The fpt search's conflict scan: ``ConflictScan(h, alive).first()`` is
+    the first conflict among the alive edges, or None.
 
     Only a node whose incident edges carry two colors can hold a conflict;
     ``nodes`` lists those built so far, ascending.  Each keeps its own mask
@@ -480,32 +470,15 @@ class ConflictScan:
         return None
 
 
-def build_conflict_graph(h: EdgeColoredHypergraph) -> ConflictGraph:
-    """Adjacency between every pair of overlapping, distinctly colored edges."""
+def build_conflict_graph(h: EdgeColoredHypergraph) -> frozenset[tuple[int, int]]:
+    """Every pair (a, b), a < b, of edges that share a node and differ in color."""
     pairs: set[tuple[int, int]] = set()
     for ids in h.incidence:
-        for a_pos in range(len(ids)):
-            a = ids[a_pos]
+        for a_pos, a in enumerate(ids):
             for b in ids[a_pos + 1 :]:
                 if h.edges[a].color != h.edges[b].color:
                     pairs.add((a, b))
-    return ConflictGraph(
-        edge_count=h.edge_count,
-        adjacency=frozenset(pairs),
-        colors=tuple(e.color for e in h.edges),
-    )
-
-
-def find_conflict(
-    h: EdgeColoredHypergraph, alive: Iterable[int]
-) -> Optional[tuple[int, int, int]]:
-    """First (node, edge, edge) conflict among alive edges.
-
-    Scan order is deterministic: ascending node id, then the lexicographically
-    smallest conflicting edge-id pair at that node.  Returns None when the
-    alive set is conflict-free.
-    """
-    return ConflictScan(h, alive).first()
+    return frozenset(pairs)
 
 
 def extend_coloring(

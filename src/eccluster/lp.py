@@ -79,7 +79,8 @@ class SimplexError(RuntimeError):
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """min or max of c.x subject to A x {<=,>=,=} rhs, row by row, and box bounds.
+    """min of c.x subject to A x {<=,>=,=} rhs, row by row, and box bounds;
+    a maximum is the minimum of -c.x, negated.
 
     ``A`` is rows x variables, ``senses`` holds LE, GE or EQ per row and
     ``rhs`` one right-hand side per row.  ``bounds`` is an (n, 2) array of
@@ -94,7 +95,6 @@ class LinearProgram:
     senses: np.ndarray
     rhs: np.ndarray
     bounds: Optional[np.ndarray] = None
-    maximize: bool = False
 
     def __post_init__(self) -> None:
         n = np.size(self.objective)
@@ -140,7 +140,8 @@ class _Tableau(NamedTuple):
     """A dual-feasible simplex state, kept so that rows can be appended to it.
 
     ``obj`` holds the reduced costs, plus one entry beside the rhs column
-    that a pivot updates like any other and nothing reads.
+    that a pivot updates like any other and nothing reads; ``basis`` the
+    basic column of each row.
     """
 
     lp: LinearProgram
@@ -160,7 +161,6 @@ class LpSolution:
 
     values: np.ndarray
     objective_value: float
-    basis: tuple[int, ...] = ()  # final standard-form basis, one column per row
     pivots: int = 0  # dual simplex pivots
     _tableau: Optional[_Tableau] = field(default=None, repr=False, compare=False)
 
@@ -299,15 +299,14 @@ def _base_tableau(lp: LinearProgram, previous: Optional[LpSolution]) -> _Tableau
     """The tableau ``lp``'s further rows are appended to.
 
     Cold: ``lp`` with no rows, each column at its cheaper bound, complemented
-    where its cost to minimize is negative, with that cost's absolute value
-    as its reduced cost.  Hot: ``previous``'s final tableau; raises
-    ValueError unless ``lp`` is ``previous``'s program plus rows appended at
-    the end, up to the right-hand sides of its earlier rows.
+    where its cost is negative, with that cost's absolute value as its
+    reduced cost.  Hot: ``previous``'s final tableau; raises ValueError
+    unless ``lp`` is ``previous``'s program plus rows appended at the end,
+    up to the right-hand sides of its earlier rows.
     """
     if previous is None:
-        cost = -lp.objective if lp.maximize else lp.objective
         T = np.zeros((0, lp.variable_count + 1), order="F")
-        return _Tableau(lp, T, np.append(np.abs(cost), 0.0), np.zeros(0, dtype=np.intp), cost < 0.0)
+        return _Tableau(lp, T, np.append(np.abs(lp.objective), 0.0), np.zeros(0, dtype=np.intp), lp.objective < 0.0)
     state = previous._tableau
     if state is None:
         raise ValueError("previous solution carries no tableau")
@@ -319,7 +318,7 @@ def _base_tableau(lp: LinearProgram, previous: Optional[LpSolution]) -> _Tableau
         (lp.A[:R0], old.A),
         (lp.senses[:R0], old.senses),
     )
-    if lp.maximize != old.maximize or lp.rhs.size < R0 or not all(np.array_equal(a, b) for a, b in unchanged):
+    if lp.rhs.size < R0 or not all(np.array_equal(a, b) for a, b in unchanged):
         raise ValueError("lp is not the previous solution's program plus appended rows, up to right-hand sides")
     return state
 
@@ -392,10 +391,4 @@ def solve_lp(lp: LinearProgram, previous: Optional[LpSolution] = None) -> LpSolu
     # an objective past the float range is inf, its true value, not a warning
     with np.errstate(over="ignore"):
         value = float(np.einsum("i,i->", lp.objective, x))
-    return LpSolution(
-        x,
-        value,
-        basis=tuple(basis.tolist()),
-        pivots=pivots,
-        _tableau=_Tableau(lp, T, obj, basis, complemented),
-    )
+    return LpSolution(x, value, pivots=pivots, _tableau=_Tableau(lp, T, obj, basis, complemented))

@@ -147,8 +147,7 @@ def _region(h: EdgeColoredHypergraph, extra: int = 0) -> tuple[tuple, VariableLa
     node, then d_v^c <= gamma_e per incidence, in edge order."""
     lay = VariableLayout(h.node_count, h.color_count, h.edge_count, extra=extra)
     n, k = h.node_count, h.color_count
-    inc_node = np.array([v for edge in h.edges for v in edge.nodes], dtype=np.intp)
-    inc_edge = np.repeat(np.arange(h.edge_count), [len(edge.nodes) for edge in h.edges])
+    inc_node, inc_edge = _incidences(h)
     A = np.zeros((n + inc_node.size, lay.total))
     A[np.arange(n).repeat(k), np.arange(n * k)] = 1.0
     inc_rows = n + np.arange(inc_node.size)
@@ -157,6 +156,12 @@ def _region(h: EdgeColoredHypergraph, extra: int = 0) -> tuple[tuple, VariableLa
     senses = np.repeat([GE, LE], [n, inc_node.size])
     rhs = np.repeat([float(k - 1), 0.0], [n, inc_node.size])
     return (A, senses, rhs), lay
+
+
+def _incidences(h: EdgeColoredHypergraph) -> tuple[np.ndarray, np.ndarray]:
+    """(node, edge) of every incidence, in edge order, each edge's nodes ascending."""
+    node = np.array([v for edge in h.edges for v in edge.nodes], dtype=np.intp)
+    return node, np.repeat(np.arange(h.edge_count), [len(edge.nodes) for edge in h.edges])
 
 
 def _edge_arrays(h: EdgeColoredHypergraph) -> tuple[np.ndarray, np.ndarray]:
@@ -285,25 +290,35 @@ def _kelley(
 
 
 def _distance_point(
-    h: EdgeColoredHypergraph, lay: VariableLayout, values: np.ndarray, tol: float = EPS_FEAS
+    h: EdgeColoredHypergraph, lay: VariableLayout, values: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(d, gamma) of an LP point, after checking the structural facts every
     feasible distance point must exhibit.  Both come back clipped into [0, 1]:
     the simplex can return entries a few ulps outside their bounds, and a
-    negative gamma makes ``color_mass(h, gamma) ** p`` NaN."""
+    negative gamma makes ``color_mass(h, gamma) ** p`` NaN.
+
+    The pair cover is checked node by node: two edges conflict where they
+    meet in two colors, and the least such sum at a node is that of the two
+    least per-color gammas there, since float ``+`` is monotone.
+    """
     d, gamma = lay.split(values)
-    if np.any(d.sum(axis=1) < h.color_count - 1 - tol):
+    if np.any(d.sum(axis=1) < h.color_count - 1 - EPS_FEAS):
         raise RuntimeError("distance mass per node fell below k - 1")
-    for e, edge in enumerate(h.edges):
-        for v in edge.nodes:
-            if d[v - 1, edge.color - 1] > gamma[e] + tol:
-                raise RuntimeError(f"d exceeds gamma on edge {e} at node {v}")
-    below_half = (d < 0.5 - tol).sum(axis=1)
+    node, edge = _incidences(h)
+    color = _edge_arrays(h)[0][edge]
+    over = np.flatnonzero(d[node - 1, color] > gamma[edge] + EPS_FEAS)
+    if over.size:
+        raise RuntimeError(f"d exceeds gamma on edge {edge[over[0]]} at node {node[over[0]]}")
+    below_half = (d < 0.5 - EPS_FEAS).sum(axis=1)
     if np.any(below_half > 1):
         raise RuntimeError("two colors closer than 1/2 at one node")
-    for a, b in build_conflict_graph(h).adjacency:
-        if gamma[a] + gamma[b] < 1.0 - tol:
-            raise RuntimeError(f"conflicting edges {a}, {b} violate the pair cover")
+    if h.color_count > 1:
+        least = np.full(d.shape, np.inf)
+        np.fmin.at(least, (node - 1, color), gamma[edge])  # fmin skips NaN, as a failed comparison does
+        least.sort(axis=1)
+        short = np.flatnonzero(least[:, 0] + least[:, 1] < 1.0 - EPS_FEAS)
+        if short.size:
+            raise RuntimeError(f"conflicting edges at node {short[0] + 1} violate the pair cover")
     return np.clip(d, 0.0, 1.0), np.clip(gamma, 0.0, 1.0)
 
 
@@ -430,7 +445,7 @@ def minimize_lovasz(h: EdgeColoredHypergraph, p: float) -> CuttingPlaneResult:
     if not 0.0 < p < 1.0:
         raise ValueError("the extension path requires 0 < p < 1")
     m = h.edge_count
-    pairs = np.array(sorted(build_conflict_graph(h).adjacency), dtype=np.intp).reshape(-1, 2)
+    pairs = np.array(sorted(build_conflict_graph(h)), dtype=np.intp).reshape(-1, 2)
     A = np.zeros((len(pairs), m + 1))
     A[np.arange(len(pairs))[:, None], pairs] = 1.0
     region = (A, np.full(len(pairs), GE), np.ones(len(pairs)))

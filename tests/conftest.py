@@ -70,11 +70,11 @@ def ladder_instance(n: int) -> EdgeColoredHypergraph:
 def assignment_lp(h: EdgeColoredHypergraph) -> LinearProgram:
     """The max relaxation's LP in its own, assignment form, frozen here.
 
-    maximize sum_e w_e z_e over columns x (node by node, color by color)
+    minimize -sum_e w_e z_e over columns x (node by node, color by color)
     then z, with one EQ row sum_c x_v^c = 1 per node, then one GE row
     x_v^c - z_e >= 0 per incidence, in edge order.  The library solves the
-    p = 1 distance LP instead; this program keeps EQ rows and a maximize
-    objective in the simplex tests, and its optimum is the max bound.
+    p = 1 distance LP instead; this program keeps EQ rows and negative
+    costs in the simplex tests, and its optimum is the max bound, negated.
     """
     n, k, m = h.node_count, h.color_count, h.edge_count
     inc_node = np.array([v for edge in h.edges for v in edge.nodes], dtype=np.intp)
@@ -86,10 +86,10 @@ def assignment_lp(h: EdgeColoredHypergraph) -> LinearProgram:
     A[inc_rows, (inc_node - 1) * k + inc_color - 1] = 1.0
     A[inc_rows, n * k + inc_edge] = -1.0
     objective = np.zeros(n * k + m)
-    objective[n * k :] = [edge.weight for edge in h.edges]
+    objective[n * k :] = [-edge.weight for edge in h.edges]
     senses = np.repeat([EQ, GE], [n, inc_node.size])
     rhs = np.repeat([1.0, 0.0], [n, inc_node.size])
-    return LinearProgram(objective, A, senses, rhs, maximize=True)
+    return LinearProgram(objective, A, senses, rhs)
 
 
 def serialize_instance(h: EdgeColoredHypergraph) -> str:

@@ -27,7 +27,6 @@ from eccluster import (
     color_error_vector,
     estimate_satisfaction,
     event_count_distribution,
-    find_conflict,
     fpt_colorfair,
     fpt_protected,
     grid_min_weighted_series,
@@ -48,6 +47,7 @@ from eccluster import (
     triangle_gadget,
     two_endpoint_coefficients,
 )
+from eccluster.hypergraph import ConflictScan
 
 TRIALS = 20_000
 
@@ -162,9 +162,9 @@ def test_matching_within_factor_k_colorfair_and_two_min_and_maximal():
         min_opt, _ = brute_force(h, MIN)
         assert cf_obj <= h.color_count * cf_opt + 1e-9
         assert min_obj <= 2.0 * min_opt + 1e-9
-        pairs = {tuple(sorted(p)) for p in build_conflict_graph(h).adjacency}
+        pairs = build_conflict_graph(h)
         survivors = set(range(h.edge_count)) - matched
-        assert find_conflict(h, survivors) is None
+        assert ConflictScan(h, survivors).first() is None
         assert not any(a in survivors and b in survivors for a, b in pairs)
         assert _admits_perfect_conflict_pairing(matched, pairs)
 
@@ -249,7 +249,7 @@ def test_relaxation_solutions_satisfy_structural_invariants():
         sums = assign.node_color.sum(axis=1)
         assert np.all(np.abs(sums - 1.0) <= 1e-9)
 
-        pairs = build_conflict_graph(h).adjacency
+        pairs = build_conflict_graph(h)
         c1 = h.edges[0].color
         distance_solutions = [
             solve_pmean_relaxation(h, 1.0),

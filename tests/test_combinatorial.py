@@ -61,7 +61,7 @@ def test_matching_scans_nodes_in_order():
 
 def _is_conflict_matching(h, matched):
     """Matched ids must admit a perfect pairing inside the conflict graph."""
-    cg = ec.build_conflict_graph(h)
+    pairs = ec.build_conflict_graph(h)
     ids = sorted(matched)
 
     def pair_up(remaining):
@@ -70,7 +70,7 @@ def _is_conflict_matching(h, matched):
         first, rest = remaining[0], remaining[1:]
         for j, other in enumerate(rest):
             key = (min(first, other), max(first, other))
-            if key in cg.adjacency and pair_up(rest[:j] + rest[j + 1 :]):
+            if key in pairs and pair_up(rest[:j] + rest[j + 1 :]):
                 return True
         return False
 
@@ -81,7 +81,7 @@ def test_matching_is_maximal_conflict_matching():
     for h in instance_batch(71, 40):
         lam, matched = ec.matching_approximation(h)
         alive = set(range(h.edge_count)) - matched
-        assert ec.find_conflict(h, alive) is None
+        assert ConflictScan(h, alive).first() is None
         assert _is_conflict_matching(h, matched)
         # survivors are all satisfied by the returned coloring
         for e in alive:
@@ -240,7 +240,7 @@ def test_matching_weighted_instances_still_maximal():
     ):
         lam, matched = ec.matching_approximation(h)
         alive = set(range(h.edge_count)) - matched
-        assert ec.find_conflict(h, alive) is None
+        assert ConflictScan(h, alive).first() is None
         assert ec.objective(h, lam, ec.MIN) <= 2.0 * ec.brute_force(h, ec.MIN)[0] + 1e-9
         cf_opt = ec.brute_force(h, ec.COLORFAIR)[0]
         assert ec.objective(h, lam, ec.COLORFAIR) <= h.color_count * cf_opt + 1e-9
@@ -493,8 +493,8 @@ def test_pmean_screen_scores_few_states(monkeypatch):
     assert sum(scored) == 3**11
 
 
-def _reference_find_conflict(h, alive):
-    """The set-based scan ``find_conflict`` replaced, frozen as its reference."""
+def _reference_first_conflict(h, alive):
+    """The set-based scan ``ConflictScan`` replaced, frozen as its reference."""
     alive_set = set(alive)
     for v in range(1, h.node_count + 1):
         ids = [e for e in h.incidence[v - 1] if e in alive_set]
@@ -514,7 +514,7 @@ def _reference_branch_search(h, limits, accounts):
     tallies = [0.0] * len(limits)
 
     def search():
-        conflict = _reference_find_conflict(h, alive)
+        conflict = _reference_first_conflict(h, alive)
         if conflict is None:
             return ec.extend_coloring(h, set(range(h.edge_count)) - alive)
         _, e1, e2 = conflict
@@ -880,15 +880,15 @@ def test_fpt_searches_no_deletion_set_twice(monkeypatch):
             return super().first(start)
 
     reference_scans = 0
-    find_conflict = _reference_find_conflict
+    first_conflict = _reference_first_conflict
 
     def counted(h, alive):
         nonlocal reference_scans
         reference_scans += 1
-        return find_conflict(h, alive)
+        return first_conflict(h, alive)
 
     monkeypatch.setattr(combinatorial, "ConflictScan", Spy)
-    monkeypatch.setitem(globals(), "_reference_find_conflict", counted)
+    monkeypatch.setitem(globals(), "_reference_first_conflict", counted)
     for h, limits, accounts in _fpt_searches():
         deleted_sets.clear()
         reference_scans = 0

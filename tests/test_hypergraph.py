@@ -106,6 +106,31 @@ def test_sums_run_left_to_right():
     assert ec.objective(h, (2, 3, 1), ec.MIN) == 0.6000000000000001
 
 
+def test_coloring_that_satisfies_nothing_has_max_zero():
+    # Summed in edge order these weights total 4.44e-16 less than the
+    # per-color errors of a coloring that satisfies neither edge.
+    weights, colors = (0.7, 1.1, 0.01, 0.2, 0.3, 0.3), (3, 2, 3, 2, 3, 1)
+    h = ec.EdgeColoredHypergraph(2, 3, tuple(ec.Edge(c, w, (1, 2)) for c, w in zip(colors, weights)))
+    assert ec.objective(h, (1, 2), ec.MAX) == 0.0
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_max_objective_is_never_negative(seed):
+    rng = random.Random(seed)
+    n, k = rng.randint(2, 5), rng.randint(1, 4)
+    edges = tuple(
+        ec.Edge(rng.randint(1, k), round(rng.uniform(0.0, 2.0), 2), tuple(rng.sample(range(1, n + 1), 2)))
+        for _ in range(rng.randint(1, 8))
+    )
+    h = ec.EdgeColoredHypergraph(n, k, edges)
+    for _ in range(20):
+        lam = tuple(rng.randint(1, k) for _ in range(n))
+        value = ec.objective(h, lam, ec.MAX)
+        assert value >= 0.0
+        if not any(ec.is_satisfied(h, lam, e) for e in range(h.edge_count)):
+            assert value == 0.0
+
+
 def test_satisfaction_and_error_vector():
     h = ec.triangle_gadget()
     lam = (1, 1, 2)
@@ -163,10 +188,7 @@ def test_problem_validation():
 
 
 def test_conflict_graph_on_triangle():
-    cg = ec.build_conflict_graph(ec.triangle_gadget())
-    assert cg.adjacency == frozenset({(0, 1), (0, 2), (1, 2)})
-    assert cg.neighbors(0) == (1, 2)
-    assert cg.colors == (1, 2, 3)
+    assert ec.build_conflict_graph(ec.triangle_gadget()) == frozenset({(0, 1), (0, 2), (1, 2)})
 
 
 def test_conflict_graph_ignores_same_color_overlap():
@@ -178,18 +200,18 @@ def test_conflict_graph_ignores_same_color_overlap():
             ec.Edge(color=1, weight=1.0, nodes=(2, 3)),
         ),
     )
-    assert ec.build_conflict_graph(h).adjacency == frozenset()
+    assert ec.build_conflict_graph(h) == frozenset()
 
 
-def test_find_conflict_scan_order():
+def test_conflict_scan_order():
     h = ec.triangle_gadget()
-    assert ec.find_conflict(h, range(3)) == (1, 0, 2)
-    assert ec.find_conflict(h, [1, 2]) == (3, 1, 2)
-    assert ec.find_conflict(h, [0]) is None
-    assert ec.find_conflict(h, []) is None
+    assert ConflictScan(h, range(3)).first() == (1, 0, 2)
+    assert ConflictScan(h, [1, 2]).first() == (3, 1, 2)
+    assert ConflictScan(h, [0]).first() is None
+    assert ConflictScan(h, []).first() is None
 
 
-def test_find_conflict_prefers_lowest_node():
+def test_conflict_scan_prefers_lowest_node():
     h = ec.EdgeColoredHypergraph(
         4,
         2,
@@ -200,7 +222,7 @@ def test_find_conflict_prefers_lowest_node():
         ),
     )
     # node 2 already exposes the pair (0, 2); node 3 would give (0, 1)
-    assert ec.find_conflict(h, range(3)) == (2, 0, 2)
+    assert ConflictScan(h, range(3)).first() == (2, 0, 2)
 
 
 def _first_conflict(h, alive):

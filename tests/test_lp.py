@@ -18,12 +18,12 @@ from eccluster.relaxations import build_pmean_program, build_protected_lp
 from conftest import SLOW_P2, assignment_lp, instance_batch, ladder_instance, random_instance
 
 
-def _lp(objective, rows, maximize=False, bounds=None):
+def _lp(objective, rows, bounds=None):
     """LinearProgram from (coefficients, relation, rhs) rows."""
     A = [vec for vec, _, _ in rows] if rows else np.zeros((0, len(objective)))
     senses = [rel for _, rel, _ in rows]
     rhs = [rhs for _, _, rhs in rows]
-    return ec.LinearProgram(objective, A, senses, rhs, bounds=bounds, maximize=maximize)
+    return ec.LinearProgram(objective, A, senses, rhs, bounds=bounds)
 
 
 # The dual simplex's leaving rules: dual steepest edge, with Bland's lowest
@@ -42,34 +42,32 @@ def _solve_each_rule(lp):
     return sols
 
 
-BOX = _lp([1.0, 2.0], [([1.0, 1.0], ec.LE, 1.5)], maximize=True)
+BOX = _lp([-1.0, -2.0], [([1.0, 1.0], ec.LE, 1.5)])
 EQUALITY_AND_GE = _lp(
     [1.0, 1.0, 0.0],
     [([1.0, 1.0, 1.0], ec.EQ, 2.0), ([1.0, 0.0, 0.0], ec.GE, 0.25)],
 )
 INFEASIBLE = _lp([1.0], [([1.0], ec.GE, 2.0)])
 REDUNDANT = _lp(
-    [1.0, 1.0],
+    [-1.0, -1.0],
     [
         ([1.0, 1.0], ec.EQ, 1.0),
         ([1.0, 1.0], ec.EQ, 1.0),
         ([2.0, 2.0], ec.EQ, 2.0),
     ],
-    maximize=True,
 )
 LOWER_BOUNDS = _lp(
-    [1.0, 1.0],
+    [-1.0, -1.0],
     [([1.0, 1.0], ec.LE, 1.2)],
-    maximize=True,
     bounds=[(0.25, 1.0), (0.5, 1.0)],
 )
-ONE_ROW = _lp([3.0, -1.0, 2.0], [([1.0, 2.0, 1.0], ec.LE, 2.0)], maximize=True)
+ONE_ROW = _lp([-3.0, 1.0, -2.0], [([1.0, 2.0, 1.0], ec.LE, 2.0)])
 HAND_WRITTEN = (BOX, EQUALITY_AND_GE, REDUNDANT, LOWER_BOUNDS, ONE_ROW)
 
 
 def test_box_maximum():
     sol = ec.solve_lp(BOX)
-    assert sol.objective_value == pytest.approx(2.5)
+    assert sol.objective_value == pytest.approx(-2.5)
     assert np.allclose(sol.values, [0.5, 1.0])
 
 
@@ -86,7 +84,7 @@ def test_infeasible_programs_raise():
     programs = [INFEASIBLE]
     for rel, rhs in ((ec.LE, -0.5), (ec.GE, 2.5), (ec.EQ, 2.5), (ec.EQ, -0.5)):
         programs.append(_lp([1.0, 1.0], [([1.0, 0.0], ec.LE, 1.0), ([1.0, 1.0], rel, rhs)]))
-    programs.append(_lp([1.0, -1.0], [([1.0, 0.0], ec.GE, 0.75), ([1.0, 1.0], ec.LE, 0.5)], maximize=True))
+    programs.append(_lp([-1.0, 1.0], [([1.0, 0.0], ec.GE, 0.75), ([1.0, 1.0], ec.LE, 0.5)]))
     for lp in programs:
         assert _reference_solve_lp(lp)[0] == "infeasible"
         _assert_infeasible(lp)
@@ -97,13 +95,13 @@ def test_infeasible_programs_raise():
 
 def test_redundant_equalities_keep_their_fixed_slacks():
     sol = ec.solve_lp(REDUNDANT)
-    assert sol.objective_value == pytest.approx(1.0)
-    assert len(sol.basis) == 3
+    assert sol.objective_value == pytest.approx(-1.0)
+    assert len(sol._tableau.basis) == 3
 
 
 def test_nonzero_lower_bounds():
     sol = ec.solve_lp(LOWER_BOUNDS)
-    assert sol.objective_value == pytest.approx(1.2)
+    assert sol.objective_value == pytest.approx(-1.2)
     assert sol.values[0] >= 0.25 - EPS_FEAS
     assert sol.values[1] >= 0.5 - EPS_FEAS
 
@@ -111,7 +109,7 @@ def test_nonzero_lower_bounds():
 def test_solution_is_feasible_and_reports_basis():
     sol = ec.solve_lp(ONE_ROW)
     assert max_violation(ONE_ROW, sol.values) <= 1e-9
-    assert len(sol.basis) == 1
+    assert len(sol._tableau.basis) == 1
 
 
 def test_programs_share_read_only_arrays_and_copy_the_rest():
@@ -201,6 +199,11 @@ def _enumerate_vertices(lp):
     return points
 
 
+def _random_sign(rng):
+    """-1 or 1, each half the time, so that half the random programs are maximized."""
+    return -1.0 if rng.random() < 0.5 else 1.0
+
+
 def _sense(rng, senses, rows, vec):
     """A random sense from ``senses``; GE instead of an EQ row that depends
     on the EQ rows so far, since the vertex oracle needs them independent."""
@@ -229,7 +232,7 @@ def _random_program(rng):
             rhs = float(vec @ corner) + rng.uniform(-1.5, 1.5)
         rows.append((vec, rel, rhs))
     objective = np.array([rng.uniform(-2, 2) for _ in range(n)])
-    return _lp(objective, rows, maximize=rng.random() < 0.5)
+    return _lp(_random_sign(rng) * objective, rows)
 
 
 def _assert_infeasible(lp):
@@ -253,7 +256,7 @@ def _matches_vertex_enumeration(lp, value_tol=1e-9, violation_tol=1e-9):
         return True
     values = [float(lp.objective @ x) for x in vertices]
     for sol in _solve_each_rule(lp):
-        assert sol.objective_value == pytest.approx(max(values) if lp.maximize else min(values), abs=value_tol)
+        assert sol.objective_value == pytest.approx(min(values), abs=value_tol)
         assert max_violation(lp, sol.values) <= violation_tol
     return False
 
@@ -322,8 +325,6 @@ def _reference_solve_lp(lp):
     n = lp.variable_count
     lo = np.array([bd[0] for bd in lp.bounds])
     hi = np.array([bd[1] for bd in lp.bounds])
-    sign = -1.0 if lp.maximize else 1.0
-    c_min = sign * lp.objective
 
     A_rows, b_vals, rels = [], [], []
     for coeffs, rel, rhs in zip(lp.A, lp.senses, lp.rhs):
@@ -401,7 +402,7 @@ def _reference_solve_lp(lp):
     T = np.hstack([T[:, :n_real], T[:, -1].reshape(-1, 1)])
 
     c2 = np.zeros(n_real + 1)
-    c2[:n] = c_min
+    c2[:n] = lp.objective
     obj2 = _ref_reduced_costs(c2, T, basis)
     status, p = _ref_run_simplex(T, obj2, basis, cap)
     total_pivots += p
@@ -431,7 +432,7 @@ def _highs_value(lp):
     le, ge, eq = (lp.senses == sense for sense in (LE, GE, EQ))
     A_ub, b_ub = np.vstack([lp.A[le], -lp.A[ge]]), np.concatenate([lp.rhs[le], -lp.rhs[ge]])
     res = linprog(
-        -lp.objective if lp.maximize else lp.objective,
+        lp.objective,
         A_ub=A_ub if b_ub.size else None,
         b_ub=b_ub if b_ub.size else None,
         A_eq=lp.A[eq] if eq.any() else None,
@@ -440,7 +441,7 @@ def _highs_value(lp):
         method="highs",
     )
     assert res.status == 0, res.message
-    return -res.fun if lp.maximize else res.fun
+    return res.fun
 
 
 def _oracle(lp):
@@ -531,29 +532,28 @@ SHIFTED_BOX = _lp(
     bounds=[(-1.0, 1.0), (0.25, 0.75), (-2.0, -0.5)],
 )
 FIXED_VARIABLE = _lp(
-    [1.0, 1.0, -3.0],
+    [-1.0, -1.0, 3.0],
     [([1.0, 1.0, 1.0], ec.EQ, 1.7), ([1.0, -1.0, 0.0], ec.LE, 0.1)],
-    maximize=True,
     bounds=[(0.0, 1.0), (0.0, 1.0), (0.7, 0.7)],
 )
 ZERO_RHS_GE = _lp(
     [1.0, 1.0, -3.0],
     [([1.0, 0.0, -1.0], ec.GE, 0.0), ([0.0, 1.0, -1.0], ec.GE, 0.0), ([1.0, 1.0, 0.0], ec.LE, 1.5)],
 )
-BOUNDS_ONLY = _lp([1.0, -1.0], [], maximize=True, bounds=[(-1.0, 2.0), (0.5, 0.5)])
+BOUNDS_ONLY = _lp([-1.0, 1.0], [], bounds=[(-1.0, 2.0), (0.5, 0.5)])
 # The corner each cost favours: the lower one for UPPER_START, which breaks
 # its GE row there, and the upper one for UPPER_OPTIMAL, which is optimal
 # there.
 UPPER_START = _lp([1.0, 1.0], [([1.0, 1.0], ec.GE, 1.5)])
-UPPER_OPTIMAL = _lp([1.0, 2.0], [([1.0, 1.0], ec.GE, 1.0), ([1.0, -1.0], ec.LE, 0.5)], maximize=True)
+UPPER_OPTIMAL = _lp([-1.0, -2.0], [([1.0, 1.0], ec.GE, 1.0), ([1.0, -1.0], ec.LE, 0.5)])
 BOUNDED = {
     "flip-then-upper": (FLIP_THEN_UPPER, -1.0),
     "shifted-box": (SHIFTED_BOX, -5.0),
-    "fixed-variable": (FIXED_VARIABLE, -1.1),
+    "fixed-variable": (FIXED_VARIABLE, 1.1),
     "zero-rhs-ge": (ZERO_RHS_GE, -0.75),
-    "bounds-only": (BOUNDS_ONLY, 1.5),
+    "bounds-only": (BOUNDS_ONLY, -1.5),
     "upper-start": (UPPER_START, 1.5),
-    "upper-optimal": (UPPER_OPTIMAL, 3.0),
+    "upper-optimal": (UPPER_OPTIMAL, -3.0),
 }
 
 
@@ -590,14 +590,14 @@ def _random_boxed_program(rng):
         rows.append((vec, rel, _shift(rng, rhs)))
     objective = np.array([rng.uniform(-2, 2) for _ in range(n)])
     bounds = np.column_stack([lo, hi])
-    return _lp(objective, rows, maximize=rng.random() < 0.5, bounds=bounds), corner
+    return _lp(_random_sign(rng) * objective, rows, bounds=bounds), corner
 
 
 @pytest.mark.parametrize("name", sorted(BOUNDED))
 def test_bounded_programs_match_vertex_enumeration(name):
     lp, optimum = BOUNDED[name]
     values = [float(lp.objective @ x) for x in _enumerate_vertices(lp)]
-    assert (max(values) if lp.maximize else min(values)) == pytest.approx(optimum)
+    assert min(values) == pytest.approx(optimum)
     assert not _matches_vertex_enumeration(lp)
 
 
@@ -618,7 +618,7 @@ def test_random_boxed_programs_match_vertex_enumeration():
 
 
 def test_program_optimal_at_its_start_corner_takes_no_pivots():
-    # Maximized with positive costs, UPPER_OPTIMAL starts at its upper
+    # With negative costs, UPPER_OPTIMAL starts at its upper
     # corner, which satisfies both rows.
     for sol in _solve_each_rule(UPPER_OPTIMAL):
         assert sol.values.tolist() == [1.0, 1.0]
@@ -645,7 +645,7 @@ def _random_upper_program(rng):
         rows.append((vec, rel, _shift(rng, rhs)))
     objective = np.array([rng.uniform(-2, 2) for _ in range(n)])
     bounds = np.column_stack([lo, hi])
-    return _lp(objective, rows, maximize=rng.random() < 0.5, bounds=bounds), hi
+    return _lp(_random_sign(rng) * objective, rows, bounds=bounds), hi
 
 
 def test_random_upper_corner_programs_match_vertex_enumeration():
@@ -739,18 +739,18 @@ def _append(lp, *rows):
     A = np.vstack([lp.A, [vec for vec, _, _ in rows]])
     senses = np.append(lp.senses, [rel for _, rel, _ in rows])
     rhs = np.append(lp.rhs, [rhs for _, _, rhs in rows])
-    return ec.LinearProgram(lp.objective, A, senses, rhs, lp.bounds, lp.maximize)
+    return ec.LinearProgram(lp.objective, A, senses, rhs, lp.bounds)
 
 
-# Rows appended to BOX, whose optimum is (0.5, 1) with value 2.5, each with
+# Rows appended to BOX, whose optimum is (0.5, 1) with value -2.5, each with
 # the new optimum and the pivots a hot solve takes; a cold solve checks the
 # hot one.  The EQ row's slack reads 0.5 at (0.5, 1), above its box [0, 0]:
 # its row is complemented, and one dual pivot then repairs it.
 APPENDED = {
-    "cuts-off-optimum": (([0.0, 1.0], ec.LE, 0.5), 2.0, 1),
-    "already-satisfied": (([1.0, 1.0], ec.LE, 2.0), 2.5, 0),
-    "slack-above-its-box": (([1.0, -1.0], ec.EQ, 0.0), 2.25, 1),
-    "ge-cut": (([1.0, -1.0], ec.GE, 0.0), 2.25, 1),
+    "cuts-off-optimum": (([0.0, 1.0], ec.LE, 0.5), -2.0, 1),
+    "already-satisfied": (([1.0, 1.0], ec.LE, 2.0), -2.5, 0),
+    "slack-above-its-box": (([1.0, -1.0], ec.EQ, 0.0), -2.25, 1),
+    "ge-cut": (([1.0, -1.0], ec.GE, 0.0), -2.25, 1),
 }
 
 
@@ -775,9 +775,9 @@ def test_hot_start_chains_and_takes_several_rows_at_once():
     lp2 = _append(lp1, APPENDED["ge-cut"][0], ([1.0, 0.0], ec.LE, 0.8))
     chained = ec.solve_lp(lp2, ec.solve_lp(lp1, ec.solve_lp(BOX)))
     at_once = ec.solve_lp(lp2, ec.solve_lp(BOX))
-    # x1 <= 0.8 and x2 <= 0.5 leave x1 + 2 x2 at most 1.8.
+    # x1 <= 0.8 and x2 <= 0.5 leave -x1 - 2 x2 at least -1.8.
     for sol in (chained, at_once):
-        assert sol.objective_value == pytest.approx(1.8, abs=1e-12)
+        assert sol.objective_value == pytest.approx(-1.8, abs=1e-12)
         assert max_violation(lp2, sol.values) <= 1e-12
 
 
@@ -797,20 +797,19 @@ def test_hot_start_rejects_a_program_that_is_not_the_previous_plus_rows():
     lp = _append(ONE_ROW, row)
     ec.solve_lp(lp, previous)
     changed = {
-        "objective": dict(objective=[3.0, -1.0, 2.5]),
+        "objective": dict(objective=[-3.0, 1.0, -2.5]),
         "bounds": dict(bounds=[(0.0, 1.0), (0.0, 1.0), (0.0, 0.5)]),
-        "maximize": dict(maximize=False),
         "earlier row": dict(A=[[1.0, 2.0, 1.5], row[0]]),
         "earlier sense": dict(senses=[ec.GE, ec.LE]),
     }
-    fields = dict(objective=lp.objective, A=lp.A, senses=lp.senses, rhs=lp.rhs, bounds=lp.bounds, maximize=lp.maximize)
+    fields = dict(objective=lp.objective, A=lp.A, senses=lp.senses, rhs=lp.rhs, bounds=lp.bounds)
     for name, change in changed.items():
         with pytest.raises(ValueError, match="plus appended rows"):
             ec.solve_lp(ec.LinearProgram(**(fields | change)), previous)
     # A row dropped, and a row put before the old ones.
     with pytest.raises(ValueError, match="plus appended rows"):
         ec.solve_lp(ONE_ROW, ec.solve_lp(lp))
-    swapped = _lp([3.0, -1.0, 2.0], [row, ([1.0, 2.0, 1.0], ec.LE, 2.0)], maximize=True)
+    swapped = _lp([-3.0, 1.0, -2.0], [row, ([1.0, 2.0, 1.0], ec.LE, 2.0)])
     with pytest.raises(ValueError, match="plus appended rows"):
         ec.solve_lp(swapped, previous)
     with pytest.raises(ValueError, match="no tableau"):
@@ -819,7 +818,7 @@ def test_hot_start_rejects_a_program_that_is_not_the_previous_plus_rows():
 
 def _with_rhs(lp, rhs):
     """``lp`` with the right-hand sides ``rhs``."""
-    return ec.LinearProgram(lp.objective, lp.A, lp.senses, rhs, lp.bounds, lp.maximize)
+    return ec.LinearProgram(lp.objective, lp.A, lp.senses, rhs, lp.bounds)
 
 
 # BOX plus x1 - x2 = 0, solved hot from BOX: the EQ row's slack leaves its
@@ -829,10 +828,10 @@ BOX_EQ = _append(BOX, ([1.0, -1.0], ec.EQ, 0.0))
 # New right-hand sides for BOX_EQ (LE, EQ) and EQUALITY_AND_GE (EQ, GE), each
 # with the optimum a hot solve must reach.
 RHS_EDITS = {
-    "le": (BOX_EQ, [1.0, 0.0], 1.5),
-    "eq-up": (BOX_EQ, [1.5, 0.5], 2.0),
-    "eq-down": (BOX_EQ, [1.5, -0.5], 2.5),
-    "le-and-eq": (BOX_EQ, [1.2, -0.2], 1.9),
+    "le": (BOX_EQ, [1.0, 0.0], -1.5),
+    "eq-up": (BOX_EQ, [1.5, 0.5], -2.0),
+    "eq-down": (BOX_EQ, [1.5, -0.5], -2.5),
+    "le-and-eq": (BOX_EQ, [1.2, -0.2], -1.9),
     "ge": (EQUALITY_AND_GE, [2.0, 0.75], 1.0),
     "eq-of-eq-and-ge": (EQUALITY_AND_GE, [1.5, 0.25], 0.5),
     "eq-and-ge": (EQUALITY_AND_GE, [2.5, 1.0], 1.5),
@@ -870,10 +869,10 @@ def test_new_right_hand_sides_are_solved_from_the_previous_tableau(name):
 
 def test_new_right_hand_side_with_appended_rows():
     previous = ec.solve_lp(BOX)
-    # x1 + x2 <= 1 and then x2 <= 0.5 leave x1 + 2 x2 at most 1.5.
+    # x1 + x2 <= 1 and then x2 <= 0.5 leave -x1 - 2 x2 at least -1.5.
     lp = _append(_with_rhs(BOX, [1.0]), ([0.0, 1.0], ec.LE, 0.5))
     hot = ec.solve_lp(lp, previous)
-    assert hot.objective_value == pytest.approx(1.5, abs=1e-12)
+    assert hot.objective_value == pytest.approx(-1.5, abs=1e-12)
     _matches_vertex_enumeration(lp)
 
 
@@ -1025,7 +1024,7 @@ def _reference_point(lp, sol):
     M = np.hstack([f[:, None] * lp.A, np.eye(R)])
     y = np.zeros(n + R)
     y[:n] = np.where(sol._tableau.complemented[:n], hi - lo, 0.0)  # a complemented slack is boxed in [0, 0]
-    basis = np.array(sol.basis, dtype=np.intp)
+    basis = sol._tableau.basis
     y[basis] = 0.0
     y[basis] = np.linalg.solve(M[:, basis], f * (lp.rhs - lp.A @ lo) - M @ y)
     return y[:n] + lo

@@ -160,7 +160,7 @@ def test_max_relaxation_is_the_min_lp_at_optimality():
         assert z.tolist() == [min(x[v - 1, e.color - 1] for v in e.nodes) for e in h.edges]
         weighted = [e.weight * value for e, value in zip(h.edges, z.tolist())]
         assert frac.bound.hex() == float(left_sum(weighted)).hex()
-        equality_optimum = ec.solve_lp(assignment_lp(h)).objective_value
+        equality_optimum = -ec.solve_lp(assignment_lp(h)).objective_value
         min_side = h.total_weight - ec.solve_pmean_relaxation(h, 1.0).bound
         for other in (equality_optimum, min_side):
             assert math.isclose(frac.bound, other, rel_tol=1e-9, abs_tol=1e-12)
@@ -243,8 +243,7 @@ def test_structural_invariants_on_random_solves():
         dist = ec.solve_pmean_relaxation(h, p)
         below_half = (dist.node_color < 0.5 - 1e-9).sum(axis=1)
         assert np.all(below_half <= 1)
-        cg = ec.build_conflict_graph(h)
-        for a, b in cg.adjacency:
+        for a, b in ec.build_conflict_graph(h):
             assert dist.edge_value[a] + dist.edge_value[b] >= 1.0 - 1e-9
         kinds += 1
     assert kinds == 12
@@ -253,8 +252,7 @@ def test_structural_invariants_on_random_solves():
 def test_protected_solutions_keep_pair_cover():
     for h in instance_batch(55, 8):
         frac = ec.solve_protected_relaxation(h, 1, 1.0)
-        cg = ec.build_conflict_graph(h)
-        for a, b in cg.adjacency:
+        for a, b in ec.build_conflict_graph(h):
             assert frac.edge_value[a] + frac.edge_value[b] >= 1.0 - 1e-9
 
 
@@ -336,8 +334,7 @@ def test_minimize_lovasz_triangle():
     gamma = ec.minimize_lovasz(h, 0.5).point
     assert gamma.shape == (3,)
     assert np.all(gamma >= -1e-12) and np.all(gamma <= 1.0 + 1e-12)
-    cg = ec.build_conflict_graph(h)
-    for a, b in cg.adjacency:
+    for a, b in ec.build_conflict_graph(h):
         assert gamma[a] + gamma[b] >= 1.0 - 1e-6
     value = ec.lovasz_extension(h, 0.5, gamma)[0]
     # any feasible deletion set keeps at most one edge, so f(S) >= 2 on binaries
@@ -349,8 +346,7 @@ def test_minimize_lovasz_stays_feasible_on_random_instances():
     for _ in range(5):
         h = random_instance(rng, m_hi=7)
         gamma = ec.minimize_lovasz(h, 0.5).point
-        cg = ec.build_conflict_graph(h)
-        for a, b in cg.adjacency:
+        for a, b in ec.build_conflict_graph(h):
             assert gamma[a] + gamma[b] >= 1.0 - 1e-6
 
 
@@ -371,9 +367,112 @@ def _random_distance_point(h, lay, n_vars, rng):
 
 def _random_pair_cover(h, rng):
     gamma = np.array([rng.random() for _ in range(h.edge_count)])
-    for a, b in sorted(ec.build_conflict_graph(h).adjacency):
+    for a, b in sorted(ec.build_conflict_graph(h)):
         gamma[b] = max(gamma[b], 1.0 - gamma[a])
     return gamma
+
+
+def _triangle_point(d, gamma):
+    """The triangle gadget's raw LP point with rows ``d`` per node and ``gamma`` per edge."""
+    return np.concatenate([np.ravel(d), gamma])
+
+
+# Points of the triangle gadget that break each structural check in turn,
+# with the message ``_distance_point`` raises.  Entries above 1 let two
+# colors sit below 1/2, or one pair of gammas fall short, while the node
+# masses still reach k - 1.
+BROKEN_POINTS = {
+    "mass": (np.zeros((3, 3)), [1.0, 1.0, 1.0], "distance mass per node fell below k - 1"),
+    "cap": (np.ones((3, 3)), [1.0, 0.0, 0.0], "d exceeds gamma on edge 1 at node 2"),
+    "half": ([[0.25, 0.25, 1.5], [1.0] * 3, [1.0] * 3], [1.5, 1.5, 1.5], "two colors closer than 1/2 at one node"),
+    "pair": (
+        [[0.0, 1.0, 1.0], [0.25, 0.5, 1.25], [1.0, 0.5, 1.0]],
+        [0.25, 0.5, 1.0],
+        "conflicting edges at node 2 violate the pair cover",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BROKEN_POINTS))
+def test_distance_point_rejects_each_broken_fact(name):
+    d, gamma, message = BROKEN_POINTS[name]
+    h = ec.triangle_gadget()
+    lay = ec.VariableLayout(3, 3, 3)
+    with pytest.raises(RuntimeError, match=f"^{message}$"):
+        relaxations._distance_point(h, lay, _triangle_point(d, gamma))
+
+
+def _reference_distance_check(h, lay, values):
+    """The loop checks ``_distance_point`` made before it checked the pair
+    cover node by node, frozen: the first message it raised, or None, with
+    every pair-cover message read as "pair cover"."""
+    d, gamma = lay.split(values)
+    if np.any(d.sum(axis=1) < h.color_count - 1 - EPS_FEAS):
+        return "distance mass per node fell below k - 1"
+    for e, edge in enumerate(h.edges):
+        for v in edge.nodes:
+            if d[v - 1, edge.color - 1] > gamma[e] + EPS_FEAS:
+                return f"d exceeds gamma on edge {e} at node {v}"
+    if np.any((d < 0.5 - EPS_FEAS).sum(axis=1) > 1):
+        return "two colors closer than 1/2 at one node"
+    for a, b in ec.build_conflict_graph(h):
+        if gamma[a] + gamma[b] < 1.0 - EPS_FEAS:
+            return "pair cover"
+    return None
+
+
+def _distance_check(h, lay, values):
+    try:
+        relaxations._distance_point(h, lay, values)
+    except RuntimeError as exc:
+        return "pair cover" if str(exc).endswith("violate the pair cover") else str(exc)
+    return None
+
+
+def _perturbed_distance_point(h, lay, rng):
+    """A point near the region's boundary, moved by a few tolerances.
+
+    Three colors, the same at every node, take the low distances: at each
+    node one of the first two is free, or both sit at 1/2, or the first lies
+    below 1/2 and the second above it (at one node in eight, below it too),
+    with the third lifted by their shortfall, above 1 where it is large.
+    Every other entry is 1, and each gamma sits at its largest cap.  One
+    entry in twenty then moves by up to 2 EPS_FEAS either way, so a node's
+    mass, a cap or a pair's sum can miss by more or less than the tolerance.
+    """
+    d = np.ones((h.node_count, h.color_count))
+    colors = rng.sample(range(h.color_count), min(3, h.color_count))
+    for row in d:
+        mode = rng.choice((0, 1, 2, 2, 2, 2, 2, 3)) if len(colors) == 3 else 0
+        if mode == 0:
+            row[rng.choice(colors[:2])] = rng.random()
+        elif mode == 1:
+            row[colors[:2]] = 0.5
+        else:
+            row[colors[:2]] = [0.5 * rng.random(), 0.5 * rng.random() + (0.5 if mode == 2 else 0.0)]
+            row[colors[2]] += 1.0 - row[colors[:2]].sum()
+    gamma = np.array([max(d[v - 1, edge.color - 1] for v in edge.nodes) for edge in h.edges])
+    for values in (d.reshape(-1), gamma):
+        for i in range(values.size):
+            if rng.random() < 0.05:
+                values[i] += rng.uniform(-2.0, 2.0) * EPS_FEAS
+    return np.concatenate([d.reshape(-1), gamma])
+
+
+def test_distance_point_checks_match_the_pair_loop():
+    rng = random.Random(62)
+    verdicts = {}
+    batch = instance_batch(63, 40, k_lo=1, unit_weights=False) + instance_batch(64, 20, n_hi=4, k_lo=3, sizes=(2,))
+    for h in batch:
+        lay = ec.VariableLayout(h.node_count, h.color_count, h.edge_count)
+        points = [_random_distance_point(h, lay, lay.total, rng) for _ in range(3)]
+        points += [_perturbed_distance_point(h, lay, rng) for _ in range(60)]
+        for x in points:
+            verdict = _reference_distance_check(h, lay, x)
+            assert _distance_check(h, lay, x) == verdict
+            kind = verdict.split(" on edge")[0] if verdict else None
+            verdicts[kind] = verdicts.get(kind, 0) + 1
+    assert len(verdicts) == 5 and min(verdicts.values()) >= 50, verdicts
 
 
 def test_cutting_plane_cuts_are_tight_and_support_the_function():
