@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 usage, parse or solver errors, 2 for a "no" answer
 from a feasibility search.  ``estimate`` output is a pure function of its arguments
 (no timing fields), so identical invocations produce identical bytes.  Floats
-are rendered with 17 significant digits so reported numbers round-trip
-exactly.
+print as Python's ``repr``, the shortest text that reads back to the same
+double, in JSON and CSV alike.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .hypergraph import (
     Problem,
     color_error_vector,
     evaluate_errors,
-    left_sum,
+    objective,
     parse_instance,
     pmean,
     protected,
@@ -85,64 +85,23 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _fmt_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
-        raise ValueError("cannot serialize a non-finite number")
-    return format(float(x), ".17g")
-
-
-def _write_json(value, out: list[str]) -> None:
-    if value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, str):
-        out.append(json.dumps(value))
-    elif isinstance(value, int):
-        out.append(str(value))
-    elif isinstance(value, float):
-        out.append(_fmt_float(value))
-    elif isinstance(value, dict):
-        out.append("{")
-        for i, (key, item) in enumerate(value.items()):
-            if i:
-                out.append(", ")
-            out.append(json.dumps(str(key)))
-            out.append(": ")
-            _write_json(item, out)
-        out.append("}")
-    elif isinstance(value, (list, tuple)):
-        out.append("[")
-        for i, item in enumerate(value):
-            if i:
-                out.append(", ")
-            _write_json(item, out)
-        out.append("]")
-    else:
-        raise TypeError(f"cannot serialize {type(value)!r}")
-
-
-def _render_json(doc: dict) -> str:
-    out: list[str] = []
-    _write_json(doc, out)
-    out.append("\n")
-    return "".join(out)
+def _json(value) -> str:
+    """``value`` as JSON text; floats print as their ``repr``."""
+    try:
+        return json.dumps(value, allow_nan=False)
+    except ValueError as exc:  # json's own wording differs between Python versions
+        raise ValueError("cannot serialize a non-finite number") from exc
 
 
 def _csv_cell(value) -> str:
+    """A scalar's JSON text, unquoted strings, empty for None, lists joined by ``;``."""
     if value is None:
         return ""
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, float):
-        return _fmt_float(value)
+    if isinstance(value, str):
+        return value
     if isinstance(value, (list, tuple)):
         return ";".join(_csv_cell(v) for v in value)
-    return str(value)
+    return _json(value)
 
 
 _SOLVE_COLUMNS = [
@@ -293,7 +252,7 @@ def _run_solve(args) -> tuple[str, int]:
         doc["master_seed"] = result.master_seed
     doc["wall_time_sec"] = time.perf_counter() - started
 
-    text = _render_solve_csv(doc) if args.format == "csv" else _render_json(doc)
+    text = _render_solve_csv(doc) if args.format == "csv" else _json(doc) + "\n"
     return text, 0 if feasible else 2
 
 
@@ -327,9 +286,9 @@ def _run_estimate(args) -> tuple[str, int]:
         "relaxation_bound": float(frac.bound),
         "mean_objective": est.mean_objective,
         "edges": rows,
-        "all_pass": bool(passes.all()) if h.edge_count else True,
+        "all_pass": bool(passes.all()),
     }
-    return _render_json(doc), 0
+    return _json(doc) + "\n", 0
 
 
 def _run_bench(args) -> tuple[str, int]:
@@ -353,9 +312,7 @@ def _run_bench(args) -> tuple[str, int]:
     budgets = [math.ceil(phi * class_size) for phi in fractions]
     results = solve_budget_sweep(h, args.protected_color, budgets, rho=args.rho)
     for phi, budget, result in zip(fractions, budgets, results):
-        errors = color_error_vector(h, result.coloring).tolist()
-        total = left_sum(errors)
-        prot = errors[args.protected_color - 1]
+        total, prot = objective(h, result.coloring, protected(args.protected_color, budget))
         violation = prot / budget if budget > 0 else None
         lines.append(",".join(_csv_cell(v) for v in (phi, budget, total, prot, result.bound, violation)))
     return "\n".join(lines) + "\n", 0

@@ -1,8 +1,11 @@
 """Fractional relaxations of the clustering objectives.
 
-Every relaxation lives in one distance region: d_v^c (how far node v sits
-from color c) with sum_c d_v^c >= k - 1 per node, and per-edge violation
-levels gamma_e >= d_v^c for every node v of the edge, all in [0, 1].
+Every LP relaxation lives in one distance region: d_v^c (how far node v
+sits from color c) with sum_c d_v^c >= k - 1 per node, and per-edge
+violation levels gamma_e >= d_v^c for every node v of the edge, all in
+[0, 1].  The Lovász path (``minimize_lovasz``) does not: it minimizes over
+the pair-cover polytope, gamma columns only, with gamma_e + gamma_f >= 1 on
+every conflicting pair.
 Builders translate an instance into a LinearProgram, one constraint matrix
 filled by index arrays, and solvers map the optimum back onto the
 hypergraph.  The max relaxation is the assignment orientation of the p = 1
@@ -27,7 +30,6 @@ rhs, and is solved hot from the last budget's final tableau.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -205,10 +207,7 @@ def build_pmean_program(h: EdgeColoredHypergraph, p: float):
 
     def cut(point: np.ndarray) -> tuple[float, np.ndarray]:
         m = np.clip(color_mass(h, point[gammas]), 0.0, None)
-        with np.errstate(over="ignore"):
-            total = float(np.sum(m**p))
-        # the plain form's bytes where it is representable, as in pmean_norm
-        norm = total ** (1.0 / p) if sys.float_info.min <= total < math.inf else pmean_norm(m.tolist(), p)
+        norm = pmean_norm(m.tolist(), p)
         grad = np.zeros(lay.total)
         if norm > 0.0:
             grad[gammas] = weights * (m[colors] / norm) ** (p - 1.0)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .combinatorial import brute_force, fpt_colorfair, fpt_protected, matching_approximation
-from .hypergraph import Coloring, EdgeColoredHypergraph, Problem
+from .hypergraph import Coloring, EdgeColoredHypergraph, Problem, _power
 from .relaxations import (
     minimize_lovasz,
     solve_max_relaxation,
@@ -84,7 +84,7 @@ def _half_threshold(h: EdgeColoredHypergraph, p: float) -> SolveResult:
 def _lovasz(h: EdgeColoredHypergraph, problem: Problem, **_) -> SolveResult:
     cuts = minimize_lovasz(h, problem.p)
     # the loop's lower bound is on min f(S), which is OPT^p
-    bound = cuts.lower ** (1.0 / problem.p)
+    bound = _power(cuts.lower, 1.0 / problem.p)
     return SolveResult(lovasz_round(h, cuts.point), bound, converged=cuts.converged, fallback="constant-1")
 
 

@@ -7,11 +7,14 @@ import math
 import os
 import random
 import re
+import struct
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import SLOW_P2, ladder_instance, serialize_instance
 from eccluster import Edge, EdgeColoredHypergraph, parse_instance
@@ -325,7 +328,7 @@ def test_solve_csv_format(triangle_path):
     header = lines[0].split(",")
     row = lines[1].split(",")
     cells = dict(zip(header, row))
-    assert cells["objective"] == "2"
+    assert cells["objective"] == "2.0"
     assert cells["relaxation_bound"] == "1.5"
     assert cells["coloring"] == "1;1;2"
 
@@ -482,59 +485,59 @@ FROZEN_INSTANCES = {
 """,
 }
 
-# ``ecc estimate --trials 2049 --seed 7`` output, frozen when every trial was
-# rounded one node at a time; the decimal instances' ``mean_objective`` is
+# ``ecc estimate --trials 2049 --seed 7`` output, its values frozen when every
+# trial was rounded one node at a time; the decimal instances' ``mean_objective`` is
 # the exact satisfied weight over the trials, rounded once
 FROZEN_ESTIMATES = {
     ("whole", "hyper"): (
-        '{"scheme": "hyper", "trials": 2049, "master_seed": 7, "rank": 2, "guarantee": 0.18044704431548361, "relaxation_bound": 6, "mean_objective": 4.5900439238653004, "edges": ['
-        '{"edge": 0, "lp_value": 0.5, "floor": 0.090223522157741806, "frequency": 0.61346998535871156, "std_error": 0.010757647067815197, "pass": true}, '
-        '{"edge": 1, "lp_value": 0.5, "floor": 0.090223522157741806, "frequency": 0.38653001464128844, "std_error": 0.010757647067815197, "pass": true}, '
-        '{"edge": 2, "lp_value": 0, "floor": 0, "frequency": 0, "std_error": 0, "pass": true}, '
-        '{"edge": 3, "lp_value": 0.5, "floor": 0.090223522157741806, "frequency": 0.427037579306979, "std_error": 0.010927608753657791, "pass": true}, '
-        '{"edge": 4, "lp_value": 0.5, "floor": 0.090223522157741806, "frequency": 0.30893118594436308, "std_error": 0.010207527158224077, "pass": true}, '
-        '{"edge": 5, "lp_value": 0.5, "floor": 0.090223522157741806, "frequency": 0.26403123474865786, "std_error": 0.0097383721211210406, "pass": true}, '
-        '{"edge": 6, "lp_value": 0.5, "floor": 0.090223522157741806, "frequency": 0.427037579306979, "std_error": 0.010927608753657791, "pass": true}, '
-        '{"edge": 7, "lp_value": 0.5, "floor": 0.090223522157741806, "frequency": 0.30893118594436308, "std_error": 0.010207527158224077, "pass": true}'
+        '{"scheme": "hyper", "trials": 2049, "master_seed": 7, "rank": 2, "guarantee": 0.1804470443154836, "relaxation_bound": 6.0, "mean_objective": 4.5900439238653, "edges": ['
+        '{"edge": 0, "lp_value": 0.5, "floor": 0.0902235221577418, "frequency": 0.6134699853587116, "std_error": 0.010757647067815197, "pass": true}, '
+        '{"edge": 1, "lp_value": 0.5, "floor": 0.0902235221577418, "frequency": 0.38653001464128844, "std_error": 0.010757647067815197, "pass": true}, '
+        '{"edge": 2, "lp_value": 0.0, "floor": 0.0, "frequency": 0.0, "std_error": 0.0, "pass": true}, '
+        '{"edge": 3, "lp_value": 0.5, "floor": 0.0902235221577418, "frequency": 0.427037579306979, "std_error": 0.01092760875365779, "pass": true}, '
+        '{"edge": 4, "lp_value": 0.5, "floor": 0.0902235221577418, "frequency": 0.3089311859443631, "std_error": 0.010207527158224077, "pass": true}, '
+        '{"edge": 5, "lp_value": 0.5, "floor": 0.0902235221577418, "frequency": 0.26403123474865786, "std_error": 0.00973837212112104, "pass": true}, '
+        '{"edge": 6, "lp_value": 0.5, "floor": 0.0902235221577418, "frequency": 0.427037579306979, "std_error": 0.01092760875365779, "pass": true}, '
+        '{"edge": 7, "lp_value": 0.5, "floor": 0.0902235221577418, "frequency": 0.3089311859443631, "std_error": 0.010207527158224077, "pass": true}'
         '], "all_pass": true}'
         "\n"
     ),
     ("whole", "graph"): (
-        '{"scheme": "graph", "trials": 2049, "master_seed": 7, "rank": 2, "guarantee": 0.38024691358024693, "relaxation_bound": 6, "mean_objective": 4.5900439238653004, "edges": ['
-        '{"edge": 0, "lp_value": 0.5, "floor": 0.19012345679012346, "frequency": 0.61346998535871156, "std_error": 0.010757647067815197, "pass": true}, '
+        '{"scheme": "graph", "trials": 2049, "master_seed": 7, "rank": 2, "guarantee": 0.3802469135802469, "relaxation_bound": 6.0, "mean_objective": 4.5900439238653, "edges": ['
+        '{"edge": 0, "lp_value": 0.5, "floor": 0.19012345679012346, "frequency": 0.6134699853587116, "std_error": 0.010757647067815197, "pass": true}, '
         '{"edge": 1, "lp_value": 0.5, "floor": 0.19012345679012346, "frequency": 0.38653001464128844, "std_error": 0.010757647067815197, "pass": true}, '
-        '{"edge": 2, "lp_value": 0, "floor": 0, "frequency": 0, "std_error": 0, "pass": true}, '
-        '{"edge": 3, "lp_value": 0.5, "floor": 0.19012345679012346, "frequency": 0.427037579306979, "std_error": 0.010927608753657791, "pass": true}, '
-        '{"edge": 4, "lp_value": 0.5, "floor": 0.19012345679012346, "frequency": 0.30893118594436308, "std_error": 0.010207527158224077, "pass": true}, '
-        '{"edge": 5, "lp_value": 0.5, "floor": 0.19012345679012346, "frequency": 0.26403123474865786, "std_error": 0.0097383721211210406, "pass": true}, '
-        '{"edge": 6, "lp_value": 0.5, "floor": 0.19012345679012346, "frequency": 0.427037579306979, "std_error": 0.010927608753657791, "pass": true}, '
-        '{"edge": 7, "lp_value": 0.5, "floor": 0.19012345679012346, "frequency": 0.30893118594436308, "std_error": 0.010207527158224077, "pass": true}'
+        '{"edge": 2, "lp_value": 0.0, "floor": 0.0, "frequency": 0.0, "std_error": 0.0, "pass": true}, '
+        '{"edge": 3, "lp_value": 0.5, "floor": 0.19012345679012346, "frequency": 0.427037579306979, "std_error": 0.01092760875365779, "pass": true}, '
+        '{"edge": 4, "lp_value": 0.5, "floor": 0.19012345679012346, "frequency": 0.3089311859443631, "std_error": 0.010207527158224077, "pass": true}, '
+        '{"edge": 5, "lp_value": 0.5, "floor": 0.19012345679012346, "frequency": 0.26403123474865786, "std_error": 0.00973837212112104, "pass": true}, '
+        '{"edge": 6, "lp_value": 0.5, "floor": 0.19012345679012346, "frequency": 0.427037579306979, "std_error": 0.01092760875365779, "pass": true}, '
+        '{"edge": 7, "lp_value": 0.5, "floor": 0.19012345679012346, "frequency": 0.3089311859443631, "std_error": 0.010207527158224077, "pass": true}'
         '], "all_pass": true}'
         "\n"
     ),
     ("decimal", "hyper"): (
-        '{"scheme": "hyper", "trials": 2049, "master_seed": 7, "rank": 2, "guarantee": 0.18044704431548361, "relaxation_bound": 1.4499999999999997, "mean_objective": 1.2415812591508053, "edges": ['
-        '{"edge": 0, "lp_value": 0, "floor": 0, "frequency": 0, "std_error": 0, "pass": true}, '
-        '{"edge": 1, "lp_value": 0, "floor": 0, "frequency": 0, "std_error": 0, "pass": true}, '
-        '{"edge": 2, "lp_value": 1, "floor": 0.18044704431548361, "frequency": 1, "std_error": 0, "pass": true}, '
-        '{"edge": 3, "lp_value": 0, "floor": 0, "frequency": 0, "std_error": 0, "pass": true}, '
-        '{"edge": 4, "lp_value": 0.5, "floor": 0.090223522157741806, "frequency": 0.30893118594436308, "std_error": 0.010207527158224077, "pass": true}, '
-        '{"edge": 5, "lp_value": 0.5, "floor": 0.090223522157741806, "frequency": 0.26403123474865786, "std_error": 0.0097383721211210406, "pass": true}, '
-        '{"edge": 6, "lp_value": 0.5, "floor": 0.090223522157741806, "frequency": 0.427037579306979, "std_error": 0.010927608753657791, "pass": true}, '
-        '{"edge": 7, "lp_value": 0, "floor": 0, "frequency": 0, "std_error": 0, "pass": true}'
+        '{"scheme": "hyper", "trials": 2049, "master_seed": 7, "rank": 2, "guarantee": 0.1804470443154836, "relaxation_bound": 1.4499999999999997, "mean_objective": 1.2415812591508053, "edges": ['
+        '{"edge": 0, "lp_value": 0.0, "floor": 0.0, "frequency": 0.0, "std_error": 0.0, "pass": true}, '
+        '{"edge": 1, "lp_value": 0.0, "floor": 0.0, "frequency": 0.0, "std_error": 0.0, "pass": true}, '
+        '{"edge": 2, "lp_value": 1.0, "floor": 0.1804470443154836, "frequency": 1.0, "std_error": 0.0, "pass": true}, '
+        '{"edge": 3, "lp_value": 0.0, "floor": 0.0, "frequency": 0.0, "std_error": 0.0, "pass": true}, '
+        '{"edge": 4, "lp_value": 0.5, "floor": 0.0902235221577418, "frequency": 0.3089311859443631, "std_error": 0.010207527158224077, "pass": true}, '
+        '{"edge": 5, "lp_value": 0.5, "floor": 0.0902235221577418, "frequency": 0.26403123474865786, "std_error": 0.00973837212112104, "pass": true}, '
+        '{"edge": 6, "lp_value": 0.5, "floor": 0.0902235221577418, "frequency": 0.427037579306979, "std_error": 0.01092760875365779, "pass": true}, '
+        '{"edge": 7, "lp_value": 0.0, "floor": 0.0, "frequency": 0.0, "std_error": 0.0, "pass": true}'
         '], "all_pass": true}'
         "\n"
     ),
     ("decimal", "graph"): (
-        '{"scheme": "graph", "trials": 2049, "master_seed": 7, "rank": 2, "guarantee": 0.38024691358024693, "relaxation_bound": 1.4499999999999997, "mean_objective": 1.2415812591508053, "edges": ['
-        '{"edge": 0, "lp_value": 0, "floor": 0, "frequency": 0, "std_error": 0, "pass": true}, '
-        '{"edge": 1, "lp_value": 0, "floor": 0, "frequency": 0, "std_error": 0, "pass": true}, '
-        '{"edge": 2, "lp_value": 1, "floor": 0.38024691358024693, "frequency": 1, "std_error": 0, "pass": true}, '
-        '{"edge": 3, "lp_value": 0, "floor": 0, "frequency": 0, "std_error": 0, "pass": true}, '
-        '{"edge": 4, "lp_value": 0.5, "floor": 0.19012345679012346, "frequency": 0.30893118594436308, "std_error": 0.010207527158224077, "pass": true}, '
-        '{"edge": 5, "lp_value": 0.5, "floor": 0.19012345679012346, "frequency": 0.26403123474865786, "std_error": 0.0097383721211210406, "pass": true}, '
-        '{"edge": 6, "lp_value": 0.5, "floor": 0.19012345679012346, "frequency": 0.427037579306979, "std_error": 0.010927608753657791, "pass": true}, '
-        '{"edge": 7, "lp_value": 0, "floor": 0, "frequency": 0, "std_error": 0, "pass": true}'
+        '{"scheme": "graph", "trials": 2049, "master_seed": 7, "rank": 2, "guarantee": 0.3802469135802469, "relaxation_bound": 1.4499999999999997, "mean_objective": 1.2415812591508053, "edges": ['
+        '{"edge": 0, "lp_value": 0.0, "floor": 0.0, "frequency": 0.0, "std_error": 0.0, "pass": true}, '
+        '{"edge": 1, "lp_value": 0.0, "floor": 0.0, "frequency": 0.0, "std_error": 0.0, "pass": true}, '
+        '{"edge": 2, "lp_value": 1.0, "floor": 0.3802469135802469, "frequency": 1.0, "std_error": 0.0, "pass": true}, '
+        '{"edge": 3, "lp_value": 0.0, "floor": 0.0, "frequency": 0.0, "std_error": 0.0, "pass": true}, '
+        '{"edge": 4, "lp_value": 0.5, "floor": 0.19012345679012346, "frequency": 0.3089311859443631, "std_error": 0.010207527158224077, "pass": true}, '
+        '{"edge": 5, "lp_value": 0.5, "floor": 0.19012345679012346, "frequency": 0.26403123474865786, "std_error": 0.00973837212112104, "pass": true}, '
+        '{"edge": 6, "lp_value": 0.5, "floor": 0.19012345679012346, "frequency": 0.427037579306979, "std_error": 0.01092760875365779, "pass": true}, '
+        '{"edge": 7, "lp_value": 0.0, "floor": 0.0, "frequency": 0.0, "std_error": 0.0, "pass": true}'
         '], "all_pass": true}'
         "\n"
     ),
@@ -652,6 +655,7 @@ def test_bench_rejects_bad_fractions(triangle_path):
     [
         ("estimate", "--scheme", "hyper", "--trials", "3"),
         ("solve", "--problem", "max", "--alg", "hyper-max"),
+        ("solve", "--problem", "max", "--alg", "hyper-max", "--format", "csv"),
     ],
 )
 def test_objective_past_the_float_range_is_one_error_line(tmp_path, args):
@@ -662,6 +666,36 @@ def test_objective_past_the_float_range_is_one_error_line(tmp_path, args):
     assert proc.returncode == 1
     assert proc.stderr == "ecc: error: cannot serialize a non-finite number\n"
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("alg", ["lovasz", "brute"])
+def test_pmean_past_the_float_range_is_one_error_line(triangle_path, alg):
+    # the optimum leaves two unit errors, so its sum of powers is 2 and the
+    # p-mean 2 ** 1e300: past the float range, as is the lovasz bound
+    proc = run_cli("solve", "--problem", "pmean", "--p", "1e-300", "--alg", alg, "--input", triangle_path)
+    assert proc.returncode == 1
+    assert proc.stderr == "ecc: error: cannot serialize a non-finite number\n"
+    assert proc.stdout == ""
+
+
+EDGE_FLOATS = [0.0, 2.0, 1e16, 5e-324, 1.7976931348623157e308, -0.0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False), min_size=1))
+def test_floats_read_back_as_the_same_double(values):
+    from eccluster import cli
+
+    bits = [struct.pack("<d", v) for v in values]
+    doc = json.loads(cli._json({"values": values, "rows": [{"value": v} for v in values]}))
+    for read in (doc["values"], [row["value"] for row in doc["rows"]]):
+        assert all(type(v) is float for v in read)
+        assert [struct.pack("<d", v) for v in read] == bits
+    cells = [cli._csv_cell(v) for v in values]
+    assert cli._csv_cell(values).split(";") == cells
+    read = [json.loads(cell) for cell in cells]
+    assert all(type(v) is float for v in read)
+    assert [struct.pack("<d", v) for v in read] == bits
 
 
 @pytest.mark.parametrize("problem", [("colorfair",), ("pmean", "--p", "2")], ids=("colorfair", "pmean-2"))
