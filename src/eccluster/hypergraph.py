@@ -116,6 +116,25 @@ class EdgeColoredHypergraph:
         return tuple(tuple(c) for c in classes)
 
     @cached_property
+    def edge_colors(self) -> np.ndarray:
+        """Each edge's color (1-based), in edge order; read-only."""
+        return _frozen([e.color for e in self.edges], np.intp)
+
+    @cached_property
+    def edge_weights(self) -> np.ndarray:
+        """Each edge's weight, in edge order; read-only."""
+        return _frozen([e.weight for e in self.edges], float)
+
+    @cached_property
+    def edge_nodes(self) -> np.ndarray:
+        """Each edge's nodes, edges x rank, read-only: a row holds its
+        edge's nodes ascending, padded with its first node, so no min, max
+        or all() over a row sees the padding.  A row's real entries are
+        slot 0 and those unlike slot 0."""
+        rows = [e.nodes + e.nodes[:1] * (self.rank - len(e.nodes)) for e in self.edges]
+        return _frozen(rows, np.intp).reshape(-1, self.rank)
+
+    @cached_property
     def incidence(self) -> tuple[tuple[int, ...], ...]:
         """Incident edge ids per node, index v-1, each ascending."""
         inc: list[list[int]] = [[] for _ in range(self.node_count)]
@@ -123,6 +142,12 @@ class EdgeColoredHypergraph:
             for v in e.nodes:
                 inc[v - 1].append(i)
         return tuple(tuple(sorted(ids)) for ids in inc)
+
+
+def _frozen(values, dtype) -> np.ndarray:
+    arr = np.array(values, dtype=dtype)
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True)
@@ -268,11 +293,9 @@ def _check_coloring(h: EdgeColoredHypergraph, lam: Sequence[int]) -> None:
 def color_error_vector(h: EdgeColoredHypergraph, lam: Sequence[int]) -> np.ndarray:
     """Per-color unsatisfied weight, entry c-1 for color c."""
     _check_coloring(h, lam)
-    out = np.zeros(h.color_count)
-    for e, edge in enumerate(h.edges):
-        if not is_satisfied(h, lam, e):
-            out[edge.color - 1] += edge.weight
-    return out
+    unsatisfied = (np.asarray(lam)[h.edge_nodes - 1] != h.edge_colors[:, None]).any(axis=1)
+    # bincount adds each color's weights in edge order, as a loop of += does
+    return np.bincount(h.edge_colors - 1, h.edge_weights * unsatisfied, minlength=h.color_count)
 
 
 def left_sum(values: Iterable):

@@ -116,8 +116,10 @@ class LinearProgram:
                 and values.flags.owndata
             )
             arr = values if kept else np.array(values, dtype=float)
-            if arr.shape != shape or not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} must be finite with shape {shape}, got shape {arr.shape}")
+            if arr.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got shape {arr.shape}")
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must be finite, got a NaN or infinite value")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         if np.any(self.bounds[:, 0] > self.bounds[:, 1]):
@@ -269,7 +271,11 @@ def _run_dual(
         if degenerate >= _STALL * R:
             pr = rows[basis[rows].argmin()]
         else:
-            pr = rows[(np.square(excess[rows]) / w[rows]).argmax()]
+            # a score past the float range reads inf, or nan where the
+            # weight overflowed too (inf where it underflowed to 0); argmax
+            # takes the lowest nan row, else the lowest inf row
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                pr = rows[(np.square(excess[rows]) / w[rows]).argmax()]
         if beta[pr] > ub[pr]:  # store the basic variable as ub - y, which leaves at 0
             T[pr] *= -1.0
             T[pr, basis[pr]] = 1.0

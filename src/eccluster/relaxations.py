@@ -30,6 +30,7 @@ rhs, and is solved hot from the last budget's final tableau.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -61,6 +62,11 @@ DISTANCE = "distance"
 # _GAP_TOL * max(U, 1), or unconverged after _MAX_CUTS master LPs.
 _GAP_TOL = 1e-6
 _MAX_CUTS = 10_000
+
+# Solves keep an instance's weights while the heaviest lies in
+# [2**_LOW, 2**_HIGH) (``_scale_weights``): the simplex's tolerances are
+# absolute, and so is the cutting-plane floor max(U, 1).
+_LOW, _HIGH = -20, 21
 
 
 @dataclass(frozen=True)
@@ -123,8 +129,7 @@ def fallback_colors(frac: FractionalSolution) -> tuple[int, ...]:
 
 def color_mass(h: EdgeColoredHypergraph, gamma: np.ndarray) -> np.ndarray:
     """Per-color weighted violation mass, entry c-1 = sum of w_e*gamma_e over E_c."""
-    colors, weights = _edge_arrays(h)
-    return np.bincount(colors, weights * np.asarray(gamma, dtype=float), minlength=h.color_count)
+    return np.bincount(h.edge_colors - 1, h.edge_weights * np.asarray(gamma, dtype=float), minlength=h.color_count)
 
 
 def solve_max_relaxation(h: EdgeColoredHypergraph) -> FractionalSolution:
@@ -140,8 +145,8 @@ def solve_max_relaxation(h: EdgeColoredHypergraph) -> FractionalSolution:
     x = 1.0 - solve_pmean_relaxation(h, 1.0).node_color
     x[np.abs(x) <= EPS_FEAS] = 0.0
     x[np.abs(x - 1.0) <= EPS_FEAS] = 1.0
-    z = np.array([min(x[v - 1, edge.color - 1] for v in edge.nodes) for edge in h.edges], dtype=float)
-    return FractionalSolution(x, z, ASSIGNMENT, left_sum((_edge_arrays(h)[1] * z).tolist()))
+    z = x[h.edge_nodes - 1, h.edge_colors[:, None] - 1].min(axis=1)
+    return FractionalSolution(x, z, ASSIGNMENT, left_sum((h.edge_weights * z).tolist()))
 
 
 def _region(h: EdgeColoredHypergraph, extra: int = 0) -> tuple[tuple, VariableLayout]:
@@ -149,32 +154,21 @@ def _region(h: EdgeColoredHypergraph, extra: int = 0) -> tuple[tuple, VariableLa
     node, then d_v^c <= gamma_e per incidence, in edge order."""
     lay = VariableLayout(h.node_count, h.color_count, h.edge_count, extra=extra)
     n, k = h.node_count, h.color_count
-    inc_node, inc_edge = _incidences(h)
-    A = np.zeros((n + inc_node.size, lay.total))
+    nodes = h.edge_nodes  # a row's real entries: slot 0 and those unlike it
+    inc_edge, slot = np.nonzero((np.arange(nodes.shape[1]) == 0) | (nodes != nodes[:, :1]))
+    A = np.zeros((n + inc_edge.size, lay.total))
     A[np.arange(n).repeat(k), np.arange(n * k)] = 1.0
-    inc_rows = n + np.arange(inc_node.size)
-    A[inc_rows, lay.node_color_col(inc_node, _edge_arrays(h)[0][inc_edge] + 1)] = 1.0
+    inc_rows = n + np.arange(inc_edge.size)
+    A[inc_rows, lay.node_color_col(nodes[inc_edge, slot], h.edge_colors[inc_edge])] = 1.0
     A[inc_rows, lay.edge_col(inc_edge)] = -1.0
-    senses = np.repeat([GE, LE], [n, inc_node.size])
-    rhs = np.repeat([float(k - 1), 0.0], [n, inc_node.size])
+    senses = np.repeat([GE, LE], [n, inc_edge.size])
+    rhs = np.repeat([float(k - 1), 0.0], [n, inc_edge.size])
     return (A, senses, rhs), lay
-
-
-def _incidences(h: EdgeColoredHypergraph) -> tuple[np.ndarray, np.ndarray]:
-    """(node, edge) of every incidence, in edge order, each edge's nodes ascending."""
-    node = np.array([v for edge in h.edges for v in edge.nodes], dtype=np.intp)
-    return node, np.repeat(np.arange(h.edge_count), [len(edge.nodes) for edge in h.edges])
-
-
-def _edge_arrays(h: EdgeColoredHypergraph) -> tuple[np.ndarray, np.ndarray]:
-    """0-based color and weight of every edge, in edge order."""
-    colors = np.array([edge.color - 1 for edge in h.edges], dtype=np.intp)
-    return colors, np.array([edge.weight for edge in h.edges], dtype=float)
 
 
 def _weight_objective(h: EdgeColoredHypergraph, lay: VariableLayout) -> np.ndarray:
     obj = np.zeros(lay.total)
-    obj[lay.edge_col(np.arange(h.edge_count))] = _edge_arrays(h)[1]
+    obj[lay.edge_col(np.arange(h.edge_count))] = h.edge_weights
     return obj
 
 
@@ -196,7 +190,7 @@ def build_pmean_program(h: EdgeColoredHypergraph, p: float):
         region, lay = _region(h)
         return LinearProgram(_weight_objective(h, lay), *region), lay
     region, lay = _region(h, extra=1)
-    colors, weights = _edge_arrays(h)
+    colors, weights = h.edge_colors - 1, h.edge_weights
     masses = color_mass(h, np.ones(h.edge_count)).tolist()  # at gamma = 1
     if math.isinf(p):
         cuts = np.zeros((h.color_count, lay.total))
@@ -303,22 +297,44 @@ def _distance_point(
     d, gamma = lay.split(values)
     if np.any(d.sum(axis=1) < h.color_count - 1 - EPS_FEAS):
         raise RuntimeError("distance mass per node fell below k - 1")
-    node, edge = _incidences(h)
-    color = _edge_arrays(h)[0][edge]
-    over = np.flatnonzero(d[node - 1, color] > gamma[edge] + EPS_FEAS)
+    # padding repeats slot 0, so the first entry found is a real incidence
+    node, color, edge_gamma = h.edge_nodes - 1, h.edge_colors[:, None] - 1, gamma[:, None]
+    over = np.argwhere(d[node, color] > edge_gamma + EPS_FEAS)
     if over.size:
-        raise RuntimeError(f"d exceeds gamma on edge {edge[over[0]]} at node {node[over[0]]}")
+        e, slot = over[0]
+        raise RuntimeError(f"d exceeds gamma on edge {e} at node {node[e, slot] + 1}")
     below_half = (d < 0.5 - EPS_FEAS).sum(axis=1)
     if np.any(below_half > 1):
         raise RuntimeError("two colors closer than 1/2 at one node")
     if h.color_count > 1:
         least = np.full(d.shape, np.inf)
-        np.fmin.at(least, (node - 1, color), gamma[edge])  # fmin skips NaN, as a failed comparison does
+        np.fmin.at(least, (node, color), edge_gamma)  # fmin skips NaN, as a failed comparison does
         least.sort(axis=1)
         short = np.flatnonzero(least[:, 0] + least[:, 1] < 1.0 - EPS_FEAS)
         if short.size:
             raise RuntimeError(f"conflicting edges at node {short[0] + 1} violate the pair cover")
     return np.clip(d, 0.0, 1.0), np.clip(gamma, 0.0, 1.0)
+
+
+def _scale_weights(h: EdgeColoredHypergraph) -> tuple[EdgeColoredHypergraph, int]:
+    """(``h`` with every weight times 2**s, s): s = 0 while the heaviest
+    weight is 0 or lies in [2**_LOW, 2**_HIGH), else the heaviest scaled
+    weight lies in [2**(_HIGH - 1), 2**_HIGH).  The top of the range keeps
+    light weights, which often make the optimum, as far above the absolute
+    tolerances as it can.  Exact, but for weights pushed below 2**-1022."""
+    top = float(h.edge_weights.max(initial=0.0))
+    if top == 0.0 or 2.0**_LOW <= top < 2.0**_HIGH:
+        return h, 0
+    shift = _HIGH - math.frexp(top)[1]
+    return replace(h, edges=[replace(e, weight=math.ldexp(e.weight, shift)) for e in h.edges]), shift
+
+
+def _ldexp(x: float, shift: int) -> float:
+    """x * 2**shift for x >= 0, inf past the float range."""
+    try:
+        return math.ldexp(x, shift)
+    except OverflowError:
+        return math.inf
 
 
 def solve_pmean_relaxation(h: EdgeColoredHypergraph, p: float) -> FractionalSolution:
@@ -328,17 +344,22 @@ def solve_pmean_relaxation(h: EdgeColoredHypergraph, p: float) -> FractionalSolu
     cutting-plane loop (``_kelley``): ``bound`` is the last master value, a
     certified lower bound on the relaxation optimum, and the returned
     point's p-norm lies within a relative 1e-6 above it when ``converged``.
+    Every objective is homogeneous of degree 1 in the weights, so an
+    instance whose heaviest weight lies far from 1 is solved with its
+    weights scaled by a power of two (``_scale_weights``) and the bound is
+    scaled back exactly.
     """
+    scaled, shift = _scale_weights(h)
     if p == 1 or math.isinf(p):
-        lp, lay = build_pmean_program(h, p)
+        lp, lay = build_pmean_program(scaled, p)
         sol = solve_lp(lp)
         point, bound, converged = sol.values, sol.objective_value, True
     else:
-        master, lay, cut = build_pmean_program(h, p)
+        master, lay, cut = build_pmean_program(scaled, p)
         result = _kelley(master, cut)
         point, bound, converged = result.point, result.lower, result.converged
     d, gamma = _distance_point(h, lay, point)
-    return FractionalSolution(d, gamma, DISTANCE, float(bound), converged)
+    return FractionalSolution(d, gamma, DISTANCE, _ldexp(float(bound), -shift), converged)
 
 
 def build_protected_lp(
@@ -354,7 +375,7 @@ def build_protected_lp(
     if not budget >= 0:
         raise ValueError("budget must be >= 0")
     (A, senses, rhs), lay = _region(h)
-    on_p = _edge_arrays(h)[0] == protected_color - 1
+    on_p = h.edge_colors == protected_color
     budget_row = _weight_objective(h, lay)
     budget_row[lay.edge_col(np.flatnonzero(~on_p))] = 0.0
     region = (np.vstack([A, budget_row]), np.append(senses, LE), np.append(rhs, float(budget)))
@@ -369,19 +390,24 @@ def solve_protected_sweep(
     One program serves the whole sweep: the budgets differ only in the
     budget row's rhs, so the first is solved cold and each later one hot,
     from the last one's final tableau.  Every bound is the LP optimum at its
-    budget; the vertex may depend on the budgets before it.
+    budget; the vertex may depend on the budgets before it.  Weights far
+    from 1 are scaled as in ``solve_pmean_relaxation``, and the budgets with
+    them; a budget that scales past the float range caps at the largest
+    float, which binds no more than it did.
     """
     if not all(budget >= 0 for budget in budgets):
         raise ValueError("budget must be >= 0")
+    scaled, shift = _scale_weights(h)
     fracs, sol = [], None
     for budget in budgets:
+        budget = min(_ldexp(float(budget), shift), sys.float_info.max)
         if sol is None:
-            lp, lay = build_protected_lp(h, protected_color, budget)
+            lp, lay = build_protected_lp(scaled, protected_color, budget)
         else:
-            lp = replace(lp, rhs=np.append(lp.rhs[:-1], float(budget)))
+            lp = replace(lp, rhs=np.append(lp.rhs[:-1], budget))
         sol = solve_lp(lp, sol)
         d, gamma = _distance_point(h, lay, sol.values)
-        fracs.append(FractionalSolution(d, gamma, DISTANCE, sol.objective_value))
+        fracs.append(FractionalSolution(d, gamma, DISTANCE, _ldexp(sol.objective_value, -shift)))
     return fracs
 
 
@@ -440,9 +466,13 @@ def minimize_lovasz(h: EdgeColoredHypergraph, p: float) -> CuttingPlaneResult:
     first at gamma = 1/2, with t capped at f(E); the extension is piecewise
     linear, so the gap closes after finitely many cuts.  ``point`` is the
     best gamma seen and ``lower`` a certified lower bound on min f(S) = OPT^p.
+    f is homogeneous of degree p in the weights: weights far from 1 are
+    scaled by 2**s as in ``solve_pmean_relaxation`` and ``lower`` is scaled
+    back by 2**(-s p).
     """
     if not 0.0 < p < 1.0:
         raise ValueError("the extension path requires 0 < p < 1")
+    h, shift = _scale_weights(h)
     m = h.edge_count
     pairs = np.array(sorted(build_conflict_graph(h)), dtype=np.intp).reshape(-1, 2)
     A = np.zeros((len(pairs), m + 1))
@@ -456,4 +486,4 @@ def minimize_lovasz(h: EdgeColoredHypergraph, p: float) -> CuttingPlaneResult:
     t_cap = left_sum(mass**p for mass in color_mass(h, np.ones(m)).tolist())
     master = _master(region, cut(np.full(m + 1, 0.5))[1], t_cap)
     result = _kelley(master, cut)
-    return replace(result, point=result.point[:m])
+    return replace(result, point=result.point[:m], lower=result.lower * 2.0 ** (-shift * p))

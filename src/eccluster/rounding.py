@@ -24,10 +24,13 @@ A node's color in a trial depends only on the trial's draws and the node's
 row, so ``estimate_satisfaction`` rounds each distinct row once.  A threshold
 lies in [0, 1 - 2**-53], so a row whose every weak mass is <= 0 or >= 1, with
 at most one >= 1, takes the same color in every trial (``_fixed_colors``); an
-edge such rows decide is counted exactly, and only the other edges, compared
-on their draw-dependent rows, go through the trials.  The mean objective is
-the exact count-weighted satisfied weight divided by the trial count and
-rounded once (``_mean_weight``), so no order of adding the hits shows in it.
+edge such rows decide is counted exactly, and only the other, open edges go
+through the trials: one table of them, edges x rank, read off the instance's
+``edge_nodes``, holds each edge's draw-dependent rows, with each fixed or
+padding entry replaced by the edge's first draw-dependent row, which changes
+no all() over the row.  The mean objective is the exact count-weighted
+satisfied weight divided by the trial count and rounded once
+(``_mean_weight``), so no order of adding the hits shows in it.
 
 The deterministic roundings keep what a distance relaxation puts below a cut:
 half-threshold a node's closest color, protected and Lovasz rounding the edges
@@ -393,10 +396,12 @@ def estimate_satisfaction(
     one color in every trial (``_fixed_colors``) not at all.  An edge with
     such a row of another color is satisfied in no trial, an edge whose rows
     all take its color is satisfied in every trial, and only the other, open
-    edges are compared trial by trial, on their draw-dependent rows.  When no
-    edge is open no trial is drawn.  ``mean_objective`` is the exact
-    satisfied weight over all trials divided by the trial count, rounded once
-    (``_mean_weight``), so no order of adding the hits shows in it.
+    edges are compared trial by trial, in one open-edge table of their
+    draw-dependent rows (each fixed or padding entry of ``h.edge_nodes``
+    replaced by the edge's first draw-dependent row).  When no edge is open
+    no trial is drawn.  ``mean_objective`` is the exact satisfied weight over
+    all trials divided by the trial count, rounded once (``_mean_weight``),
+    so no order of adding the hits shows in it.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -411,42 +416,24 @@ def estimate_satisfaction(
     # a draw-dependent row's index among the draw-dependent rows
     drawn_of = np.cumsum(drawn) - 1
 
-    by_size: dict[int, list[int]] = {}
-    for ei, e in enumerate(h.edges):
-        by_size.setdefault(len(e.nodes), []).append(ei)
-    counts = np.zeros(h.edge_count, dtype=np.int64)
-    # open edges by their count j of draw-dependent rows: (edges, their j
-    # draw-dependent rows, their colors)
-    groups = []
-    for idx in by_size.values():
-        idx = np.array(idx)
-        rows = row_of[np.array([h.edges[ei].nodes for ei in idx]) - 1]
-        colors = np.array([h.edges[ei].color for ei in idx], dtype=rest.dtype)
-        edge_fixed = fixed[rows]
-        edge_drawn = edge_fixed == 0
-        alive = ((edge_fixed == colors[:, None]) | edge_drawn).all(axis=1)
-        j_drawn = np.count_nonzero(edge_drawn, axis=1)
-        counts[idx[alive & (j_drawn == 0)]] = trials
-        for j in range(1, rows.shape[1] + 1):
-            sel = alive & (j_drawn == j)
-            if sel.any():
-                groups.append(
-                    (idx[sel], drawn_of[rows[sel][edge_drawn[sel]]].reshape(-1, j), colors[sel][:, None, None])
-                )
-
-    if groups:
+    rows = row_of[h.edge_nodes - 1]
+    colors = h.edge_colors.astype(rest.dtype)[:, None]
+    edge_fixed = fixed[rows]
+    edge_drawn = edge_fixed == 0
+    alive = ((edge_fixed == colors) | edge_drawn).all(axis=1)
+    opened = alive & edge_drawn.any(axis=1)
+    counts = np.where(alive & ~opened, trials, 0)
+    if opened.any():
+        open_edges = np.flatnonzero(opened)
+        rows, edge_drawn, colors = rows[open_edges], edge_drawn[open_edges], colors[open_edges, :, None]
+        lead = rows[np.arange(open_edges.size), edge_drawn.argmax(axis=1)]
+        rows = drawn_of[np.where(edge_drawn, rows, lead[:, None])]
         x_drawn, rest_drawn = x_weak[drawn], rest[drawn]
-        open_edges = np.concatenate([idx for idx, _, _ in groups])
         hits = np.zeros(open_edges.size, dtype=np.int64)
         for start in range(0, trials, _BLOCK):
             count = min(_BLOCK, trials - start)
             lam = _priority_block(_trial_draws(master_seed, start, count, h.color_count), x_drawn, rest_drawn)
-            satisfied = np.empty((open_edges.size, count), dtype=bool)
-            lo = 0
-            for idx, rows, colors in groups:
-                satisfied[lo : lo + idx.size] = (lam[rows] == colors).all(axis=1)
-                lo += idx.size
-            hits += np.count_nonzero(satisfied, axis=1)
+            hits += np.count_nonzero((lam[rows] == colors).all(axis=1), axis=1)
         counts[open_edges] = hits
 
     freq = counts.astype(float) / trials
@@ -457,5 +444,5 @@ def estimate_satisfaction(
         master_seed=master_seed,
         frequencies=freq,
         std_errors=se,
-        mean_objective=_mean_weight([e.weight for e in h.edges], counts.tolist(), trials),
+        mean_objective=_mean_weight(h.edge_weights.tolist(), counts.tolist(), trials),
     )

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import eccluster as ec
 from conftest import SLOW_P2, ladder_instance, serialize_instance
 from eccluster import Edge, EdgeColoredHypergraph, parse_instance
 from eccluster.relaxations import ASSIGNMENT, FractionalSolution, solve_max_relaxation
@@ -190,6 +191,33 @@ def test_solve_pmean_lovasz(triangle_path):
     # min over the pair cover of gamma_1 + gamma_2 + gamma_3 is 3/2, squared at p = 1/2
     assert doc["relaxation_bound"] == pytest.approx(2.25, abs=1e-9)
     assert doc["approx_ratio_upper_bound"] == pytest.approx(4.0 / 2.25, abs=1e-9)
+
+
+SCALED_SOLVES = {
+    "min": (("--problem", "min", "--alg", "lp-round"), (ec.MIN, "lp-round")),
+    "pmean-2": (("--problem", "pmean", "--p", "2", "--alg", "lp-round"), (ec.pmean(2), "lp-round")),
+    "lovasz": (("--problem", "pmean", "--p", "0.5", "--alg", "lovasz"), (ec.pmean(0.5), "lovasz")),
+    "colorfair": (("--problem", "colorfair", "--alg", "lp-round"), (ec.COLORFAIR, "lp-round")),
+    "protected": (
+        ("--problem", "protected", "--protected-color", "1", "--budget", "0", "--alg", "lp-round"),
+        (ec.protected(1, 0.0), "lp-round"),
+    ),
+}
+
+
+@pytest.mark.parametrize("scale", [1e9, 1e-9, 1e12, 1e-12, 1e50, 1e200])
+@pytest.mark.parametrize("solve", sorted(SCALED_SOLVES))
+def test_relaxation_bounds_scale_with_the_weights(tmp_path, solve, scale):
+    # the simplex's tolerances are absolute: far from 1 the weights are
+    # scaled by a power of two for the solve, and the bound back
+    flags, (problem, alg) = SCALED_SOLVES[solve]
+    path = tmp_path / "scaled.ecc"
+    path.write_text(TRIANGLE.replace(" 1 2 ", f" {scale!r} 2 "), encoding="utf-8")
+    assert parse_instance(path.read_text()).edge_weights.tolist() == [scale] * 3
+    proc = run_cli("solve", *flags, "--input", str(path))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    unit = ec.solve(ec.triangle_gadget(), problem, alg).bound
+    assert json.loads(proc.stdout)["relaxation_bound"] == pytest.approx(unit * scale, rel=1e-12, abs=0.0)
 
 
 #: relaxation optimum of each flag set on the triangle

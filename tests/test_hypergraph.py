@@ -94,6 +94,69 @@ def test_cached_views():
     assert h.incidence == ((0, 2), (0, 1), (1, 2))
 
 
+def _instance_with(n, k, edges):
+    return ec.EdgeColoredHypergraph(n, k, tuple(ec.Edge(c, w, nodes) for c, w, nodes in edges))
+
+
+@pytest.mark.parametrize(
+    "h",
+    [
+        ec.triangle_gadget(),
+        _instance_with(5, 2, [(2, 0.5, (4, 1, 3)), (1, 1.0, (2,)), (1, 0.0, (5, 2, 1, 3)), (2, 7.0, (3, 5))]),
+        _instance_with(3, 1, [(1, 2.0, (3, 1)), (1, -0.0, (2,))]),
+        ec.EdgeColoredHypergraph(4, 3, ()),
+    ],
+    ids=["triangle", "ranks-1-to-4", "k1", "m0"],
+)
+def test_edge_table_matches_edges(h):
+    colors, weights, nodes = h.edge_colors, h.edge_weights, h.edge_nodes
+    assert colors.tolist() == [e.color for e in h.edges]
+    assert weights.tobytes() == np.array([e.weight for e in h.edges], dtype=float).tobytes()
+    assert nodes.shape == (h.edge_count, h.rank)
+    for row, e in zip(nodes.tolist(), h.edges):
+        size = len(e.nodes)
+        assert tuple(row[:size]) == e.nodes
+        assert row[size:] == [e.nodes[0]] * (h.rank - size)
+    for arr in (colors, weights, nodes):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[...] = 0
+    assert h.edge_nodes is nodes  # built once per instance
+
+
+def _loop_error_vector(h, lam):
+    """Frozen copy of the per-edge loop ``color_error_vector`` ran before
+    it read the edge table: the reference it must equal bit for bit."""
+    out = np.zeros(h.color_count)
+    for e, edge in enumerate(h.edges):
+        if not all(lam[v - 1] == edge.color for v in edge.nodes):
+            out[edge.color - 1] += edge.weight
+    return out
+
+
+@st.composite
+def _colored_instance(draw):
+    """An instance of ranks 1-4 and at most 5 colors, and a coloring of it;
+    weights include decimals that sum differently in other orders, 0.0 and
+    -0.0."""
+    n, k = draw(st.integers(4, 7)), draw(st.integers(1, 5))
+    weight = st.sampled_from([0.1, 0.3, 0.7, 0.0, -0.0, 1e308]) | st.floats(0.0, 10.0)
+    edge = st.tuples(
+        st.integers(1, k), weight, st.lists(st.integers(1, n), min_size=1, max_size=4, unique=True)
+    )
+    edges = draw(st.lists(edge, max_size=12))
+    lam = draw(st.lists(st.integers(1, k), min_size=n, max_size=n))
+    return _instance_with(n, k, [(c, w, tuple(nodes)) for c, w, nodes in edges]), tuple(lam)
+
+
+@given(_colored_instance())
+def test_color_error_vector_matches_per_edge_loop(case):
+    h, lam = case
+    with np.errstate(over="ignore"):  # two 1e308 weights of one color sum to inf
+        expected = _loop_error_vector(h, lam)
+    assert ec.color_error_vector(h, lam).tobytes() == expected.tobytes()
+
+
 def test_sums_run_left_to_right():
     # Python 3.12's sum() compensates: sum([0.1, 0.2, 0.3]) reads 0.6 there
     edges = (

@@ -165,6 +165,30 @@ def test_program_validation():
             arr[0] = arr[0]
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (dict(rhs=[1.0]), r"^rhs must have shape \(2,\), got shape \(1,\)$"),
+        (dict(bounds=[(0.0, 1.0)]), r"^bounds must have shape \(2, 2\), got shape \(1, 2\)$"),
+        (dict(rhs=[1.0, math.nan]), r"^rhs must be finite, got a NaN or infinite value$"),
+        (dict(bounds=[(0.0, 1.0), (0.0, math.inf)]), r"^bounds must be finite, got a NaN or infinite value$"),
+        (dict(objective=[-math.inf, 1.0]), r"^objective must be finite, got a NaN or infinite value$"),
+    ],
+)
+def test_program_errors_name_the_shape_or_the_non_finite_value(bad, message):
+    good = dict(objective=[1.0, 1.0], A=np.eye(2), senses=[ec.LE, ec.GE], rhs=[1.0, 0.0])
+    with pytest.raises(ValueError, match=message):
+        ec.LinearProgram(**(good | bad))
+
+
+def test_pricing_past_the_float_range_reads_inf():
+    # the row's excess squared overflows; the suite turns that warning into an error
+    sol = ec.solve_lp(_lp([1.0], [([1.0], ec.GE, 1e200)], bounds=[(0.0, 1e201)]))
+    assert sol.values.tolist() == [1e200]
+    assert sol.objective_value == 1e200
+    assert sol.pivots == 1
+
+
 def _enumerate_vertices(lp):
     """All basic feasible points of {rows, box}: an independent optimum oracle."""
     n = lp.variable_count

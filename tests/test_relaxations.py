@@ -46,6 +46,31 @@ def test_triangle_protected_relaxation_budgets():
     assert loose.bound == pytest.approx(1.5, abs=1e-9)
 
 
+def _weighted_triangle(weights):
+    edges = ((1, (1, 2)), (2, (2, 3)), (3, (1, 3)))
+    return ec.EdgeColoredHypergraph(3, 3, tuple(ec.Edge(c, w, nodes) for (c, nodes), w in zip(edges, weights)))
+
+
+@pytest.mark.parametrize("heavy, light", [(1e12, 1.0), (1e7, 1.0), (1e-7, 1e-13)])
+def test_scaled_weights_keep_light_edges_above_the_tolerances(heavy, light):
+    # Outside the kept range the heaviest weight is scaled to just below
+    # 2**21, not to 1: at 1 the light edges, which make these optima, fell
+    # below the absolute tolerances and the p = 2 and p = inf bounds read 0.
+    h = _weighted_triangle((heavy, light, light))
+    assert ec.solve_pmean_relaxation(h, 2.0).bound == pytest.approx(math.sqrt(2.0) * light, rel=1e-5, abs=0.0)
+    assert ec.solve_pmean_relaxation(h, math.inf).bound == pytest.approx(light, rel=1e-5, abs=0.0)
+    assert ec.solve_pmean_relaxation(h, 1.0).bound == pytest.approx(2.0 * light, rel=1e-12, abs=0.0)
+
+
+def test_sweep_scales_its_budgets_with_the_weights():
+    # scaled by 2**50, the budget 1e300 passes the float range and caps at
+    # the largest float, which binds no more than 1e300 did
+    h = _weighted_triangle((1e-9,) * 3)
+    bounds = [frac.bound for frac in ec.solve_protected_sweep(h, 1, [0.0, 1.5e-9])]
+    assert bounds == pytest.approx([2e-9, 1.5e-9], rel=1e-12, abs=0.0)
+    assert ec.solve_protected_relaxation(h, 1, 1e300).bound == pytest.approx(1.5e-9, rel=1e-12, abs=0.0)
+
+
 def test_protected_budget_rejects_negative_and_nan():
     h = ec.triangle_gadget()
     for budget in (-1.0, math.nan):

@@ -758,6 +758,76 @@ def test_decided_edges_draw_no_trial(monkeypatch):
     assert len(calls) == 1
 
 
+def _grouped_estimate(h, frac, scheme, trials, master_seed):
+    """Frozen copy of ``estimate_satisfaction`` as it grouped edges by size
+    and by their count j of draw-dependent rows before it read the edge
+    table: the reference the one open-edge table must equal bit for bit."""
+    x_weak, rest = rounding._scheme_inputs(h, frac, scheme)
+    _, first, row_of = np.unique(np.column_stack([x_weak, rest]), axis=0, return_index=True, return_inverse=True)
+    x_weak, rest, row_of = x_weak[first], rest[first], row_of.reshape(-1)
+    fixed = rounding._fixed_colors(x_weak, rest)
+    drawn = fixed == 0
+    drawn_of = np.cumsum(drawn) - 1
+    by_size = {}
+    for ei, e in enumerate(h.edges):
+        by_size.setdefault(len(e.nodes), []).append(ei)
+    counts = np.zeros(h.edge_count, dtype=np.int64)
+    groups = []
+    for idx in by_size.values():
+        idx = np.array(idx)
+        rows = row_of[np.array([h.edges[ei].nodes for ei in idx]) - 1]
+        colors = np.array([h.edges[ei].color for ei in idx], dtype=rest.dtype)
+        edge_fixed = fixed[rows]
+        edge_drawn = edge_fixed == 0
+        alive = ((edge_fixed == colors[:, None]) | edge_drawn).all(axis=1)
+        j_drawn = np.count_nonzero(edge_drawn, axis=1)
+        counts[idx[alive & (j_drawn == 0)]] = trials
+        for j in range(1, rows.shape[1] + 1):
+            sel = alive & (j_drawn == j)
+            if sel.any():
+                groups.append((idx[sel], drawn_of[rows[sel][edge_drawn[sel]]].reshape(-1, j), colors[sel][:, None, None]))
+    if groups:
+        open_edges = np.concatenate([idx for idx, _, _ in groups])
+        hits = np.zeros(open_edges.size, dtype=np.int64)
+        for start in range(0, trials, BLOCK):
+            count = min(BLOCK, trials - start)
+            draws = rounding._trial_draws(master_seed, start, count, h.color_count)
+            lam = rounding._priority_block(draws, x_weak[drawn], rest[drawn])
+            satisfied = np.empty((open_edges.size, count), dtype=bool)
+            lo = 0
+            for idx, rows, colors in groups:
+                satisfied[lo : lo + idx.size] = (lam[rows] == colors).all(axis=1)
+                lo += idx.size
+            hits += np.count_nonzero(satisfied, axis=1)
+        counts[open_edges] = hits
+    freq = counts.astype(float) / trials
+    se = np.sqrt(freq * (1.0 - freq) / trials)
+    return freq, se, rounding._mean_weight([e.weight for e in h.edges], counts.tolist(), trials)
+
+
+@pytest.mark.parametrize("scheme", ["hyper", "graph"])
+@pytest.mark.parametrize("k", range(1, 6))
+def test_open_edge_table_equals_grouped_estimate(k, scheme):
+    # every row is a fixed row of _EDGE_ROWS or a random fractional one, so
+    # edges of ranks 1-4 (2 under the graph scheme) mix fixed and
+    # draw-dependent rows and every count j of draw-dependent rows shows up
+    rng = random.Random(300 * k + len(scheme))
+    fixed_rows = [row + [0.0] * (k - 3) for row in _EDGE_ROWS[:4]] if k >= 3 else [[1.0] + [0.0] * (k - 1)]
+    for _ in range(4):
+        h = _decimal_instance(rng, k, (1, 2, 3, 4) if scheme == "hyper" else (2,), m_lo=6, m_hi=14)
+        rows = [
+            rng.choice(fixed_rows) if rng.random() < 0.5 else row
+            for row in _simplex_rows(rng, h.node_count, k)
+        ]
+        frac = _assignment(rows)
+        for trials, seed in ((1, SEEDS[1]), (BLOCK + 1, rng.randrange(1 << 64))):
+            est = ec.estimate_satisfaction(h, frac, scheme, trials, master_seed=seed)
+            freq, se, mean = _grouped_estimate(h, frac, scheme, trials, seed)
+            assert est.frequencies.tobytes() == freq.tobytes()
+            assert est.std_errors.tobytes() == se.tobytes()
+            assert est.mean_objective == mean
+
+
 def test_estimate_checks_the_seed_before_any_draw():
     h = _boundary_instance()
     for scheme in ("hyper", "graph"):
