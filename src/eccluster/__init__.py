@@ -39,9 +39,6 @@ from .hypergraph import (
     triangle_gadget,
 )
 from .lp import (
-    EQ,
-    GE,
-    LE,
     LinearProgram,
     LpSolution,
     SimplexError,
@@ -108,9 +105,6 @@ __all__ = [
     "SimplexError",
     "SolveResult",
     "VariableLayout",
-    "EQ",
-    "GE",
-    "LE",
     "at_most_one_probability",
     "brute_force",
     "build_conflict_graph",

@@ -1,22 +1,23 @@
 """Linear programming on a column-sparse, bounded-variable simplex tableau.
 
-An LP is one constraint matrix: ``A`` (rows x variables), a sense per row
-(LE, GE or EQ) and a right-hand side vector, plus a finite box per
-variable.  The one solver is a bounded dual simplex (Koberstein, The Dual
-Simplex Method, 2005).  Bounds are implicit (Dantzig's upper-bounding
-technique): the tableau holds only the rows of ``A``, each with one slack
-column, and a nonbasic variable at its upper bound is stored complemented.
-An EQ row's slack is boxed in [0, 0], so no row needs an artificial and none
-is dropped: the basis holds one column per row.  The point is read off the
-rhs column and corrected once by its residual against the clean input data,
-moved along the inverse basis, which the slack columns hold (one step of
-iterative refinement; Higham, Accuracy and Stability of Numerical
-Algorithms, 2002, ch. 12).  The tableau is stored densely in
-column-major order, and a pivot touches only the columns where the
-normalised pivot row is nonzero.  The leaving row is priced by dual steepest
-edge (Forrest and Goldfarb, Math. Prog. 57, 1992): each row's weight is the
-squared norm of its row of the inverse basis, which the slack columns hold,
-so the weights are exact, recomputed for the rows each pivot changes.
+An LP is one constraint matrix: ``A`` (rows x variables) and a right-hand
+side vector, every row read as a.x <= rhs, plus a finite box per variable.
+A >= row is written negated, and an equation as a pair of opposite rows.
+The one solver is a bounded dual simplex (Koberstein, The Dual Simplex
+Method, 2005).  Bounds are implicit (Dantzig's upper-bounding technique):
+the tableau holds only the rows of ``A``, each with one slack column in
+[0, inf), and a nonbasic variable at its upper bound is stored
+complemented.  No row needs an artificial and none is dropped: the basis
+holds one column per row.  The point is read off the rhs column and
+corrected once by its residual against the clean input data, moved along
+the inverse basis, which the slack columns hold (one step of iterative
+refinement; Higham, Accuracy and Stability of Numerical Algorithms, 2002,
+ch. 12).  The tableau is stored densely in column-major order, and a pivot
+touches only the columns where the normalised pivot row is nonzero.  The
+leaving row is priced by dual steepest edge (Forrest and Goldfarb, Math.
+Prog. 57, 1992): each row's weight is the squared norm of its row of the
+inverse basis, which the slack columns hold, so the weights are exact,
+recomputed for the rows each pivot changes.
 
 Every box is finite, so a program with no rows is solved by putting each
 variable at its cheaper bound, and that tableau is dual feasible.  A solve
@@ -41,9 +42,6 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 __all__ = [
-    "LE",
-    "GE",
-    "EQ",
     "EPS_FEAS",
     "LinearProgram",
     "LpSolution",
@@ -51,10 +49,6 @@ __all__ = [
     "solve_lp",
     "max_violation",
 ]
-
-LE = "<="
-GE = ">="
-EQ = "="
 
 EPS_FEAS = 1e-9
 #: Smallest entry pivoted on, and the reduced-cost tolerance.  At 1e-10 an
@@ -79,11 +73,11 @@ class SimplexError(RuntimeError):
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """min of c.x subject to A x {<=,>=,=} rhs, row by row, and box bounds;
-    a maximum is the minimum of -c.x, negated.
+    """min of c.x subject to A x <= rhs, row by row, and box bounds; a
+    maximum is the minimum of -c.x, negated.
 
-    ``A`` is rows x variables, ``senses`` holds LE, GE or EQ per row and
-    ``rhs`` one right-hand side per row.  ``bounds`` is an (n, 2) array of
+    ``A`` is rows x variables and ``rhs`` holds one right-hand side per row;
+    a >= row is passed negated.  ``bounds`` is an (n, 2) array of
     (lo, hi) pairs, [0, 1] per variable by default.  Every number must be
     finite, with lo <= hi, and every array is stored as a read-only copy,
     except that a read-only float64 array owning its data (such as another
@@ -92,7 +86,6 @@ class LinearProgram:
 
     objective: np.ndarray
     A: np.ndarray
-    senses: np.ndarray
     rhs: np.ndarray
     bounds: Optional[np.ndarray] = None
 
@@ -101,7 +94,9 @@ class LinearProgram:
         if n < 1:
             raise ValueError("need at least one variable")
         A = np.asarray(self.A, dtype=float)  # copied below
-        rows = A.shape[0] if A.ndim == 2 else -1
+        if A.ndim != 2:
+            raise ValueError(f"A must be 2-D with {n} columns, got shape {A.shape}")
+        rows = A.shape[0]
         bounds = np.tile([0.0, 1.0], (n, 1)) if self.bounds is None else self.bounds
         for name, values, shape in (
             ("objective", self.objective, (n,)),
@@ -124,14 +119,6 @@ class LinearProgram:
             object.__setattr__(self, name, arr)
         if np.any(self.bounds[:, 0] > self.bounds[:, 1]):
             raise ValueError("bounds must have lo <= hi")
-        senses = np.array(self.senses, dtype=str)
-        if senses.shape != (rows,):
-            raise ValueError(f"need one sense per row of A, got shape {senses.shape}")
-        unknown = set(senses.tolist()) - {LE, GE, EQ}
-        if unknown:
-            raise ValueError(f"unknown relation {min(unknown)!r}")
-        senses.flags.writeable = False
-        object.__setattr__(self, "senses", senses)
 
     @property
     def variable_count(self) -> int:
@@ -170,8 +157,7 @@ class LpSolution:
 def max_violation(lp: LinearProgram, x: np.ndarray) -> float:
     """Largest constraint or bound violation of ``x`` (0 means feasible)."""
     lo, hi = lp.bounds.T
-    gap = np.einsum("ij,j->i", lp.A, x) - lp.rhs
-    row = np.where(lp.senses == LE, gap, np.where(lp.senses == GE, -gap, np.abs(gap)))
+    row = np.einsum("ij,j->i", lp.A, x) - lp.rhs
     return float(max(0.0, np.max(lo - x), np.max(x - hi), row.max(initial=0.0)))
 
 
@@ -187,15 +173,15 @@ def _slack_norms(T: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", block, block)
 
 
-def _move_rhs(T: np.ndarray, n: int, complemented: np.ndarray, delta: np.ndarray) -> None:
+def _move_rhs(T: np.ndarray, n: int, delta: np.ndarray) -> None:
     """Move the rhs column of T's first ``delta.size`` rows by the inverse
     basis times ``delta``, a change in those rows' right-hand sides.
 
-    The inverse basis is the slack block, whose columns start at ``n``,
-    negated where a slack is complemented.
+    The inverse basis is the slack block, whose columns start at ``n``: a
+    slack's box [0, inf) has no upper bound, so no slack is complemented.
     """
     m = delta.size
-    T[:m, -1] += np.einsum("ij,j->i", T[:m, n : n + m], np.where(complemented[n : n + m], -delta, delta))
+    T[:m, -1] += np.einsum("ij,j->i", T[:m, n : n + m], delta)
 
 
 def _basic_solution(T: np.ndarray, basis: np.ndarray, u: np.ndarray, complemented: np.ndarray) -> np.ndarray:
@@ -322,7 +308,6 @@ def _base_tableau(lp: LinearProgram, previous: Optional[LpSolution]) -> _Tableau
         (lp.objective, old.objective),
         (lp.bounds, old.bounds),
         (lp.A[:R0], old.A),
-        (lp.senses[:R0], old.senses),
     )
     if lp.rhs.size < R0 or not all(np.array_equal(a, b) for a, b in unchanged):
         raise ValueError("lp is not the previous solution's program plus appended rows, up to right-hand sides")
@@ -349,14 +334,12 @@ def solve_lp(lp: LinearProgram, previous: Optional[LpSolution] = None) -> LpSolu
     n = lp.variable_count
     lo, hi = lp.bounds.T
     # Standard form over y = x - lo in [0, hi - lo]; the bounds stay out of
-    # the rows.  Every row gets one slack column, after the structural ones
-    # in row order.  GE rows are negated, so each row reads f a y + s =
-    # f (rhs - a lo); an EQ row's slack is boxed in [0, 0].
+    # the rows.  Every row gets one slack column s in [0, inf), after the
+    # structural ones in row order, so each row reads a y + s = rhs - a lo.
     R = lp.rhs.size
     ncols = n + R
-    f = np.where(lp.senses == GE, -1.0, 1.0)
-    b = f * (lp.rhs - np.einsum("ij,j->i", lp.A, lo))
-    u = np.concatenate([hi - lo, np.where(lp.senses == EQ, 0.0, np.inf)])
+    b = lp.rhs - np.einsum("ij,j->i", lp.A, lo)
+    u = np.concatenate([hi - lo, np.full(R, np.inf)])
 
     state = _base_tableau(lp, previous)
     R0 = state.basis.size
@@ -369,12 +352,12 @@ def solve_lp(lp: LinearProgram, previous: Optional[LpSolution] = None) -> LpSolu
     T[:R0, :kept], T[:R0, -1] = state.T[:, :-1], state.T[:, -1]
     moved = lp.rhs[:R0] - state.lp.rhs[:R0]  # a cold state's program is lp itself
     if moved.any():  # new right-hand sides leave the reduced costs alone
-        _move_rhs(T, n, complemented, f[:R0] * moved)
+        _move_rhs(T, n, moved)
 
     # Append rows R0..: a complemented column is negated with its u moved to
     # the rhs, then the basic columns are eliminated.
     rows = T[R0:]
-    np.multiply(lp.A[R0:], f[R0:, None], out=rows[:, :n])
+    rows[:, :n] = lp.A[R0:]
     rows[np.arange(R - R0), kept + np.arange(R - R0)] = 1.0
     rows[:, -1] = b[R0:]
     flip = complemented.nonzero()[0]
@@ -388,7 +371,7 @@ def solve_lp(lp: LinearProgram, previous: Optional[LpSolution] = None) -> LpSolu
     # against the clean input data moves the rhs column along the inverse
     # basis, and the point is read again.
     y = _basic_solution(T, basis, u, complemented)
-    _move_rhs(T, n, complemented, b - f * np.einsum("ij,j->i", lp.A, y[:n]) - y[n:])
+    _move_rhs(T, n, b - np.einsum("ij,j->i", lp.A, y[:n]) - y[n:])
     y = _basic_solution(T, basis, u, complemented)
     x = y[:n] + lo
     viol = max_violation(lp, x)

@@ -8,10 +8,12 @@ the pair-cover polytope, gamma columns only, with gamma_e + gamma_f >= 1 on
 every conflicting pair.
 Builders translate an instance into a LinearProgram, one constraint matrix
 filled by index arrays, and solvers map the optimum back onto the
-hypergraph.  The max relaxation is the assignment orientation of the p = 1
-distance LP (the edge-colored clustering LP of Amburg, Veldt and Benson,
-WWW 2020): x_v^c = 1 - d_v^c, how much node v leans toward color c, and
-satisfaction caps z_e = 1 - gamma_e.  Read that way the region is the
+hypergraph.  A LinearProgram reads every row as a.x <= b, so the >= rows
+above are written negated: -sum_c d_v^c <= 1 - k, d_v^c - gamma_e <= 0 and
+-gamma_e - gamma_f <= -1.  The max relaxation is the assignment orientation
+of the p = 1 distance LP (the edge-colored clustering LP of Amburg, Veldt
+and Benson, WWW 2020): x_v^c = 1 - d_v^c, how much node v leans toward
+color c, and satisfaction caps z_e = 1 - gamma_e.  Read that way the region is the
 assignment polytope with sum_c x_v^c <= 1 per node in place of = 1, which
 moves no optimum, since raising an x entry never lowers a cap.
 
@@ -30,14 +32,13 @@ rhs, and is solved hot from the last budget's final tableau.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .hypergraph import EdgeColoredHypergraph, build_conflict_graph, left_sum, pmean_norm
-from .lp import EPS_FEAS, GE, LE, LinearProgram, solve_lp
+from .lp import EPS_FEAS, LinearProgram, solve_lp
 
 __all__ = [
     "CuttingPlaneResult",
@@ -150,20 +151,19 @@ def solve_max_relaxation(h: EdgeColoredHypergraph) -> FractionalSolution:
 
 
 def _region(h: EdgeColoredHypergraph, extra: int = 0) -> tuple[tuple, VariableLayout]:
-    """(A, senses, rhs) of the distance region: sum_c d_v^c >= k - 1 per
-    node, then d_v^c <= gamma_e per incidence, in edge order."""
+    """(A, rhs) of the distance region, every row a.x <= b: -sum_c d_v^c <=
+    1 - k per node, then d_v^c - gamma_e <= 0 per incidence, in edge order."""
     lay = VariableLayout(h.node_count, h.color_count, h.edge_count, extra=extra)
     n, k = h.node_count, h.color_count
     nodes = h.edge_nodes  # a row's real entries: slot 0 and those unlike it
     inc_edge, slot = np.nonzero((np.arange(nodes.shape[1]) == 0) | (nodes != nodes[:, :1]))
     A = np.zeros((n + inc_edge.size, lay.total))
-    A[np.arange(n).repeat(k), np.arange(n * k)] = 1.0
+    A[np.arange(n).repeat(k), np.arange(n * k)] = -1.0
     inc_rows = n + np.arange(inc_edge.size)
     A[inc_rows, lay.node_color_col(nodes[inc_edge, slot], h.edge_colors[inc_edge])] = 1.0
     A[inc_rows, lay.edge_col(inc_edge)] = -1.0
-    senses = np.repeat([GE, LE], [n, inc_edge.size])
-    rhs = np.repeat([float(k - 1), 0.0], [n, inc_edge.size])
-    return (A, senses, rhs), lay
+    rhs = np.repeat([float(1 - k), 0.0], [n, inc_edge.size])
+    return (A, rhs), lay
 
 
 def _weight_objective(h: EdgeColoredHypergraph, lay: VariableLayout) -> np.ndarray:
@@ -176,13 +176,14 @@ def build_pmean_program(h: EdgeColoredHypergraph, p: float):
     """Relaxation of the p-mean objective over the distance region.
 
     ``A`` holds one row per node, then one per incidence in edge order, then
-    a master's cut rows.  p = 1 returns a plain LinearProgram (total mass).
-    p = inf returns the cutting-plane master with one cut per color, t >=
-    that color's mass, so its optimum is the relaxation optimum.  1 < p < inf
-    returns (master, layout, cut): the master carries one cut, at gamma = 1,
-    and ``cut`` maps a point to (sum_c m_c^p)^(1/p) and that norm's
-    gradient, which is the next cut.  p < 1 is rejected here; that case goes
-    through the Lovász machinery instead.
+    a master's cut rows, each read as a.x <= b.  p = 1 returns a plain
+    LinearProgram (total mass).  p = inf returns the cutting-plane master
+    with one cut per color, that color's mass - t <= 0, so its optimum is
+    the relaxation optimum.  1 < p < inf returns (master, layout, cut): the
+    master carries one cut, at gamma = 1, and ``cut`` maps a point to
+    (sum_c m_c^p)^(1/p) and that norm's gradient, which is the next cut.
+    p < 1 is rejected here; that case goes through the Lovász machinery
+    instead.
     """
     if p < 1:
         raise ValueError("p < 1 is handled by the Lovász path, not this builder")
@@ -216,9 +217,8 @@ def _add_cuts(master: LinearProgram, cuts: np.ndarray) -> LinearProgram:
     """``master`` plus one row <a, x> - t <= 0 per row a of ``cuts``, t in the last column."""
     cuts = np.array(cuts, dtype=float, ndmin=2)
     cuts[:, -1] = -1.0
-    senses = np.append(master.senses, [LE] * len(cuts))
     rhs = np.append(master.rhs, np.zeros(len(cuts)))
-    return replace(master, A=np.vstack([master.A, cuts]), senses=senses, rhs=rhs)
+    return replace(master, A=np.vstack([master.A, cuts]), rhs=rhs)
 
 
 def _master(region: tuple, cuts: np.ndarray, t_cap: float) -> LinearProgram:
@@ -367,18 +367,19 @@ def build_protected_lp(
 ) -> tuple[LinearProgram, VariableLayout]:
     """min sum w_e gamma_e over the distance region, protected mass capped at b.
 
-    ``A`` holds the distance region's rows, then the budget row, so every
-    budget gives the same program up to the budget row's rhs.
+    ``A`` holds the distance region's rows, then the budget row sum of w_e
+    gamma_e over the protected edges <= b, so every budget gives the same
+    program up to the budget row's rhs.
     """
     if not 1 <= protected_color <= h.color_count:
         raise ValueError(f"protected color {protected_color} out of range")
     if not budget >= 0:
         raise ValueError("budget must be >= 0")
-    (A, senses, rhs), lay = _region(h)
+    (A, rhs), lay = _region(h)
     on_p = h.edge_colors == protected_color
     budget_row = _weight_objective(h, lay)
     budget_row[lay.edge_col(np.flatnonzero(~on_p))] = 0.0
-    region = (np.vstack([A, budget_row]), np.append(senses, LE), np.append(rhs, float(budget)))
+    region = (np.vstack([A, budget_row]), np.append(rhs, float(budget)))
     return LinearProgram(_weight_objective(h, lay), *region), lay
 
 
@@ -392,15 +393,19 @@ def solve_protected_sweep(
     from the last one's final tableau.  Every bound is the LP optimum at its
     budget; the vertex may depend on the budgets before it.  Weights far
     from 1 are scaled as in ``solve_pmean_relaxation``, and the budgets with
-    them; a budget that scales past the float range caps at the largest
-    float, which binds no more than it did.
+    them.  Each scaled budget is capped at the protected class's scaled
+    weight, past which the row binds nothing, so no hot solve moves the
+    budget row's rhs by more than that weight.
     """
+    if not 1 <= protected_color <= h.color_count:
+        raise ValueError(f"protected color {protected_color} out of range")
     if not all(budget >= 0 for budget in budgets):
         raise ValueError("budget must be >= 0")
     scaled, shift = _scale_weights(h)
+    class_weight = float(color_mass(scaled, np.ones(scaled.edge_count))[protected_color - 1])
     fracs, sol = [], None
     for budget in budgets:
-        budget = min(_ldexp(float(budget), shift), sys.float_info.max)
+        budget = min(_ldexp(float(budget), shift), class_weight)
         if sol is None:
             lp, lay = build_protected_lp(scaled, protected_color, budget)
         else:
@@ -461,10 +466,11 @@ def minimize_lovasz(h: EdgeColoredHypergraph, p: float) -> CuttingPlaneResult:
     """Minimize the extension over the pair-cover polytope.
 
     Feasible set: gamma in [0, 1]^m with gamma_e + gamma_f >= 1 on every
-    conflicting pair.  Kelley's loop (``_kelley``), whose cuts are the greedy
-    base-polytope vertices ``lovasz_extension`` returns as subgradients, the
-    first at gamma = 1/2, with t capped at f(E); the extension is piecewise
-    linear, so the gap closes after finitely many cuts.  ``point`` is the
+    conflicting pair, each pair's row written -gamma_e - gamma_f <= -1.
+    Kelley's loop (``_kelley``), whose cuts are the greedy base-polytope
+    vertices ``lovasz_extension`` returns as subgradients, the first at
+    gamma = 1/2, with t capped at f(E); the extension is piecewise linear,
+    so the gap closes after finitely many cuts.  ``point`` is the
     best gamma seen and ``lower`` a certified lower bound on min f(S) = OPT^p.
     f is homogeneous of degree p in the weights: weights far from 1 are
     scaled by 2**s as in ``solve_pmean_relaxation`` and ``lower`` is scaled
@@ -476,8 +482,8 @@ def minimize_lovasz(h: EdgeColoredHypergraph, p: float) -> CuttingPlaneResult:
     m = h.edge_count
     pairs = np.array(sorted(build_conflict_graph(h)), dtype=np.intp).reshape(-1, 2)
     A = np.zeros((len(pairs), m + 1))
-    A[np.arange(len(pairs))[:, None], pairs] = 1.0
-    region = (A, np.full(len(pairs), GE), np.ones(len(pairs)))
+    A[np.arange(len(pairs))[:, None], pairs] = -1.0
+    region = (A, np.full(len(pairs), -1.0))
 
     def cut(point: np.ndarray) -> tuple[float, np.ndarray]:
         value, subgrad = lovasz_extension(h, p, point[:m])

@@ -6,7 +6,7 @@ import random
 
 import numpy as np
 
-from eccluster import EQ, GE, Edge, EdgeColoredHypergraph, LinearProgram
+from eccluster import Edge, EdgeColoredHypergraph, LinearProgram
 
 # The convex benchmark workload's capped p = 2 instance: six nodes, three
 # colors, twelve unit edges.  The cutting-plane loop needs eleven master LPs.
@@ -71,25 +71,27 @@ def assignment_lp(h: EdgeColoredHypergraph) -> LinearProgram:
     """The max relaxation's LP in its own, assignment form, frozen here.
 
     minimize -sum_e w_e z_e over columns x (node by node, color by color)
-    then z, with one EQ row sum_c x_v^c = 1 per node, then one GE row
-    x_v^c - z_e >= 0 per incidence, in edge order.  The library solves the
-    p = 1 distance LP instead; this program keeps EQ rows and negative
-    costs in the simplex tests, and its optimum is the max bound, negated.
+    then z.  Each node's equation sum_c x_v^c = 1 is a pair of rows: one row
+    sum_c x_v^c <= 1 per node, then one row -sum_c x_v^c <= -1 per node;
+    then one row z_e - x_v^c <= 0 per incidence, in edge order.  The
+    library solves the p = 1 distance LP instead; this program keeps
+    equation pairs and negative costs in the simplex tests, and its optimum
+    is the max bound, negated.
     """
     n, k, m = h.node_count, h.color_count, h.edge_count
     inc_node = np.array([v for edge in h.edges for v in edge.nodes], dtype=np.intp)
     inc_edge = np.repeat(np.arange(m), [len(edge.nodes) for edge in h.edges])
     inc_color = np.array([h.edges[e].color for e in inc_edge], dtype=np.intp)
-    A = np.zeros((n + inc_node.size, n * k + m))
+    A = np.zeros((2 * n + inc_node.size, n * k + m))
     A[np.arange(n).repeat(k), np.arange(n * k)] = 1.0
-    inc_rows = n + np.arange(inc_node.size)
-    A[inc_rows, (inc_node - 1) * k + inc_color - 1] = 1.0
-    A[inc_rows, n * k + inc_edge] = -1.0
+    A[n + np.arange(n).repeat(k), np.arange(n * k)] = -1.0
+    inc_rows = 2 * n + np.arange(inc_node.size)
+    A[inc_rows, (inc_node - 1) * k + inc_color - 1] = -1.0
+    A[inc_rows, n * k + inc_edge] = 1.0
     objective = np.zeros(n * k + m)
     objective[n * k :] = [-edge.weight for edge in h.edges]
-    senses = np.repeat([EQ, GE], [n, inc_node.size])
-    rhs = np.repeat([1.0, 0.0], [n, inc_node.size])
-    return LinearProgram(objective, A, senses, rhs)
+    rhs = np.repeat([1.0, -1.0, 0.0], [n, n, inc_node.size])
+    return LinearProgram(objective, A, rhs)
 
 
 def serialize_instance(h: EdgeColoredHypergraph) -> str:

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eccluster as ec
-from conftest import SLOW_P2, ladder_instance, serialize_instance
+from conftest import SLOW_P2, ladder_instance, random_instance, serialize_instance
 from eccluster import Edge, EdgeColoredHypergraph, parse_instance
 from eccluster.relaxations import ASSIGNMENT, FractionalSolution, solve_max_relaxation
 
@@ -218,6 +218,18 @@ def test_relaxation_bounds_scale_with_the_weights(tmp_path, solve, scale):
     assert (proc.returncode, proc.stderr) == (0, "")
     unit = ec.solve(ec.triangle_gadget(), problem, alg).bound
     assert json.loads(proc.stdout)["relaxation_bound"] == pytest.approx(unit * scale, rel=1e-12, abs=0.0)
+
+
+def test_bench_budget_far_past_the_scaled_class_weight(tmp_path):
+    # weights of 1e-30 scale by 2**120, and so does the fraction-1 budget;
+    # capped at the class weight, its hot solve moves the budget row little
+    path = tmp_path / "scaled.ecc"
+    path.write_text(TRIANGLE.replace(" 1 2 ", " 1e-30 2 "), encoding="utf-8")
+    proc = run_cli("bench", "--problem", "protected", "--protected-color", "1", "--fractions", "0,1", "--input", str(path))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    header, *rows = [line.split(",") for line in proc.stdout.splitlines()]
+    bounds = [float(row[header.index("relaxation_bound")]) for row in rows]
+    assert bounds == pytest.approx([2e-30, 1.5e-30], rel=1e-12, abs=0.0)
 
 
 #: relaxation optimum of each flag set on the triangle
@@ -605,6 +617,65 @@ def test_estimate_prints_frozen_bytes(tmp_path, monkeypatch, capsys, instance, s
     else:
         stdout = run_cli(*args, check=True).stdout
     assert stdout == FROZEN_ESTIMATES[instance, scheme]
+
+
+# ``ecc solve`` and ``ecc bench`` output, less ``wall_time_sec``: the ladder's
+# n = 20 instance for every command but ``graph-max``, which needs rank 2 and
+# runs on RANK2_INSTANCE, whose max LP point is fractional.
+RANK2_INSTANCE = random_instance(
+    random.Random(22), n_lo=12, n_hi=12, k_lo=3, k_hi=3, m_lo=24, m_hi=24, sizes=(2,), unit_weights=False
+)
+FROZEN_SOLVES = {
+    "min": (
+        ("solve", "--problem", "min", "--alg", "lp-round"),
+        '{"problem": "min", "algorithm": "lp-round", "parameters": {}, "feasible": true, "objective": 22.0, "color_error_vector": [14.0, 3.0, 5.0], "coloring": [2, 3, 2, 2, 2, 2, 2, 1, 2, 2, 1, 3, 3, 2, 1, 1, 2, 3, 1, 3], "relaxation_bound": 22.0, "approx_ratio_upper_bound": 1.0, "fallback": "lp-informed"}\n',
+    ),
+    "colorfair": (
+        ("solve", "--problem", "colorfair", "--alg", "lp-round"),
+        '{"problem": "colorfair", "algorithm": "lp-round", "parameters": {}, "feasible": true, "objective": 14.0, "color_error_vector": [2.0, 14.0, 7.0], "coloring": [1, 1, 1, 1, 2, 1, 1, 1, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1], "relaxation_bound": 8.206896551724137, "approx_ratio_upper_bound": 1.7058823529411766, "fallback": "lp-informed"}\n',
+    ),
+    "pmean-2": (
+        ("solve", "--problem", "pmean", "--p", "2", "--alg", "lp-round"),
+        '{"problem": "pmean", "algorithm": "lp-round", "parameters": {"p": 2.0}, "feasible": true, "objective": 13.92838827718412, "color_error_vector": [12.0, 5.0, 5.0], "coloring": [2, 3, 1, 2, 2, 2, 1, 1, 2, 2, 1, 3, 3, 2, 1, 1, 1, 3, 1, 3], "relaxation_bound": 13.069014926083897, "approx_ratio_upper_bound": 1.0657565513514744, "fallback": "lp-informed"}\n',
+    ),
+    "pmean-inf": (
+        ("solve", "--problem", "pmean", "--p", "inf", "--alg", "lp-round"),
+        '{"problem": "pmean", "algorithm": "lp-round", "parameters": {"p": "inf"}, "feasible": true, "objective": 14.0, "color_error_vector": [2.0, 14.0, 7.0], "coloring": [1, 1, 1, 1, 2, 1, 1, 1, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1], "relaxation_bound": 8.206896551724137, "approx_ratio_upper_bound": 1.7058823529411766, "fallback": "lp-informed"}\n',
+    ),
+    "lovasz": (
+        ("solve", "--problem", "pmean", "--p", "0.5", "--alg", "lovasz"),
+        '{"problem": "pmean", "algorithm": "lovasz", "parameters": {"p": 0.5}, "feasible": true, "objective": 44.166010488516726, "color_error_vector": [0.0, 16.0, 7.0], "coloring": [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1], "relaxation_bound": 28.99206993068236, "approx_ratio_upper_bound": 1.5233824488597745, "fallback": "constant-1"}\n',
+    ),
+    "hyper-max": (
+        ("solve", "--problem", "max", "--alg", "hyper-max", "--seed", "3"),
+        '{"problem": "max", "algorithm": "hyper-max", "parameters": {}, "feasible": true, "objective": 18.0, "color_error_vector": [14.0, 3.0, 5.0], "coloring": [2, 3, 2, 2, 2, 2, 2, 1, 2, 2, 1, 3, 3, 2, 1, 1, 2, 3, 1, 3], "relaxation_bound": 18.0, "approx_ratio_upper_bound": 1.0, "fallback": "lp-informed", "master_seed": 3}\n',
+    ),
+    "protected": (
+        ("solve", "--problem", "protected", "--protected-color", "1", "--budget", "3", "--alg", "lp-round"),
+        '{"problem": "protected", "algorithm": "lp-round", "parameters": {"protected_color": 1, "budget": 3.0, "rho": 0.5}, "feasible": true, "objective": {"total": 23.0, "protected": 0.0}, "color_error_vector": [0.0, 16.0, 7.0], "coloring": [1, 1, 1, 1, 1, 1, 1, 1, 3, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1], "relaxation_bound": 22.75, "approx_ratio_upper_bound": 1.010989010989011, "fallback": "lp-informed"}\n',
+    ),
+    "bench": (
+        ("bench", "--problem", "protected", "--protected-color", "1", "--fractions", "0,0.5,1"),
+        'fraction,budget,total_unsatisfied,protected_unsatisfied,relaxation_bound,violation_factor\n0.0,0,23.0,0.0,23.0,\n0.5,9,22.0,12.0,22.25,1.3333333333333333\n1.0,17,22.0,14.0,22.0,0.8235294117647058\n',
+    ),
+    "graph-max": (
+        ("solve", "--problem", "max", "--alg", "graph-max", "--seed", "3"),
+        '{"problem": "max", "algorithm": "graph-max", "parameters": {}, "feasible": true, "objective": 18.0, "color_error_vector": [3.5, 9.0, 10.0], "coloring": [1, 1, 2, 1, 2, 2, 1, 1, 2, 2, 1, 2], "relaxation_bound": 19.75, "approx_ratio_upper_bound": 1.0972222222222223, "fallback": "lp-informed", "master_seed": 3}\n',
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_SOLVES))
+def test_solve_prints_frozen_bytes(tmp_path, capsys, name):
+    from eccluster import cli
+
+    (command, *flags), expected = FROZEN_SOLVES[name]
+    h = RANK2_INSTANCE if name == "graph-max" else ladder_instance(20)
+    path = tmp_path / "instance.ecc"
+    path.write_text(serialize_instance(h), encoding="utf-8")
+    assert cli.main([command, *flags, "--input", str(path)]) == 0
+    stdout = capsys.readouterr().out
+    assert re.sub(r', "wall_time_sec": [^,}]+', "", stdout) == expected
 
 
 def test_estimate_graph_scheme(triangle_path):

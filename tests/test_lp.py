@@ -13,17 +13,26 @@ import pytest
 import eccluster as ec
 import eccluster.lp as lp_module
 import eccluster.relaxations as relaxations
-from eccluster.lp import EPS_FEAS, EQ, GE, LE, SimplexError, max_violation
+from eccluster.lp import EPS_FEAS, SimplexError, max_violation
 from eccluster.relaxations import build_pmean_program, build_protected_lp
 from conftest import SLOW_P2, assignment_lp, instance_batch, ladder_instance, random_instance
 
 
+# Row relations, for writing test programs; a LinearProgram reads every row
+# as a.x <= b.
+LE, GE, EQ = "<=", ">=", "="
+
+
 def _lp(objective, rows, bounds=None):
-    """LinearProgram from (coefficients, relation, rhs) rows."""
-    A = [vec for vec, _, _ in rows] if rows else np.zeros((0, len(objective)))
-    senses = [rel for _, rel, _ in rows]
-    rhs = [rhs for _, _, rhs in rows]
-    return ec.LinearProgram(objective, A, senses, rhs, bounds=bounds)
+    """LinearProgram from (coefficients, relation, rhs) rows: a LE row as it
+    is, a GE row negated, and an EQ row as the pair a.x <= b, -a.x <= -b."""
+    A, rhs = [], []
+    for vec, rel, b in rows:
+        vec = np.asarray(vec, dtype=float)
+        signs = {LE: (1.0,), GE: (-1.0,), EQ: (1.0, -1.0)}[rel]
+        A += [sign * vec for sign in signs]
+        rhs += [sign * b for sign in signs]
+    return ec.LinearProgram(objective, A if A else np.zeros((0, len(objective))), rhs, bounds=bounds)
 
 
 # The dual simplex's leaving rules: dual steepest edge, with Bland's lowest
@@ -42,26 +51,26 @@ def _solve_each_rule(lp):
     return sols
 
 
-BOX = _lp([-1.0, -2.0], [([1.0, 1.0], ec.LE, 1.5)])
+BOX = _lp([-1.0, -2.0], [([1.0, 1.0], LE, 1.5)])
 EQUALITY_AND_GE = _lp(
     [1.0, 1.0, 0.0],
-    [([1.0, 1.0, 1.0], ec.EQ, 2.0), ([1.0, 0.0, 0.0], ec.GE, 0.25)],
+    [([1.0, 1.0, 1.0], EQ, 2.0), ([1.0, 0.0, 0.0], GE, 0.25)],
 )
-INFEASIBLE = _lp([1.0], [([1.0], ec.GE, 2.0)])
+INFEASIBLE = _lp([1.0], [([1.0], GE, 2.0)])
 REDUNDANT = _lp(
     [-1.0, -1.0],
     [
-        ([1.0, 1.0], ec.EQ, 1.0),
-        ([1.0, 1.0], ec.EQ, 1.0),
-        ([2.0, 2.0], ec.EQ, 2.0),
+        ([1.0, 1.0], EQ, 1.0),
+        ([1.0, 1.0], EQ, 1.0),
+        ([2.0, 2.0], EQ, 2.0),
     ],
 )
 LOWER_BOUNDS = _lp(
     [-1.0, -1.0],
-    [([1.0, 1.0], ec.LE, 1.2)],
+    [([1.0, 1.0], LE, 1.2)],
     bounds=[(0.25, 1.0), (0.5, 1.0)],
 )
-ONE_ROW = _lp([-3.0, 1.0, -2.0], [([1.0, 2.0, 1.0], ec.LE, 2.0)])
+ONE_ROW = _lp([-3.0, 1.0, -2.0], [([1.0, 2.0, 1.0], LE, 2.0)])
 HAND_WRITTEN = (BOX, EQUALITY_AND_GE, REDUNDANT, LOWER_BOUNDS, ONE_ROW)
 
 
@@ -79,24 +88,25 @@ def test_equality_and_ge_rows():
 
 
 def test_infeasible_programs_raise():
-    # Row 1 holds nowhere in the box, whatever its sense; the last program
+    # Row 1 holds nowhere in the box, whatever its relation; the last program
     # has two rows that each hold alone but not together.
     programs = [INFEASIBLE]
-    for rel, rhs in ((ec.LE, -0.5), (ec.GE, 2.5), (ec.EQ, 2.5), (ec.EQ, -0.5)):
-        programs.append(_lp([1.0, 1.0], [([1.0, 0.0], ec.LE, 1.0), ([1.0, 1.0], rel, rhs)]))
-    programs.append(_lp([-1.0, 1.0], [([1.0, 0.0], ec.GE, 0.75), ([1.0, 1.0], ec.LE, 0.5)]))
+    for rel, rhs in ((LE, -0.5), (GE, 2.5), (EQ, 2.5), (EQ, -0.5)):
+        programs.append(_lp([1.0, 1.0], [([1.0, 0.0], LE, 1.0), ([1.0, 1.0], rel, rhs)]))
+    programs.append(_lp([-1.0, 1.0], [([1.0, 0.0], GE, 0.75), ([1.0, 1.0], LE, 0.5)]))
     for lp in programs:
         assert _reference_solve_lp(lp)[0] == "infeasible"
         _assert_infeasible(lp)
     # A breach within EPS_FEAS is not infeasible.
-    sol = ec.solve_lp(_lp([1.0], [([1.0], ec.GE, EPS_FEAS / 2)]))
+    sol = ec.solve_lp(_lp([1.0], [([1.0], GE, EPS_FEAS / 2)]))
     assert sol.values.tolist() == [0.0]
 
 
-def test_redundant_equalities_keep_their_fixed_slacks():
+def test_redundant_rows_keep_one_basic_column_each():
+    # Three equal equations make six rows, of which two are independent.
     sol = ec.solve_lp(REDUNDANT)
     assert sol.objective_value == pytest.approx(-1.0)
-    assert len(sol._tableau.basis) == 3
+    assert len(sol._tableau.basis) == REDUNDANT.rhs.size == 6
 
 
 def test_nonzero_lower_bounds():
@@ -114,7 +124,7 @@ def test_solution_is_feasible_and_reports_basis():
 
 def test_programs_share_read_only_arrays_and_copy_the_rest():
     A = np.array([[1.0, 2.0], [0.0, 1.0]])
-    lp = ec.LinearProgram(objective=[1.0, 1.0], A=A, senses=[ec.LE, ec.GE], rhs=[1.0, 0.0])
+    lp = ec.LinearProgram(objective=[1.0, 1.0], A=A, rhs=[1.0, 0.0])
     A[0, 0] = 5.0  # a writeable input is copied
     assert lp.A[0, 0] == 1.0 and not lp.A.flags.writeable
     hot = replace(lp, rhs=np.array([2.0, 0.0]))
@@ -127,20 +137,15 @@ def test_programs_share_read_only_arrays_and_copy_the_rest():
 
 def test_program_validation():
     with pytest.raises(ValueError):
-        _lp([1.0], [([1.0, 1.0], ec.LE, 1.0)])
-    with pytest.raises(ValueError):
-        _lp([1.0], [([1.0], "??", 1.0)])
+        _lp([1.0], [([1.0, 1.0], LE, 1.0)])
     with pytest.raises(ValueError):
         _lp([1.0], [], bounds=[(1.0, 0.0)])
     A = np.array([[1.0, 2.0], [0.0, 1.0]])
-    good = dict(objective=[1.0, 1.0], A=A, senses=[ec.LE, ec.GE], rhs=[1.0, 0.0])
+    good = dict(objective=[1.0, 1.0], A=A, rhs=[1.0, 0.0])
     lp = ec.LinearProgram(**good)
     assert lp.variable_count == 2
     assert lp.bounds.tolist() == [[0.0, 1.0], [0.0, 1.0]]
     for bad in (
-        dict(senses=[ec.LE]),
-        dict(senses=[ec.LE, ec.GE, ec.EQ]),
-        dict(senses=[ec.LE, "<"]),
         dict(rhs=[1.0]),
         dict(rhs=[1.0, 0.0, 2.0]),
         dict(rhs=[1.0, math.nan]),
@@ -159,7 +164,7 @@ def test_program_validation():
     # writes through the program can change it.
     A[0, 0] = 5.0
     assert lp.A[0, 0] == 1.0
-    for arr in (lp.objective, lp.A, lp.senses, lp.rhs, lp.bounds):
+    for arr in (lp.objective, lp.A, lp.rhs, lp.bounds):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = arr[0]
@@ -173,17 +178,18 @@ def test_program_validation():
         (dict(rhs=[1.0, math.nan]), r"^rhs must be finite, got a NaN or infinite value$"),
         (dict(bounds=[(0.0, 1.0), (0.0, math.inf)]), r"^bounds must be finite, got a NaN or infinite value$"),
         (dict(objective=[-math.inf, 1.0]), r"^objective must be finite, got a NaN or infinite value$"),
+        (dict(A=np.ones(2)), r"^A must be 2-D with 2 columns, got shape \(2,\)$"),
     ],
 )
 def test_program_errors_name_the_shape_or_the_non_finite_value(bad, message):
-    good = dict(objective=[1.0, 1.0], A=np.eye(2), senses=[ec.LE, ec.GE], rhs=[1.0, 0.0])
+    good = dict(objective=[1.0, 1.0], A=np.eye(2), rhs=[1.0, 0.0])
     with pytest.raises(ValueError, match=message):
         ec.LinearProgram(**(good | bad))
 
 
 def test_pricing_past_the_float_range_reads_inf():
     # the row's excess squared overflows; the suite turns that warning into an error
-    sol = ec.solve_lp(_lp([1.0], [([1.0], ec.GE, 1e200)], bounds=[(0.0, 1e201)]))
+    sol = ec.solve_lp(_lp([1.0], [([1.0], GE, 1e200)], bounds=[(0.0, 1e201)]))
     assert sol.values.tolist() == [1e200]
     assert sol.objective_value == 1e200
     assert sol.pivots == 1
@@ -192,33 +198,19 @@ def test_pricing_past_the_float_range_reads_inf():
 def _enumerate_vertices(lp):
     """All basic feasible points of {rows, box}: an independent optimum oracle."""
     n = lp.variable_count
-    rows = list(zip(lp.A, lp.senses, lp.rhs))
-    eq_rows = [(vec, rhs) for vec, rel, rhs in rows if rel == ec.EQ]
-    ineq_rows = []
-    for vec, rel, rhs in rows:
-        if rel == ec.LE:
-            ineq_rows.append((vec, rhs))
-        elif rel == ec.GE:
-            ineq_rows.append((-vec, -rhs))
+    rows = list(zip(lp.A, lp.rhs))
     for i, (lo, hi) in enumerate(lp.bounds):
         e = np.zeros(n)
         e[i] = 1.0
-        ineq_rows.append((e, hi))
-        ineq_rows.append((-e, -lo))
-    need = n - len(eq_rows)
+        rows.append((e, hi))
+        rows.append((-e, -lo))
     points = []
-    for combo in itertools.combinations(range(len(ineq_rows)), max(need, 0)):
-        a = np.array([vec for vec, _ in eq_rows] + [ineq_rows[i][0] for i in combo])
-        b = np.array([rhs for _, rhs in eq_rows] + [ineq_rows[i][1] for i in combo])
-        if a.shape[0] != n:
-            continue
+    for combo in itertools.combinations(rows, n):
         try:
-            x = np.linalg.solve(a, b)
+            x = np.linalg.solve(np.array([vec for vec, _ in combo]), np.array([rhs for _, rhs in combo]))
         except np.linalg.LinAlgError:
             continue
-        if all(vec @ x <= rhs + 1e-8 for vec, rhs in ineq_rows) and all(
-            abs(vec @ x - rhs) <= 1e-8 for vec, rhs in eq_rows
-        ):
+        if all(vec @ x <= rhs + 1e-8 for vec, rhs in rows):
             points.append(x)
     return points
 
@@ -226,14 +218,6 @@ def _enumerate_vertices(lp):
 def _random_sign(rng):
     """-1 or 1, each half the time, so that half the random programs are maximized."""
     return -1.0 if rng.random() < 0.5 else 1.0
-
-
-def _sense(rng, senses, rows, vec):
-    """A random sense from ``senses``; GE instead of an EQ row that depends
-    on the EQ rows so far, since the vertex oracle needs them independent."""
-    rel = rng.choice(senses)
-    eqs = [v for v, r, _ in rows if r == ec.EQ] + [vec]
-    return ec.GE if rel == ec.EQ and np.linalg.matrix_rank(np.array(eqs)) < len(eqs) else rel
 
 
 def _random_program(rng):
@@ -248,10 +232,10 @@ def _random_program(rng):
         vec = np.array([rng.randint(-3, 3) / 2 for _ in range(n)])
         if not vec.any():
             vec[rng.randrange(n)] = 1.0
-        rel = _sense(rng, [ec.LE, ec.LE, ec.GE, ec.GE, ec.EQ], rows, vec)
+        rel = rng.choice([LE, LE, GE, GE, EQ])
         if rng.random() < 0.75:
             gap = 0.3 * rng.random()
-            rhs = float(vec @ corner) + {ec.LE: gap, ec.GE: -gap, ec.EQ: 0.0}[rel]
+            rhs = float(vec @ corner) + {LE: gap, GE: -gap, EQ: 0.0}[rel]
         else:
             rhs = float(vec @ corner) + rng.uniform(-1.5, 1.5)
         rows.append((vec, rel, rhs))
@@ -350,44 +334,32 @@ def _reference_solve_lp(lp):
     lo = np.array([bd[0] for bd in lp.bounds])
     hi = np.array([bd[1] for bd in lp.bounds])
 
-    A_rows, b_vals, rels = [], [], []
-    for coeffs, rel, rhs in zip(lp.A, lp.senses, lp.rhs):
+    A_rows, b_vals = [], []
+    for coeffs, rhs in zip(lp.A, lp.rhs):
         A_rows.append(np.asarray(coeffs, dtype=float))
         b_vals.append(rhs - float(coeffs @ lo))
-        rels.append(rel)
     eye = np.eye(n)
     for j in range(n):
         A_rows.append(eye[j])
         b_vals.append(hi[j] - lo[j])
-        rels.append(LE)
 
+    # Every row reads a.y <= b; a row with b < 0 is negated into a >= row,
+    # whose surplus column needs an artificial to start phase 1.
     R = len(A_rows)
     A = np.array(A_rows)
     b = np.array(b_vals)
-    for i in range(R):
-        if b[i] < 0:
-            A[i] *= -1.0
-            b[i] *= -1.0
-            rels[i] = {LE: GE, GE: LE, EQ: EQ}[rels[i]]
+    flipped = b < 0
+    A[flipped] *= -1.0
+    b[flipped] *= -1.0
 
-    slack_col_of_row, art_col_of_row = {}, {}
-    next_col = n
-    for i in range(R):
-        if rels[i] != EQ:
-            slack_col_of_row[i] = next_col
-            next_col += 1
-    n_real = next_col
-    for i in range(R):
-        if rels[i] != LE:
-            art_col_of_row[i] = next_col
-            next_col += 1
-    ncols = next_col
+    n_real = n + R  # one slack or surplus column per row
+    art_col_of_row = {i: n_real + a for a, i in enumerate(np.flatnonzero(flipped))}
+    ncols = n_real + len(art_col_of_row)
 
     full = np.zeros((R, ncols + 1))
     full[:, :n] = A
     full[:, -1] = b
-    for i, col in slack_col_of_row.items():
-        full[i, col] = 1.0 if rels[i] == LE else -1.0
+    full[np.arange(R), n + np.arange(R)] = np.where(flipped, -1.0, 1.0)
     for i, col in art_col_of_row.items():
         full[i, col] = 1.0
 
@@ -395,7 +367,7 @@ def _reference_solve_lp(lp):
     row_idx = list(range(R))
     total_pivots = 0
 
-    basis = [art_col_of_row[i] if i in art_col_of_row else slack_col_of_row[i] for i in range(R)]
+    basis = [art_col_of_row.get(i, n + i) for i in range(R)]
     T = np.hstack([full[:, :ncols], b.reshape(-1, 1)])
     c1 = np.zeros(ncols + 1)
     c1[n_real:ncols] = 1.0
@@ -453,14 +425,10 @@ def _highs_value(lp):
     """``lp``'s optimal value from HiGHS (scipy's ``linprog``)."""
     from scipy.optimize import linprog
 
-    le, ge, eq = (lp.senses == sense for sense in (LE, GE, EQ))
-    A_ub, b_ub = np.vstack([lp.A[le], -lp.A[ge]]), np.concatenate([lp.rhs[le], -lp.rhs[ge]])
     res = linprog(
         lp.objective,
-        A_ub=A_ub if b_ub.size else None,
-        b_ub=b_ub if b_ub.size else None,
-        A_eq=lp.A[eq] if eq.any() else None,
-        b_eq=lp.rhs[eq] if eq.any() else None,
+        A_ub=lp.A if lp.rhs.size else None,
+        b_ub=lp.rhs if lp.rhs.size else None,
         bounds=lp.bounds,
         method="highs",
     )
@@ -547,29 +515,29 @@ def test_solve_lp_agrees_with_dense_reference(corpus):
 
 
 # Bounded-variable cases, each with its optimum.  FLIP_THEN_UPPER starts
-# with x2 at its upper bound 1 and x1 at 0, which breaks the EQ row; x1
-# enters in place of the row's fixed slack.
-FLIP_THEN_UPPER = _lp([1.0, -2.0], [([1.0, 1.0], ec.EQ, 2.0)], bounds=[(0.0, 2.0), (0.0, 1.0)])
+# with x2 at its upper bound 1 and x1 at 0, which breaks the equation's
+# negated row -x1 - x2 <= -2; x1 enters in place of that row's slack.
+FLIP_THEN_UPPER = _lp([1.0, -2.0], [([1.0, 1.0], EQ, 2.0)], bounds=[(0.0, 2.0), (0.0, 1.0)])
 SHIFTED_BOX = _lp(
     [1.0, -1.0, 2.0],
-    [([1.0, 1.0, 0.0], ec.GE, 0.5), ([0.0, 1.0, 1.0], ec.LE, 0.0)],
+    [([1.0, 1.0, 0.0], GE, 0.5), ([0.0, 1.0, 1.0], LE, 0.0)],
     bounds=[(-1.0, 1.0), (0.25, 0.75), (-2.0, -0.5)],
 )
 FIXED_VARIABLE = _lp(
     [-1.0, -1.0, 3.0],
-    [([1.0, 1.0, 1.0], ec.EQ, 1.7), ([1.0, -1.0, 0.0], ec.LE, 0.1)],
+    [([1.0, 1.0, 1.0], EQ, 1.7), ([1.0, -1.0, 0.0], LE, 0.1)],
     bounds=[(0.0, 1.0), (0.0, 1.0), (0.7, 0.7)],
 )
 ZERO_RHS_GE = _lp(
     [1.0, 1.0, -3.0],
-    [([1.0, 0.0, -1.0], ec.GE, 0.0), ([0.0, 1.0, -1.0], ec.GE, 0.0), ([1.0, 1.0, 0.0], ec.LE, 1.5)],
+    [([1.0, 0.0, -1.0], GE, 0.0), ([0.0, 1.0, -1.0], GE, 0.0), ([1.0, 1.0, 0.0], LE, 1.5)],
 )
 BOUNDS_ONLY = _lp([-1.0, 1.0], [], bounds=[(-1.0, 2.0), (0.5, 0.5)])
 # The corner each cost favours: the lower one for UPPER_START, which breaks
 # its GE row there, and the upper one for UPPER_OPTIMAL, which is optimal
 # there.
-UPPER_START = _lp([1.0, 1.0], [([1.0, 1.0], ec.GE, 1.5)])
-UPPER_OPTIMAL = _lp([-1.0, -2.0], [([1.0, 1.0], ec.GE, 1.0), ([1.0, -1.0], ec.LE, 0.5)])
+UPPER_START = _lp([1.0, 1.0], [([1.0, 1.0], GE, 1.5)])
+UPPER_OPTIMAL = _lp([-1.0, -2.0], [([1.0, 1.0], GE, 1.0), ([1.0, -1.0], LE, 0.5)])
 BOUNDED = {
     "flip-then-upper": (FLIP_THEN_UPPER, -1.0),
     "shifted-box": (SHIFTED_BOX, -5.0),
@@ -596,10 +564,10 @@ def _shift(rng, rhs):
 
 
 def _random_boxed_program(rng):
-    """(program, witness corner): shifted boxes, some fixed variables, and
-    rows anchored at a random corner: EQ rows pass through it, half the GE
-    rows are tight there, and the other rows hold there by a random gap,
-    before ``_shift``."""
+    """(program, witness corner, rows): shifted boxes, some fixed variables,
+    and (coefficients, relation, rhs) rows anchored at a random corner: EQ
+    rows pass through it, half the GE rows are tight there, and the other
+    rows hold there by a random gap, before ``_shift``."""
     lo, hi, _ = _random_box(rng)
     n = lo.size
     corner = np.where([rng.random() < 0.5 for _ in range(n)], hi, lo)
@@ -608,13 +576,13 @@ def _random_boxed_program(rng):
         vec = np.array([rng.randint(-2, 2) / 2 for _ in range(n)])
         if not vec.any():
             vec[rng.randrange(n)] = 1.0
-        rel = _sense(rng, [ec.LE, ec.GE, ec.GE, ec.EQ], rows, vec)
-        gap = 0.0 if rel == ec.GE and rng.random() < 0.5 else 0.3 * rng.random()
-        rhs = float(vec @ corner) + {ec.LE: gap, ec.GE: -gap, ec.EQ: 0.0}[rel]
+        rel = rng.choice([LE, GE, GE, EQ])
+        gap = 0.0 if rel == GE and rng.random() < 0.5 else 0.3 * rng.random()
+        rhs = float(vec @ corner) + {LE: gap, GE: -gap, EQ: 0.0}[rel]
         rows.append((vec, rel, _shift(rng, rhs)))
     objective = np.array([rng.uniform(-2, 2) for _ in range(n)])
     bounds = np.column_stack([lo, hi])
-    return _lp(_random_sign(rng) * objective, rows, bounds=bounds), corner
+    return _lp(_random_sign(rng) * objective, rows, bounds=bounds), corner, rows
 
 
 @pytest.mark.parametrize("name", sorted(BOUNDED))
@@ -625,18 +593,19 @@ def test_bounded_programs_match_vertex_enumeration(name):
     assert not _matches_vertex_enumeration(lp)
 
 
-def _tight_at(lp, corner, sense):
-    """Whether some row of this sense holds with equality at ``corner``."""
-    return bool(np.any((lp.senses == sense) & (lp.rhs == lp.A @ corner)))
+def _tight_at(rows, corner, relation):
+    """Whether some (coefficients, relation, rhs) row of this relation holds
+    with equality at ``corner``."""
+    return any(rel == relation and rhs == vec @ corner for vec, rel, rhs in rows)
 
 
 def test_random_boxed_programs_match_vertex_enumeration():
     rng = random.Random(1955)
     fixed = tight = infeasible = 0
     for _ in range(60):
-        lp, corner = _random_boxed_program(rng)
+        lp, corner, rows = _random_boxed_program(rng)
         fixed += int(np.any(lp.bounds[:, 0] == lp.bounds[:, 1]))
-        tight += _tight_at(lp, corner, ec.GE)
+        tight += _tight_at(rows, corner, GE)
         infeasible += _matches_vertex_enumeration(lp)
     assert fixed >= 10 and tight >= 10 and 3 <= infeasible <= 30
 
@@ -650,9 +619,9 @@ def test_program_optimal_at_its_start_corner_takes_no_pivots():
 
 
 def _random_upper_program(rng):
-    """(program, upper corner): shifted boxes, fixed variables and rows that
-    hold at the upper corner before ``_shift``; half the LE rows are tight
-    there."""
+    """(program, upper corner, rows): shifted boxes, fixed variables and
+    (coefficients, relation, rhs) rows that hold at the upper corner before
+    ``_shift``; half the LE rows are tight there."""
     lo, hi, witness = _random_box(rng)
     n = lo.size
     rows = []
@@ -660,25 +629,25 @@ def _random_upper_program(rng):
         vec = np.array([rng.randint(-2, 2) / 2 for _ in range(n)])
         if not vec.any():
             vec[rng.randrange(n)] = 1.0
-        rel = rng.choice([ec.LE, ec.GE, ec.GE])
+        rel = rng.choice([LE, GE, GE])
         top = float(vec @ hi)
-        if rel == ec.LE:
+        if rel == LE:
             rhs = top + rng.choice([0.0, 0.3 * rng.random()])
         else:
             rhs = min(float(vec @ witness), top)
         rows.append((vec, rel, _shift(rng, rhs)))
     objective = np.array([rng.uniform(-2, 2) for _ in range(n)])
     bounds = np.column_stack([lo, hi])
-    return _lp(_random_sign(rng) * objective, rows, bounds=bounds), hi
+    return _lp(_random_sign(rng) * objective, rows, bounds=bounds), hi, rows
 
 
 def test_random_upper_corner_programs_match_vertex_enumeration():
     rng = random.Random(1992)
     fixed = tight = infeasible = 0
     for _ in range(80):
-        lp, corner = _random_upper_program(rng)
+        lp, corner, rows = _random_upper_program(rng)
         fixed += int(np.any(lp.bounds[:, 0] == lp.bounds[:, 1]))
-        tight += _tight_at(lp, corner, ec.LE)
+        tight += _tight_at(rows, corner, LE)
         infeasible += _matches_vertex_enumeration(lp)
     assert fixed >= 3 and tight >= 3 and 3 <= infeasible <= 40
 
@@ -759,22 +728,25 @@ def test_hot_masters_match_cold_solves_and_the_dense_reference():
 
 
 def _append(lp, *rows):
-    """``lp`` plus (coefficients, relation, rhs) rows at the end."""
-    A = np.vstack([lp.A, [vec for vec, _, _ in rows]])
-    senses = np.append(lp.senses, [rel for _, rel, _ in rows])
-    rhs = np.append(lp.rhs, [rhs for _, _, rhs in rows])
-    return ec.LinearProgram(lp.objective, A, senses, rhs, lp.bounds)
+    """``lp`` plus (coefficients, relation, rhs) rows at the end, written as ``_lp`` writes them."""
+    new = _lp(lp.objective, rows, lp.bounds)
+    return ec.LinearProgram(lp.objective, np.vstack([lp.A, new.A]), np.append(lp.rhs, new.rhs), lp.bounds)
 
 
 # Rows appended to BOX, whose optimum is (0.5, 1) with value -2.5, each with
 # the new optimum and the pivots a hot solve takes; a cold solve checks the
-# hot one.  The EQ row's slack reads 0.5 at (0.5, 1), above its box [0, 0]:
-# its row is complemented, and one dual pivot then repairs it.
+# hot one.  At BOX's optimum x1 is basic and stored complemented, as 1 - x1
+# (its negative cost started it at its upper bound).  Under x1 + x2 / 2 <=
+# 0.25 the first row's slack enters at 0.75 and moves x1 to -0.25, so 1 - x1
+# reads 1.25, above its box [0, 1]: its row is complemented back, and a
+# second dual pivot leaves x1 at 0.  The equation x1 = x2 is appended as its
+# pair of rows.
 APPENDED = {
-    "cuts-off-optimum": (([0.0, 1.0], ec.LE, 0.5), -2.0, 1),
-    "already-satisfied": (([1.0, 1.0], ec.LE, 2.0), -2.5, 0),
-    "slack-above-its-box": (([1.0, -1.0], ec.EQ, 0.0), -2.25, 1),
-    "ge-cut": (([1.0, -1.0], ec.GE, 0.0), -2.25, 1),
+    "cuts-off-optimum": (([0.0, 1.0], LE, 0.5), -2.0, 1),
+    "already-satisfied": (([1.0, 1.0], LE, 2.0), -2.5, 0),
+    "basic-above-its-box": (([1.0, 0.5], LE, 0.25), -1.0, 2),
+    "equation-pair": (([1.0, -1.0], EQ, 0.0), -2.25, 1),
+    "ge-cut": (([1.0, -1.0], GE, 0.0), -2.25, 1),
 }
 
 
@@ -789,6 +761,9 @@ def test_appended_row_is_solved_from_the_previous_tableau(name):
     assert max_violation(lp, hot.values) <= 1e-12
     _matches_vertex_enumeration(lp)
     assert hot.pivots == pivots
+    if name == "basic-above-its-box":  # x1 left its basis stored plainly, at 0
+        assert 0 in previous._tableau.basis and previous._tableau.complemented[0]
+        assert 0 not in hot._tableau.basis and not hot._tableau.complemented[0]
     # The previous solution is left as it was: a second hot solve repeats the first.
     again = ec.solve_lp(lp, previous)
     assert again.values.tolist() == hot.values.tolist() and again.pivots == hot.pivots
@@ -796,7 +771,7 @@ def test_appended_row_is_solved_from_the_previous_tableau(name):
 
 def test_hot_start_chains_and_takes_several_rows_at_once():
     lp1 = _append(BOX, APPENDED["cuts-off-optimum"][0])
-    lp2 = _append(lp1, APPENDED["ge-cut"][0], ([1.0, 0.0], ec.LE, 0.8))
+    lp2 = _append(lp1, APPENDED["ge-cut"][0], ([1.0, 0.0], LE, 0.8))
     chained = ec.solve_lp(lp2, ec.solve_lp(lp1, ec.solve_lp(BOX)))
     at_once = ec.solve_lp(lp2, ec.solve_lp(BOX))
     # x1 <= 0.8 and x2 <= 0.5 leave -x1 - 2 x2 at least -1.8.
@@ -808,32 +783,32 @@ def test_hot_start_chains_and_takes_several_rows_at_once():
 def test_appended_row_that_empties_the_program_raises():
     previous = ec.solve_lp(BOX)
     with pytest.raises(SimplexError, match="infeasible"):
-        ec.solve_lp(_append(BOX, ([1.0, 1.0], ec.GE, 2.5)), previous)
+        ec.solve_lp(_append(BOX, ([1.0, 1.0], GE, 2.5)), previous)
     # Two rows that each hold alone but not together.
-    lp = _append(BOX, ([1.0, 0.0], ec.GE, 0.75), ([1.0, 1.0], ec.LE, 0.5))
+    lp = _append(BOX, ([1.0, 0.0], GE, 0.75), ([1.0, 1.0], LE, 0.5))
     with pytest.raises(SimplexError, match="infeasible"):
         ec.solve_lp(lp, previous)
 
 
 def test_hot_start_rejects_a_program_that_is_not_the_previous_plus_rows():
     previous = ec.solve_lp(ONE_ROW)
-    row = ([1.0, 0.0, 0.0], ec.LE, 0.5)
+    row = ([1.0, 0.0, 0.0], LE, 0.5)
     lp = _append(ONE_ROW, row)
     ec.solve_lp(lp, previous)
     changed = {
         "objective": dict(objective=[-3.0, 1.0, -2.5]),
         "bounds": dict(bounds=[(0.0, 1.0), (0.0, 1.0), (0.0, 0.5)]),
         "earlier row": dict(A=[[1.0, 2.0, 1.5], row[0]]),
-        "earlier sense": dict(senses=[ec.GE, ec.LE]),
+        "earlier row negated": dict(A=[[-1.0, -2.0, -1.0], row[0]], rhs=[-2.0, 0.5]),
     }
-    fields = dict(objective=lp.objective, A=lp.A, senses=lp.senses, rhs=lp.rhs, bounds=lp.bounds)
+    fields = dict(objective=lp.objective, A=lp.A, rhs=lp.rhs, bounds=lp.bounds)
     for name, change in changed.items():
         with pytest.raises(ValueError, match="plus appended rows"):
             ec.solve_lp(ec.LinearProgram(**(fields | change)), previous)
     # A row dropped, and a row put before the old ones.
     with pytest.raises(ValueError, match="plus appended rows"):
         ec.solve_lp(ONE_ROW, ec.solve_lp(lp))
-    swapped = _lp([-3.0, 1.0, -2.0], [row, ([1.0, 2.0, 1.0], ec.LE, 2.0)])
+    swapped = _lp([-3.0, 1.0, -2.0], [row, ([1.0, 2.0, 1.0], LE, 2.0)])
     with pytest.raises(ValueError, match="plus appended rows"):
         ec.solve_lp(swapped, previous)
     with pytest.raises(ValueError, match="no tableau"):
@@ -842,33 +817,38 @@ def test_hot_start_rejects_a_program_that_is_not_the_previous_plus_rows():
 
 def _with_rhs(lp, rhs):
     """``lp`` with the right-hand sides ``rhs``."""
-    return ec.LinearProgram(lp.objective, lp.A, lp.senses, rhs, lp.bounds)
+    return ec.LinearProgram(lp.objective, lp.A, rhs, lp.bounds)
 
 
-# BOX plus x1 - x2 = 0, solved hot from BOX: the EQ row's slack leaves its
-# box [0, 0] from above, so it ends nonbasic and stored complemented.
-BOX_EQ = _append(BOX, ([1.0, -1.0], ec.EQ, 0.0))
+# BOX plus the equation x1 - x2 = 0 as a row pair, and BOX plus x1 + x2 / 2
+# <= 0.25, each solved hot from BOX; the latter's hot solve complements the
+# row of the basic x1 (APPENDED).
+BOX_EQ = _append(BOX, ([1.0, -1.0], EQ, 0.0))
+BOX_CUT = _append(BOX, APPENDED["basic-above-its-box"][0])
 
-# New right-hand sides for BOX_EQ (LE, EQ) and EQUALITY_AND_GE (EQ, GE), each
-# with the optimum a hot solve must reach.
+# New right-hand sides for BOX_EQ (LE row, then the EQ pair), BOX_CUT (two
+# LE rows) and EQUALITY_AND_GE (the EQ pair, then the negated GE row), each
+# with the optimum a hot solve must reach.  An equation's pair of rows takes
+# (b, -b), so the "eq" edits move both rows of the pair.
 RHS_EDITS = {
-    "le": (BOX_EQ, [1.0, 0.0], -1.5),
-    "eq-up": (BOX_EQ, [1.5, 0.5], -2.0),
-    "eq-down": (BOX_EQ, [1.5, -0.5], -2.5),
-    "le-and-eq": (BOX_EQ, [1.2, -0.2], -1.9),
-    "ge": (EQUALITY_AND_GE, [2.0, 0.75], 1.0),
-    "eq-of-eq-and-ge": (EQUALITY_AND_GE, [1.5, 0.25], 0.5),
-    "eq-and-ge": (EQUALITY_AND_GE, [2.5, 1.0], 1.5),
-    "unchanged": (EQUALITY_AND_GE, [2.0, 0.25], 1.0),
+    "le": (BOX_EQ, [1.0, 0.0, 0.0], -1.5),
+    "eq-up": (BOX_EQ, [1.5, 0.5, -0.5], -2.0),
+    "eq-down": (BOX_EQ, [1.5, -0.5, 0.5], -2.5),
+    "le-and-eq": (BOX_EQ, [1.2, -0.2, 0.2], -1.9),
+    "pair-widened": (BOX_EQ, [1.5, 0.25, 0.25], -2.375),
+    "le-and-cut": (BOX_CUT, [1.0, 0.5], -2.0),
+    "cut-up": (BOX_CUT, [1.5, 0.75], -2.25),
+    "ge": (EQUALITY_AND_GE, [2.0, -2.0, -0.75], 1.0),
+    "eq-of-eq-and-ge": (EQUALITY_AND_GE, [1.5, -1.5, -0.25], 0.5),
+    "eq-and-ge": (EQUALITY_AND_GE, [2.5, -2.5, -1.0], 1.5),
+    "unchanged": (EQUALITY_AND_GE, [2.0, -2.0, -0.25], 1.0),
 }
 
 
 def _previous(lp):
-    """``lp``'s solution, BOX_EQ's hot from BOX so that its EQ slack is complemented."""
-    if lp is BOX_EQ:
-        sol = ec.solve_lp(BOX_EQ, ec.solve_lp(BOX))
-        assert sol._tableau.complemented[BOX.variable_count + 1]
-        return sol
+    """``lp``'s solution, BOX_EQ's and BOX_CUT's hot from BOX."""
+    if lp is BOX_EQ or lp is BOX_CUT:
+        return ec.solve_lp(lp, ec.solve_lp(BOX))
     return ec.solve_lp(lp)
 
 
@@ -894,7 +874,7 @@ def test_new_right_hand_sides_are_solved_from_the_previous_tableau(name):
 def test_new_right_hand_side_with_appended_rows():
     previous = ec.solve_lp(BOX)
     # x1 + x2 <= 1 and then x2 <= 0.5 leave -x1 - 2 x2 at least -1.5.
-    lp = _append(_with_rhs(BOX, [1.0]), ([0.0, 1.0], ec.LE, 0.5))
+    lp = _append(_with_rhs(BOX, [1.0]), ([0.0, 1.0], LE, 0.5))
     hot = ec.solve_lp(lp, previous)
     assert hot.objective_value == pytest.approx(-1.5, abs=1e-12)
     _matches_vertex_enumeration(lp)
@@ -930,7 +910,7 @@ def test_right_hand_side_that_empties_the_program_raises():
         ec.solve_lp(_with_rhs(BOX, [-0.5]), previous)
     # x1 - x2 = 1.5 has no point in the unit box.
     with pytest.raises(SimplexError, match="infeasible"):
-        ec.solve_lp(_with_rhs(BOX_EQ, [1.5, 1.5]), _previous(BOX_EQ))
+        ec.solve_lp(_with_rhs(BOX_EQ, [1.5, 1.5, -1.5]), _previous(BOX_EQ))
 
 
 def _fresh_weights(T):
@@ -1044,13 +1024,12 @@ def _reference_point(lp, sol):
     final tableau stores it complemented."""
     n, R = lp.variable_count, lp.rhs.size
     lo, hi = lp.bounds.T
-    f = np.where(lp.senses == GE, -1.0, 1.0)
-    M = np.hstack([f[:, None] * lp.A, np.eye(R)])
+    M = np.hstack([lp.A, np.eye(R)])
     y = np.zeros(n + R)
-    y[:n] = np.where(sol._tableau.complemented[:n], hi - lo, 0.0)  # a complemented slack is boxed in [0, 0]
+    y[:n] = np.where(sol._tableau.complemented[:n], hi - lo, 0.0)  # a slack has no upper bound
     basis = sol._tableau.basis
     y[basis] = 0.0
-    y[basis] = np.linalg.solve(M[:, basis], f * (lp.rhs - lp.A @ lo) - M @ y)
+    y[basis] = np.linalg.solve(M[:, basis], lp.rhs - lp.A @ lo - M @ y)
     return y[:n] + lo
 
 

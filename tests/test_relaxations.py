@@ -63,12 +63,20 @@ def test_scaled_weights_keep_light_edges_above_the_tolerances(heavy, light):
 
 
 def test_sweep_scales_its_budgets_with_the_weights():
-    # scaled by 2**50, the budget 1e300 passes the float range and caps at
-    # the largest float, which binds no more than 1e300 did
+    # scaled by 2**50, the budget 1e300 passes the float range; it caps at
+    # the protected class's scaled weight, which binds no more than 1e300 did
     h = _weighted_triangle((1e-9,) * 3)
     bounds = [frac.bound for frac in ec.solve_protected_sweep(h, 1, [0.0, 1.5e-9])]
     assert bounds == pytest.approx([2e-9, 1.5e-9], rel=1e-12, abs=0.0)
     assert ec.solve_protected_relaxation(h, 1, 1e300).bound == pytest.approx(1.5e-9, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("budget", [1e20, 1e300])
+def test_hot_sweep_takes_a_budget_far_past_the_class_weight(budget):
+    # the protected class weighs 1: the budget caps there, so the hot solve
+    # moves the budget row's rhs by 1, not by the budget
+    bounds = [frac.bound for frac in ec.solve_protected_sweep(ec.triangle_gadget(), 1, [0.0, budget])]
+    assert bounds == pytest.approx([2.0, 1.5], rel=1e-12, abs=0.0)
 
 
 def test_protected_budget_rejects_negative_and_nan():
@@ -137,6 +145,9 @@ def test_sweep_checks_every_budget_before_solving():
         for budgets in ([1.0, -1.0], [0.0, math.nan]):
             with pytest.raises(ValueError, match="budget"):
                 ec.solve_protected_sweep(h, 1, budgets)
+        for color in (0, 4):
+            with pytest.raises(ValueError, match="protected color"):
+                ec.solve_protected_sweep(h, color, [1.0])
     assert ec.solve_protected_sweep(h, 1, []) == []
 
 
