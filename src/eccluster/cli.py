@@ -78,7 +78,11 @@ def _build_parser() -> _Parser:
     bench = sub.add_parser("bench", help="budget sweep for the protected problem")
     bench.add_argument("--problem", required=True, choices=["protected"])
     bench.add_argument("--protected-color", type=int, required=True)
-    bench.add_argument("--fractions", required=True, help="comma-separated list in [0, 1]")
+    bench.add_argument(
+        "--fractions",
+        required=True,
+        help="comma-separated list in [0, 1]; each budget is ceil(fraction x the class's edge count)",
+    )
     bench.add_argument("--rho", type=float, default=DEFAULT_RHO)
     bench.add_argument("--input", required=True)
     bench.add_argument("--output", default=None)

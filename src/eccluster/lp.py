@@ -12,12 +12,13 @@ holds one column per row.  The point is read off the rhs column and
 corrected once by its residual against the clean input data, moved along
 the inverse basis, which the slack columns hold (one step of iterative
 refinement; Higham, Accuracy and Stability of Numerical Algorithms, 2002,
-ch. 12).  The tableau is stored densely in column-major order, and a pivot
-touches only the columns where the normalised pivot row is nonzero.  The
-leaving row is priced by dual steepest edge (Forrest and Goldfarb, Math.
-Prog. 57, 1992): each row's weight is the squared norm of its row of the
-inverse basis, which the slack columns hold, so the weights are exact,
-recomputed for the rows each pivot changes.
+ch. 12).  The tableau is stored densely in column-major order, with the reduced
+costs as its last row, and a pivot touches only the columns where the
+normalised pivot row is nonzero.  The leaving row is priced by dual steepest
+edge (Forrest and Goldfarb, Math. Prog. 57, 1992): each row's weight is the
+squared norm of its row of the inverse basis, which the slack columns hold,
+so the weights are exact.  A weight is computed only when its row is priced
+after a pivot changed it.
 
 Every box is finite, so a program with no rows is solved by putting each
 variable at its cheaper bound, and that tableau is dual feasible.  A solve
@@ -128,14 +129,14 @@ class LinearProgram:
 class _Tableau(NamedTuple):
     """A dual-feasible simplex state, kept so that rows can be appended to it.
 
-    ``obj`` holds the reduced costs, plus one entry beside the rhs column
-    that a pivot updates like any other and nothing reads; ``basis`` the
-    basic column of each row.
+    ``T`` holds one row per program row and then the reduced costs, whose
+    entry in the rhs column a pivot updates like any other and nothing reads;
+    ``basis`` the basic column of each row.  No steepest-edge weight is kept:
+    a solve ends with every row changed since it was last priced.
     """
 
     lp: LinearProgram
     T: np.ndarray
-    obj: np.ndarray
     basis: np.ndarray
     complemented: np.ndarray
 
@@ -144,8 +145,9 @@ class _Tableau(NamedTuple):
 class LpSolution:
     """An optimal point and its value.
 
-    A solution holds its final tableau, rows x (variables + rows + 1) floats,
-    so that ``solve_lp`` can hot-start from it.
+    A solution holds its final tableau, (rows + 1) x (variables + rows + 1)
+    floats with the reduced costs as the last row, so that ``solve_lp`` can
+    hot-start from it.
     """
 
     values: np.ndarray
@@ -168,8 +170,8 @@ def _slack_norms(T: np.ndarray, rows: np.ndarray) -> np.ndarray:
     The block is gathered row-major, so each norm is summed in one order
     whichever rows are asked for.
     """
-    ncols = T.shape[1] - 1
-    block = T[:, ncols - T.shape[0] : ncols][rows]
+    R, ncols = T.shape[0] - 1, T.shape[1] - 1
+    block = T[:, ncols - R : ncols][rows]
     return np.einsum("ij,ij->i", block, block)
 
 
@@ -189,97 +191,105 @@ def _basic_solution(T: np.ndarray, basis: np.ndarray, u: np.ndarray, complemente
     rhs column (u - beta where complemented), every nonbasic one at 0, or
     at u where complemented."""
     y = np.where(complemented, u, 0.0)
-    beta = T[:, -1]
+    beta = T[:-1, -1]
     y[basis] = np.where(complemented[basis], u[basis] - beta, beta)
     return y
 
 
-def _pivot(T: np.ndarray, obj: np.ndarray, basis: np.ndarray, w: np.ndarray, pr: int, pc: int) -> None:
-    """Pivot on (pr, pc), updating only the columns where the pivot row is nonzero.
+def _pivot(T: np.ndarray, basis: np.ndarray, stale: np.ndarray, row: np.ndarray, pr: int, pc: int) -> None:
+    """Pivot on (pr, pc), where ``row`` is a contiguous copy of T[pr],
+    updating only the columns where the pivot row is nonzero.
 
     Against a full rank-1 update, at most the sign of a zero entry differs.
-    The rows where the pivot column is nonzero get their weights ``w``
-    recomputed by ``_slack_norms``; no other row changes.
+    The reduced costs are T's last row, so the one update covers them.  The
+    rows where the pivot column is nonzero are marked ``stale``; no other
+    row changes.
     """
-    T[pr] /= T[pr, pc]
-    cols = T[pr].nonzero()[0]
-    row = T[pr, cols]
+    row /= row[pc]
+    T[pr] = row
+    cols = row.nonzero()[0]
     col = T[:, pc].copy()
-    touched = col.nonzero()[0]
+    stale |= col[:-1] != 0.0
     col[pr] = 0.0
     # T is column-major, so T.T[cols] gathers each updated column contiguously.
-    T.T[cols] -= np.multiply.outer(row, col)
-    obj[cols] -= obj[pc] * row
+    T.T[cols] -= np.multiply.outer(row[cols], col)
     basis[pr] = pc
-    w[touched] = _slack_norms(T, touched)
 
 
 def _run_dual(
     T: np.ndarray,
-    obj: np.ndarray,
     basis: np.ndarray,
     u: np.ndarray,
     complemented: np.ndarray,
+    w: np.ndarray,
+    stale: np.ndarray,
     cap: int,
 ) -> int:
     """Minimize over a dual-feasible tableau in place; returns the pivots.
 
-    Tableau variable j lies in [0, u[j]], and every nonbasic one reads 0: one
-    at its upper bound is stored complemented (u - y, its column and reduced
-    cost negated), as ``complemented`` records.  Leaving, among the rows
-    whose basic variable lies outside [0, u] by more than EPS_FEAS: the
-    lowest row of largest excess^2 / w (dual steepest edge), where w is the
-    squared norm of that row of the slack block, the inverse basis up to
-    signs.  w is computed here for every row and then kept exact by
-    ``_pivot``; complementing a row or column leaves it alone.  After
-    ``_STALL`` times the row count degenerate pivots in a row (best ratio at
-    most ``_RATIO_TIE``), the row whose basic variable has the lowest index
-    leaves instead (Bland, Math. Oper. Res. 2(2), 1977), until the next
-    nondegenerate pivot.  A variable above its u has its row complemented
-    first, so it leaves at 0.  Entering: among columns that can move (u > 0)
-    whose entry in that row is below -``_PIVOT_TOL``, the one of smallest
-    ratio reduced cost / |entry| (clamped at 0), the lowest column within
-    ``_RATIO_TIE`` of it.  A row that no column can enter proves the program
-    infeasible and raises SimplexError, as does a movable column whose
-    reduced cost ends below -``_PIVOT_TOL``.
+    T's last row holds the reduced costs.  Tableau variable j lies in
+    [0, u[j]], and every nonbasic one reads 0: one at its upper bound is stored
+    complemented (u - y, its column and reduced cost negated), as
+    ``complemented`` records.  Leaving, among the rows whose basic variable
+    lies outside [0, u] by more than EPS_FEAS: the lowest row of largest
+    excess^2 / w (dual steepest edge), where w is the squared norm of that
+    row of the slack block, the inverse basis up to signs.  A row's w is
+    computed by ``_slack_norms`` when the row is priced while ``stale``, as
+    every row is on entry and every pivot marks the rows it changes;
+    complementing a row or column leaves it alone.  A row is priced only
+    while it lies outside its box, and only a pivot that changes it can move
+    it back in, so every row ends stale.  After ``_STALL`` times the row
+    count degenerate pivots in a row (best ratio at most ``_RATIO_TIE``),
+    the row whose basic variable has the lowest index leaves instead (Bland,
+    Math. Oper. Res. 2(2), 1977), until the next nondegenerate pivot.  A
+    variable above its u has its row complemented first, so it leaves at 0.
+    Entering: among columns that can move (u > 0) whose entry in that row is
+    below -``_PIVOT_TOL``, the one of smallest ratio reduced cost / |entry|
+    (clamped at 0), the lowest column within ``_RATIO_TIE`` of it.  A row
+    that no column can enter proves the program infeasible and raises
+    SimplexError, as does a movable column whose reduced cost ends below
+    -``_PIVOT_TOL``.
     """
     pivots = degenerate = 0
-    R, ncols = T.shape[0], T.shape[1] - 1
-    beta = T[:, -1]
+    R, ncols = T.shape[0] - 1, T.shape[1] - 1
+    beta, obj = T[:R, -1], T[R]
     ub = u[basis]
     movable = u > 0.0
-    w = _slack_norms(T, np.arange(R))
-    while True:
-        excess = np.maximum(-beta, beta - ub)
-        rows = (excess > EPS_FEAS).nonzero()[0]
-        if not rows.size:
-            break
-        if degenerate >= _STALL * R:
-            pr = rows[basis[rows].argmin()]
-        else:
-            # a score past the float range reads inf, or nan where the
-            # weight overflowed too (inf where it underflowed to 0); argmax
-            # takes the lowest nan row, else the lowest inf row
-            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+    # a score past the float range reads inf, or nan where the weight
+    # overflowed too (inf where it underflowed to 0); argmax takes the
+    # lowest nan row, else the lowest inf row.  The state is entered once
+    # per solve: entering it is a fixed cost, paid per pivot otherwise.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        while True:
+            excess = np.maximum(-beta, beta - ub)
+            rows = (excess > EPS_FEAS).nonzero()[0]
+            if not rows.size:
+                break
+            if degenerate >= _STALL * R:
+                pr = rows[basis[rows].argmin()]
+            else:
+                due = rows[stale[rows]]
+                w[due] = _slack_norms(T, due)
+                stale[due] = False
                 pr = rows[(np.square(excess[rows]) / w[rows]).argmax()]
-        if beta[pr] > ub[pr]:  # store the basic variable as ub - y, which leaves at 0
-            T[pr] *= -1.0
-            T[pr, basis[pr]] = 1.0
-            T[pr, -1] += ub[pr]
-            complemented[basis[pr]] = not complemented[basis[pr]]
-        row = T[pr, :ncols]
-        candidates = ((row < -_PIVOT_TOL) & movable).nonzero()[0]
-        if not candidates.size:
-            raise SimplexError(f"row {pr} cannot be made feasible: the program is infeasible")
-        ratios = np.maximum(obj[candidates], 0.0) / -row[candidates]
-        best = ratios.min()
-        degenerate = degenerate + 1 if best <= _RATIO_TIE else 0
-        entering = candidates[(ratios <= best + _RATIO_TIE).argmax()]
-        _pivot(T, obj, basis, w, pr, entering)
-        ub[pr] = u[entering]
-        pivots += 1
-        if pivots > cap:
-            raise SimplexError(f"pivot cap {cap} exceeded")
+            if beta[pr] > ub[pr]:  # store the basic variable as ub - y, which leaves at 0
+                T[pr] *= -1.0
+                T[pr, basis[pr]] = 1.0
+                T[pr, -1] += ub[pr]
+                complemented[basis[pr]] = not complemented[basis[pr]]
+            row = T[pr].copy()  # contiguous, for the ratio test and _pivot
+            candidates = ((row[:ncols] < -_PIVOT_TOL) & movable).nonzero()[0]
+            if not candidates.size:
+                raise SimplexError(f"row {pr} cannot be made feasible: the program is infeasible")
+            ratios = np.maximum(obj[candidates], 0.0) / -row[candidates]
+            best = np.minimum.reduce(ratios)
+            degenerate = degenerate + 1 if best <= _RATIO_TIE else 0
+            entering = candidates[(ratios <= best + _RATIO_TIE).argmax()]
+            _pivot(T, basis, stale, row, pr, entering)
+            ub[pr] = u[entering]
+            pivots += 1
+            if pivots > cap:
+                raise SimplexError(f"pivot cap {cap} exceeded")
     lost = (obj[:ncols] < -_PIVOT_TOL) & movable
     if lost.any():
         j = int(lost.argmax())
@@ -297,8 +307,9 @@ def _base_tableau(lp: LinearProgram, previous: Optional[LpSolution]) -> _Tableau
     up to the right-hand sides of its earlier rows.
     """
     if previous is None:
-        T = np.zeros((0, lp.variable_count + 1), order="F")
-        return _Tableau(lp, T, np.append(np.abs(lp.objective), 0.0), np.zeros(0, dtype=np.intp), lp.objective < 0.0)
+        T = np.zeros((1, lp.variable_count + 1), order="F")
+        T[0, :-1] = np.abs(lp.objective)
+        return _Tableau(lp, T, np.zeros(0, dtype=np.intp), lp.objective < 0.0)
     state = previous._tableau
     if state is None:
         raise ValueError("previous solution carries no tableau")
@@ -346,17 +357,16 @@ def solve_lp(lp: LinearProgram, previous: Optional[LpSolution] = None) -> LpSolu
     kept = n + R0  # the columns of state's tableau, less its rhs
     complemented = np.concatenate([state.complemented, np.zeros(R - R0, dtype=bool)])
     basis = np.concatenate([state.basis, kept + np.arange(R - R0)])
-    obj = np.zeros(ncols + 1)
-    obj[:kept] = state.obj[:-1]
-    T = np.zeros((R, ncols + 1), order="F")
-    T[:R0, :kept], T[:R0, -1] = state.T[:, :-1], state.T[:, -1]
+    T = np.zeros((R + 1, ncols + 1), order="F")
+    old = np.r_[:R0, R]  # state's rows, then its reduced costs
+    T[old, :kept], T[old, -1] = state.T[:, :-1], state.T[:, -1]
     moved = lp.rhs[:R0] - state.lp.rhs[:R0]  # a cold state's program is lp itself
     if moved.any():  # new right-hand sides leave the reduced costs alone
         _move_rhs(T, n, moved)
 
     # Append rows R0..: a complemented column is negated with its u moved to
     # the rhs, then the basic columns are eliminated.
-    rows = T[R0:]
+    rows = T[R0:R]
     rows[:, :n] = lp.A[R0:]
     rows[np.arange(R - R0), kept + np.arange(R - R0)] = 1.0
     rows[:, -1] = b[R0:]
@@ -365,7 +375,7 @@ def solve_lp(lp: LinearProgram, previous: Optional[LpSolution] = None) -> LpSolu
     rows[:, flip] *= -1.0
     if R0:  # a cold solve has no basic columns, and the product would be all zeros
         rows -= np.einsum("ij,jk->ik", rows[:, state.basis], T[:R0])
-    pivots = _run_dual(T, obj, basis, u, complemented, 10_000 + 50 * (R + ncols))
+    pivots = _run_dual(T, basis, u, complemented, np.zeros(R), np.ones(R, dtype=bool), 10_000 + 50 * (R + ncols))
 
     # One step of iterative refinement: the residual of the tableau's point
     # against the clean input data moves the rhs column along the inverse
@@ -380,4 +390,4 @@ def solve_lp(lp: LinearProgram, previous: Optional[LpSolution] = None) -> LpSolu
     # an objective past the float range is inf, its true value, not a warning
     with np.errstate(over="ignore"):
         value = float(np.einsum("i,i->", lp.objective, x))
-    return LpSolution(x, value, pivots=pivots, _tableau=_Tableau(lp, T, obj, basis, complemented))
+    return LpSolution(x, value, pivots=pivots, _tableau=_Tableau(lp, T, basis, complemented))

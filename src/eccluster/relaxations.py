@@ -218,7 +218,9 @@ def _add_cuts(master: LinearProgram, cuts: np.ndarray) -> LinearProgram:
     cuts = np.array(cuts, dtype=float, ndmin=2)
     cuts[:, -1] = -1.0
     rhs = np.append(master.rhs, np.zeros(len(cuts)))
-    return replace(master, A=np.vstack([master.A, cuts]), rhs=rhs)
+    A = np.vstack([master.A, cuts])
+    A.flags.writeable = False  # so LinearProgram keeps it rather than copying it again
+    return replace(master, A=A, rhs=rhs)
 
 
 def _master(region: tuple, cuts: np.ndarray, t_cap: float) -> LinearProgram:
@@ -379,8 +381,9 @@ def build_protected_lp(
     on_p = h.edge_colors == protected_color
     budget_row = _weight_objective(h, lay)
     budget_row[lay.edge_col(np.flatnonzero(~on_p))] = 0.0
-    region = (np.vstack([A, budget_row]), np.append(rhs, float(budget)))
-    return LinearProgram(_weight_objective(h, lay), *region), lay
+    A = np.vstack([A, budget_row])
+    A.flags.writeable = False  # so LinearProgram keeps it rather than copying it again
+    return LinearProgram(_weight_objective(h, lay), A, np.append(rhs, float(budget))), lay
 
 
 def solve_protected_sweep(

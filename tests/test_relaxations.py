@@ -99,6 +99,22 @@ def test_protected_budget_row_is_honored():
         assert protected_mass <= budget + 1e-8
 
 
+def test_stacked_rows_are_kept_by_the_program_not_copied_again(monkeypatch):
+    # A Kelley round and the protected builder stack rows onto a matrix; the
+    # program keeps that stacked matrix instead of copying it a second time.
+    stacked, vstack = [], np.vstack
+
+    def record(arrays):
+        stacked.append(vstack(arrays))
+        return stacked[-1]
+
+    monkeypatch.setattr(np, "vstack", record)
+    lp, _ = ec.build_protected_lp(ec.triangle_gadget(), 1, 1.0)
+    assert lp.A is stacked[-1]
+    master = relaxations._add_cuts(lp, np.ones((2, lp.variable_count)))
+    assert master.A is stacked[-1] and master.A.shape[0] == lp.A.shape[0] + 2
+
+
 # Budget sweeps as fractions of the protected color's weight: rising,
 # falling, and one that returns to a budget and then repeats it.
 SWEEPS = {
